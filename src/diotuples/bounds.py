@@ -24,7 +24,7 @@ from math import isqrt
 import mpmath
 
 from .quad_ring import QuadInt, format_elem, norm
-from .tuples import PellWitness, pell_residuals
+from .tuples import PellWitness
 
 __all__ = [
     "PrecReal",
@@ -647,8 +647,3 @@ def threshold_a22() -> int:
         n -= 1
     return n
 
-
-def pell_identity_holds(w: PellWitness) -> bool:
-    """Exact check of the Pellian system residuals of a witness."""
-    r1, r2 = pell_residuals(w)
-    return r1.is_zero() and r2.is_zero()

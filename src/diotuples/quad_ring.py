@@ -24,11 +24,6 @@ __all__ = [
     "make_ring",
     "is_squarefree",
     "is_perfect_square",
-    "add",
-    "sub",
-    "mul",
-    "neg",
-    "conj",
     "norm",
     "cmp_abs",
     "units",
@@ -170,26 +165,6 @@ def from_half(ring: RingParams, u: int, v: int) -> QuadInt:
     return _from_half_unchecked(ring, u, v)
 
 
-def add(a: QuadInt, b: QuadInt) -> QuadInt:
-    return a + b
-
-
-def sub(a: QuadInt, b: QuadInt) -> QuadInt:
-    return a - b
-
-
-def mul(a: QuadInt, b: QuadInt) -> QuadInt:
-    return a * b
-
-
-def neg(a: QuadInt) -> QuadInt:
-    return -a
-
-
-def conj(a: QuadInt) -> QuadInt:
-    return a.conj()
-
-
 def norm(a: QuadInt) -> int:
     return a.norm()
 
@@ -220,32 +195,33 @@ def units(ring: RingParams) -> list[QuadInt]:
     return sorted(out, key=elem_key)
 
 
-def sqrt_exact(alpha: QuadInt) -> QuadInt | None:
-    """Canonical square root of alpha in O_K, or None if alpha is not a square.
+# _SQUARE_MOD64[r] is 1 iff r is a square modulo 64 (Cohen, Alg. 1.7.3).
+_SQUARE_MOD64 = bytes(1 if any(k * k % 64 == r for k in range(32)) else 0 for r in range(64))
 
-    Roots come in pairs {beta, -beta}; the representative with u > 0 (or
-    u = 0 and v >= 0 in half-coordinates) is returned.  The candidate is
-    reconstructed from the norm: norm(alpha) must be a perfect square n**2,
-    then u**2 = U + 2n and u*v = V for alpha = (U + V*sqrt(-D))/2.
+
+def _sqrt_half(D: int, mode: OmegaMode, U: int, V: int) -> tuple[int, int] | None:
+    """Canonical square root of alpha = (U + V*sqrt(-D))/2 in O_K, on integers.
+
+    Returns the half-coordinates (u, v) of the root beta = (u + v*sqrt(-D))/2
+    with u > 0, or u = 0 and v >= 0; None if alpha is not a square.  The
+    candidate is reconstructed from the norm: 4*norm(alpha) = U**2 + D*V**2
+    must be a perfect square r**2 (so r = 2*norm(beta)), then u**2 = U + r and
+    u*v = V.  (U, V) must be the half-coordinates of an element of O_K.
     """
-    ring = alpha.ring
-    if alpha.is_zero():
-        return alpha
-    n2 = alpha.norm()
-    n = isqrt(n2)
-    if n * n != n2:
+    n4 = U * U + D * V * V
+    if not _SQUARE_MOD64[n4 & 63]:
         return None
-    U, V = alpha.half_coords()
-    usq = U + 2 * n  # >= 0 since |U| <= 2*|alpha| = 2n
+    r = isqrt(n4)
+    if r * r != n4:
+        return None
+    usq = U + r  # >= 0 since |U| <= r
     u = isqrt(usq)
     if u * u != usq:
         return None
     if u == 0:
-        if V != 0:
+        if V != 0 or (2 * r) % D:
             return None
-        if (4 * n) % ring.D:
-            return None
-        vsq = 4 * n // ring.D
+        vsq = 2 * r // D
         v = isqrt(vsq)
         if v * v != vsq:
             return None
@@ -253,15 +229,23 @@ def sqrt_exact(alpha: QuadInt) -> QuadInt | None:
         if V % u:
             return None
         v = V // u
-        if u * u + ring.D * v * v != 4 * n:
-            return None
-    try:
-        beta = from_half(ring, u, v)
-    except ParityError:
+    if (u % 2 or v % 2) if mode is OmegaMode.SQRT else (u - v) % 2:
         return None
-    if beta * beta != alpha:
+    # beta**2 = ((u**2 - D*v**2)/2 + u*v*sqrt(-D))/2 must be alpha
+    if u * u - D * v * v != 2 * U or u * v != V:
         return None
-    return beta
+    return u, v
+
+
+def sqrt_exact(alpha: QuadInt) -> QuadInt | None:
+    """Canonical square root of alpha in O_K, or None if alpha is not a square.
+
+    Roots come in pairs {beta, -beta}; the representative with u > 0 (or
+    u = 0 and v >= 0 in half-coordinates) is returned.  See _sqrt_half.
+    """
+    ring = alpha.ring
+    root = _sqrt_half(ring.D, ring.omega_mode, *alpha.half_coords())
+    return None if root is None else _from_half_unchecked(ring, *root)
 
 
 def exact_div(num: QuadInt, den: QuadInt) -> QuadInt | None:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .quad_ring import (
-    OmegaMode,
     QuadInt,
     RingParams,
     elem_from_json,
@@ -26,7 +25,7 @@ from .quad_ring import (
     iter_elements,
     make_ring,
     parse_elem,
-    sqrt_exact,
+    _sqrt_half,
 )
 from .tuples import make_tuple, pair_witness, verify_tuple
 
@@ -53,12 +52,6 @@ def enum_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
     if max_norm < 1:
         raise ValueError("max_norm must be >= 1")
     return sorted(iter_elements(ring, max_norm), key=elem_key)
-
-
-def _conj_coords(ring: RingParams, x: int, y: int) -> tuple[int, int]:
-    if ring.omega_mode is OmegaMode.SQRT:
-        return x, -y
-    return x + y, -y
 
 
 @dataclass
@@ -88,9 +81,16 @@ class CompatGraph:
 
 
 def build_graph(elements, n: QuadInt) -> CompatGraph:
-    """Edge {a, b} iff a*b + n is a square; square tests memoized per product.
+    """Edge {a, b} iff a*b + n is a square in O_K; an integer kernel on half-coordinates.
 
-    The memo key is canonical under conjugation: w is a square iff conj(w) is.
+    For a = (u1 + v1*s)/2 and b = (u2 + v2*s)/2 with s = sqrt(-D), the shifted
+    product w = a*b + n is (U + V*s)/2 with U = (u1*u2 - D*v1*v2)/2 + Un and
+    V = (u1*v2 + v1*u2)/2 + Vn, and U**2 + D*V**2 = 4*norm(w) must be a perfect
+    square for w to be one.  The root test is quad_ring's integer core, which
+    rejects most pairs by a mod-64 residue table and isqrt before it
+    reconstructs a root.  Vertices are paired by sign class
+    {a, -a}: one product a*b decides {a, b} and {-a, -b} through a*b + n, and
+    {a, -b} and {-a, b} through -a*b + n.
     """
     vs = sorted(elements, key=elem_key)
     ring = n.ring
@@ -102,23 +102,39 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     if len(set(vs)) != len(vs):
         raise ValueError("duplicate vertices")
 
-    cnt = len(vs)
-    adj = [0] * cnt
-    memo: dict[tuple[int, int], bool] = {}
-    for i in range(cnt):
-        a = vs[i]
-        for j in range(i + 1, cnt):
-            w = a * vs[j] + n
-            k1 = (w.x, w.y)
-            k2 = _conj_coords(ring, w.x, w.y)
-            key = k1 if k1 <= k2 else k2
-            hit = memo.get(key)
-            if hit is None:
-                hit = sqrt_exact(w) is not None
-                memo[key] = hit
-            if hit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    D, mode = ring.D, ring.omega_mode
+    Un, Vn = n.half_coords()
+    coords = [e.half_coords() for e in vs]
+    index = {c: i for i, c in enumerate(coords)}
+    # sign classes (u, v, i, j): vertex i = (u + v*s)/2 and j the index of its negative, or -1
+    classes = []
+    for i, (u, v) in enumerate(coords):
+        j = index.get((-u, -v), -1)
+        if j == -1 or i < j:
+            classes.append((u, v, i, j))
+    adj = [0] * len(vs)
+
+    def link(i: int, j: int) -> None:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+
+    for c, (u1, v1, ia, ja) in enumerate(classes):
+        Dv1 = D * v1
+        # {a, -a}: w = -a**2 + n
+        if ja >= 0 and _sqrt_half(D, mode, Un - ((u1 * u1 - Dv1 * v1) >> 1), Vn - u1 * v1) is not None:
+            link(ia, ja)
+        for u2, v2, ib, jb in classes[c + 1 :]:
+            P = (u1 * u2 - Dv1 * v2) >> 1
+            Q = (u1 * v2 + v1 * u2) >> 1
+            if _sqrt_half(D, mode, Un + P, Vn + Q) is not None:
+                link(ia, ib)
+                if ja >= 0 and jb >= 0:
+                    link(ja, jb)
+            if (ja >= 0 or jb >= 0) and _sqrt_half(D, mode, Un - P, Vn - Q) is not None:
+                if jb >= 0:
+                    link(ia, jb)
+                if ja >= 0:
+                    link(ja, ib)
     return CompatGraph(ring, n, vs, adj)
 
 
@@ -159,7 +175,8 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
     Subsets are enumerated in lexicographic order with early rejection of any
     prefix already containing a witness-less pair (a subset fails verification
     on that same pair, so nothing is lost); accepted subsets are re-passed
-    through verify_tuple.  No graph, adjacency or memoization is shared with
+    through verify_tuple.  Pair witnesses are cached per call, by vertex index
+    pair; no graph, adjacency or cache is shared with build_graph or
     find_cliques.  Intended for small inputs (<= ~200 elements).
     """
     if k < 2:
@@ -167,19 +184,26 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
     vs = sorted(elements, key=elem_key)
     cnt = len(vs)
     out: list[tuple[QuadInt, ...]] = []
+    witnessed: dict[tuple[int, int], bool] = {}  # (i, j) with i < j -> pair has a witness
 
-    def rec(chosen: list[QuadInt], start: int) -> None:
+    def compatible(i: int, j: int) -> bool:
+        hit = witnessed.get((i, j))
+        if hit is None:
+            hit = witnessed[i, j] = pair_witness(vs[i], vs[j], n) is not None
+        return hit
+
+    def rec(chosen: list[int], start: int) -> None:
         if len(chosen) == k:
-            t = make_tuple(n.ring, n, chosen)
-            assert verify_tuple(t).ok
-            out.append(tuple(chosen))
+            elems = tuple(vs[i] for i in chosen)
+            if not verify_tuple(make_tuple(n.ring, n, elems)).ok:
+                raise RuntimeError(f"subset {elems} has witnesses but fails verify_tuple")
+            out.append(elems)
             return
         for j in range(start, cnt):
             if cnt - j < k - len(chosen):
                 break
-            b = vs[j]
-            if all(pair_witness(a, b, n) is not None for a in chosen):
-                chosen.append(b)
+            if all(compatible(i, j) for i in chosen):
+                chosen.append(j)
                 rec(chosen, j + 1)
                 chosen.pop()
 
@@ -218,8 +242,31 @@ class SearchConfig:
             raise ValueError("jobs must be >= 1")
         if not self.D_list:
             raise ValueError("D_list must be nonempty")
-        for D in self.D_list:
-            make_ring(D)  # raises on non-squarefree D
+        self._parsed_n()
+
+    def _parsed_n(self) -> list[QuadInt]:
+        """n parsed in the ring of every D; ValueError on a bad D or an n outside O_K."""
+        out = []
+        for D in sorted(set(self.D_list)):
+            ring = make_ring(D)  # raises on non-squarefree D
+            try:
+                out.append(parse_elem(self.n, ring))
+            except ValueError as exc:
+                raise ValueError(f"n={self.n!r} is not an element of O_K for D={D}: {exc}") from None
+        return out
+
+    def _canonical_n(self) -> str:
+        """Ring-independent text of n from its half-coordinates (U, V) in every ring.
+
+        A plain integer when n is rational, otherwise (U+V*s)/2 with s = sqrt(-D).
+        Text in terms of w that names different elements in the two omega
+        conventions gives one text per distinct element, comma-separated.
+        """
+        texts = set()
+        for e in self._parsed_n():
+            U, V = e.half_coords()
+            texts.add(str(U // 2) if V == 0 else f"({U}{V:+d}*s)/2")
+        return ",".join(sorted(texts))
 
     def semantic_json(self) -> dict:
         # jobs and checkpoint_path do not affect results, so they are not hashed
@@ -232,7 +279,8 @@ class SearchConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.semantic_json(), sort_keys=True).encode()
+        # n is hashed in canonical form, so "-1" and "-1+0*w" share checkpoints
+        blob = json.dumps({**self.semantic_json(), "n": self._canonical_n()}, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -301,7 +349,8 @@ def _run_field(D: int, max_norm: int, k: int, n_text: str, symmetry_prune: bool)
     cliques = find_cliques(g, k)
     for c in cliques:
         # report invariant: every emitted clique re-verifies
-        assert verify_tuple(make_tuple(ring, n, c)).ok, f"clique {c} failed re-verification"
+        if not verify_tuple(make_tuple(ring, n, c)).ok:
+            raise RuntimeError(f"clique {c} failed re-verification")
     if symmetry_prune:
         records = _group_orbits(cliques, n)
     else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import combinations
 from random import Random
@@ -57,6 +58,18 @@ class TestBuildGraph:
     def test_complete_on_quadruple(self):
         g = build_graph([q1(1), q1(2), q1(5), q1(-24)], M1)
         assert g.edge_count == 6
+
+    def test_adjacency_pinned_d1_576(self):
+        # adjacency recorded from the object-arithmetic build, before the integer kernel
+        g = build_graph(enum_elements(R1, 576), M1)
+        digest = hashlib.sha256(",".join(map(str, g.adj)).encode()).hexdigest()
+        assert (len(g.vertices), g.edge_count) == (1792, 8937)
+        assert digest == "fd8f5760a8a2c12c71c49ef885f511d1628312b90f1bc226b09203af378ef1f4"
+
+    def test_sign_class_pairs(self):
+        # {1, -1}: 1*(-1) + 1 = 0 is a square; {a, -a} edges need both signs present
+        g = build_graph([q1(1), q1(-1), q1(3)], QuadInt(R1, 1, 0))
+        assert {frozenset(e) for e in g.edges()} == {frozenset((q1(1), q1(-1))), frozenset((q1(1), q1(3)))}
 
     def test_no_edge(self):
         g = build_graph([q1(1), q1(3)], M1)
@@ -232,6 +245,60 @@ class TestCampaign:
             SearchConfig(D_list=[1], max_norm=0, k=3).validate()
         with pytest.raises(ValueError):
             SearchConfig(D_list=[1], max_norm=10, k=1).validate()
+
+    def test_validate_parses_n_in_every_ring(self, tmp_path):
+        # (1+sqrt(-D))/2 is in O_K for D = 3 but not for D = 5
+        path = tmp_path / "ck.json"
+        cfg = SearchConfig(D_list=[3, 5], max_norm=10, k=3, n="(1+1*s)/2", checkpoint_path=str(path))
+        with pytest.raises(ValueError, match="D=5"):
+            cfg.validate()
+        with pytest.raises(ValueError):
+            run_campaign(cfg)
+        assert not path.exists()
+
+    def test_config_hash_canonical_n(self):
+        base = dict(D_list=[1, 2, 3], max_norm=60, k=3)
+        hashes = {SearchConfig(**base, n=t).config_hash() for t in ("-1", "-1+0*w", " -1 ")}
+        # the digest of n="-1" predates canonical hashing: old checkpoints still load
+        assert hashes == {"17cefd20396b1d82befd0c04cb9dd8e39cf4ed47b29b5e91a87018b14a24d440"}
+        # 1+w is (2+2*s)/2 for D = 1, 2 but (3+s)/2 for D = 3
+        assert SearchConfig(**base, n="1+1*w").config_hash() != SearchConfig(**base, n="(2+2*s)/2").config_hash()
+        one_mode = dict(D_list=[1, 2], max_norm=60, k=3)
+        assert SearchConfig(**one_mode, n="1+1*w").config_hash() == SearchConfig(**one_mode, n="(2+2*s)/2").config_hash()
+
+    def test_schema1_checkpoint_resumes(self, tmp_path):
+        # a checkpoint as written before canonical hashing, with a marker result for D = 1
+        path = tmp_path / "ck.json"
+        marker = {"D": 1, "vertex_count": 0, "edge_count": 0, "cliques": [], "wall_time": 12.5}
+        path.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "version": "0.1.0",
+                    "config_hash": "17cefd20396b1d82befd0c04cb9dd8e39cf4ed47b29b5e91a87018b14a24d440",
+                    "config": {"D_list": [1, 2, 3], "max_norm": 60, "k": 3, "n": "-1", "symmetry_prune": True},
+                    "completed": {"1": marker},
+                }
+            )
+        )
+        cfg = SearchConfig(D_list=[1, 2, 3], max_norm=60, k=3, n="-1", checkpoint_path=str(path))
+        report = run_campaign(cfg)
+        assert report.results[0].to_json() == marker
+        assert [r.D for r in report.results] == [1, 2, 3]
+        assert sorted(json.loads(path.read_text())["completed"]) == ["1", "2", "3"]
+
+    def test_reverification_failure_raises(self, monkeypatch):
+        # an explicit raise, not an assert, so the check also runs under python -O
+        from diotuples import search
+
+        class Failed:
+            ok = False
+
+        monkeypatch.setattr(search, "verify_tuple", lambda t: Failed())
+        with pytest.raises(RuntimeError, match="re-verification"):
+            search._run_field(1, 30, 3, "-1", True)
+        with pytest.raises(RuntimeError, match="verify_tuple"):
+            brute_force_tuples(enum_elements(R1, 30), 3, M1)
 
     def test_report_json_roundtrip(self, tmp_path):
         from diotuples.search import load_report, write_report
