@@ -374,9 +374,8 @@ class ThetaCheck:
 
     defect_i = |theta_i - approximant_i| with theta_1 = (s/a)sqrt(a/c),
     theta_2 = (t/b)sqrt(b/c), approximants s*x/(a*z) and t*y/(b*z), and the
-    sign of each theta chosen to minimize its defect.  middle2 is reported in
-    two variants (see module notes): the literal |s||a-c|/(|b|sqrt|bc|)/|z|^2
-    and the a<->b symmetric |t||b-c|/(|b|sqrt|bc|)/|z|^2.
+    sign of each theta chosen to minimize its defect.  middle2 is the a<->b
+    symmetric image of middle1, |t||b-c|/(|b|sqrt|bc|)/|z|^2.
     """
 
     witness: PellWitness
@@ -385,7 +384,6 @@ class ThetaCheck:
     defect1: PrecReal
     defect2: PrecReal
     middle1: PrecReal
-    middle2_literal: PrecReal
     middle2_symmetric: PrecReal
     outer: PrecReal
     identity_rel_diff: float
@@ -452,7 +450,6 @@ def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -
 
     nz_int = PrecReal.from_int(nz, bits)
     middle1 = _sq(ns).mul(_sq(norm(a - c))).div(_sq(na).mul(_sq(na * nc).sqrt())).div(nz_int)
-    middle2_lit = _sq(ns).mul(_sq(norm(a - c))).div(_sq(nb).mul(_sq(nb * nc).sqrt())).div(nz_int)
     middle2_sym = _sq(nt).mul(_sq(norm(b - c))).div(_sq(nb).mul(_sq(nb * nc).sqrt())).div(nz_int)
     outer = PrecReal.from_int(21, bits).mul(_sq(nc)).div(
         PrecReal.from_int(16, bits).mul(_sq(na)).mul(nz_int)
@@ -472,7 +469,6 @@ def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -
         defect1=defect1,
         defect2=defect2,
         middle1=middle1,
-        middle2_literal=middle2_lit,
         middle2_symmetric=middle2_sym,
         outer=outer,
         identity_rel_diff=identity_rel_diff,

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .quad_ring import format_elem, is_squarefree, make_ring, parse_elem
+from .quad_ring import elem_key, format_elem, is_squarefree, make_ring, parse_elem
 from .tuples import extend_triple, is_regular, make_tuple, verify_tuple
 from .search import SearchConfig, run_campaign, write_clique_csv, write_report
 from . import bounds as bnd
@@ -152,8 +152,8 @@ def _cmd_search(args) -> int:
             f"{report.total_cliques} clique(s) in {report.wall_time:.2f}s"
         )
         for D, cliques in sorted(report.all_clique_sets().items()):
-            for s in sorted(cliques, key=lambda fs: sorted((e.norm(), e.x, e.y) for e in fs)):
-                elems = ", ".join(format_elem(e) for e in sorted(s, key=lambda e: (e.norm(), e.x, e.y)))
+            for s in sorted(cliques, key=lambda fs: sorted(elem_key(e) for e in fs)):
+                elems = ", ".join(format_elem(e) for e in sorted(s, key=elem_key))
                 print(f"  D={D}: {{{elems}}}")
     return 0 if report.total_cliques == 0 else 1
 

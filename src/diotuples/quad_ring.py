@@ -248,21 +248,34 @@ def sqrt_exact(alpha: QuadInt) -> QuadInt | None:
     return None if root is None else _from_half_unchecked(ring, *root)
 
 
+def _div_half(D: int, mode: OmegaMode, U1: int, V1: int, U2: int, V2: int) -> tuple[int, int] | None:
+    """Half-coordinates of (U1 + V1*sqrt(-D)) / (U2 + V2*sqrt(-D)) in O_K, on integers.
+
+    Returns the (u, v) of the quotient, or None if it does not lie in O_K.
+    Multiplying by the conjugate gives (p + q*sqrt(-D)) / (U2**2 + D*V2**2),
+    and U2**2 + D*V2**2 = 4*norm(den), so u = p / (2*norm(den)) and likewise
+    v.  (U2, V2) must be the nonzero half-coordinates of an element of O_K.
+    """
+    m = (U2 * U2 + D * V2 * V2) // 2
+    p = U1 * U2 + D * V1 * V2
+    q = V1 * U2 - U1 * V2
+    if p % m or q % m:
+        return None
+    u, v = p // m, q // m
+    if (u % 2 or v % 2) if mode is OmegaMode.SQRT else (u - v) % 2:
+        return None
+    return u, v
+
+
 def exact_div(num: QuadInt, den: QuadInt) -> QuadInt | None:
-    """num / den when the quotient lies in O_K, else None."""
+    """num / den when the quotient lies in O_K, else None.  See _div_half."""
     if num.ring != den.ring:
         raise ValueError("mixed rings in exact_div")
     if den.is_zero():
         raise ZeroDivisionError("division by zero element")
-    w = num * den.conj()
-    nd = den.norm()
-    U, V = w.half_coords()
-    if U % nd or V % nd:
-        return None
-    try:
-        return from_half(num.ring, U // nd, V // nd)
-    except ParityError:
-        return None
+    ring = num.ring
+    q = _div_half(ring.D, ring.omega_mode, *num.half_coords(), *den.half_coords())
+    return None if q is None else _from_half_unchecked(ring, *q)
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -298,22 +311,28 @@ def elem_from_json(d: dict[str, str], ring: RingParams) -> QuadInt:
     return QuadInt(ring, int(d["x"]), int(d["y"]))
 
 
+def _iter_half(D: int, mode: OmegaMode, max_norm: int):
+    """Half-coordinates (u, v) of every nonzero element of norm <= max_norm.
+
+    Row by row in ascending v, each row in ascending u: 4*norm = u**2 + D*v**2,
+    and (u, v) describes an element of O_K when both are even (SQRT) or
+    share their parity (HALF).
+    """
+    four_n = 4 * max_norm
+    vmax = isqrt(four_n // D)
+    vstep = 1
+    if mode is OmegaMode.SQRT:
+        vmax -= vmax % 2
+        vstep = 2
+    for v in range(-vmax, vmax + 1, vstep):
+        umax = isqrt(four_n - D * v * v)
+        u0 = -umax if (umax + v) % 2 == 0 else 1 - umax
+        for u in range(u0, umax + 1, 2):
+            if u or v:
+                yield u, v
+
+
 def iter_elements(ring: RingParams, max_norm: int):
     """Yield every nonzero element of norm <= max_norm (unspecified order)."""
-    D = ring.D
-    if ring.omega_mode is OmegaMode.SQRT:
-        ymax = isqrt(max_norm // D)
-        for y in range(-ymax, ymax + 1):
-            xmax = isqrt(max_norm - D * y * y)
-            for x in range(-xmax, xmax + 1):
-                if x or y:
-                    yield QuadInt(ring, x, y)
-    else:
-        four_n = 4 * max_norm
-        vmax = isqrt(four_n // D)
-        for v in range(-vmax, vmax + 1):
-            umax = isqrt(four_n - D * v * v)
-            u0 = -umax if (umax + v) % 2 == 0 else -umax + 1
-            for u in range(u0, umax + 1, 2):
-                if u or v:
-                    yield _from_half_unchecked(ring, u, v)
+    for u, v in _iter_half(ring.D, ring.omega_mode, max_norm):
+        yield _from_half_unchecked(ring, u, v)

@@ -39,6 +39,7 @@ __all__ = [
     "find_cliques",
     "brute_force_tuples",
     "run_campaign",
+    "clamp_workers",
     "load_report",
     "write_report",
     "write_clique_csv",
@@ -424,12 +425,25 @@ def _save_checkpoint(cfg: SearchConfig, completed: dict[int, dict]) -> None:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def clamp_workers(jobs: int, pending: int, cpus: int) -> int:
+    """Worker processes for a campaign: min(jobs, pending fields, cpus), at least 1."""
+    return max(1, min(jobs, pending, cpus))
+
+
 def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     """Run the campaign field by field, checkpointing after each completed D.
 
     Fields already present in a compatible checkpoint are skipped.  Workers
-    (cfg.jobs > 1) each own a single field; the merge is by ascending D and
-    independent of completion order.
+    (clamp_workers: cfg.jobs, capped by the pending fields and usable CPUs)
+    each own a single field; the merge is by ascending D and independent of
+    completion order.
     """
     cfg.validate()
     t0 = time.monotonic()
@@ -438,7 +452,8 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     pending = [D for D in ds if D not in completed]
     tasks = [(D, cfg.max_norm, cfg.k, cfg.n, cfg.symmetry_prune) for D in pending]
 
-    if cfg.jobs == 1 or len(tasks) <= 1:
+    workers = clamp_workers(cfg.jobs, len(tasks), _usable_cpus())
+    if workers == 1:
         for task in tasks:
             D, res = _field_task(task)
             completed[D] = res
@@ -446,7 +461,7 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
             if progress:
                 progress(res)
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_field_task, t) for t in tasks]
             for fut in as_completed(futures):
                 D, res = fut.result()  # a worker failure propagates here
@@ -455,16 +470,7 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
                 if progress:
                     progress(res)
 
-    results = [
-        FieldResult(
-            D=completed[D]["D"],
-            vertex_count=completed[D]["vertex_count"],
-            edge_count=completed[D]["edge_count"],
-            cliques=completed[D]["cliques"],
-            wall_time=completed[D]["wall_time"],
-        )
-        for D in ds
-    ]
+    results = [FieldResult(**completed[D]) for D in ds]
     return SearchReport(cfg, results, time.monotonic() - t0)
 
 

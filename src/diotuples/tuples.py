@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from .quad_ring import (
     QuadInt,
     RingParams,
+    _div_half,
+    _from_half_unchecked,
+    _iter_half,
+    _sqrt_half,
     elem_key,
     elem_to_json,
-    exact_div,
     format_elem,
-    iter_elements,
     sqrt_exact,
 )
 
@@ -192,6 +194,10 @@ def extend_triple(
     d is not in {0, a, b, c} and ad - 1, bd - 1 are squares.  Results are
     ordered by (norm, x, y) of the first z producing each d (z and -z give
     the same d, which is reported once).
+
+    The scan runs on half-coordinates (see quad_ring): z^2 + 1 is divided by
+    c with _div_half and ad - 1, bd - 1 are tested with _sqrt_half, all on
+    plain ints; elements and Pell witnesses are built only for the hits.
     """
     ring = a.ring
     m1 = _minus_one(ring)
@@ -203,19 +209,29 @@ def extend_triple(
     if not verify_tuple(triple).ok:
         raise ValueError("{a, b, c} is not a D(-1) triple")
 
-    out: list[tuple[QuadInt, PellWitness]] = []
-    seen: set[QuadInt] = set()
-    for z in sorted(iter_elements(ring, z_norm_bound), key=elem_key):
-        d = exact_div(z * z + 1, c)
-        if d is None or d in seen:
+    D, mode = ring.D, ring.omega_mode
+    (au, av), (bu, bv), (cu, cv) = a.half_coords(), b.half_coords(), c.half_coords()
+    excluded = {(0, 0), (au, av), (bu, bv), (cu, cv)}
+    hits: dict[tuple[int, int], tuple[int, int]] = {}  # d -> the first z giving it
+    for u, v in _iter_half(D, mode, z_norm_bound):
+        # z^2 + 1, with 1 = (2 + 0*sqrt(-D))/2
+        d = _div_half(D, mode, (u * u - D * v * v) // 2 + 2, u * v, cu, cv)
+        if d is None or d in hits or d in excluded:
             continue
-        if d.is_zero() or d == a or d == b or d == c:
+        du, dv = d
+        if _sqrt_half(D, mode, (au * du - D * av * dv) // 2 - 2, (au * dv + av * du) // 2) is None:
             continue
-        if sqrt_exact(a * d + m1) is None or sqrt_exact(b * d + m1) is None:
+        if _sqrt_half(D, mode, (bu * du - D * bv * dv) // 2 - 2, (bu * dv + bv * du) // 2) is None:
             continue
-        seen.add(d)
-        out.append((d, build_pell_witness(a, b, c, d)))
-    return out
+        hits[d] = (u, v)
+
+    # z and -z are the only z giving d; order d by the smaller of the two
+    survivors = []
+    for dh, zh in hits.items():
+        z = _from_half_unchecked(ring, *zh)
+        survivors.append((min(elem_key(z), elem_key(-z)), _from_half_unchecked(ring, *dh)))
+    survivors.sort(key=lambda s: s[0])
+    return [(d, build_pell_witness(a, b, c, d)) for _, d in survivors]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from math import isqrt
 from random import Random
 
 from diotuples.quad_ring import OmegaMode, QuadInt, RingParams, exact_div, sqrt_exact
-from diotuples.tuples import c_plus_minus, pair_witness
+from diotuples.tuples import build_pell_witness, c_plus_minus, pair_witness
 
 
 def box_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
@@ -28,6 +28,31 @@ def box_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
             a = QuadInt(ring, x, y)
             if not a.is_zero() and a.norm() <= max_norm:
                 out.append(a)
+    return out
+
+
+def reference_extend(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list:
+    """extend_triple's scan on QuadInt objects, for a triple already known to be D(-1).
+
+    Takes every z of box_elements in (norm, x, y) order.  c | z^2 + 1 is tested
+    on basis coordinates: (z^2 + 1) * conj(c) must be norm(c) times an element
+    of O_K, so both of its coordinates divide by norm(c).
+    """
+    ring = a.ring
+    m1 = QuadInt(ring, -1, 0)
+    nc = c.norm()
+    out, seen = [], set()
+    for z in sorted(box_elements(ring, z_norm_bound), key=lambda e: (e.norm(), e.x, e.y)):
+        w = (z * z + 1) * c.conj()
+        if w.x % nc or w.y % nc:
+            continue
+        d = QuadInt(ring, w.x // nc, w.y // nc)
+        if d in seen or d.is_zero() or d in (a, b, c):
+            continue
+        if pair_witness(a, d, m1) is None or pair_witness(b, d, m1) is None:
+            continue
+        seen.add(d)
+        out.append((d, build_pell_witness(a, b, c, d)))
     return out
 
 

@@ -12,6 +12,7 @@ from diotuples.search import (
     SearchConfig,
     brute_force_tuples,
     build_graph,
+    clamp_workers,
     enum_elements,
     find_cliques,
     run_campaign,
@@ -317,6 +318,30 @@ class TestCampaign:
             for group in rec.get("orbit", [rec["elems"]])
         }
         assert rebuilt == report.all_clique_sets()[1]
+
+
+class TestClampWorkers:
+    # the clamp is a pure function, so no test here starts a worker process
+    def test_smallest_bound_wins(self):
+        assert clamp_workers(2, 139, 2) == 2  # the campaign-scan benchmark on 2 CPUs
+        assert clamp_workers(8, 139, 2) == 2
+        assert clamp_workers(4, 3, 16) == 3
+        assert clamp_workers(1, 139, 16) == 1
+
+    def test_at_least_one(self):
+        assert clamp_workers(4, 0, 2) == 1  # everything already checkpointed
+        assert clamp_workers(4, 5, 0) == 1
+
+    def test_campaign_runs_serially_when_clamped(self, monkeypatch):
+        from diotuples import search
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single usable CPU must not start a worker pool")
+
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        report = run_campaign(SearchConfig(D_list=[1, 2], max_norm=30, k=3, n="-1", jobs=2))
+        assert [r.D for r in report.results] == [1, 2]
 
 
 def parse_many(group, ring):

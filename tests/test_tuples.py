@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -17,7 +18,7 @@ from diotuples.tuples import (
     tuple_orbit,
     verify_tuple,
 )
-from helpers import witness_triples
+from helpers import reference_extend, witness_triples
 
 R1 = make_ring(1)
 R3 = make_ring(3)
@@ -144,6 +145,28 @@ class TestExtendTriple:
         # deterministic order: nondecreasing norm of the producing z
         z_norms = [w.z.norm() for _, w in found]
         assert z_norms == sorted(z_norms)
+
+    def test_benchmark_bound_answers(self):
+        # z-norm bound 10^4, as in `reproduce d3-triples` and the tuples-extend benchmark
+        for triple, d, wit in (
+            ((1, 2, 5), -24, ("1", "2", "3", "0+5*w", "0+7*w", "0+11*w")),
+            ((2, 5, 13), -480, ("3", "5", "8", "0+31*w", "0+49*w", "0+79*w")),
+        ):
+            found = extend_triple(*(q1(v) for v in triple), 10**4)
+            assert [e for e, _ in found] == [q1(d)]
+            w = found[0][1]
+            assert (w.a, w.b, w.c, w.d) == (*(q1(v) for v in triple), q1(d))
+            assert tuple(format_elem(getattr(w, k)) for k in "rstxyz") == wit
+        w = q3(0, 1)
+        for a, b, c in ((w, w.conj(), q3(1)), (-w, -w.conj(), q3(-1))):
+            assert extend_triple(a, b, c, 10**4) == []
+
+    def test_two_extensions_match_object_scan(self):
+        # {1, 2, -24} extends by 5 (regular) and 145; every choice of c finds both
+        for a, b, c in permutations((q1(1), q1(2), q1(-24))):
+            found = extend_triple(a, b, c, 4000)
+            assert [d for d, _ in found] == [q1(5), q1(145)]
+            assert found == reference_extend(a, b, c, 4000)
 
     def test_empty_scan(self):
         assert extend_triple(q1(1), q1(2), q1(5), 0) == []
