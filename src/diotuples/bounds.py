@@ -9,19 +9,25 @@ kept strictly apart:
   with the recurring factor 330/65 stored reduced as 66/13;
 * genuinely irrational quantities (the constants L, l, p, P, lambda, c1 of
   the Jadrijevic-Ziegler simultaneous-approximation lemma, and the theta
-  defects) are evaluated as PrecReal: an mpmath float that carries its
-  precision and an accumulated relative-error bound, so every threshold
-  comparison can report a trustworthy margin and escalate precision when
-  the margin is too thin.
+  defects) are evaluated as PrecReal: an mpmath.iv interval that encloses
+  the true value, with directed rounding done by mpmath.  A threshold
+  comparison is decided only when the two enclosures are disjoint and the
+  gap clears 2^-64 relative; otherwise precision doubles, up to 1024 bits.
+  The theta defects are enclosed from exact integer norms by a formula
+  without cancellation.
 """
 
 from __future__ import annotations
 
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import mpmath
+from mpmath import iv
 
 from .quad_ring import QuadInt, format_elem, norm
 from .tuples import PellWitness
@@ -61,126 +67,99 @@ class PrecisionExhausted(ArithmeticError):
     """A comparison stayed undecided at the maximum working precision."""
 
 
+@contextmanager
+def _iv_precision(bits: int):
+    """Run the block at mpmath.iv precision `bits`; iv.prec is global, so restore it."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
 @dataclass(frozen=True)
 class PrecReal:
-    """High-precision float plus an accumulated relative-error bound."""
+    """A rigorous enclosure (an mpmath.iv interval) evaluated at a working precision."""
 
-    value: mpmath.mpf
+    enclosure: iv.mpf
     precision_bits: int
-    max_rel_error: float
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
 
-    @staticmethod
-    def _eps(bits: int) -> float:
-        return 2.0 ** (1 - bits)
-
     @classmethod
     def from_int(cls, n: int, bits: int) -> "PrecReal":
-        with mpmath.workprec(bits):
-            v = mpmath.mpf(n)
-        err = 0.0 if abs(n).bit_length() <= bits else cls._eps(bits)
-        return cls(v, bits, err)
+        with _iv_precision(bits):
+            return cls(iv.mpf(n), bits)
 
     @classmethod
     def from_fraction(cls, fr: Fraction, bits: int) -> "PrecReal":
-        with mpmath.workprec(bits):
-            v = mpmath.mpf(fr.numerator) / mpmath.mpf(fr.denominator)
-        return cls(v, bits, 2 * cls._eps(bits))
+        with _iv_precision(bits):
+            return cls(iv.mpf(fr.numerator) / fr.denominator, bits)
 
     @classmethod
     def sqrt_of_int(cls, n: int, bits: int) -> "PrecReal":
         if n < 0:
             raise ValueError("sqrt of negative integer")
-        with mpmath.workprec(bits):
-            v = mpmath.sqrt(mpmath.mpf(n))
-        return cls(v, bits, 2 * cls._eps(bits))
+        with _iv_precision(bits):
+            return cls(iv.sqrt(n), bits)
 
-    def _bits_with(self, other: "PrecReal") -> int:
-        return min(self.precision_bits, other.precision_bits)
+    @property
+    def value(self) -> mpmath.mpf:
+        """Midpoint of the enclosure."""
+        e = self.enclosure
+        with mpmath.workprec(self.precision_bits):
+            return (mpmath.mpf(e.a) + mpmath.mpf(e.b)) / 2
+
+    @property
+    def max_rel_error(self) -> float:
+        """Bound on |x - value| / |x| over the enclosure: 0.0 for a point, inf across 0."""
+        e = self.enclosure
+        if e.a == e.b:
+            return 0.0
+        if 0 in e:
+            return float("inf")
+        return float(mpmath.mpf((e.delta / 2 / min(abs(e.a), abs(e.b))).b))
+
+    def _combine(self, other: "PrecReal", op) -> "PrecReal":
+        bits = min(self.precision_bits, other.precision_bits)
+        with _iv_precision(bits):
+            return PrecReal(op(self.enclosure, other.enclosure), bits)
 
     def add(self, other: "PrecReal") -> "PrecReal":
-        bits = self._bits_with(other)
-        with mpmath.workprec(bits):
-            v = self.value + other.value
-        if v == 0:
-            # exact zero of a sum is not certifiable here; keep an absolute fallback
-            return PrecReal(v, bits, float("inf"))
-        if mpmath.sign(self.value) == mpmath.sign(other.value):
-            err = max(self.max_rel_error, other.max_rel_error) + self._eps(bits)
-        else:
-            abs_err = abs(self.value) * self.max_rel_error + abs(other.value) * other.max_rel_error
-            err = float(abs_err / abs(v)) + self._eps(bits)
-        return PrecReal(v, bits, err)
+        return self._combine(other, operator.add)
 
     def sub(self, other: "PrecReal") -> "PrecReal":
-        return self.add(PrecReal(-other.value, other.precision_bits, other.max_rel_error))
+        return self._combine(other, operator.sub)
 
     def mul(self, other: "PrecReal") -> "PrecReal":
-        bits = self._bits_with(other)
-        with mpmath.workprec(bits):
-            v = self.value * other.value
-        return PrecReal(v, bits, self.max_rel_error + other.max_rel_error + self._eps(bits))
+        return self._combine(other, operator.mul)
 
     def div(self, other: "PrecReal") -> "PrecReal":
-        bits = self._bits_with(other)
-        with mpmath.workprec(bits):
-            v = self.value / other.value
-        return PrecReal(v, bits, self.max_rel_error + other.max_rel_error + self._eps(bits))
-
-    def sqrt(self) -> "PrecReal":
-        if self.value < 0:
-            raise ValueError("sqrt of negative PrecReal")
-        with mpmath.workprec(self.precision_bits):
-            v = mpmath.sqrt(self.value)
-        return PrecReal(v, self.precision_bits, self.max_rel_error / 2 + self._eps(self.precision_bits))
-
-    def log(self) -> "PrecReal":
-        if self.value <= 0:
-            raise ValueError("log of non-positive PrecReal")
-        bits = self.precision_bits
-        with mpmath.workprec(bits):
-            v = mpmath.log(self.value)
-        if v == 0:
-            return PrecReal(v, bits, float("inf"))
-        err = self.max_rel_error / abs(float(v)) + self._eps(bits)
-        return PrecReal(v, bits, err)
-
-    def pow(self, exponent: "PrecReal") -> "PrecReal":
-        """self ** exponent via exp(exponent * log(self)); requires self > 0."""
-        bits = self._bits_with(exponent)
-        if self.value == 1:
-            # 1^e = 1; a base off 1 by ra perturbs the power by about |e|*ra
-            err = abs(float(exponent.value)) * self.max_rel_error + self._eps(bits)
-            return PrecReal(mpmath.mpf(1), bits, err)
-        lg = self.log()
-        with mpmath.workprec(bits):
-            v = mpmath.exp(exponent.value * lg.value)
-        # d(a^e)/a^e = e*dlog(a) + log(a)*de
-        scale = abs(float(exponent.value)) * abs(float(lg.value))
-        err = scale * (lg.max_rel_error + exponent.max_rel_error) + self._eps(bits)
-        return PrecReal(v, bits, err)
+        return self._combine(other, operator.truediv)
 
     def compare(self, other: "PrecReal") -> tuple[int, float]:
-        """(sign of self - other, relative margin of the gap)."""
-        with mpmath.workprec(max(self.precision_bits, other.precision_bits)):
-            diff = self.value - other.value
-            scale = max(abs(self.value), abs(other.value))
-        if scale == 0:
-            return 0, 0.0
-        margin = float(abs(diff) / scale)
-        sign = 0 if diff == 0 else (1 if diff > 0 else -1)
-        return sign, margin
+        """(sign, relative margin) of the gap between the two enclosures.
 
-    def compare_fraction(self, fr: Fraction) -> tuple[int, float]:
-        return self.compare(PrecReal.from_fraction(fr, self.precision_bits))
+        The sign is certain: 1 or -1 only when the enclosures are disjoint, and
+        0 with margin 0.0 when they overlap.  The margin is the gap between the
+        facing endpoints over the largest magnitude in either enclosure.
+        """
+        diff = self.enclosure - other.enclosure  # outward rounding keeps the sign certain
+        if diff.a > 0:
+            sign, gap = 1, diff.a
+        elif diff.b < 0:
+            sign, gap = -1, -diff.b
+        else:
+            return 0, 0.0
+        scale = max(abs(self.enclosure).b, abs(other.enclosure).b)
+        return sign, float(mpmath.mpf((gap / scale).a))
 
     def decided_against(self, other: "PrecReal") -> bool:
-        """True when the comparison margin dominates both error bounds and 2^-64."""
-        _, margin = self.compare(other)
-        return margin > max(self.max_rel_error + other.max_rel_error, DECISION_MARGIN)
+        """True when the enclosures are disjoint and the gap clears 2^-64."""
+        return self.compare(other)[1] > DECISION_MARGIN
 
     def __float__(self) -> float:
         return float(self.value)
@@ -212,38 +191,26 @@ class JZConstants:
 
 
 def _jz_at_precision(a1: QuadInt, a2: QuadInt, T: QuadInt, bits: int) -> JZConstants:
-    n1, n2 = norm(a1), norm(a2)
-    n12 = norm(a1 - a2)
-    nT = norm(T)
+    n1, n2, n12 = norm(a1), norm(a2), norm(a1 - a2)
     M_sq = max(n1, n2)
     N = n1 * n2 * n12
     min_sq = min(n1, n2, n12)
 
-    rT = PrecReal.sqrt_of_int(nT, bits)
-    rM = PrecReal.sqrt_of_int(M_sq, bits)
-    gap = rT.sub(rM)  # |T| - M > 0, enforced exactly by the caller
-
-    L = gap.mul(gap).mul(PrecReal.from_fraction(Fraction(27, 16 * N), bits))
-    l = rT.mul(PrecReal.from_fraction(Fraction(27, 64), bits)).div(gap)
-    two = PrecReal.from_int(2, bits)
-    three = PrecReal.from_int(3, bits)
-    p = two.mul(rT).add(three.mul(rM)).div(two.mul(gap)).sqrt()
-    min_cube = PrecReal.from_int(min_sq, bits).mul(PrecReal.sqrt_of_int(min_sq, bits))
-    P = (
-        PrecReal.from_int(16 * N, bits)
-        .mul(two.mul(rT).add(three.mul(rM)))
-        .div(min_cube)
-    )
-    lam = PrecReal.from_int(1, bits).add(P.log().div(L.log()))
-
-    one = PrecReal.from_int(1, bits)
-    two_l = two.mul(l)
-    sign, _ = two_l.compare(one)
-    base = two_l if sign > 0 else one
-    lam_minus_1 = lam.sub(one)
-    c1_inv = PrecReal.from_int(4, bits).mul(p).mul(P).mul(base.pow(lam_minus_1))
-    c1 = one.div(c1_inv)
-    return JZConstants(a1, a2, T, M_sq, L, l, p, P, lam, c1, bits)
+    with _iv_precision(bits):
+        rT = iv.sqrt(norm(T))
+        rM = iv.sqrt(M_sq)
+        gap = rT - rM  # |T| - M > 0, enforced exactly by the caller
+        L = gap * gap * 27 / (16 * N)
+        l = rT * 27 / (64 * gap)
+        num = 2 * rT + 3 * rM
+        p = iv.sqrt(num / (2 * gap))
+        P = 16 * N * num / (min_sq * iv.sqrt(min_sq))
+        lam = 1 + iv.log(P) / iv.log(L)
+        two_l = 2 * l
+        # max(1, 2l), taken on the endpoints: the hull [1, 2l.b] when 2l straddles 1
+        base = iv.mpf([max(1, two_l.a), max(1, two_l.b)])
+        c1 = 1 / (4 * p * P * base ** (lam - 1))
+    return JZConstants(a1, a2, T, M_sq, *(PrecReal(x, bits) for x in (L, l, p, P, lam, c1)), bits)
 
 
 def jz_constants(
@@ -267,9 +234,8 @@ def jz_constants(
     bits = precision_bits
     while True:
         consts = _jz_at_precision(a1, a2, T, bits)
-        one = PrecReal.from_int(1, bits)
-        if consts.L.decided_against(one):
-            sign, _ = consts.L.compare(one)
+        sign, margin = consts.L.compare(PrecReal.from_int(1, bits))
+        if margin > DECISION_MARGIN:
             if sign < 0:
                 raise HypothesisFailure("L <= 1: approximation lemma does not apply")
             return consts
@@ -316,6 +282,18 @@ def check_gap_hypotheses(a: QuadInt, b: QuadInt, c: QuadInt) -> HypothesisReport
     return HypothesisReport(clauses)
 
 
+# (clause, sign of value - cap when it holds), in report order
+_GAP_CLAUSES = (("l < 1/2", -1), ("p <= sqrt(47/42)", -1), ("L > 1", 1), ("lambda < 1.8", -1))
+
+
+@lru_cache(maxsize=None)
+def _gap_caps(bits: int) -> tuple[PrecReal, ...]:
+    """Enclosures of the caps 1/2, sqrt(47/42), 1 and 9/5 of the gap-lemma clauses."""
+    with _iv_precision(bits):
+        caps = (iv.mpf(1) / 2, iv.sqrt(iv.mpf(47) / 42), iv.mpf(1), iv.mpf(9) / 5)
+    return tuple(PrecReal(x, bits) for x in caps)
+
+
 def gap_lemma_checks(
     a: QuadInt,
     b: QuadInt,
@@ -325,32 +303,22 @@ def gap_lemma_checks(
     """Constant-level consequences of the gap-lemma hypotheses on (a, b, c).
 
     Instantiates the approximation constants at (a1, a2, T) = (-b, -a, abc)
-    and decides l < 1/2, p <= sqrt(47/42), L > 1 and lambda < 1.8, each with
-    a relative margin; precision doubles (up to the cap) until every margin
-    clears both the accumulated error bound and 2^-64.
+    and decides l < 1/2, p <= sqrt(47/42), L > 1 and lambda < 1.8 on the
+    enclosure endpoints, each with a relative margin; precision doubles (up to
+    the cap) until every clause's enclosures are disjoint with a margin above
+    2^-64.
     """
     bits = precision_bits
     while True:
         consts = jz_constants(-b, -a, a * b * c, bits)
         bits = consts.precision_bits
-        half = PrecReal.from_fraction(Fraction(1, 2), bits)
-        p_cap = PrecReal.from_fraction(Fraction(47, 42), bits).sqrt()
-        one = PrecReal.from_int(1, bits)
-        lam_cap = PrecReal.from_fraction(Fraction(9, 5), bits)
-
         outcomes = {}
         decided = True
-        for name, value, threshold, want_below in (
-            ("l < 1/2", consts.l, half, True),
-            ("p <= sqrt(47/42)", consts.p, p_cap, True),
-            ("L > 1", consts.L, one, False),
-            ("lambda < 1.8", consts.lam, lam_cap, True),
-        ):
-            sign, margin = value.compare(threshold)
-            holds = sign < 0 if want_below else sign > 0
-            certain = margin > max(value.max_rel_error + threshold.max_rel_error, DECISION_MARGIN)
-            outcomes[name] = (holds, margin, bits)
-            decided = decided and certain
+        values = (consts.l, consts.p, consts.L, consts.lam)
+        for (name, want), value, cap in zip(_GAP_CLAUSES, values, _gap_caps(bits)):
+            sign, margin = value.compare(cap)
+            outcomes[name] = (sign == want, margin, bits)
+            decided = decided and margin > DECISION_MARGIN
         if decided:
             return outcomes
         if bits >= MAX_PRECISION_BITS:
@@ -399,6 +367,25 @@ def _to_mpc(alpha: QuadInt, bits: int) -> mpmath.mpc:
         return mpmath.mpc(mpmath.mpf(u) / 2, mpmath.mpf(v) * rt / 2)
 
 
+def _defect(ns: int, na: int, nc: int, nx: int, nz: int, n_res: int) -> iv.mpf:
+    """Enclosure of min |theta -+ s*x/(a*z)| for theta = (s/a)sqrt(a/c), from exact norms.
+
+    n_res = norm(a*z^2 - c*x^2).  With N = |theta^2 - approx^2| and
+    S = |theta + approx|^2 + |theta - approx|^2, the two distances u, w obey
+    u*w = N and u^2 + w^2 = S, so the smaller is sqrt(2)*N / sqrt(S + sqrt(S^2 - 4N^2)).
+    The one subtraction is added to S, which dominates it whenever it cancels,
+    so the enclosure stays tight.  Runs at the caller's iv precision.
+    """
+    if ns == 0:  # theta = approx = 0
+        return iv.mpf(0)
+    r = iv.mpf(ns) / na
+    N = r * iv.sqrt(iv.mpf(n_res) / nc) / nz
+    S = 2 * (r * iv.sqrt(iv.mpf(na) / nc) + r * nx / nz)
+    disc = S * S - 4 * N * N
+    disc = iv.mpf([max(0, disc.a), disc.b])  # S^2 - 4N^2 = (u^2 - w^2)^2 >= 0
+    return iv.sqrt(2) * N / iv.sqrt(S + iv.sqrt(disc))
+
+
 def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -> ThetaCheck:
     """Defects, middle bounds and the shared outer bound 21|c|/(16|a||z|^2).
 
@@ -426,34 +413,19 @@ def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -
         if abs(-theta2 - approx2) < abs(theta2 - approx2):
             theta2 = -theta2
 
-        d1 = abs(theta1 - approx1)
-        d2 = abs(theta2 - approx2)
-
         # identity check: theta1^2 - (sx/az)^2 = (s^2/a^2)(c-a)/(c z^2) exactly
         lhs_id = abs(theta1 * theta1 - approx1 * approx1)
         rhs_id = abs(sc * sc / (ac * ac)) * abs(cc - ac) / (abs(cc) * abs(zc) ** 2)
         scale = max(lhs_id, rhs_id)
         identity_rel_diff = float(abs(lhs_id - rhs_id) / scale) if scale > 0 else 0.0
 
-    # the defect is a difference of nearby values: its relative error scales
-    # with the cancellation factor (|theta| + |approx|) / defect
-    eps = PrecReal._eps(bits)
-    with mpmath.workprec(bits):
-        cancel1 = float((abs(theta1) + abs(approx1)) / d1) if d1 > 0 else 1.0
-        cancel2 = float((abs(theta2) + abs(approx2)) / d2) if d2 > 0 else 1.0
-    defect1 = PrecReal(d1, bits, 8 * eps * max(cancel1, 1.0))
-    defect2 = PrecReal(d2, bits, 8 * eps * max(cancel2, 1.0))
-
-    # |z|^2 = norm(z) exactly; all other magnitudes are sqrt of exact norms
-    def _sq(nint: int) -> PrecReal:
-        return PrecReal.sqrt_of_int(nint, bits)
-
-    nz_int = PrecReal.from_int(nz, bits)
-    middle1 = _sq(ns).mul(_sq(norm(a - c))).div(_sq(na).mul(_sq(na * nc).sqrt())).div(nz_int)
-    middle2_sym = _sq(nt).mul(_sq(norm(b - c))).div(_sq(nb).mul(_sq(nb * nc).sqrt())).div(nz_int)
-    outer = PrecReal.from_int(21, bits).mul(_sq(nc)).div(
-        PrecReal.from_int(16, bits).mul(_sq(na)).mul(nz_int)
-    )
+    # |z|^2 = norm(z) exactly; all other magnitudes are square roots of exact norms
+    with _iv_precision(bits):
+        defect1 = _defect(ns, na, nc, norm(w.x), nz, norm(a * z * z - c * w.x * w.x))
+        defect2 = _defect(nt, nb, nc, norm(w.y), nz, norm(b * z * z - c * w.y * w.y))
+        middle1 = iv.sqrt(ns * norm(a - c)) / (iv.sqrt(na) * iv.sqrt(iv.sqrt(na * nc)) * nz)
+        middle2_sym = iv.sqrt(nt * norm(b - c)) / (iv.sqrt(nb) * iv.sqrt(iv.sqrt(nb * nc)) * nz)
+        outer = 21 * iv.sqrt(nc) / (16 * iv.sqrt(na) * nz)
 
     hyp = HypothesisReport(
         (
@@ -466,11 +438,11 @@ def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -
         witness=w,
         theta1=theta1,
         theta2=theta2,
-        defect1=defect1,
-        defect2=defect2,
-        middle1=middle1,
-        middle2_symmetric=middle2_sym,
-        outer=outer,
+        defect1=PrecReal(defect1, bits),
+        defect2=PrecReal(defect2, bits),
+        middle1=PrecReal(middle1, bits),
+        middle2_symmetric=PrecReal(middle2_sym, bits),
+        outer=PrecReal(outer, bits),
         identity_rel_diff=identity_rel_diff,
         hypotheses=hyp,
         z_unit_flag=nz <= 1,

@@ -21,10 +21,11 @@ REPRODUCE_TARGETS = ("quintuple-scan", "quadruple-min", "example-quadruple", "d3
 
 
 def _default_bits() -> int:
+    text = os.environ.get("DIO_PRECISION_BITS", str(bnd.DEFAULT_PRECISION_BITS))
     try:
-        return int(os.environ.get("DIO_PRECISION_BITS", bnd.DEFAULT_PRECISION_BITS))
+        return int(text)
     except ValueError:
-        return bnd.DEFAULT_PRECISION_BITS
+        raise ValueError(f"DIO_PRECISION_BITS must be an integer, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -164,6 +165,8 @@ def _cmd_extend(args) -> int:
     if len(parts) != 3:
         raise ValueError("--triple must name exactly three elements")
     a, b, c = parts
+    if args.z_norm_bound < 0:
+        raise ValueError("--z-norm-bound must be >= 0")
     try:
         found = extend_triple(a, b, c, args.z_norm_bound)
     except ValueError as exc:

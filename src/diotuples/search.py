@@ -27,7 +27,7 @@ from .quad_ring import (
     parse_elem,
     _sqrt_half,
 )
-from .tuples import make_tuple, pair_witness, verify_tuple
+from .tuples import make_tuple, pair_witness, tuple_orbit, verify_tuple
 
 __all__ = [
     "SearchConfig",
@@ -212,16 +212,6 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
     return out
 
 
-def _clique_orbit(elems: tuple[QuadInt, ...], n: QuadInt) -> list[tuple[QuadInt, ...]]:
-    """Images of a clique under {id, -1} and, for real n, conjugation."""
-    forms = [elems, tuple(-e for e in elems)]
-    if n.half_coords()[1] == 0:
-        cj = tuple(e.conj() for e in elems)
-        forms += [cj, tuple(-e for e in cj)]
-    canon = {tuple(sorted(f, key=elem_key)) for f in forms}
-    return sorted(canon, key=lambda t: [elem_key(e) for e in t])
-
-
 @dataclass
 class SearchConfig:
     """Campaign parameters; n is element text so one config spans many rings."""
@@ -373,7 +363,10 @@ def _group_orbits(cliques: list[tuple[QuadInt, ...]], n: QuadInt) -> list[dict]:
         key = tuple(elem_key(e) for e in c)
         if key in seen:
             continue
-        orbit = _clique_orbit(c, n)
+        orbit = sorted(
+            (t.elems for t in tuple_orbit(make_tuple(n.ring, n, c))),
+            key=lambda t: [elem_key(e) for e in t],
+        )
         for f in orbit:
             seen.add(tuple(elem_key(e) for e in f))
         records.append(

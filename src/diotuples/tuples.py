@@ -203,6 +203,8 @@ def extend_triple(
     m1 = _minus_one(ring)
     if n is not None and n != m1:
         raise ValueError("extension machinery is specific to the shift n = -1")
+    if z_norm_bound < 0:
+        raise ValueError("z_norm_bound must be >= 0")
     if c.is_zero():
         raise ValueError("c must be nonzero")
     triple = make_tuple(ring, m1, [a, b, c])

@@ -102,6 +102,11 @@ class TestExtendCommand:
         assert code == 0
         assert "no extension" in capsys.readouterr().out
 
+    def test_negative_bound_is_usage_error(self, capsys):
+        code = main(["extend", "--D", "1", "--triple", "1,2,5", "--z-norm-bound", "-5"])
+        assert code == 2
+        assert "--z-norm-bound" in capsys.readouterr().err
+
     def test_json(self, capsys):
         code = main(
             ["extend", "--D", "1", "--triple", "1,2,5", "--z-norm-bound", "200", "--json"]
@@ -136,6 +141,13 @@ class TestBoundsCommand:
     def test_jz_hypothesis_failure(self, capsys):
         assert main(["bounds", "jz", "--a1", "3", "--a2", "-3", "--T", "4"]) == 1
         assert "hypothesis failure" in capsys.readouterr().err
+
+    def test_malformed_precision_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIO_PRECISION_BITS", "lots")
+        assert main(["bounds", "jz", "--a1", "1", "--a2", "-1", "--T", "100"]) == 2
+        captured = capsys.readouterr()
+        assert "DIO_PRECISION_BITS" in captured.err
+        assert captured.out == ""
 
     def test_jz_precision_flag(self, capsys):
         code = main(

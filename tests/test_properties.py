@@ -1,30 +1,36 @@
-"""Property tests for the integer kernels: graph, extension scan, square root, division."""
+"""Property tests: the integer kernels (graph, extension scan, square root, division)
+and the interval enclosures of the bounds."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
 
-from hypothesis import given, settings
+import mpmath
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 
+from diotuples.bounds import PrecReal, jz_constants, theta_defect
 from diotuples.quad_ring import (
     QuadInt,
     exact_div,
     format_elem,
     from_half,
     make_ring,
+    norm,
     parse_elem,
     sqrt_exact,
 )
 from diotuples.search import build_graph, enum_elements
-from diotuples.tuples import extend_triple, pair_witness
+from diotuples.tuples import PellWitness, build_pell_witness, extend_triple, pair_witness
 from helpers import canonical_sign, chain_quadruples_zi, reference_extend, witness_triples
 
 GRAPH_DS = [1, 2, 3, 5, 7, 11, 15]
 # both omega conventions, small and far fields
 SQRT_DS = [1, 2, 3, 5, 6, 7, 11, 15, 19, 163, 895]
 EXTEND_DS = [1, 2, 3, 7, 11]  # omega = sqrt(-D) for 1, 2; (1+sqrt(-D))/2 for 3, 7, 11
+GAP_DS = [1, 2, 3, 7, 163]
 CHAIN_TRIPLES = [(1, 2, 5), (2, 5, 13), (2, 13, 25), (5, 13, 34)]  # D(-1) in Z, so in every ring
 
 
@@ -140,3 +146,93 @@ def test_parse_format_roundtrip(D, data):
     assert parse_elem(format_elem(a), a.ring) == a
     u, v = a.half_coords()
     assert parse_elem(f"({u}{v:+d}*s)/2", a.ring) == a
+
+
+def contains(enc: PrecReal, ref: mpmath.mpf) -> bool:
+    with mpmath.workprec(1100):  # endpoints convert exactly
+        return mpmath.mpf(enc.enclosure.a) <= ref <= mpmath.mpf(enc.enclosure.b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    D=st.sampled_from(GAP_DS),
+    ax=st.integers(-10, 10),
+    ay=st.integers(-10, 10),
+    bx=st.integers(-60, 60),
+    by=st.integers(-60, 60),
+    ck=st.integers(1, 10**6),
+    cy=st.integers(0, 50),
+)
+def test_jz_constants_enclose_reference(D, ax, ay, bx, by, ck, cy):
+    # (a, b, c) shaped as in the gap lemma; constants at (a1, a2, T) = (-b, -a, abc)
+    ring = make_ring(D)
+    a, b = QuadInt(ring, ax, ay), QuadInt(ring, bx, by)
+    na, nb = norm(a), norm(b)
+    assume(na >= 4 and nb >= 484 and 4 * nb >= 9 * na)
+    c = QuadInt(ring, nb**8 + ck, cy)
+    assume(norm(c) > nb**16)
+    a1, a2, T = -b, -a, a * b * c
+    consts = jz_constants(a1, a2, T)
+
+    n1, n2, n12 = norm(a1), norm(a2), norm(a1 - a2)
+    N, min_sq = n1 * n2 * n12, min(n1, n2, n12)
+    with mpmath.workprec(512):
+        rT, rM = mpmath.sqrt(norm(T)), mpmath.sqrt(max(n1, n2))
+        gap = rT - rM
+        L = 27 * gap**2 / (16 * N)
+        l = 27 * rT / (64 * gap)
+        p = mpmath.sqrt((2 * rT + 3 * rM) / (2 * gap))
+        P = 16 * N * (2 * rT + 3 * rM) / mpmath.mpf(min_sq) ** 1.5
+        lam = 1 + mpmath.log(P) / mpmath.log(L)
+        c1 = 1 / (4 * p * P * max(1, 2 * l) ** (lam - 1))
+    for name, ref in (("L", L), ("l", l), ("p", p), ("P", P), ("lam", lam), ("c1", c1)):
+        enc = getattr(consts, name)
+        assert contains(enc, ref), name
+        assert enc.max_rel_error < 2.0**-64, name
+
+
+@lru_cache(maxsize=None)
+def chain_witnesses() -> list:
+    return [build_pell_witness(*q) for q in chain_quadruples_zi(make_ring(1))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    signs=st.tuples(*[st.sampled_from([1, -1])] * 5),
+    dz=st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+)
+def test_theta_defects_enclose_reference(data, signs, dz):
+    # genuine witnesses with random signs, and (dz != 0) witnesses whose z breaks the Pell identity
+    w = data.draw(st.sampled_from(chain_witnesses()))
+    s, t, x, y, z = (e * k for e, k in zip((w.s, w.t, w.x, w.y, w.z), signs))
+    z = z + QuadInt(z.ring, *dz)
+    assume(not z.is_zero())
+    w = PellWitness(w.a, w.b, w.c, w.d, w.r, s, t, x, y, z)
+    tc = theta_defect(w)
+
+    def to_mpc(e):
+        return mpmath.mpc(e.x, e.y)  # Z[i]: e = x + y*i
+
+    with mpmath.workprec(512):
+        a, b, c, zc = to_mpc(w.a), to_mpc(w.b), to_mpc(w.c), to_mpc(z)
+        refs = []
+        for num, den, x_or_y in ((to_mpc(s), a, to_mpc(x)), (to_mpc(t), b, to_mpc(y))):
+            theta = num / den * mpmath.sqrt(den / c)
+            approx = num * x_or_y / (den * zc)
+            refs.append(min(abs(theta - approx), abs(theta + approx)))
+    assert contains(tc.defect1, refs[0])
+    assert contains(tc.defect2, refs[1])
+    assert tc.defect1.max_rel_error < 2.0**-64
+    assert tc.defect2.max_rel_error < 2.0**-64
+
+
+def test_overlapping_enclosures_are_undecided():
+    lo, hi = PrecReal(iv.mpf([1, 2]), 128), PrecReal(iv.mpf([1.5, 4]), 128)
+    assert abs(lo.value - hi.value) > 2.0**-64
+    assert lo.compare(hi) == (0, 0.0)
+    assert not lo.decided_against(hi)
+    assert not hi.decided_against(lo)
+    apart = PrecReal(iv.mpf([2.5, 4]), 128)
+    assert lo.compare(apart)[0] == -1
+    assert lo.decided_against(apart)

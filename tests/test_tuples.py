@@ -171,6 +171,10 @@ class TestExtendTriple:
     def test_empty_scan(self):
         assert extend_triple(q1(1), q1(2), q1(5), 0) == []
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="z_norm_bound"):
+            extend_triple(q1(1), q1(2), q1(5), -5)
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             extend_triple(q1(1), q1(2), q1(3), 100)  # not a triple
