@@ -5,16 +5,24 @@ kept strictly apart:
 
 * hypothesis checks are cross-multiplied into exact integer comparisons
   (e.g. |b| >= (3/2)|a|  <=>  4*norm(b) >= 9*norm(a));
+* the four clauses of the Jadrijevic-Ziegler simultaneous-approximation
+  lemma are decided on integers as well.  With n1 = norm(a1),
+  n2 = norm(a2), n12 = norm(a1 - a2), N = n1*n2*n12, M^2 = max(n1, n2),
+  min = min(n1, n2, n12) and m = norm(T)*M^2:
+    l < 1/2            <=>  1024*M^2 < 25*norm(T),
+    p <= sqrt(47/42)   <=>  484*M^2 <= norm(T),
+    L > 1              <=>  A > 0 and A^2 > 2916*m, A = 27*(norm(T) + M^2) - 16*N,
+    lambda < 1.8       <=>  16^18 N^18 (4 norm(T) + 9 M^2 + 12 sqrt(m))^5
+                              < 27^8 min^15 (norm(T) + M^2 - 2 sqrt(m))^8,
+  the last a sign test of an element a + b*sqrt(m) of Z[sqrt(m)];
 * the chain verifier works purely on big integers and exact fractions,
   with the recurring factor 330/65 stored reduced as 66/13;
-* genuinely irrational quantities (the constants L, l, p, P, lambda, c1 of
-  the Jadrijevic-Ziegler simultaneous-approximation lemma, and the theta
-  defects) are evaluated as PrecReal: an mpmath.iv interval that encloses
-  the true value, with directed rounding done by mpmath.  A threshold
-  comparison is decided only when the two enclosures are disjoint and the
-  gap clears 2^-64 relative; otherwise precision doubles, up to 1024 bits.
-  The theta defects are enclosed from exact integer norms by a formula
-  without cancellation.
+* the displayed values of the constants L, l, p, P, lambda, c1 and the
+  theta defects are evaluated as PrecReal: an mpmath.iv interval that
+  encloses the true value at the requested working precision, with directed
+  rounding done by mpmath.  No verdict is read off these enclosures.  The
+  theta defects are enclosed from exact integer norms by a formula without
+  cancellation.
 """
 
 from __future__ import annotations
@@ -23,13 +31,12 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 import mpmath
 from mpmath import iv
 
-from .quad_ring import QuadInt, format_elem, norm
+from .quad_ring import QuadInt, norm
 from .tuples import PellWitness
 
 __all__ = [
@@ -50,21 +57,15 @@ __all__ = [
     "chain_verify",
     "threshold_a22",
     "DEFAULT_PRECISION_BITS",
-    "MAX_PRECISION_BITS",
     "DECISION_MARGIN",
 ]
 
 DEFAULT_PRECISION_BITS = 128
-MAX_PRECISION_BITS = 1024
 DECISION_MARGIN = 2.0 ** -64  # minimum relative margin for a trusted comparison
 
 
 class HypothesisFailure(ValueError):
     """A lemma hypothesis (e.g. L > 1 or |T| > M) does not hold."""
-
-
-class PrecisionExhausted(ArithmeticError):
-    """A comparison stayed undecided at the maximum working precision."""
 
 
 @contextmanager
@@ -98,13 +99,6 @@ class PrecReal:
     def from_fraction(cls, fr: Fraction, bits: int) -> "PrecReal":
         with _iv_precision(bits):
             return cls(iv.mpf(fr.numerator) / fr.denominator, bits)
-
-    @classmethod
-    def sqrt_of_int(cls, n: int, bits: int) -> "PrecReal":
-        if n < 0:
-            raise ValueError("sqrt of negative integer")
-        with _iv_precision(bits):
-            return cls(iv.sqrt(n), bits)
 
     @property
     def value(self) -> mpmath.mpf:
@@ -190,16 +184,53 @@ class JZConstants:
     precision_bits: int
 
 
-def _jz_at_precision(a1: QuadInt, a2: QuadInt, T: QuadInt, bits: int) -> JZConstants:
-    n1, n2, n12 = norm(a1), norm(a2), norm(a1 - a2)
-    M_sq = max(n1, n2)
-    N = n1 * n2 * n12
-    min_sq = min(n1, n2, n12)
+def _margin(x: int, y: int) -> float:
+    """Relative gap |x - y| / max(|x|, |y|) of the exact comparison x vs y; 0.0 on a tie."""
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
 
-    with _iv_precision(bits):
-        rT = iv.sqrt(norm(T))
+
+def _lemma_norms(a1: QuadInt, a2: QuadInt, T: QuadInt) -> tuple[int, int, int, int, float]:
+    """(norm(T), M^2, N, min, margin of L > 1) of the lemma at (a1, a2, T).
+
+    Checks a1 != a2, both nonzero, |T| > M on norms and L > 1 by its integer
+    form; raises HypothesisFailure when |T| <= M or L <= 1.
+    """
+    if a1 == a2:
+        raise ValueError("a1 and a2 must be distinct")
+    if a1.is_zero() or a2.is_zero():
+        raise ValueError("a1 and a2 must be nonzero")
+    n1, n2, n12, nT = norm(a1), norm(a2), norm(a1 - a2), norm(T)
+    M_sq = max(n1, n2)
+    if nT <= M_sq:
+        raise HypothesisFailure("|T| <= M = max(|a1|, |a2|)")
+    N = n1 * n2 * n12
+    A = 27 * (nT + M_sq) - 16 * N
+    A_sq, bound = A * A, 2916 * nT * M_sq
+    if A <= 0 or A_sq <= bound:
+        raise HypothesisFailure("L <= 1: approximation lemma does not apply")
+    return nT, M_sq, N, min(n1, n2, n12), _margin(A_sq, bound)
+
+
+def jz_constants(
+    a1: QuadInt,
+    a2: QuadInt,
+    T: QuadInt,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+) -> JZConstants:
+    """Evaluate M, L, l, p, P, lambda, c1 as enclosures at precision_bits, once L > 1 is certain.
+
+    Exact preconditions: a1 != a2, both nonzero, and |T| > M (checked on norms).
+    Raises HypothesisFailure when |T| <= M or L <= 1, both decided on integers,
+    and ValueError when precision_bits < 64.
+    """
+    if precision_bits < 64:
+        raise ValueError("precision_bits must be >= 64")
+    nT, M_sq, N, min_sq, _ = _lemma_norms(a1, a2, T)
+    with _iv_precision(precision_bits):
+        rT = iv.sqrt(nT)
         rM = iv.sqrt(M_sq)
-        gap = rT - rM  # |T| - M > 0, enforced exactly by the caller
+        gap = rT - rM  # |T| - M > 0, decided exactly by _lemma_norms
         L = gap * gap * 27 / (16 * N)
         l = rT * 27 / (64 * gap)
         num = 2 * rT + 3 * rM
@@ -210,40 +241,8 @@ def _jz_at_precision(a1: QuadInt, a2: QuadInt, T: QuadInt, bits: int) -> JZConst
         # max(1, 2l), taken on the endpoints: the hull [1, 2l.b] when 2l straddles 1
         base = iv.mpf([max(1, two_l.a), max(1, two_l.b)])
         c1 = 1 / (4 * p * P * base ** (lam - 1))
-    return JZConstants(a1, a2, T, M_sq, *(PrecReal(x, bits) for x in (L, l, p, P, lam, c1)), bits)
-
-
-def jz_constants(
-    a1: QuadInt,
-    a2: QuadInt,
-    T: QuadInt,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> JZConstants:
-    """Evaluate M, L, l, p, P, lambda, c1; escalates precision until L > 1 is certain.
-
-    Exact preconditions: a1 != a2, both nonzero, and |T| > M (checked on norms).
-    Raises HypothesisFailure when |T| <= M or when L <= 1 with a decided margin.
-    """
-    if a1 == a2:
-        raise ValueError("a1 and a2 must be distinct")
-    if a1.is_zero() or a2.is_zero():
-        raise ValueError("a1 and a2 must be nonzero")
-    if norm(T) <= max(norm(a1), norm(a2)):
-        raise HypothesisFailure("|T| <= M = max(|a1|, |a2|)")
-
-    bits = precision_bits
-    while True:
-        consts = _jz_at_precision(a1, a2, T, bits)
-        sign, margin = consts.L.compare(PrecReal.from_int(1, bits))
-        if margin > DECISION_MARGIN:
-            if sign < 0:
-                raise HypothesisFailure("L <= 1: approximation lemma does not apply")
-            return consts
-        if bits >= MAX_PRECISION_BITS:
-            raise PrecisionExhausted(
-                f"L vs 1 undecided at {bits} bits for T={format_elem(T)}"
-            )
-        bits *= 2
+    consts = (PrecReal(x, precision_bits) for x in (L, l, p, P, lam, c1))
+    return JZConstants(a1, a2, T, M_sq, *consts, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -282,48 +281,40 @@ def check_gap_hypotheses(a: QuadInt, b: QuadInt, c: QuadInt) -> HypothesisReport
     return HypothesisReport(clauses)
 
 
-# (clause, sign of value - cap when it holds), in report order
-_GAP_CLAUSES = (("l < 1/2", -1), ("p <= sqrt(47/42)", -1), ("L > 1", 1), ("lambda < 1.8", -1))
+def _zsqrt_pow(a: int, b: int, m: int, k: int) -> tuple[int, int]:
+    """(a + b*sqrt(m))^k as the coefficient pair (x, y) of x + y*sqrt(m)."""
+    x, y = 1, 0
+    for _ in range(k):
+        x, y = x * a + y * b * m, x * b + y * a
+    return x, y
 
 
-@lru_cache(maxsize=None)
-def _gap_caps(bits: int) -> tuple[PrecReal, ...]:
-    """Enclosures of the caps 1/2, sqrt(47/42), 1 and 9/5 of the gap-lemma clauses."""
-    with _iv_precision(bits):
-        caps = (iv.mpf(1) / 2, iv.sqrt(iv.mpf(47) / 42), iv.mpf(1), iv.mpf(9) / 5)
-    return tuple(PrecReal(x, bits) for x in caps)
+def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool, float, int]]:
+    """Constant-level consequences of the gap-lemma hypotheses on (a, b, c), decided exactly.
 
-
-def gap_lemma_checks(
-    a: QuadInt,
-    b: QuadInt,
-    c: QuadInt,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> dict[str, tuple[bool, float, int]]:
-    """Constant-level consequences of the gap-lemma hypotheses on (a, b, c).
-
-    Instantiates the approximation constants at (a1, a2, T) = (-b, -a, abc)
-    and decides l < 1/2, p <= sqrt(47/42), L > 1 and lambda < 1.8 on the
-    enclosure endpoints, each with a relative margin; precision doubles (up to
-    the cap) until every clause's enclosures are disjoint with a margin above
-    2^-64.
+    Instantiates the lemma at (a1, a2, T) = (-b, -a, abc) and decides
+    l < 1/2, p <= sqrt(47/42), L > 1 and lambda < 1.8 by the integer forms of
+    the module docstring; L <= 1 raises HypothesisFailure, as in jz_constants.
+    Each clause maps to (holds, margin, bits): margin is |X - Y| / max(|X|, |Y|)
+    of the integer comparison X vs Y that decided it (0.0 on an exact tie; for
+    lambda, X = u|u| and Y = -v|v|m with u + v*sqrt(m) the difference of the two
+    sides), and bits is 0: the verdict is exact and used no working precision.
     """
-    bits = precision_bits
-    while True:
-        consts = jz_constants(-b, -a, a * b * c, bits)
-        bits = consts.precision_bits
-        outcomes = {}
-        decided = True
-        values = (consts.l, consts.p, consts.L, consts.lam)
-        for (name, want), value, cap in zip(_GAP_CLAUSES, values, _gap_caps(bits)):
-            sign, margin = value.compare(cap)
-            outcomes[name] = (sign == want, margin, bits)
-            decided = decided and margin > DECISION_MARGIN
-        if decided:
-            return outcomes
-        if bits >= MAX_PRECISION_BITS:
-            raise PrecisionExhausted(f"gap-lemma margins undecided at {bits} bits")
-        bits *= 2
+    nT, M_sq, N, min_sq, L_margin = _lemma_norms(-b, -a, a * b * c)
+    m = nT * M_sq
+    # P^5 < L^4, squared: 16^18 N^18 (2|T| + 3M)^10 < 27^8 min^15 (|T| - M)^16
+    x1, y1 = _zsqrt_pow(4 * nT + 9 * M_sq, 12, m, 5)
+    x2, y2 = _zsqrt_pow(nT + M_sq, -2, m, 8)
+    lhs, rhs = 16**18 * N**18, 27**8 * min_sq**15
+    u, v = lhs * x1 - rhs * x2, lhs * y1 - rhs * y2
+    # u + v*sqrt(m) < 0  <=>  u|u| < -v|v|m, as t -> t|t| is increasing
+    lam_x, lam_y = u * abs(u), -v * abs(v) * m
+    return {
+        "l < 1/2": (1024 * M_sq < 25 * nT, _margin(1024 * M_sq, 25 * nT), 0),
+        "p <= sqrt(47/42)": (484 * M_sq <= nT, _margin(484 * M_sq, nT), 0),
+        "L > 1": (True, L_margin, 0),
+        "lambda < 1.8": (lam_x < lam_y, _margin(lam_x, lam_y), 0),
+    }
 
 
 def upper_bound_d(c: QuadInt) -> int:
@@ -344,6 +335,10 @@ class ThetaCheck:
     theta_2 = (t/b)sqrt(b/c), approximants s*x/(a*z) and t*y/(b*z), and the
     sign of each theta chosen to minimize its defect.  middle2 is the a<->b
     symmetric image of middle1, |t||b-c|/(|b|sqrt|bc|)/|z|^2.
+
+    theta1, theta2 and identity_rel_diff are direct complex evaluations at the
+    working precision, without an error bound: they are for display, and no
+    verdict is read from them.  The PrecReal fields are rigorous enclosures.
     """
 
     witness: PellWitness

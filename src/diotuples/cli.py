@@ -219,7 +219,7 @@ def _cmd_bounds(args) -> int:
         print(f"N <= 1.8e7: {n <= 18 * 10**6}")
         return 0
     # jz
-    bits = args.precision_bits if args.precision_bits else _default_bits()
+    bits = _default_bits() if args.precision_bits is None else args.precision_bits
     ring = make_ring(args.D)
     a1 = parse_elem(args.a1, ring)
     a2 = parse_elem(args.a2, ring)

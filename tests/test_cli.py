@@ -142,6 +142,21 @@ class TestBoundsCommand:
         assert main(["bounds", "jz", "--a1", "3", "--a2", "-3", "--T", "4"]) == 1
         assert "hypothesis failure" in capsys.readouterr().err
 
+    def test_jz_exact_L_equal_1_is_hypothesis_failure(self, capsys):
+        # D=2: L = 27*96/(16*162) = 1 exactly, decided on integers
+        argv = ["bounds", "jz", "--D", "2", "--a1=-2-1*w", "--a2=-1+1*w", "--T=-10-5*w"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "hypothesis failure: L <= 1" in err
+        assert "Traceback" not in err
+
+    def test_zero_precision_is_usage_error(self, capsys):
+        argv = ["bounds", "jz", "--a1", "1", "--a2", "-1", "--T", "3", "--precision-bits", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "precision_bits" in captured.err
+        assert captured.out == ""
+
     def test_malformed_precision_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("DIO_PRECISION_BITS", "lots")
         assert main(["bounds", "jz", "--a1", "1", "--a2", "-1", "--T", "100"]) == 2

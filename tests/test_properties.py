@@ -1,5 +1,5 @@
-"""Property tests: the integer kernels (graph, extension scan, square root, division)
-and the interval enclosures of the bounds."""
+"""Property tests: the integer kernels (graph, extension scan, square root, division),
+the interval enclosures of the bounds and the exact gap-lemma verdicts."""
 
 from __future__ import annotations
 
@@ -7,11 +7,18 @@ from functools import lru_cache
 from itertools import combinations
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
-from diotuples.bounds import PrecReal, jz_constants, theta_defect
+from diotuples.bounds import (
+    HypothesisFailure,
+    PrecReal,
+    gap_lemma_checks,
+    jz_constants,
+    theta_defect,
+)
 from diotuples.quad_ring import (
     QuadInt,
     exact_div,
@@ -153,6 +160,28 @@ def contains(enc: PrecReal, ref: mpmath.mpf) -> bool:
         return mpmath.mpf(enc.enclosure.a) <= ref <= mpmath.mpf(enc.enclosure.b)
 
 
+def reference_constants(a1: QuadInt, a2: QuadInt, T: QuadInt) -> dict:
+    """L, l, p, P, lambda and c1 at (a1, a2, T) as independent 512-bit mpmath.mpf values.
+
+    Needs |T| > M; lambda and c1 are left out when L <= 1, where the lemma does not apply.
+    """
+    n1, n2, n12 = norm(a1), norm(a2), norm(a1 - a2)
+    N, min_sq = n1 * n2 * n12, min(n1, n2, n12)
+    with mpmath.workprec(512):
+        rT, rM = mpmath.sqrt(norm(T)), mpmath.sqrt(max(n1, n2))
+        gap = rT - rM
+        ref = {
+            "L": 27 * gap**2 / (16 * N),
+            "l": 27 * rT / (64 * gap),
+            "p": mpmath.sqrt((2 * rT + 3 * rM) / (2 * gap)),
+            "P": 16 * N * (2 * rT + 3 * rM) / mpmath.mpf(min_sq) ** 1.5,
+        }
+        if ref["L"] > 1:
+            ref["lam"] = lam = 1 + mpmath.log(ref["P"]) / mpmath.log(ref["L"])
+            ref["c1"] = 1 / (4 * ref["p"] * ref["P"] * max(1, 2 * ref["l"]) ** (lam - 1))
+    return ref
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     D=st.sampled_from(GAP_DS),
@@ -173,22 +202,110 @@ def test_jz_constants_enclose_reference(D, ax, ay, bx, by, ck, cy):
     assume(norm(c) > nb**16)
     a1, a2, T = -b, -a, a * b * c
     consts = jz_constants(a1, a2, T)
-
-    n1, n2, n12 = norm(a1), norm(a2), norm(a1 - a2)
-    N, min_sq = n1 * n2 * n12, min(n1, n2, n12)
-    with mpmath.workprec(512):
-        rT, rM = mpmath.sqrt(norm(T)), mpmath.sqrt(max(n1, n2))
-        gap = rT - rM
-        L = 27 * gap**2 / (16 * N)
-        l = 27 * rT / (64 * gap)
-        p = mpmath.sqrt((2 * rT + 3 * rM) / (2 * gap))
-        P = 16 * N * (2 * rT + 3 * rM) / mpmath.mpf(min_sq) ** 1.5
-        lam = 1 + mpmath.log(P) / mpmath.log(L)
-        c1 = 1 / (4 * p * P * max(1, 2 * l) ** (lam - 1))
-    for name, ref in (("L", L), ("l", l), ("p", p), ("P", P), ("lam", lam), ("c1", c1)):
+    for name, ref in reference_constants(a1, a2, T).items():
         enc = getattr(consts, name)
         assert contains(enc, ref), name
         assert enc.max_rel_error < 2.0**-64, name
+
+
+# (clause, reference key, cap evaluated at the caller's precision, whether it asks value > cap)
+GAP_CAPS = (
+    ("l < 1/2", "l", lambda: mpmath.mpf(1) / 2, False),
+    ("p <= sqrt(47/42)", "p", lambda: mpmath.sqrt(mpmath.mpf(47) / 42), False),
+    ("L > 1", "L", lambda: mpmath.mpf(1), True),
+    ("lambda < 1.8", "lam", lambda: mpmath.mpf(9) / 5, False),
+)
+
+
+def reference_verdicts(a: QuadInt, b: QuadInt, c: QuadInt) -> tuple[dict, bool]:
+    """Gap-lemma verdicts on (a, b, c) from the 512-bit reference values, and whether
+    any value lies within 2^-400 (relative) of its cap, where 512 bits cannot decide."""
+    ref = reference_constants(-b, -a, a * b * c)
+    verdicts, near = {}, False
+    with mpmath.workprec(512):
+        for name, key, make_cap, above in GAP_CAPS:
+            if key not in ref:
+                continue
+            cap = make_cap()
+            near = near or abs(ref[key] - cap) <= cap * mpmath.mpf(2) ** -400
+            verdicts[name] = ref[key] > cap if above else ref[key] < cap
+    return verdicts, near
+
+
+def exact_verdicts(a: QuadInt, b: QuadInt, c: QuadInt) -> dict:
+    """gap_lemma_checks verdicts; L <= 1 raises there and reads as the one failing clause."""
+    try:
+        out = gap_lemma_checks(a, b, c)
+    except HypothesisFailure as exc:
+        assert str(exc).startswith("L <= 1")
+        return {"L > 1": False}
+    for holds, margin, bits in out.values():
+        assert bits == 0 and margin > 0  # exact, and no tie away from the caps
+    return {name: holds for name, (holds, _, _) in out.items()}
+
+
+def assert_verdicts_match(a: QuadInt, b: QuadInt, c: QuadInt, want: dict) -> dict:
+    got = exact_verdicts(a, b, c)
+    assert got["L > 1"] == want["L > 1"], (a, b, c)
+    assert got == {name: want[name] for name in got}, (a, b, c)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(D=st.sampled_from(GAP_DS), gap_shaped=st.booleans(), data=st.data())
+def test_gap_clauses_match_reference(D, gap_shaped, data):
+    ring = make_ring(D)
+    if gap_shaped:  # as in the gap lemma: lambda < 1.8 mostly holds
+        a, b = data.draw(elements(D, 10)), data.draw(elements(D, 60))
+        na, nb = norm(a), norm(b)
+        assume(na >= 4 and nb >= 484 and 4 * nb >= 9 * na)
+        c = QuadInt(ring, nb**8 + data.draw(st.integers(1, 10**6)), data.draw(st.integers(0, 50)))
+    else:  # free: |c| from 1 to 2^120 takes lambda across 1.8, small |abc| takes p across its cap
+        a, b = data.draw(elements(D, 8)), data.draw(elements(D, 8))
+        c = data.draw(elements(D, 2 ** data.draw(st.integers(0, 120))))
+    assume(a != b and not (a.is_zero() or b.is_zero() or c.is_zero()))
+    assume(norm(a * b * c) > max(norm(a), norm(b)))  # |T| > M, an exact precondition
+    want, near = reference_verdicts(a, b, c)
+    assume(not near)  # ties are covered by test_gap_clause_ties_are_exact
+    assert_verdicts_match(a, b, c, want)
+
+
+# (D, a, b, c) as coordinate pairs; together every clause goes both ways
+FIXED_GAP_SETS = (
+    (1, (1, 0), (-1, 0), (-21, 0)),  # p > sqrt(47/42)
+    (1, (1, 0), (-1, 0), (-3, 0)),  # l > 1/2
+    (1, (3, 0), (-3, 0), (1, 0)),  # L < 1
+    # norm(c) = 105676804 and 105676805 straddle lambda = 1.8 at 105676804.28
+    (1, (1, 0), (-1, 0), (7602, 6920)),
+    (1, (1, 0), (-1, 0), (10258, 671)),
+    # min = 4: norm(c) = 442795436423908 and ...930 straddle 442795436423914.9
+    (1, (2, 0), (-2, 0), (20977962, 1649408)),
+    (1, (2, 0), (-2, 0), (20950009, 1972957)),
+    (7, (2, 1), (-3, 2), (5, -1)),  # p > sqrt(47/42), half-integer basis
+    (1, (2, 0), (22, 0), (22**16 + 1, 0)),  # gap-lemma shaped
+    (163, (2, 0), (0, 4), (656**8 + 1, 3)),  # gap-lemma shaped, far field
+)
+
+
+def test_gap_clauses_fixed_sets_both_ways():
+    seen = set()
+    for D, *coords in FIXED_GAP_SETS:
+        a, b, c = (QuadInt(make_ring(D), x, y) for x, y in coords)
+        want, near = reference_verdicts(a, b, c)
+        assert not near
+        seen |= set(assert_verdicts_match(a, b, c, want).items())
+    assert seen == {(name, holds) for name, *_ in GAP_CAPS for holds in (True, False)}
+
+
+def test_gap_clause_ties_are_exact():
+    # Z[i]: norm(T) = 484 = 484*M^2, so p = sqrt(47/42) exactly
+    a, b, c = (QuadInt(make_ring(1), x, 0) for x in (1, -1, -22))
+    assert gap_lemma_checks(a, b, c)["p <= sqrt(47/42)"] == (True, 0.0, 0)
+    # D=2: N = 162 and (|T| - M)^2 = 96, so L = 27*96/(16*162) = 1 exactly
+    r2 = make_ring(2)
+    a1, a2, T = (parse_elem(t, r2) for t in ("-2-1*w", "-1+1*w", "-10-5*w"))
+    with pytest.raises(HypothesisFailure, match="L <= 1"):
+        jz_constants(a1, a2, T)
 
 
 @lru_cache(maxsize=None)
