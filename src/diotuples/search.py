@@ -2,8 +2,13 @@
 
 Tuples of size k are exactly the k-cliques of the compatibility graph whose
 vertices are the nonzero elements within a norm bound and whose edges join
-pairs {a, b} with a*b + n a square.  A campaign runs one field per work unit,
-persists a JSON checkpoint after each field and is resumable.
+pairs {a, b} with a*b + n a square.  build_graph finds the edges by divisor
+enumeration: for each candidate witness x it factors norm(x**2 - n) and
+divides x**2 - n by the vertices whose norm is a divisor, so its cost follows
+the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2 the two largest
+vertex norms), not the number of vertex pairs.  A campaign runs one field per
+work unit, persists a compact, fsync'd JSON checkpoint after each field and
+is resumable.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from math import isqrt
 
 from . import __version__
 from .quad_ring import (
@@ -25,9 +31,11 @@ from .quad_ring import (
     iter_elements,
     make_ring,
     parse_elem,
+    _div_half,
+    _iter_half,
     _sqrt_half,
 )
-from .tuples import make_tuple, pair_witness, tuple_orbit, verify_tuple
+from .tuples import make_tuple, tuple_orbit, verify_tuple
 
 __all__ = [
     "SearchConfig",
@@ -81,17 +89,52 @@ class CompatGraph:
         return out
 
 
-def build_graph(elements, n: QuadInt) -> CompatGraph:
-    """Edge {a, b} iff a*b + n is a square in O_K; an integer kernel on half-coordinates.
+def _primes_upto(limit: int) -> list[int]:
+    """Primes p <= limit, by a bytearray sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(2, limit + 1) if sieve[p]]
 
-    For a = (u1 + v1*s)/2 and b = (u2 + v2*s)/2 with s = sqrt(-D), the shifted
-    product w = a*b + n is (U + V*s)/2 with U = (u1*u2 - D*v1*v2)/2 + Un and
-    V = (u1*v2 + v1*u2)/2 + Vn, and U**2 + D*V**2 = 4*norm(w) must be a perfect
-    square for w to be one.  The root test is quad_ring's integer core, which
-    rejects most pairs by a mod-64 residue table and isqrt before it
-    reconstructs a root.  Vertices are paired by sign class
-    {a, -a}: one product a*b decides {a, b} and {-a, -b} through a*b + n, and
-    {a, -b} and {-a, b} through -a*b + n.
+
+def _divisors(M: int, primes: list[int]) -> list[int]:
+    """All divisors of M >= 1, by trial division over primes (which must reach isqrt(M))."""
+    divs = [1]
+    for p in primes:
+        if p * p > M:
+            break
+        if M % p == 0:
+            e = 0
+            while M % p == 0:
+                M //= p
+                e += 1
+            pk = [p**i for i in range(1, e + 1)]
+            divs += [d * q for d in divs for q in pk]
+    if M > 1:
+        divs += [d * M for d in divs]
+    return divs
+
+
+def build_graph(elements, n: QuadInt) -> CompatGraph:
+    """Edge {a, b} iff a*b + n is a square in O_K; enumerates witnesses x, not pairs.
+
+    If a*b + n = x**2 then |x|**2 <= |a||b| + |n|, so norm(x) is at most
+    isqrt(N1*N2) + isqrt(norm(n)) + 1 with N1 >= N2 the two largest vertex norms.
+    For each such x up to sign (x = 0 included), w = x**2 - n must be a product
+    a*b of vertices: norm(a) = m divides M = norm(w), with m*m <= M and m and
+    M/m both vertex norms.  M is factored by trial division over sieved primes;
+    for each such divisor m, every vertex a of norm m is tested for a | w by an
+    exact division on half-coordinates (quad_ring's integer core), and {a, b}
+    is an edge when b = w/a is another vertex.  Vertex lists that are not a
+    norm ball work alike, because b is looked up by membership.
+
+    Cost follows the number of x, about isqrt(N1*N2) + isqrt(norm(n)) elements
+    times the trial division of each M, not the number of vertices: a sparse
+    list with one element of high norm costs about as much as the full ball.
     """
     vs = sorted(elements, key=elem_key)
     ring = n.ring
@@ -102,40 +145,41 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
             raise ValueError("zero is not a valid vertex")
     if len(set(vs)) != len(vs):
         raise ValueError("duplicate vertices")
+    adj = [0] * len(vs)
+    if len(vs) < 2:
+        return CompatGraph(ring, n, vs, adj)
 
     D, mode = ring.D, ring.omega_mode
     Un, Vn = n.half_coords()
-    coords = [e.half_coords() for e in vs]
-    index = {c: i for i, c in enumerate(coords)}
-    # sign classes (u, v, i, j): vertex i = (u + v*s)/2 and j the index of its negative, or -1
-    classes = []
-    for i, (u, v) in enumerate(coords):
-        j = index.get((-u, -v), -1)
-        if j == -1 or i < j:
-            classes.append((u, v, i, j))
-    adj = [0] * len(vs)
-
-    def link(i: int, j: int) -> None:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-
-    for c, (u1, v1, ia, ja) in enumerate(classes):
-        Dv1 = D * v1
-        # {a, -a}: w = -a**2 + n
-        if ja >= 0 and _sqrt_half(D, mode, Un - ((u1 * u1 - Dv1 * v1) >> 1), Vn - u1 * v1) is not None:
-            link(ia, ja)
-        for u2, v2, ib, jb in classes[c + 1 :]:
-            P = (u1 * u2 - Dv1 * v2) >> 1
-            Q = (u1 * v2 + v1 * u2) >> 1
-            if _sqrt_half(D, mode, Un + P, Vn + Q) is not None:
-                link(ia, ib)
-                if ja >= 0 and jb >= 0:
-                    link(ja, jb)
-            if (ja >= 0 or jb >= 0) and _sqrt_half(D, mode, Un - P, Vn - Q) is not None:
-                if jb >= 0:
-                    link(ia, jb)
-                if ja >= 0:
-                    link(ja, ib)
+    index: dict[tuple[int, int], int] = {}
+    by_norm: dict[int, list[tuple[int, int, int]]] = {}  # norm -> [(u, v, index)]
+    for i, e in enumerate(vs):
+        u, v = c = e.half_coords()
+        index[c] = i
+        by_norm.setdefault((u * u + D * v * v) // 4, []).append((u, v, i))
+    top = vs[-1].norm() * vs[-2].norm()  # N1 * N2: vs is sorted by norm first
+    primes = _primes_upto(isqrt(top))
+    xmax = isqrt(top) + isqrt(n.norm()) + 1
+    # x and -x give the same w, so keep one of each pair, and x = 0 (a witness when a*b = -n)
+    xs = [(p, q) for p, q in _iter_half(D, mode, xmax) if p > 0 or (p == 0 and q > 0)]
+    xs.append((0, 0))
+    for p, q in xs:
+        # w = x**2 - n = (WU + WV*s)/2
+        WU = ((p * p - D * q * q) >> 1) - Un
+        WV = p * q - Vn
+        M = (WU * WU + D * WV * WV) >> 2
+        if M == 0 or M > top:
+            continue
+        for m in _divisors(M, primes):
+            if m * m > M or m not in by_norm or M // m not in by_norm:
+                continue
+            for u, v, i in by_norm[m]:
+                b = _div_half(D, mode, WU, WV, u, v)
+                if b is not None:
+                    j = index.get(b)
+                    if j is not None and j != i:
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
     return CompatGraph(ring, n, vs, adj)
 
 
@@ -176,21 +220,32 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
     Subsets are enumerated in lexicographic order with early rejection of any
     prefix already containing a witness-less pair (a subset fails verification
     on that same pair, so nothing is lost); accepted subsets are re-passed
-    through verify_tuple.  Pair witnesses are cached per call, by vertex index
-    pair; no graph, adjacency or cache is shared with build_graph or
-    find_cliques.  Intended for small inputs (<= ~200 elements).
+    through verify_tuple.  A pair is tested by a square root of a*b + n on
+    half-coordinates (build_graph decides edges by exact division instead),
+    and the verdicts are cached per call, by vertex index pair; no graph,
+    adjacency or cache is shared with build_graph or find_cliques.  Intended
+    for small inputs (<= ~200 elements).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     vs = sorted(elements, key=elem_key)
+    if any(e.ring != n.ring for e in vs):
+        raise ValueError("elements must live in the ring of n")
     cnt = len(vs)
     out: list[tuple[QuadInt, ...]] = []
+    D, mode = n.ring.D, n.ring.omega_mode
+    Un, Vn = n.half_coords()
+    coords = [e.half_coords() for e in vs]
     witnessed: dict[tuple[int, int], bool] = {}  # (i, j) with i < j -> pair has a witness
 
     def compatible(i: int, j: int) -> bool:
         hit = witnessed.get((i, j))
         if hit is None:
-            hit = witnessed[i, j] = pair_witness(vs[i], vs[j], n) is not None
+            (u1, v1), (u2, v2) = coords[i], coords[j]
+            # a*b + n = (Un + P + (Vn + Q)*s)/2
+            P = (u1 * u2 - D * v1 * v2) >> 1
+            Q = (u1 * v2 + v1 * u2) >> 1
+            hit = witnessed[i, j] = _sqrt_half(D, mode, Un + P, Vn + Q) is not None
         return hit
 
     def rec(chosen: list[int], start: int) -> None:
@@ -383,27 +438,31 @@ def _field_task(args: tuple) -> tuple[int, dict]:
     return D, _run_field(D, max_norm, k, n_text, symmetry_prune)
 
 
-def _atomic_write_json(path: str, payload: dict) -> None:
+def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
+    """Write JSON to a temporary file, flush and fsync it, then rename it over path."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1)
+        # json.dumps, unlike json.dump, uses the C encoder when there is no indent
+        f.write(json.dumps(payload, **dump_kw))
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
 
 
-def _load_checkpoint(cfg: SearchConfig) -> dict[int, dict]:
-    path = cfg.checkpoint_path
+def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
     if not path or not os.path.exists(path):
         return {}
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported schema {data.get('schema')}")
-    if data.get("config_hash") != cfg.config_hash():
+    if data.get("config_hash") != config_hash:
         raise ValueError(f"checkpoint {path} was written by a different configuration")
     return {int(D): res for D, res in data.get("completed", {}).items()}
 
 
-def _save_checkpoint(cfg: SearchConfig, completed: dict[int, dict]) -> None:
+def _save_checkpoint(cfg: SearchConfig, config_hash: str, completed: dict[int, dict]) -> None:
+    """Rewrite the checkpoint as compact JSON; config_hash is computed once per campaign."""
     if not cfg.checkpoint_path:
         return
     _atomic_write_json(
@@ -411,10 +470,11 @@ def _save_checkpoint(cfg: SearchConfig, completed: dict[int, dict]) -> None:
         {
             "schema": SCHEMA_VERSION,
             "version": __version__,
-            "config_hash": cfg.config_hash(),
+            "config_hash": config_hash,
             "config": cfg.semantic_json(),
             "completed": {str(D): res for D, res in sorted(completed.items())},
         },
+        separators=(",", ":"),
     )
 
 
@@ -441,7 +501,8 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     cfg.validate()
     t0 = time.monotonic()
     ds = sorted(set(cfg.D_list))
-    completed = _load_checkpoint(cfg)
+    config_hash = cfg.config_hash()
+    completed = _load_checkpoint(cfg.checkpoint_path, config_hash)
     pending = [D for D in ds if D not in completed]
     tasks = [(D, cfg.max_norm, cfg.k, cfg.n, cfg.symmetry_prune) for D in pending]
 
@@ -450,7 +511,7 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
         for task in tasks:
             D, res = _field_task(task)
             completed[D] = res
-            _save_checkpoint(cfg, completed)
+            _save_checkpoint(cfg, config_hash, completed)
             if progress:
                 progress(res)
     else:
@@ -459,7 +520,7 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
             for fut in as_completed(futures):
                 D, res = fut.result()  # a worker failure propagates here
                 completed[D] = res
-                _save_checkpoint(cfg, completed)
+                _save_checkpoint(cfg, config_hash, completed)
                 if progress:
                     progress(res)
 
@@ -473,7 +534,7 @@ def load_report(path: str) -> dict:
 
 
 def write_report(report: SearchReport, path: str) -> None:
-    _atomic_write_json(path, report.to_json())
+    _atomic_write_json(path, report.to_json(), indent=1)
 
 
 def write_clique_csv(report: SearchReport, path: str) -> None:

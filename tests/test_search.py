@@ -100,6 +100,74 @@ class TestBuildGraph:
         assert edge_set == want
 
 
+def adjacency_digest(g) -> str:
+    return hashlib.sha256(",".join(map(str, g.adj)).encode()).hexdigest()
+
+
+def pairwise_edges(elems, n) -> set[frozenset]:
+    from diotuples.tuples import pair_witness
+
+    return {frozenset((a, b)) for a, b in combinations(elems, 2) if pair_witness(a, b, n) is not None}
+
+
+class TestDivisorKernel:
+    # the digests were recorded from the all-pairs build, before the divisor kernel
+    @pytest.mark.parametrize(
+        "D, max_norm, size, digest",
+        [
+            (1, 2000, (6292, 38291), "0e050adbc3ba3fccc0c16ed38b5a4ad49cdc87bad3220a5e2bc9ef1ee9067301"),
+            (3, 1000, (3642, 3110), "c7102d66a4b91715e42b11bbc381e11e55e9f2bd829d4cc9b8178e4f5c4b1c6d"),
+        ],
+        ids=["D1-N2000", "D3-N1000"],
+    )
+    def test_adjacency_pinned_large(self, D, max_norm, size, digest):
+        ring = make_ring(D)
+        g = build_graph(enum_elements(ring, max_norm), QuadInt(ring, -1, 0))
+        assert (len(g.vertices), g.edge_count) == size
+        assert adjacency_digest(g) == digest
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7])
+    def test_zero_shift(self, D):
+        # n = 0: w = x**2 - n vanishes at x = 0, and {a, b} is an edge iff a*b is a square
+        ring = make_ring(D)
+        n = QuadInt(ring, 0, 0)
+        elems = enum_elements(ring, 40)
+        g = build_graph(elems, n)
+        assert g.edge_count > 0
+        assert {frozenset(e) for e in g.edges()} == pairwise_edges(elems, n)
+
+    @pytest.mark.parametrize("D", [3, 7, 11])
+    def test_half_mode_non_real_shift(self, D):
+        # n = omega = (1+sqrt(-D))/2 and n = 2 - omega have odd half-coordinates
+        ring = make_ring(D)
+        elems = enum_elements(ring, 60)
+        for n in (QuadInt(ring, 0, 1), QuadInt(ring, 2, -1)):
+            g = build_graph(elems, n)
+            assert g.edge_count > 0
+            assert {frozenset(e) for e in g.edges()} == pairwise_edges(elems, n)
+
+    def test_sparse_list_with_high_norm(self):
+        # not a norm ball: the x range follows the two largest norms, b is looked up by membership
+        elems = [q1(1), q1(2), q1(5), q1(-24), q1(100)]  # -24*100 - 1 = (49i)**2
+        g = build_graph(elems, M1)
+        want = pairwise_edges(elems, M1)
+        assert frozenset((q1(-24), q1(100))) in want and len(want) == 7
+        assert {frozenset(e) for e in g.edges()} == want
+
+    def test_large_shift_widens_witness_range(self):
+        # 1*2 + 23 = 5**2: norm(x) = 25 is far above norm(1)*norm(2), so the range needs the norm(n) term
+        g = build_graph([q1(1), q1(2)], q1(23))
+        assert g.edge_count == 1
+        # (-6-6i)(-3-i) + 4+6i = (5+3i)**2 with norm 34 = isqrt(720) + isqrt(52) + 1: the bound is tight
+        g = build_graph([q1(-6, -6), q1(-3, -1)], q1(4, 6))
+        assert g.edge_count == 1
+
+    def test_witness_zero(self):
+        # x = 0 is a witness: i*(-i) - 1 = 0
+        g = build_graph([q1(0, 1), q1(0, -1), q1(2)], M1)
+        assert {frozenset(e) for e in g.edges()} == {frozenset((q1(0, 1), q1(0, -1)))}
+
+
 class TestFindCliques:
     def test_k4(self):
         g = build_graph([q1(1), q1(2), q1(5), q1(-24)], M1)
@@ -287,6 +355,25 @@ class TestCampaign:
         assert report.results[0].to_json() == marker
         assert [r.D for r in report.results] == [1, 2, 3]
         assert sorted(json.loads(path.read_text())["completed"]) == ["1", "2", "3"]
+
+    def test_config_hash_once_per_campaign(self, tmp_path, monkeypatch):
+        calls = []
+        real = SearchConfig.config_hash
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(SearchConfig, "config_hash", counted)
+        path = tmp_path / "ck.json"
+        cfg = SearchConfig(D_list=[1, 2, 3, 5], max_norm=30, k=3, n="-1", checkpoint_path=str(path))
+        run_campaign(cfg)
+        assert len(calls) == 1
+        # the checkpoint is compact JSON, and it holds every field
+        text = path.read_text()
+        assert "\n" not in text and ": " not in text
+        assert sorted(json.loads(text)["completed"]) == ["1", "2", "3", "5"]
+        assert not (tmp_path / "ck.json.tmp").exists()
 
     def test_reverification_failure_raises(self, monkeypatch):
         # an explicit raise, not an assert, so the check also runs under python -O
