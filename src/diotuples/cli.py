@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .quad_ring import elem_key, format_elem, is_squarefree, make_ring, parse_elem
+from .quad_ring import format_elem, is_squarefree, make_ring, parse_elem
 from .tuples import extend_triple, is_regular, make_tuple, verify_tuple
 from .search import SearchConfig, run_campaign, write_clique_csv, write_report
 from . import bounds as bnd
@@ -113,10 +113,16 @@ def _parse_d_selection(args) -> list[int]:
         if not lo <= hi:
             raise ValueError(f"empty D range {args.d_range}")
         return [D for D in range(max(lo, 1), hi + 1) if is_squarefree(D)]
-    ds = [int(t) for t in args.d_list.split(",")]
-    for D in ds:
-        make_ring(D)  # squarefree validation
-    return ds
+    return [int(t) for t in args.d_list.split(",")]  # SearchConfig.validate rejects a bad D
+
+
+def _print_progress(res: dict) -> None:
+    """One stderr line per finished field, as run_campaign hands it over."""
+    print(
+        f"D={res['D']}: {res['vertex_count']} vertices, {res['edge_count']} edges, "
+        f"{len(res['cliques'])} clique record(s) [{res['wall_time']:.2f}s]",
+        file=sys.stderr,
+    )
 
 
 def _cmd_search(args) -> int:
@@ -133,14 +139,7 @@ def _cmd_search(args) -> int:
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path) and not args.resume:
         raise ValueError(f"checkpoint {cfg.checkpoint_path} exists; pass --resume to reuse it")
 
-    def progress(res):
-        print(
-            f"D={res['D']}: {res['vertex_count']} vertices, {res['edge_count']} edges, "
-            f"{len(res['cliques'])} clique record(s) [{res['wall_time']:.2f}s]",
-            file=sys.stderr,
-        )
-
-    report = run_campaign(cfg, progress=progress)
+    report = run_campaign(cfg, progress=_print_progress)
     if args.out:
         write_report(report, args.out)
     if args.csv:
@@ -152,10 +151,8 @@ def _cmd_search(args) -> int:
             f"searched {len(report.results)} field(s), k={cfg.k}, max_norm={cfg.max_norm}: "
             f"{report.total_cliques} clique(s) in {report.wall_time:.2f}s"
         )
-        for D, cliques in sorted(report.all_clique_sets().items()):
-            for s in sorted(cliques, key=lambda fs: sorted(elem_key(e) for e in fs)):
-                elems = ", ".join(format_elem(e) for e in sorted(s, key=elem_key))
-                print(f"  D={D}: {{{elems}}}")
+        for D, elems in report.sorted_cliques():
+            print(f"  D={D}: {{{', '.join(format_elem(e) for e in elems)}}}")
     return 0 if report.total_cliques == 0 else 1
 
 
@@ -266,13 +263,7 @@ def _reproduce_scan(max_norm: int, k: int, jobs: int, out: str | None) -> int:
         jobs=jobs,
     )
 
-    def progress(res):
-        print(
-            f"D={res['D']}: {res['vertex_count']} vertices, {len(res['cliques'])} clique record(s)",
-            file=sys.stderr,
-        )
-
-    report = run_campaign(cfg, progress=progress)
+    report = run_campaign(cfg, progress=_print_progress)
     if out:
         write_report(report, out)
     print(

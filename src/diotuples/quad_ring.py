@@ -111,22 +111,31 @@ class QuadInt:
 
     def __add__(self, other: "QuadInt | int") -> "QuadInt":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return QuadInt(self.ring, self.x + other.x, self.y + other.y)
 
     __radd__ = __add__
 
     def __sub__(self, other: "QuadInt | int") -> "QuadInt":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return QuadInt(self.ring, self.x - other.x, self.y - other.y)
 
     def __rsub__(self, other: "QuadInt | int") -> "QuadInt":
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __neg__(self) -> "QuadInt":
         return QuadInt(self.ring, -self.x, -self.y)
 
     def __mul__(self, other: "QuadInt | int") -> "QuadInt":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         u1, v1 = self.half_coords()
         u2, v2 = other.half_coords()
         # (u1+v1*s)(u2+v2*s)/4 with s^2 = -D; both halvings are exact.

@@ -18,7 +18,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isqrt
 
 from . import __version__
@@ -217,10 +217,11 @@ def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
 def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]]:
     """Oracle for find_cliques: k-subsets whose pairs all carry witnesses.
 
-    Subsets are enumerated in lexicographic order with early rejection of any
-    prefix already containing a witness-less pair (a subset fails verification
-    on that same pair, so nothing is lost); accepted subsets are re-passed
-    through verify_tuple.  A pair is tested by a square root of a*b + n on
+    Subsets are enumerated in lexicographic order; each prefix carries the
+    later indices compatible with all of its elements, so a prefix with a
+    witness-less pair is never extended (a subset fails verification on that
+    same pair, so nothing is lost); accepted subsets are re-passed through
+    verify_tuple.  A pair is tested by a square root of a*b + n on
     half-coordinates (build_graph decides edges by exact division instead),
     and the verdicts are cached per call, by vertex index pair; no graph,
     adjacency or cache is shared with build_graph or find_cliques.  Intended
@@ -248,22 +249,22 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
             hit = witnessed[i, j] = _sqrt_half(D, mode, Un + P, Vn + Q) is not None
         return hit
 
-    def rec(chosen: list[int], start: int) -> None:
+    def rec(chosen: list[int], cands: list[int]) -> None:
+        # cands: the indices after chosen[-1] compatible with every chosen index
         if len(chosen) == k:
             elems = tuple(vs[i] for i in chosen)
             if not verify_tuple(make_tuple(n.ring, n, elems)).ok:
                 raise RuntimeError(f"subset {elems} has witnesses but fails verify_tuple")
             out.append(elems)
             return
-        for j in range(start, cnt):
-            if cnt - j < k - len(chosen):
+        for pos, j in enumerate(cands):
+            if len(cands) - pos < k - len(chosen):
                 break
-            if all(compatible(i, j) for i in chosen):
-                chosen.append(j)
-                rec(chosen, j + 1)
-                chosen.pop()
+            chosen.append(j)
+            rec(chosen, [i for i in cands[pos + 1 :] if compatible(j, i)])
+            chosen.pop()
 
-    rec([], 0)
+    rec([], list(range(cnt)))
     return out
 
 
@@ -347,13 +348,7 @@ class FieldResult:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "D": self.D,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "cliques": self.cliques,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -361,8 +356,6 @@ class SearchReport:
     config: SearchConfig
     results: list[FieldResult]
     wall_time: float
-    schema: int = SCHEMA_VERSION
-    version: str = __version__
 
     @property
     def total_cliques(self) -> int:
@@ -375,10 +368,19 @@ class SearchReport:
     def all_clique_sets(self) -> dict[int, set[frozenset[QuadInt]]]:
         return {r.D: r.clique_sets(make_ring(r.D)) for r in self.results}
 
+    def sorted_cliques(self) -> list[tuple[int, tuple[QuadInt, ...]]]:
+        """(D, elems) per clique, orbits expanded, elems by (norm, x, y); ordered by D, then elems."""
+        out = []
+        for r in sorted(self.results, key=lambda r: r.D):
+            cliques = [tuple(sorted(s, key=elem_key)) for s in r.clique_sets(make_ring(r.D))]
+            cliques.sort(key=lambda c: [elem_key(e) for e in c])
+            out += [(r.D, c) for c in cliques]
+        return out
+
     def to_json(self) -> dict:
         return {
-            "schema": self.schema,
-            "version": self.version,
+            "schema": SCHEMA_VERSION,
+            "version": __version__,
             "config": {**self.config.semantic_json(), "jobs": self.config.jobs},
             "results": [r.to_json() for r in self.results],
             "total_cliques": self.total_cliques,
@@ -433,11 +435,6 @@ def _group_orbits(cliques: list[tuple[QuadInt, ...]], n: QuadInt) -> list[dict]:
     return records
 
 
-def _field_task(args: tuple) -> tuple[int, dict]:
-    D, max_norm, k, n_text, symmetry_prune = args
-    return D, _run_field(D, max_norm, k, n_text, symmetry_prune)
-
-
 def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
     """Write JSON to a temporary file, flush and fsync it, then rename it over path."""
     tmp = path + ".tmp"
@@ -490,39 +487,44 @@ def clamp_workers(jobs: int, pending: int, cpus: int) -> int:
     return max(1, min(jobs, pending, cpus))
 
 
+def _field_results(tasks: list[tuple], workers: int):
+    """Yield _run_field(*task) for each task as it completes.
+
+    One worker runs the fields in this process, in task order; more run them
+    in a process pool, in completion order.  A worker failure propagates.
+    """
+    if workers == 1:
+        for task in tasks:
+            yield _run_field(*task)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_field, *task) for task in tasks]
+        for fut in as_completed(futures):
+            yield fut.result()
+
+
 def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     """Run the campaign field by field, checkpointing after each completed D.
 
-    Fields already present in a compatible checkpoint are skipped.  Workers
-    (clamp_workers: cfg.jobs, capped by the pending fields and usable CPUs)
-    each own a single field; the merge is by ascending D and independent of
-    completion order.
+    Fields already present in a compatible checkpoint are skipped.  Each
+    pending field's result passes through one loop, in completion order:
+    stored, checkpointed, then handed to progress.  The fields run in this
+    process when clamp_workers (cfg.jobs, capped by the pending fields and
+    usable CPUs) gives one worker, else in a process pool with one field per
+    task; the merge is by ascending D and independent of completion order.
     """
     cfg.validate()
     t0 = time.monotonic()
     ds = sorted(set(cfg.D_list))
     config_hash = cfg.config_hash()
     completed = _load_checkpoint(cfg.checkpoint_path, config_hash)
-    pending = [D for D in ds if D not in completed]
-    tasks = [(D, cfg.max_norm, cfg.k, cfg.n, cfg.symmetry_prune) for D in pending]
-
+    tasks = [(D, cfg.max_norm, cfg.k, cfg.n, cfg.symmetry_prune) for D in ds if D not in completed]
     workers = clamp_workers(cfg.jobs, len(tasks), _usable_cpus())
-    if workers == 1:
-        for task in tasks:
-            D, res = _field_task(task)
-            completed[D] = res
-            _save_checkpoint(cfg, config_hash, completed)
-            if progress:
-                progress(res)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_field_task, t) for t in tasks]
-            for fut in as_completed(futures):
-                D, res = fut.result()  # a worker failure propagates here
-                completed[D] = res
-                _save_checkpoint(cfg, config_hash, completed)
-                if progress:
-                    progress(res)
+    for res in _field_results(tasks, workers):
+        completed[res["D"]] = res
+        _save_checkpoint(cfg, config_hash, completed)
+        if progress:
+            progress(res)
 
     results = [FieldResult(**completed[D]) for D in ds]
     return SearchReport(cfg, results, time.monotonic() - t0)
@@ -544,11 +546,5 @@ def write_clique_csv(report: SearchReport, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["D", "k", "elems"])
-        for r in report.results:
-            ring = make_ring(r.D)
-            for s in sorted(
-                r.clique_sets(ring),
-                key=lambda fs: sorted(elem_key(e) for e in fs),
-            ):
-                elems = sorted(s, key=elem_key)
-                writer.writerow([r.D, len(elems), *[str(e) for e in elems]])
+        for D, elems in report.sorted_cliques():
+            writer.writerow([D, len(elems), *[str(e) for e in elems]])

@@ -128,11 +128,20 @@ def _minus_one(ring: RingParams) -> QuadInt:
     return QuadInt(ring, -1, 0)
 
 
+def _witnesses(**pairs: tuple[QuadInt, QuadInt]) -> dict[str, QuadInt]:
+    """Canonical D(-1) witnesses sqrt(p*q - 1) by name; raises naming the first missing square."""
+    out = {}
+    for name, (p, q) in pairs.items():
+        w = pair_witness(p, q, _minus_one(p.ring))
+        if w is None:
+            raise ValueError(f"{format_elem(p)}*{format_elem(q)} - 1 is not a square ({name} missing)")
+        out[name] = w
+    return out
+
+
 def is_regular(a: QuadInt, b: QuadInt, c: QuadInt) -> bool:
     """True iff c = a + b + 2r or a + b - 2r for the canonical r = sqrt(ab - 1)."""
-    r = sqrt_exact(a * b + _minus_one(a.ring))
-    if r is None:
-        raise ValueError("ab - 1 is not a square: r is undefined")
+    r = _witnesses(r=(a, b))["r"]
     s = a + b
     return c == s + 2 * r or c == s - 2 * r
 
@@ -158,19 +167,10 @@ class PellWitness:
 
 def build_pell_witness(a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt) -> PellWitness:
     """Extract all six canonical witnesses; raises naming the first missing square."""
-    m1 = _minus_one(a.ring)
-    vals = {}
-    for name, (p, q) in {
-        "r": (a, b), "s": (a, c), "t": (b, c),
-        "x": (a, d), "y": (b, d), "z": (c, d),
-    }.items():
-        w = sqrt_exact(p * q + m1)
-        if w is None:
-            raise ValueError(
-                f"{format_elem(p)}*{format_elem(q)} - 1 is not a square ({name} missing)"
-            )
-        vals[name] = w
-    return PellWitness(a, b, c, d, **vals)
+    return PellWitness(
+        a, b, c, d,
+        **_witnesses(r=(a, b), s=(a, c), t=(b, c), x=(a, d), y=(b, d), z=(c, d)),
+    )
 
 
 def pell_residuals(w: PellWitness) -> tuple[QuadInt, QuadInt]:
@@ -256,13 +256,8 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
     Flipping the sign of any witness only swaps c_+ and c_-, so the canonical
     witnesses from sqrt_exact lose no generality.
     """
-    m1 = _minus_one(a.ring)
-    r = sqrt_exact(a * b + m1)
-    x = sqrt_exact(a * d + m1)
-    y = sqrt_exact(b * d + m1)
-    if r is None or x is None or y is None:
-        missing = "r" if r is None else ("x" if x is None else "y")
-        raise ValueError(f"required square witness {missing} does not exist")
+    w = _witnesses(r=(a, b), x=(a, d), y=(b, d))
+    r, x, y = w["r"], w["x"], w["y"]
     e = a + b + d - 2 * (a * b * d)
     f = 2 * (r * x * y)
     cp, cm = e + f, e - f

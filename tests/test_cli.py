@@ -70,6 +70,23 @@ class TestSearchCommand:
         assert rows[0] == "D,k,elems"
         assert any("-24" in r for r in rows[1:])
 
+    def test_csv_and_summary_list_the_same_cliques(self, capsys, tmp_path):
+        csv_path = tmp_path / "cliques.csv"
+        code = main(["search", "--D-list", "3,1", "--max-norm", "60", "--k", "3", "--csv", str(csv_path)])
+        assert code == 1
+        summary = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  D=")
+        ]
+        rows = csv_path.read_text().strip().splitlines()[1:]
+        from_csv = []
+        for row in rows:
+            D, k, *elems = row.split(",")
+            assert int(k) == len(elems)
+            from_csv.append(f"D={D}: {{{', '.join(elems)}}}")
+        assert summary and summary == from_csv
+
     def test_unwritable_out(self):
         code = main(
             ["search", "--D-list", "1", "--max-norm", "5", "--k", "3",

@@ -89,6 +89,27 @@ class TestRingOps:
         assert 1 - q1(0, 1) == q1(1, -1)
 
 
+class TestForeignOperands:
+    # a non-int, non-QuadInt operand is a TypeError, in either position
+    @pytest.mark.parametrize("other", [1.5, "1", None])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, o: a + o,
+            lambda a, o: o + a,
+            lambda a, o: a - o,
+            lambda a, o: o - a,
+            lambda a, o: a * o,
+            lambda a, o: o * a,
+        ],
+        ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+    )
+    def test_type_error(self, op, other):
+        for a in (q1(2, 1), q3(0, 1)):
+            with pytest.raises(TypeError):
+                op(a, other)
+
+
 class TestNorm:
     def test_examples(self):
         assert norm(q1(2, 1)) == 5

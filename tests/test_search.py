@@ -435,3 +435,35 @@ def parse_many(group, ring):
     from diotuples.quad_ring import elem_from_json
 
     return [elem_from_json(e, ring) for e in group]
+
+
+class TestLayout:
+    FIELD_KEYS = ["D", "vertex_count", "edge_count", "cliques", "wall_time"]
+
+    def test_report_and_checkpoint_key_order(self, tmp_path):
+        from diotuples.search import write_report
+
+        ck = tmp_path / "ck.json"
+        cfg = SearchConfig(D_list=[1, 3], max_norm=60, k=3, n="-1", checkpoint_path=str(ck))
+        report = run_campaign(cfg)
+        out = tmp_path / "report.json"
+        write_report(report, str(out))
+        payload = json.loads(out.read_text())
+        assert list(payload) == ["schema", "version", "config", "results", "total_cliques", "wall_time"]
+        assert payload["schema"] == 1
+        assert [list(r) for r in payload["results"]] == [self.FIELD_KEYS] * 2
+        saved = json.loads(ck.read_text())
+        assert list(saved) == ["schema", "version", "config_hash", "config", "completed"]
+        assert saved["schema"] == 1
+        assert [list(r) for r in saved["completed"].values()] == [self.FIELD_KEYS] * 2
+
+    def test_sorted_cliques(self):
+        report = run_campaign(SearchConfig(D_list=[3, 1], max_norm=60, k=3, n="-1"))
+        listed = report.sorted_cliques()
+        assert len(listed) == report.total_cliques > 0
+        keys = [(D, [elem_key(e) for e in elems]) for D, elems in listed]
+        assert keys == sorted(keys)
+        for D, elems in listed:
+            assert list(elems) == sorted(elems, key=elem_key)
+        by_field = {D: {frozenset(elems) for d, elems in listed if d == D} for D in (1, 3)}
+        assert by_field == report.all_clique_sets()
