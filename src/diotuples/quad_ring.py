@@ -136,12 +136,8 @@ class QuadInt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        u1, v1 = self.half_coords()
-        u2, v2 = other.half_coords()
-        # (u1+v1*s)(u2+v2*s)/4 with s^2 = -D; both halvings are exact.
-        u = (u1 * u2 - self.ring.D * v1 * v2) // 2
-        v = (u1 * v2 + v1 * u2) // 2
-        return _from_half_unchecked(self.ring, u, v)
+        ring = self.ring
+        return _from_half_unchecked(ring, *_mul_half(ring.D, self.half_coords(), other.half_coords()))
 
     __rmul__ = __mul__
 
@@ -156,6 +152,16 @@ class QuadInt:
 
     def __str__(self) -> str:
         return format_elem(self)
+
+
+def _mul_half(D: int, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """Half-coordinates of the product of two elements given by half-coordinates.
+
+    (u1 + v1*s)(u2 + v2*s)/4 with s**2 = -D is (U + V*s)/2 for the U, V below;
+    both halvings are exact for elements of O_K.
+    """
+    (u1, v1), (u2, v2) = p, q
+    return (u1 * u2 - D * v1 * v2) // 2, (u1 * v2 + v1 * u2) // 2
 
 
 def _from_half_unchecked(ring: RingParams, u: int, v: int) -> QuadInt:

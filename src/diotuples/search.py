@@ -222,10 +222,9 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
     witness-less pair is never extended (a subset fails verification on that
     same pair, so nothing is lost); accepted subsets are re-passed through
     verify_tuple.  A pair is tested by a square root of a*b + n on
-    half-coordinates (build_graph decides edges by exact division instead),
-    and the verdicts are cached per call, by vertex index pair; no graph,
-    adjacency or cache is shared with build_graph or find_cliques.  Intended
-    for small inputs (<= ~200 elements).
+    half-coordinates (build_graph decides edges by exact division instead);
+    no graph or adjacency is shared with build_graph or find_cliques.
+    Intended for small inputs (<= ~200 elements).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -237,17 +236,13 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
     D, mode = n.ring.D, n.ring.omega_mode
     Un, Vn = n.half_coords()
     coords = [e.half_coords() for e in vs]
-    witnessed: dict[tuple[int, int], bool] = {}  # (i, j) with i < j -> pair has a witness
 
     def compatible(i: int, j: int) -> bool:
-        hit = witnessed.get((i, j))
-        if hit is None:
-            (u1, v1), (u2, v2) = coords[i], coords[j]
-            # a*b + n = (Un + P + (Vn + Q)*s)/2
-            P = (u1 * u2 - D * v1 * v2) >> 1
-            Q = (u1 * v2 + v1 * u2) >> 1
-            hit = witnessed[i, j] = _sqrt_half(D, mode, Un + P, Vn + Q) is not None
-        return hit
+        (u1, v1), (u2, v2) = coords[i], coords[j]
+        # a*b + n = (Un + P + (Vn + Q)*s)/2
+        P = (u1 * u2 - D * v1 * v2) >> 1
+        Q = (u1 * v2 + v1 * u2) >> 1
+        return _sqrt_half(D, mode, Un + P, Vn + Q) is not None
 
     def rec(chosen: list[int], cands: list[int]) -> None:
         # cands: the indices after chosen[-1] compatible with every chosen index

@@ -5,6 +5,11 @@ every pairwise product shifted by n is a square in O_K.  The extension
 machinery (PellWitness, extend_triple, c_plus_minus) is specific to the
 shift n = -1: a quadruple {a, b, c, d} then satisfies the Pellian system
 a*z^2 - c*x^2 = c - a, b*z^2 - c*y^2 = c - b with c*d = z^2 + 1.
+
+verify_tuple, the D(-1) witnesses, c_plus_minus and the extend_triple
+z-scan run on half-coordinates (see quad_ring): products with _mul_half,
+square roots with _sqrt_half and divisions with _div_half, all on plain
+ints; QuadInt objects are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .quad_ring import (
     _div_half,
     _from_half_unchecked,
     _iter_half,
+    _mul_half,
     _sqrt_half,
     elem_key,
     elem_to_json,
@@ -111,13 +117,30 @@ class VerifyReport:
         }
 
 
+def _halves(ring: RingParams, *elems: QuadInt) -> list[tuple[int, int]]:
+    """Half-coordinates of elems, which must all live in ring."""
+    for e in elems:
+        if e.ring != ring:
+            raise ValueError(f"mixed rings: {ring} vs {e.ring}")
+    return [e.half_coords() for e in elems]
+
+
 def verify_tuple(t: DioTuple) -> VerifyReport:
-    """Check every unordered pair; stops at the first pair without a witness."""
-    checks: list[PairCheck] = []
+    """Check every unordered pair; stops at the first pair without a witness.
+
+    Each a*b + n is formed with _mul_half and tested with _sqrt_half on
+    half-coordinates; a QuadInt is built only for a witness.
+    """
+    ring = t.ring
+    D, mode = ring.D, ring.omega_mode
     es = t.elems
+    (Un, Vn), *hs = _halves(ring, t.n, *es)
+    checks: list[PairCheck] = []
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
-            w = pair_witness(es[i], es[j], t.n)
+            P, Q = _mul_half(D, hs[i], hs[j])
+            root = _sqrt_half(D, mode, P + Un, Q + Vn)
+            w = None if root is None else _from_half_unchecked(ring, *root)
             checks.append(PairCheck(es[i], es[j], w))
             if w is None:
                 return VerifyReport(t, False, tuple(checks), (es[i], es[j]))
@@ -128,20 +151,25 @@ def _minus_one(ring: RingParams) -> QuadInt:
     return QuadInt(ring, -1, 0)
 
 
-def _witnesses(**pairs: tuple[QuadInt, QuadInt]) -> dict[str, QuadInt]:
-    """Canonical D(-1) witnesses sqrt(p*q - 1) by name; raises naming the first missing square."""
+def _witnesses(**pairs: tuple[QuadInt, QuadInt]) -> dict[str, tuple[int, int]]:
+    """Half-coordinates of the canonical D(-1) witnesses sqrt(p*q - 1), by name.
+
+    Raises naming the first missing square, or on a pair from two rings.
+    """
     out = {}
     for name, (p, q) in pairs.items():
-        w = pair_witness(p, q, _minus_one(p.ring))
-        if w is None:
+        ring = p.ring
+        P, Q = _mul_half(ring.D, *_halves(ring, p, q))
+        root = _sqrt_half(ring.D, ring.omega_mode, P - 2, Q)  # p*q - 1, with 1 = (2 + 0*s)/2
+        if root is None:
             raise ValueError(f"{format_elem(p)}*{format_elem(q)} - 1 is not a square ({name} missing)")
-        out[name] = w
+        out[name] = root
     return out
 
 
 def is_regular(a: QuadInt, b: QuadInt, c: QuadInt) -> bool:
     """True iff c = a + b + 2r or a + b - 2r for the canonical r = sqrt(ab - 1)."""
-    r = _witnesses(r=(a, b))["r"]
+    r = _from_half_unchecked(a.ring, *_witnesses(r=(a, b))["r"])
     s = a + b
     return c == s + 2 * r or c == s - 2 * r
 
@@ -167,10 +195,8 @@ class PellWitness:
 
 def build_pell_witness(a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt) -> PellWitness:
     """Extract all six canonical witnesses; raises naming the first missing square."""
-    return PellWitness(
-        a, b, c, d,
-        **_witnesses(r=(a, b), s=(a, c), t=(b, c), x=(a, d), y=(b, d), z=(c, d)),
-    )
+    w = _witnesses(r=(a, b), s=(a, c), t=(b, c), x=(a, d), y=(b, d), z=(c, d))
+    return PellWitness(a, b, c, d, **{k: _from_half_unchecked(a.ring, *h) for k, h in w.items()})
 
 
 def pell_residuals(w: PellWitness) -> tuple[QuadInt, QuadInt]:
@@ -190,10 +216,11 @@ def extend_triple(
 ) -> list[tuple[QuadInt, PellWitness]]:
     """All extensions d = (z^2 + 1)/c of the D(-1) triple {a, b, c} from a z-scan.
 
-    Scans nonzero z with norm(z) <= z_norm_bound; keeps d when c | z^2 + 1,
-    d is not in {0, a, b, c} and ad - 1, bd - 1 are squares.  Results are
-    ordered by (norm, x, y) of the first z producing each d (z and -z give
-    the same d, which is reported once).
+    Scans nonzero z with norm(z) <= z_norm_bound up to sign; keeps d when
+    c | z^2 + 1, d is not in {0, a, b, c} and ad - 1, bd - 1 are squares.
+    z and -z give the same d, and z^2 = cd - 1 fixes z up to sign, so each d
+    comes from exactly one scanned z.  Results are ordered by the smaller
+    (norm, x, y) of z and -z.
 
     The scan runs on half-coordinates (see quad_ring): z^2 + 1 is divided by
     c with _div_half and ad - 1, bd - 1 are tested with _sqrt_half, all on
@@ -212,26 +239,24 @@ def extend_triple(
         raise ValueError("{a, b, c} is not a D(-1) triple")
 
     D, mode = ring.D, ring.omega_mode
-    (au, av), (bu, bv), (cu, cv) = a.half_coords(), b.half_coords(), c.half_coords()
-    excluded = {(0, 0), (au, av), (bu, bv), (cu, cv)}
-    hits: dict[tuple[int, int], tuple[int, int]] = {}  # d -> the first z giving it
+    ha, hb, (cu, cv) = a.half_coords(), b.half_coords(), c.half_coords()
+    excluded = {(0, 0), ha, hb, (cu, cv)}
+    survivors = []
     for u, v in _iter_half(D, mode, z_norm_bound):
+        if u < 0 or (u == 0 and v < 0):  # one z of each pair {z, -z}
+            continue
         # z^2 + 1, with 1 = (2 + 0*sqrt(-D))/2
         d = _div_half(D, mode, (u * u - D * v * v) // 2 + 2, u * v, cu, cv)
-        if d is None or d in hits or d in excluded:
+        if d is None or d in excluded:
             continue
-        du, dv = d
-        if _sqrt_half(D, mode, (au * du - D * av * dv) // 2 - 2, (au * dv + av * du) // 2) is None:
+        P, Q = _mul_half(D, ha, d)  # ad - 1 = (P - 2 + Q*s)/2
+        if _sqrt_half(D, mode, P - 2, Q) is None:
             continue
-        if _sqrt_half(D, mode, (bu * du - D * bv * dv) // 2 - 2, (bu * dv + bv * du) // 2) is None:
+        P, Q = _mul_half(D, hb, d)
+        if _sqrt_half(D, mode, P - 2, Q) is None:
             continue
-        hits[d] = (u, v)
-
-    # z and -z are the only z giving d; order d by the smaller of the two
-    survivors = []
-    for dh, zh in hits.items():
-        z = _from_half_unchecked(ring, *zh)
-        survivors.append((min(elem_key(z), elem_key(-z)), _from_half_unchecked(ring, *dh)))
+        z = _from_half_unchecked(ring, u, v)
+        survivors.append((min(elem_key(z), elem_key(-z)), _from_half_unchecked(ring, *d)))
     survivors.sort(key=lambda s: s[0])
     return [(d, build_pell_witness(a, b, c, d)) for _, d in survivors]
 
@@ -254,21 +279,30 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
     """Compute c_+-; |c_+| >= |c_-|, and c_+ * c_- equals the exact symmetric form.
 
     Flipping the sign of any witness only swaps c_+ and c_-, so the canonical
-    witnesses from sqrt_exact lose no generality.
+    witnesses from sqrt_exact lose no generality.  Everything up to the
+    returned ExtensionPair runs on half-coordinates with _mul_half.
     """
     w = _witnesses(r=(a, b), x=(a, d), y=(b, d))
-    r, x, y = w["r"], w["x"], w["y"]
-    e = a + b + d - 2 * (a * b * d)
-    f = 2 * (r * x * y)
-    cp, cm = e + f, e - f
-    if cp.norm() < cm.norm():
+    ring = a.ring
+    D = ring.D
+    ha, hb, hd = a.half_coords(), b.half_coords(), d.half_coords()
+    su, sv = ha[0] + hb[0] + hd[0], ha[1] + hb[1] + hd[1]  # s = a + b + d
+    ab, ad, bd = _mul_half(D, ha, hb), _mul_half(D, ha, hd), _mul_half(D, hb, hd)
+    abd = _mul_half(D, ab, hd)
+    eu, ev = su - 2 * abd[0], sv - 2 * abd[1]  # e = s - 2abd
+    fu, fv = _mul_half(D, _mul_half(D, w["r"], w["x"]), w["y"])
+    fu, fv = 2 * fu, 2 * fv  # f = 2rxy
+    cp, cm = (eu + fu, ev + fv), (eu - fu, ev - fv)
+    if cp[0] * cp[0] + D * cp[1] * cp[1] < cm[0] * cm[0] + D * cm[1] * cm[1]:  # 4 * norm
         cp, cm = cm, cp
-    prod = (
-        a * a + b * b + d * d - 2 * (a * b) - 2 * (a * d) - 2 * (b * d) + 4
-    )
-    if cp * cm != prod:
+    # c_+ c_- = a^2 + b^2 + d^2 - 2ab - 2ad - 2bd + 4 = s^2 - 4(ab + ad + bd) + 4,
+    # with 4 = (8 + 0*s)/2
+    s2u, s2v = _mul_half(D, (su, sv), (su, sv))
+    prod = (s2u - 4 * (ab[0] + ad[0] + bd[0]) + 8, s2v - 4 * (ab[1] + ad[1] + bd[1]))
+    if _mul_half(D, cp, cm) != prod:
         raise AssertionError("c_plus * c_minus identity violated")
-    return ExtensionPair(cp, cm, a, b, d, r, x, y)
+    cp_e, cm_e, r, x, y = (_from_half_unchecked(ring, *h) for h in (cp, cm, w["r"], w["x"], w["y"]))
+    return ExtensionPair(cp_e, cm_e, a, b, d, r, x, y)
 
 
 def tuple_orbit(t: DioTuple) -> set[DioTuple]:

@@ -9,8 +9,16 @@ from __future__ import annotations
 from math import isqrt
 from random import Random
 
-from diotuples.quad_ring import OmegaMode, QuadInt, RingParams, exact_div, sqrt_exact
-from diotuples.tuples import build_pell_witness, c_plus_minus, pair_witness
+from diotuples.quad_ring import OmegaMode, QuadInt, RingParams, exact_div, format_elem, sqrt_exact
+from diotuples.tuples import (
+    DioTuple,
+    ExtensionPair,
+    PairCheck,
+    VerifyReport,
+    build_pell_witness,
+    c_plus_minus,
+    pair_witness,
+)
 
 
 def box_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
@@ -72,6 +80,39 @@ def brute_root_table(ring: RingParams, root_norm_bound: int) -> dict[tuple[int, 
     return table
 
 
+def reference_verify_tuple(t: DioTuple) -> VerifyReport:
+    """verify_tuple on QuadInt arithmetic: pair_witness on every pair, in order, to the first failure."""
+    checks = []
+    es = t.elems
+    for i in range(len(es)):
+        for j in range(i + 1, len(es)):
+            w = pair_witness(es[i], es[j], t.n)
+            checks.append(PairCheck(es[i], es[j], w))
+            if w is None:
+                return VerifyReport(t, False, tuple(checks), (es[i], es[j]))
+    return VerifyReport(t, True, tuple(checks), None)
+
+
+def reference_c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
+    """c_plus_minus on QuadInt arithmetic, each canonical witness checked by squaring."""
+
+    def witness(p: QuadInt, q: QuadInt, name: str) -> QuadInt:
+        w = sqrt_exact(p * q - 1)
+        if w is None:
+            raise ValueError(f"{format_elem(p)}*{format_elem(q)} - 1 is not a square ({name} missing)")
+        assert w * w == p * q - 1 and w == canonical_sign(w)
+        return w
+
+    r, x, y = witness(a, b, "r"), witness(a, d, "x"), witness(b, d, "y")
+    e = a + b + d - 2 * (a * b * d)
+    f = 2 * (r * x * y)
+    cp, cm = e + f, e - f
+    if cp.norm() < cm.norm():
+        cp, cm = cm, cp
+    assert cp * cm == a * a + b * b + d * d - 2 * (a * b) - 2 * (a * d) - 2 * (b * d) + 4
+    return ExtensionPair(cp, cm, a, b, d, r, x, y)
+
+
 def random_elem(ring: RingParams, rng: Random, span: int) -> QuadInt:
     return QuadInt(ring, rng.randrange(-span, span + 1), rng.randrange(-span, span + 1))
 
@@ -127,6 +168,14 @@ def witness_triples(ring: RingParams, count: int, seed: int = 7) -> list[tuple[Q
                     emit(a2, b2, d2)
             break
     return out[:count]
+
+
+def fibonacci(n: int) -> list[int]:
+    """[F_0, ..., F_n]."""
+    f = [0, 1]
+    while len(f) <= n:
+        f.append(f[-1] + f[-2])
+    return f
 
 
 def chain_quadruples_zi(ring: RingParams, depth: int = 4) -> list[tuple[QuadInt, QuadInt, QuadInt, QuadInt]]:

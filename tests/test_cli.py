@@ -1,8 +1,21 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from diotuples.cli import main
+from helpers import fibonacci
+
+DATA = Path(__file__).parent / "data"
+
+
+def fib_quadruple_text(k: int) -> str:
+    """i*{F_2k, F_2k+2, F_2k+4, 4 F_2k+1 F_2k+2 F_2k+3}, a D(-1) quadruple in Z[i]."""
+    f = fibonacci(2 * k + 4)
+    vals = (f[2 * k], f[2 * k + 2], f[2 * k + 4], 4 * f[2 * k + 1] * f[2 * k + 2] * f[2 * k + 3])
+    return ",".join(f"0+{v}*w" for v in vals)
 
 
 class TestVerifyCommand:
@@ -28,6 +41,18 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert payload["tuple"]["D"] == 1
         assert len(payload["pairs"]) == 6
+
+    @pytest.mark.parametrize(
+        ("elems", "code", "recorded"),
+        [
+            (fib_quadruple_text(150), 0, "verify_fib150.json"),  # products of about 840 bits
+            ("1,2,5,145", 1, "verify_1_2_5_145.json"),  # 5*145 - 1 = 724 is not a square
+        ],
+    )
+    def test_json_matches_recorded_output(self, capsys, elems, code, recorded):
+        # recorded from the QuadInt-arithmetic implementation; must stay byte-identical
+        assert main(["verify", "--D", "1", "--n", "-1", "--elems", elems, "--json"]) == code
+        assert capsys.readouterr().out == (DATA / recorded).read_text()
 
     def test_half_ring_elements(self, capsys):
         code = main(

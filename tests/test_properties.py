@@ -1,10 +1,12 @@
-"""Property tests: the integer kernels (graph, extension scan, square root, division),
-the interval enclosures of the bounds and the exact gap-lemma verdicts."""
+"""Property tests: the integer kernels (graph, extension scan, verification, c+-,
+square root, division), the interval enclosures of the bounds and the exact
+gap-lemma verdicts."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
 import mpmath
 import pytest
@@ -29,9 +31,26 @@ from diotuples.quad_ring import (
     parse_elem,
     sqrt_exact,
 )
-from diotuples.search import build_graph, enum_elements
-from diotuples.tuples import PellWitness, build_pell_witness, extend_triple, pair_witness
-from helpers import canonical_sign, chain_quadruples_zi, reference_extend, witness_triples
+from diotuples.search import brute_force_tuples, build_graph, enum_elements
+from diotuples.tuples import (
+    PellWitness,
+    build_pell_witness,
+    c_plus_minus,
+    extend_triple,
+    make_tuple,
+    pair_witness,
+    verify_tuple,
+)
+from helpers import (
+    brute_root_table,
+    canonical_sign,
+    chain_quadruples_zi,
+    fibonacci,
+    reference_c_plus_minus,
+    reference_extend,
+    reference_verify_tuple,
+    witness_triples,
+)
 
 GRAPH_DS = [1, 2, 3, 5, 7, 11, 15]
 # both omega conventions, small and far fields
@@ -127,6 +146,85 @@ def test_extend_matches_object_scan(D, bound, data):
     triples = extend_cases(D)
     a, b, c = data.draw(st.permutations(data.draw(st.sampled_from(triples))))
     assert extend_triple(a, b, c, bound) == reference_extend(a, b, c, bound)
+
+
+@lru_cache(maxsize=None)
+def c_plus_minus_cases(D: int) -> list:
+    """witness_triples and the sub-triples of the c+- chain quadruples."""
+    ring = make_ring(D)
+    out = [t for q in chain_quadruples_zi(ring) for t in combinations(q, 3)]
+    return list(dict.fromkeys(out + witness_triples(ring, 24, seed=D)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(D=st.sampled_from(EXTEND_DS), data=st.data())
+def test_c_plus_minus_matches_object_arithmetic(D, data):
+    a, b, d = data.draw(st.permutations(data.draw(st.sampled_from(c_plus_minus_cases(D)))))
+    assert c_plus_minus(a, b, d) == reference_c_plus_minus(a, b, d)
+
+
+FIB = fibonacci(310)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 150), sign=st.sampled_from([1, -1]), data=st.data())
+def test_c_plus_minus_big_fibonacci_triples(k, sign, data):
+    # i*{F_2k, F_2k+2, F_2k+4} is a D(-1) triple in Z[i]; abd reaches about 630 bits
+    ring = make_ring(1)
+    a, b, d = data.draw(st.permutations([QuadInt(ring, 0, sign * FIB[2 * k + j]) for j in (0, 2, 4)]))
+    got = c_plus_minus(a, b, d)
+    assert got == reference_c_plus_minus(a, b, d)
+    fourth = QuadInt(ring, 0, sign * 4 * FIB[2 * k + 1] * FIB[2 * k + 2] * FIB[2 * k + 3])
+    assert (got.c_plus, got.c_minus) == (fourth, QuadInt(ring, 0, 0))
+
+
+VERIFY_COORD = 6  # element coordinates in verify_tuple's oracle test
+ROOT_BOUND = 200  # every a*b + n there has a root norm below this (checked in the test)
+
+
+@lru_cache(maxsize=None)
+def root_table(D: int) -> dict:
+    return brute_root_table(make_ring(D), ROOT_BOUND)
+
+
+@lru_cache(maxsize=None)
+def verify_triples(D: int, kind: str) -> list:
+    """D(n) triples of small norm, so that tuples grown from them fail late, or not at all."""
+    ring = make_ring(D)
+    return brute_force_tuples(enum_elements(ring, 20), 3, shift(ring, kind, 0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.sampled_from(EXTEND_DS),
+    kind=st.sampled_from(["-1", "1", "sqrt(-D)", "random"]),
+    nx=st.integers(-VERIFY_COORD, VERIFY_COORD),
+    ny=st.integers(-VERIFY_COORD, VERIFY_COORD),
+    data=st.data(),
+)
+def test_verify_tuple_matches_object_arithmetic(D, kind, nx, ny, data):
+    ring = make_ring(D)
+    n = shift(ring, kind, nx, ny)
+    base = []
+    triples = verify_triples(D, kind) if kind != "random" else []
+    if triples:
+        base = list(data.draw(st.sampled_from(triples)))
+    nonzero = elements(D, VERIFY_COORD).filter(lambda e: not e.is_zero())
+    extra = data.draw(st.lists(nonzero, min_size=0 if base else 2, max_size=3))
+    elems = list(dict.fromkeys(base + extra))
+    assume(len(elems) >= 2)
+    t = make_tuple(ring, n, elems)
+    rep = verify_tuple(t)
+    assert rep == reference_verify_tuple(t)
+    table = root_table(D)
+    for pc in rep.pairs:
+        target = pc.a * pc.b + n
+        if pc.witness is None:
+            assert isqrt(target.norm()) < ROOT_BOUND
+            assert (target.x, target.y) not in table
+        else:
+            assert pc.witness * pc.witness == target
+            assert pc.witness == canonical_sign(pc.witness)
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,8 +5,9 @@ from random import Random
 
 import pytest
 
-from diotuples.quad_ring import QuadInt, elem_from_json, format_elem, make_ring, sqrt_exact
+from diotuples.quad_ring import QuadInt, elem_from_json, format_elem, make_ring, parse_elem, sqrt_exact
 from diotuples.tuples import (
+    DioTuple,
     PellWitness,
     build_pell_witness,
     c_plus_minus,
@@ -21,6 +22,7 @@ from diotuples.tuples import (
 from helpers import reference_extend, witness_triples
 
 R1 = make_ring(1)
+R2 = make_ring(2)
 R3 = make_ring(3)
 M1 = QuadInt(R1, -1, 0)
 
@@ -69,6 +71,30 @@ class TestVerifyTuple:
         assert len(rep.pairs) == 2
         assert rep.pairs[-1].witness is None
 
+    @pytest.mark.parametrize(
+        ("D", "n", "elems", "witnesses", "failing"),
+        [
+            # recorded from the QuadInt-arithmetic implementation; n = sqrt(-D) is not real
+            (3, "-1+2*w", ["-1", "0+1*w", "-1-1*w", "-1+3*w"],
+             ["0+1*w", "1+1*w", "1-1*w", "0", "0+2*w", "2-1*w"], None),
+            (3, "-1+2*w", ["-1", "0+1*w", "-1-1*w", "-2+2*w"],
+             ["0+1*w", "1+1*w", "1", "0", None], ["0+1*w", "-2+2*w"]),
+            (3, "-1+2*w", ["-1", "0+1*w", "-1+3*w", "3-2*w"],
+             ["0+1*w", "1-1*w", "0+2*w", "0+2*w", None], ["0+1*w", "3-2*w"]),
+            (7, "-1+2*w", ["-1", "0-1*w", "1+1*w", "0+3*w"],
+             ["1+1*w", "0+1*w", "1-1*w", "1", None], ["0-1*w", "0+3*w"]),
+            (1, "-1", ["1", "2", "5", "10"], ["1", "2", "3", "3", None], ["2", "10"]),
+        ],
+    )
+    def test_recorded_reports(self, D, n, elems, witnesses, failing):
+        ring = make_ring(D)
+        t = make_tuple(ring, parse_elem(n, ring), [parse_elem(e, ring) for e in elems])
+        assert [format_elem(e) for e in t.elems] == elems
+        rep = verify_tuple(t)
+        assert [None if p.witness is None else format_elem(p.witness) for p in rep.pairs] == witnesses
+        assert rep.ok is (failing is None)
+        assert rep.failing_pair == (None if failing is None else tuple(parse_elem(e, ring) for e in failing))
+
     def test_structural_rejection(self):
         with pytest.raises(ValueError):
             make_tuple(R1, M1, [q1(1), q1(1), q1(2)])
@@ -116,6 +142,11 @@ class TestPellWitness:
     def test_missing_square_named(self):
         with pytest.raises(ValueError, match="not a square"):
             build_pell_witness(q1(1), q1(2), q1(5), q1(7))
+
+    def test_missing_x_message(self):
+        with pytest.raises(ValueError) as exc:
+            build_pell_witness(q1(1), q1(2), q1(5), q1(3))
+        assert str(exc.value) == "1*3 - 1 is not a square (x missing)"
 
     def test_residual_totality_and_perturbation(self):
         w = build_pell_witness(q1(1), q1(2), q1(5), q1(-24))
@@ -205,6 +236,45 @@ class TestCPlusMinus:
     def test_missing_witness(self):
         with pytest.raises(ValueError):
             c_plus_minus(q1(1), q1(3), q1(2))
+
+    def test_missing_square_messages(self):
+        # ab - 1 = 1 is a square, ad - 1 = 2 is not (2 = -i(1 + i)^2 in Z[i])
+        with pytest.raises(ValueError) as exc:
+            c_plus_minus(q1(1), q1(2), q1(3))
+        assert str(exc.value) == "1*3 - 1 is not a square (x missing)"
+        with pytest.raises(ValueError) as exc:
+            c_plus_minus(q1(1), q1(3), q1(2))
+        assert str(exc.value) == "1*3 - 1 is not a square (r missing)"
+
+
+MIXED = "mixed rings: RingParams(D=1, omega=sqrt) vs RingParams(D=2, omega=sqrt)"
+
+
+class TestMixedRings:
+    def test_c_plus_minus(self):
+        for a, b, d in ((q1(1), QuadInt(R2, 2, 0), q1(5)), (q1(1), q1(2), QuadInt(R2, 5, 0))):
+            with pytest.raises(ValueError) as exc:
+                c_plus_minus(a, b, d)
+            assert str(exc.value) == MIXED
+
+    def test_first_missing_square_wins(self):
+        # the pairs are taken in order: r = sqrt(1*3 - 1) is missing before d is looked at
+        with pytest.raises(ValueError) as exc:
+            c_plus_minus(q1(1), q1(3), QuadInt(R2, 2, 0))
+        assert str(exc.value) == "1*3 - 1 is not a square (r missing)"
+
+    def test_pell_witness_and_is_regular(self):
+        with pytest.raises(ValueError) as exc:
+            build_pell_witness(q1(1), q1(2), q1(5), QuadInt(R2, -24, 0))
+        assert str(exc.value) == MIXED
+        with pytest.raises(ValueError) as exc:
+            is_regular(q1(1), QuadInt(R2, 2, 0), q1(5))
+        assert str(exc.value) == MIXED
+
+    def test_verify_tuple(self):
+        with pytest.raises(ValueError) as exc:
+            verify_tuple(DioTuple(R1, M1, (q1(1), QuadInt(R2, 2, 0))))
+        assert str(exc.value) == MIXED
 
 
 class TestTupleOrbit:
