@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .quad_ring import (  # noqa: F401
-    OmegaMode,
     ParityError,
     QuadInt,
     RingParams,

@@ -109,7 +109,10 @@ def _cmd_verify(args) -> int:
 def _parse_d_selection(args) -> list[int]:
     if args.d_range:
         lo, _, hi = args.d_range.partition("..")
-        lo, hi = int(lo), int(hi)
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise ValueError(f"--D-range must have the form a..b (integers), got {args.d_range!r}") from None
         if not lo <= hi:
             raise ValueError(f"empty D range {args.d_range}")
         return [D for D in range(max(lo, 1), hi + 1) if is_squarefree(D)]

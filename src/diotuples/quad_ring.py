@@ -7,6 +7,11 @@ arithmetic runs through half-coordinates (u, v) with
 alpha = (u + v*sqrt(-D))/2, which gives a single multiplication kernel
 for both omega conventions and keeps every magnitude comparison on
 exact integer norms (no floating point anywhere in this module).
+
+Integrality rule (Cohen, A Course in Computational Algebraic Number Theory,
+sec. 5.1): (u + v*sqrt(-D))/2 with integers u, v lies in O_K exactly when its
+norm (u**2 + D*v**2)/4 is an integer.  The integer kernels use this rule alone;
+the omega convention matters only for basis coordinates.
 """
 
 from __future__ import annotations
@@ -172,11 +177,8 @@ def _from_half_unchecked(ring: RingParams, u: int, v: int) -> QuadInt:
 
 def from_half(ring: RingParams, u: int, v: int) -> QuadInt:
     """Build (u + v*sqrt(-D))/2, rejecting coordinates outside O_K."""
-    if ring.omega_mode is OmegaMode.SQRT:
-        if u % 2 or v % 2:
-            raise ParityError(f"({u}+{v}*sqrt(-{ring.D}))/2 is not in O_K (u, v must be even)")
-    elif (u - v) % 2:
-        raise ParityError(f"({u}+{v}*sqrt(-{ring.D}))/2 is not in O_K (u, v must share parity)")
+    if (u * u + ring.D * v * v) % 4:
+        raise ParityError(f"({u}+{v}*sqrt(-{ring.D}))/2 is not in O_K (its norm is not an integer)")
     return _from_half_unchecked(ring, u, v)
 
 
@@ -214,14 +216,16 @@ def units(ring: RingParams) -> list[QuadInt]:
 _SQUARE_MOD64 = bytes(1 if any(k * k % 64 == r for k in range(32)) else 0 for r in range(64))
 
 
-def _sqrt_half(D: int, mode: OmegaMode, U: int, V: int) -> tuple[int, int] | None:
+def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
     """Canonical square root of alpha = (U + V*sqrt(-D))/2 in O_K, on integers.
 
     Returns the half-coordinates (u, v) of the root beta = (u + v*sqrt(-D))/2
     with u > 0, or u = 0 and v >= 0; None if alpha is not a square.  The
     candidate is reconstructed from the norm: 4*norm(alpha) = U**2 + D*V**2
     must be a perfect square r**2 (so r = 2*norm(beta)), then u**2 = U + r and
-    u*v = V.  (U, V) must be the half-coordinates of an element of O_K.
+    u*v = V.  (U, V) must be the half-coordinates of an element of O_K, so r is
+    even and the candidate has u**2 + D*v**2 = 2*r = 0 (mod 4): it lies in O_K
+    by the integrality rule, with no parity test.
     """
     n4 = U * U + D * V * V
     if not _SQUARE_MOD64[n4 & 63]:
@@ -244,8 +248,6 @@ def _sqrt_half(D: int, mode: OmegaMode, U: int, V: int) -> tuple[int, int] | Non
         if V % u:
             return None
         v = V // u
-    if (u % 2 or v % 2) if mode is OmegaMode.SQRT else (u - v) % 2:
-        return None
     # beta**2 = ((u**2 - D*v**2)/2 + u*v*sqrt(-D))/2 must be alpha
     if u * u - D * v * v != 2 * U or u * v != V:
         return None
@@ -259,11 +261,11 @@ def sqrt_exact(alpha: QuadInt) -> QuadInt | None:
     u = 0 and v >= 0 in half-coordinates) is returned.  See _sqrt_half.
     """
     ring = alpha.ring
-    root = _sqrt_half(ring.D, ring.omega_mode, *alpha.half_coords())
+    root = _sqrt_half(ring.D, *alpha.half_coords())
     return None if root is None else _from_half_unchecked(ring, *root)
 
 
-def _div_half(D: int, mode: OmegaMode, U1: int, V1: int, U2: int, V2: int) -> tuple[int, int] | None:
+def _div_half(D: int, U1: int, V1: int, U2: int, V2: int) -> tuple[int, int] | None:
     """Half-coordinates of (U1 + V1*sqrt(-D)) / (U2 + V2*sqrt(-D)) in O_K, on integers.
 
     Returns the (u, v) of the quotient, or None if it does not lie in O_K.
@@ -277,7 +279,7 @@ def _div_half(D: int, mode: OmegaMode, U1: int, V1: int, U2: int, V2: int) -> tu
     if p % m or q % m:
         return None
     u, v = p // m, q // m
-    if (u % 2 or v % 2) if mode is OmegaMode.SQRT else (u - v) % 2:
+    if (u * u + D * v * v) % 4:
         return None
     return u, v
 
@@ -289,7 +291,7 @@ def exact_div(num: QuadInt, den: QuadInt) -> QuadInt | None:
     if den.is_zero():
         raise ZeroDivisionError("division by zero element")
     ring = num.ring
-    q = _div_half(ring.D, ring.omega_mode, *num.half_coords(), *den.half_coords())
+    q = _div_half(ring.D, *num.half_coords(), *den.half_coords())
     return None if q is None else _from_half_unchecked(ring, *q)
 
 
@@ -326,28 +328,23 @@ def elem_from_json(d: dict[str, str], ring: RingParams) -> QuadInt:
     return QuadInt(ring, int(d["x"]), int(d["y"]))
 
 
-def _iter_half(D: int, mode: OmegaMode, max_norm: int):
-    """Half-coordinates (u, v) of every nonzero element of norm <= max_norm.
+def _iter_half(D: int, max_norm: int):
+    """Half-coordinates (u, v) of one element of each pair {z, -z} of norm <= max_norm.
 
-    Row by row in ascending v, each row in ascending u: 4*norm = u**2 + D*v**2,
-    and (u, v) describes an element of O_K when both are even (SQRT) or
-    share their parity (HALF).
+    Yields the z with u > 0, or u = 0 and v > 0 (the half-plane of _sqrt_half's
+    roots), in rows of ascending u.  By the integrality rule (u, v) lies in O_K
+    exactly when v = u (mod 2) and, unless D = 3 (mod 4), u is even.
     """
     four_n = 4 * max_norm
-    vmax = isqrt(four_n // D)
-    vstep = 1
-    if mode is OmegaMode.SQRT:
-        vmax -= vmax % 2
-        vstep = 2
-    for v in range(-vmax, vmax + 1, vstep):
-        umax = isqrt(four_n - D * v * v)
-        u0 = -umax if (umax + v) % 2 == 0 else 1 - umax
-        for u in range(u0, umax + 1, 2):
-            if u or v:
-                yield u, v
+    ustep = 1 if D % 4 == 3 else 2
+    for u in range(0, isqrt(four_n) + 1, ustep):
+        vmax = isqrt((four_n - u * u) // D)
+        for v in range(2 if u == 0 else (vmax - u) % 2 - vmax, vmax + 1, 2):
+            yield u, v
 
 
 def iter_elements(ring: RingParams, max_norm: int):
     """Yield every nonzero element of norm <= max_norm (unspecified order)."""
-    for u, v in _iter_half(ring.D, ring.omega_mode, max_norm):
+    for u, v in _iter_half(ring.D, max_norm):
         yield _from_half_unchecked(ring, u, v)
+        yield _from_half_unchecked(ring, -u, -v)

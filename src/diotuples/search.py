@@ -149,7 +149,7 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     if len(vs) < 2:
         return CompatGraph(ring, n, vs, adj)
 
-    D, mode = ring.D, ring.omega_mode
+    D = ring.D
     Un, Vn = n.half_coords()
     index: dict[tuple[int, int], int] = {}
     by_norm: dict[int, list[tuple[int, int, int]]] = {}  # norm -> [(u, v, index)]
@@ -160,10 +160,8 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     top = vs[-1].norm() * vs[-2].norm()  # N1 * N2: vs is sorted by norm first
     primes = _primes_upto(isqrt(top))
     xmax = isqrt(top) + isqrt(n.norm()) + 1
-    # x and -x give the same w, so keep one of each pair, and x = 0 (a witness when a*b = -n)
-    xs = [(p, q) for p, q in _iter_half(D, mode, xmax) if p > 0 or (p == 0 and q > 0)]
-    xs.append((0, 0))
-    for p, q in xs:
+    # x and -x give the same w: _iter_half yields one of each pair; x = 0 is a witness when a*b = -n
+    for p, q in [(0, 0), *_iter_half(D, xmax)]:
         # w = x**2 - n = (WU + WV*s)/2
         WU = ((p * p - D * q * q) >> 1) - Un
         WV = p * q - Vn
@@ -174,7 +172,7 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
             if m * m > M or m not in by_norm or M // m not in by_norm:
                 continue
             for u, v, i in by_norm[m]:
-                b = _div_half(D, mode, WU, WV, u, v)
+                b = _div_half(D, WU, WV, u, v)
                 if b is not None:
                     j = index.get(b)
                     if j is not None and j != i:
@@ -233,7 +231,7 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
         raise ValueError("elements must live in the ring of n")
     cnt = len(vs)
     out: list[tuple[QuadInt, ...]] = []
-    D, mode = n.ring.D, n.ring.omega_mode
+    D = n.ring.D
     Un, Vn = n.half_coords()
     coords = [e.half_coords() for e in vs]
 
@@ -242,7 +240,7 @@ def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]
         # a*b + n = (Un + P + (Vn + Q)*s)/2
         P = (u1 * u2 - D * v1 * v2) >> 1
         Q = (u1 * v2 + v1 * u2) >> 1
-        return _sqrt_half(D, mode, Un + P, Vn + Q) is not None
+        return _sqrt_half(D, Un + P, Vn + Q) is not None
 
     def rec(chosen: list[int], cands: list[int]) -> None:
         # cands: the indices after chosen[-1] compatible with every chosen index
@@ -446,6 +444,8 @@ def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
         return {}
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, dict) or not isinstance(data.get("completed", {}), dict):
+        raise ValueError(f"checkpoint {path}: expected a JSON object with an object 'completed'")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported schema {data.get('schema')}")
     if data.get("config_hash") != config_hash:

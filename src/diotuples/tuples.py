@@ -132,14 +132,14 @@ def verify_tuple(t: DioTuple) -> VerifyReport:
     half-coordinates; a QuadInt is built only for a witness.
     """
     ring = t.ring
-    D, mode = ring.D, ring.omega_mode
+    D = ring.D
     es = t.elems
     (Un, Vn), *hs = _halves(ring, t.n, *es)
     checks: list[PairCheck] = []
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
             P, Q = _mul_half(D, hs[i], hs[j])
-            root = _sqrt_half(D, mode, P + Un, Q + Vn)
+            root = _sqrt_half(D, P + Un, Q + Vn)
             w = None if root is None else _from_half_unchecked(ring, *root)
             checks.append(PairCheck(es[i], es[j], w))
             if w is None:
@@ -160,7 +160,7 @@ def _witnesses(**pairs: tuple[QuadInt, QuadInt]) -> dict[str, tuple[int, int]]:
     for name, (p, q) in pairs.items():
         ring = p.ring
         P, Q = _mul_half(ring.D, *_halves(ring, p, q))
-        root = _sqrt_half(ring.D, ring.omega_mode, P - 2, Q)  # p*q - 1, with 1 = (2 + 0*s)/2
+        root = _sqrt_half(ring.D, P - 2, Q)  # p*q - 1, with 1 = (2 + 0*s)/2
         if root is None:
             raise ValueError(f"{format_elem(p)}*{format_elem(q)} - 1 is not a square ({name} missing)")
         out[name] = root
@@ -238,22 +238,20 @@ def extend_triple(
     if not verify_tuple(triple).ok:
         raise ValueError("{a, b, c} is not a D(-1) triple")
 
-    D, mode = ring.D, ring.omega_mode
+    D = ring.D
     ha, hb, (cu, cv) = a.half_coords(), b.half_coords(), c.half_coords()
     excluded = {(0, 0), ha, hb, (cu, cv)}
     survivors = []
-    for u, v in _iter_half(D, mode, z_norm_bound):
-        if u < 0 or (u == 0 and v < 0):  # one z of each pair {z, -z}
-            continue
+    for u, v in _iter_half(D, z_norm_bound):  # one z of each pair {z, -z}
         # z^2 + 1, with 1 = (2 + 0*sqrt(-D))/2
-        d = _div_half(D, mode, (u * u - D * v * v) // 2 + 2, u * v, cu, cv)
+        d = _div_half(D, (u * u - D * v * v) // 2 + 2, u * v, cu, cv)
         if d is None or d in excluded:
             continue
         P, Q = _mul_half(D, ha, d)  # ad - 1 = (P - 2 + Q*s)/2
-        if _sqrt_half(D, mode, P - 2, Q) is None:
+        if _sqrt_half(D, P - 2, Q) is None:
             continue
         P, Q = _mul_half(D, hb, d)
-        if _sqrt_half(D, mode, P - 2, Q) is None:
+        if _sqrt_half(D, P - 2, Q) is None:
             continue
         z = _from_half_unchecked(ring, u, v)
         survivors.append((min(elem_key(z), elem_key(-z)), _from_half_unchecked(ring, *d)))
@@ -279,7 +277,7 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
     """Compute c_+-; |c_+| >= |c_-|, and c_+ * c_- equals the exact symmetric form.
 
     Flipping the sign of any witness only swaps c_+ and c_-, so the canonical
-    witnesses from sqrt_exact lose no generality.  Everything up to the
+    witnesses from _sqrt_half lose no generality.  Everything up to the
     returned ExtensionPair runs on half-coordinates with _mul_half.
     """
     w = _witnesses(r=(a, b), x=(a, d), y=(b, d))

@@ -85,6 +85,26 @@ class TestSearchCommand:
     def test_range_filters_squarefree(self, capsys):
         assert main(["search", "--D-range", "8..9", "--max-norm", "5", "--k", "3"]) == 2
 
+    @pytest.mark.parametrize("bad", ["5", "..5", "1..", "a..b", "1..2..3", "1-5"])
+    def test_malformed_range(self, bad, capsys):
+        assert main(["search", "--D-range", bad, "--max-norm", "5", "--k", "3"]) == 2
+        assert "a..b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", ["list", "completed-list"])
+    def test_malformed_checkpoint(self, shape, tmp_path, capsys):
+        ck = tmp_path / "ck.json"
+        args = ["search", "--D-list", "1", "--max-norm", "10", "--k", "3", "--checkpoint", str(ck)]
+        assert main(args) == 1
+        saved = json.loads(ck.read_text())
+        if shape == "list":
+            saved = [1, 2]
+        else:
+            saved["completed"] = [1]  # schema and config hash still match
+        ck.write_text(json.dumps(saved))
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 2
+        assert str(ck) in capsys.readouterr().err
+
     def test_csv_export(self, tmp_path):
         csv_path = str(tmp_path / "cliques.csv")
         code = main(

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diotuples.quad_ring import (
     OmegaMode,
     ParityError,
     QuadInt,
+    _iter_half,
     cmp_abs,
     elem_from_json,
     elem_to_json,
     exact_div,
     format_elem,
+    from_half,
     is_perfect_square,
     is_squarefree,
+    iter_elements,
     make_ring,
     norm,
     parse_elem,
@@ -207,6 +213,49 @@ class TestExactDiv:
         assert exact_div(q3(0, 2), q3(2)) == q3(0, 1)  # (2*omega)/2
         assert exact_div(q3(2), q3(2)) == q3(1)
         assert exact_div(q3(1), q3(2)) is None
+
+
+ENUM_DS = [1, 2, 3, 5, 7, 11, 163]
+
+
+class TestEnumeration:
+    @settings(max_examples=80, deadline=None)
+    @given(D=st.sampled_from(ENUM_DS), max_norm=st.integers(0, 400))
+    @example(D=1, max_norm=0)
+    @example(D=3, max_norm=0)
+    @example(D=1, max_norm=1)
+    @example(D=3, max_norm=1)
+    @example(D=163, max_norm=1)
+    def test_iter_elements_yields_the_ball_once(self, D, max_norm):
+        ring = make_ring(D)
+        counts = Counter(iter_elements(ring, max_norm))
+        assert max(counts.values(), default=1) == 1
+        assert set(counts) == set(box_elements(ring, max_norm))
+
+    @pytest.mark.parametrize("D", ENUM_DS)
+    @pytest.mark.parametrize("max_norm", [0, 1, 2, 3, 4, 41, 300])
+    def test_iter_half_yields_one_of_each_sign_pair(self, D, max_norm):
+        ring = make_ring(D)
+        got = list(_iter_half(D, max_norm))
+        assert all(u > 0 or (u == 0 and v > 0) for u, v in got)
+        pairs = {frozenset({(u, v), (-u, -v)}) for u, v in got}
+        want = {frozenset({a.half_coords(), (-a).half_coords()}) for a in box_elements(ring, max_norm)}
+        assert len(pairs) == len(got) and pairs == want
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 6, 7, 11, 15, 163])
+    def test_from_half_parity_rule(self, D):
+        ring = make_ring(D)
+        for u in range(-5, 6):
+            for v in range(-5, 6):
+                if ring.omega_mode is OmegaMode.SQRT:
+                    integral = u % 2 == 0 and v % 2 == 0
+                else:
+                    integral = (u - v) % 2 == 0
+                if integral:
+                    assert from_half(ring, u, v).half_coords() == (u, v)
+                else:
+                    with pytest.raises(ParityError):
+                        from_half(ring, u, v)
 
 
 class TestParseFormat:
