@@ -336,14 +336,14 @@ class ThetaCheck:
     sign of each theta chosen to minimize its defect.  middle2 is the a<->b
     symmetric image of middle1, |t||b-c|/(|b|sqrt|bc|)/|z|^2.
 
-    theta1, theta2 and identity_rel_diff are direct complex evaluations at the
-    working precision, without an error bound: they are for display, and no
-    verdict is read from them.  The PrecReal fields are rigorous enclosures.
+    identity_rel_diff is the exact check of the identity
+    |theta1^2 - (sx/az)^2| = |s^2/a^2| * |c-a| / (|c| |z|^2), which holds
+    iff norm(s)*norm(a*z^2 - c*x^2) = norm(s)*norm(c - a): the relative gap of
+    those two integers, 0.0 for a genuine witness.  The PrecReal fields are
+    rigorous enclosures.
     """
 
     witness: PellWitness
-    theta1: mpmath.mpc
-    theta2: mpmath.mpc
     defect1: PrecReal
     defect2: PrecReal
     middle1: PrecReal
@@ -353,13 +353,6 @@ class ThetaCheck:
     hypotheses: HypothesisReport
     z_unit_flag: bool
     precision_bits: int
-
-
-def _to_mpc(alpha: QuadInt, bits: int) -> mpmath.mpc:
-    u, v = alpha.half_coords()
-    with mpmath.workprec(bits):
-        rt = mpmath.sqrt(mpmath.mpf(alpha.ring.D))
-        return mpmath.mpc(mpmath.mpf(u) / 2, mpmath.mpf(v) * rt / 2)
 
 
 def _defect(ns: int, na: int, nc: int, nx: int, nz: int, n_res: int) -> iv.mpf:
@@ -384,8 +377,8 @@ def _defect(ns: int, na: int, nc: int, nx: int, nz: int, n_res: int) -> iv.mpf:
 def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -> ThetaCheck:
     """Defects, middle bounds and the shared outer bound 21|c|/(16|a||z|^2).
 
-    Also cross-checks the exact algebraic identity
-    |theta1^2 - (sx/az)^2| = |s^2/a^2| * |c-a| / (|c| |z|^2) at working precision.
+    Also checks the algebraic identity
+    |theta1^2 - (sx/az)^2| = |s^2/a^2| * |c-a| / (|c| |z|^2) exactly, on norms.
     """
     a, b, c, z = w.a, w.b, w.c, w.z
     if a.is_zero() or b.is_zero() or c.is_zero() or z.is_zero():
@@ -393,30 +386,11 @@ def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -
     bits = precision_bits
     na, nb, nc, nz = norm(a), norm(b), norm(c), norm(z)
     ns, nt = norm(w.s), norm(w.t)
-
-    with mpmath.workprec(bits):
-        ac, bc_, cc = _to_mpc(a, bits), _to_mpc(b, bits), _to_mpc(c, bits)
-        sc, tc = _to_mpc(w.s, bits), _to_mpc(w.t, bits)
-        xc, yc, zc = _to_mpc(w.x, bits), _to_mpc(w.y, bits), _to_mpc(z, bits)
-
-        theta1 = sc / ac * mpmath.sqrt(ac / cc)
-        approx1 = sc * xc / (ac * zc)
-        if abs(-theta1 - approx1) < abs(theta1 - approx1):
-            theta1 = -theta1
-        theta2 = tc / bc_ * mpmath.sqrt(bc_ / cc)
-        approx2 = tc * yc / (bc_ * zc)
-        if abs(-theta2 - approx2) < abs(theta2 - approx2):
-            theta2 = -theta2
-
-        # identity check: theta1^2 - (sx/az)^2 = (s^2/a^2)(c-a)/(c z^2) exactly
-        lhs_id = abs(theta1 * theta1 - approx1 * approx1)
-        rhs_id = abs(sc * sc / (ac * ac)) * abs(cc - ac) / (abs(cc) * abs(zc) ** 2)
-        scale = max(lhs_id, rhs_id)
-        identity_rel_diff = float(abs(lhs_id - rhs_id) / scale) if scale > 0 else 0.0
+    n_res1 = norm(a * z * z - c * w.x * w.x)
 
     # |z|^2 = norm(z) exactly; all other magnitudes are square roots of exact norms
     with _iv_precision(bits):
-        defect1 = _defect(ns, na, nc, norm(w.x), nz, norm(a * z * z - c * w.x * w.x))
+        defect1 = _defect(ns, na, nc, norm(w.x), nz, n_res1)
         defect2 = _defect(nt, nb, nc, norm(w.y), nz, norm(b * z * z - c * w.y * w.y))
         middle1 = iv.sqrt(ns * norm(a - c)) / (iv.sqrt(na) * iv.sqrt(iv.sqrt(na * nc)) * nz)
         middle2_sym = iv.sqrt(nt * norm(b - c)) / (iv.sqrt(nb) * iv.sqrt(iv.sqrt(nb * nc)) * nz)
@@ -431,14 +405,12 @@ def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -
     )
     return ThetaCheck(
         witness=w,
-        theta1=theta1,
-        theta2=theta2,
         defect1=PrecReal(defect1, bits),
         defect2=PrecReal(defect2, bits),
         middle1=PrecReal(middle1, bits),
         middle2_symmetric=PrecReal(middle2_sym, bits),
         outer=PrecReal(outer, bits),
-        identity_rel_diff=identity_rel_diff,
+        identity_rel_diff=_margin(ns * n_res1, ns * norm(c - a)),
         hypotheses=hyp,
         z_unit_flag=nz <= 1,
         precision_bits=bits,

@@ -116,7 +116,10 @@ def _parse_d_selection(args) -> list[int]:
         if not lo <= hi:
             raise ValueError(f"empty D range {args.d_range}")
         return [D for D in range(max(lo, 1), hi + 1) if is_squarefree(D)]
-    return [int(t) for t in args.d_list.split(",")]  # SearchConfig.validate rejects a bad D
+    try:
+        return [int(t) for t in args.d_list.split(",")]  # SearchConfig.validate rejects a bad D
+    except ValueError:
+        raise ValueError(f"--D-list must be comma-separated integers, got {args.d_list!r}") from None
 
 
 def _print_progress(res: dict) -> None:

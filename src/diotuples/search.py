@@ -2,13 +2,13 @@
 
 Tuples of size k are exactly the k-cliques of the compatibility graph whose
 vertices are the nonzero elements within a norm bound and whose edges join
-pairs {a, b} with a*b + n a square.  build_graph finds the edges by divisor
-enumeration: for each candidate witness x it factors norm(x**2 - n) and
-divides x**2 - n by the vertices whose norm is a divisor, so its cost follows
-the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2 the two largest
-vertex norms), not the number of vertex pairs.  A campaign runs one field per
-work unit, persists a compact, fsync'd JSON checkpoint after each field and
-is resumable.
+pairs {a, b} with a*b + n a square.  build_graph finds the edges from the
+witnesses: for each candidate x it divides x**2 - n by the vertices whose norm
+lies in a window of the sorted vertex norms and divides M = norm(x**2 - n), so
+its cost follows the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2
+the two largest vertex norms), not the number of vertex pairs.  A campaign
+runs one field per work unit, persists a compact, fsync'd JSON checkpoint
+after each field and is resumable.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import hashlib
 import json
 import os
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from math import isqrt
 
 from . import __version__
@@ -89,52 +90,23 @@ class CompatGraph:
         return out
 
 
-def _primes_upto(limit: int) -> list[int]:
-    """Primes p <= limit, by a bytearray sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [p for p in range(2, limit + 1) if sieve[p]]
-
-
-def _divisors(M: int, primes: list[int]) -> list[int]:
-    """All divisors of M >= 1, by trial division over primes (which must reach isqrt(M))."""
-    divs = [1]
-    for p in primes:
-        if p * p > M:
-            break
-        if M % p == 0:
-            e = 0
-            while M % p == 0:
-                M //= p
-                e += 1
-            pk = [p**i for i in range(1, e + 1)]
-            divs += [d * q for d in divs for q in pk]
-    if M > 1:
-        divs += [d * M for d in divs]
-    return divs
-
-
 def build_graph(elements, n: QuadInt) -> CompatGraph:
     """Edge {a, b} iff a*b + n is a square in O_K; enumerates witnesses x, not pairs.
 
     If a*b + n = x**2 then |x|**2 <= |a||b| + |n|, so norm(x) is at most
     isqrt(N1*N2) + isqrt(norm(n)) + 1 with N1 >= N2 the two largest vertex norms.
     For each such x up to sign (x = 0 included), w = x**2 - n must be a product
-    a*b of vertices: norm(a) = m divides M = norm(w), with m*m <= M and m and
-    M/m both vertex norms.  M is factored by trial division over sieved primes;
-    for each such divisor m, every vertex a of norm m is tested for a | w by an
+    a*b of vertices.  Taking norm(a) = m <= norm(b), m divides M = norm(w),
+    m*m <= M, and M/m is a vertex norm, so M/N1 <= m: the candidate m form a
+    window of the sorted vertex norms, and each is kept when m | M and M/m is
+    a vertex norm.  Every vertex a of such a norm m is tested for a | w by an
     exact division on half-coordinates (quad_ring's integer core), and {a, b}
     is an edge when b = w/a is another vertex.  Vertex lists that are not a
     norm ball work alike, because b is looked up by membership.
 
     Cost follows the number of x, about isqrt(N1*N2) + isqrt(norm(n)) elements
-    times the trial division of each M, not the number of vertices: a sparse
-    list with one element of high norm costs about as much as the full ball.
+    times the width of each norm window, not the number of vertex pairs: a
+    sparse list with one element of high norm scans as many x as the full ball.
     """
     vs = sorted(elements, key=elem_key)
     ring = n.ring
@@ -157,8 +129,9 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
         u, v = c = e.half_coords()
         index[c] = i
         by_norm.setdefault((u * u + D * v * v) // 4, []).append((u, v, i))
-    top = vs[-1].norm() * vs[-2].norm()  # N1 * N2: vs is sorted by norm first
-    primes = _primes_upto(isqrt(top))
+    norms = sorted(by_norm)
+    N1 = norms[-1]
+    top = N1 * vs[-2].norm()  # N1 * N2: vs is sorted by norm first
     xmax = isqrt(top) + isqrt(n.norm()) + 1
     # x and -x give the same w: _iter_half yields one of each pair; x = 0 is a witness when a*b = -n
     for p, q in [(0, 0), *_iter_half(D, xmax)]:
@@ -168,8 +141,9 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
         M = (WU * WU + D * WV * WV) >> 2
         if M == 0 or M > top:
             continue
-        for m in _divisors(M, primes):
-            if m * m > M or m not in by_norm or M // m not in by_norm:
+        # m = norm(a) in the window ceil(M/N1) <= m <= isqrt(M)
+        for m in norms[bisect_left(norms, -(-M // N1)) : bisect_right(norms, isqrt(M))]:
+            if M % m or M // m not in by_norm:
                 continue
             for u, v, i in by_norm[m]:
                 b = _div_half(D, WU, WV, u, v)
@@ -439,6 +413,9 @@ def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
     os.replace(tmp, path)
 
 
+_FIELD_KEYS = {f.name for f in fields(FieldResult)}
+
+
 def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
     if not path or not os.path.exists(path):
         return {}
@@ -450,7 +427,13 @@ def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
         raise ValueError(f"checkpoint {path}: unsupported schema {data.get('schema')}")
     if data.get("config_hash") != config_hash:
         raise ValueError(f"checkpoint {path} was written by a different configuration")
-    return {int(D): res for D, res in data.get("completed", {}).items()}
+    completed = data.get("completed", {})
+    for key, res in completed.items():
+        # each entry is a FieldResult's JSON, stored under the text of its own D
+        well_formed = isinstance(res, dict) and res.keys() == _FIELD_KEYS
+        if not (well_formed and isinstance(res["D"], int) and key == str(res["D"])):
+            raise ValueError(f"checkpoint {path}: malformed 'completed' entry {key!r}")
+    return {res["D"]: res for res in completed.values()}
 
 
 def _save_checkpoint(cfg: SearchConfig, config_hash: str, completed: dict[int, dict]) -> None:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from diotuples import search
 from diotuples.cli import main
 from helpers import fibonacci
 
@@ -90,20 +91,43 @@ class TestSearchCommand:
         assert main(["search", "--D-range", bad, "--max-norm", "5", "--k", "3"]) == 2
         assert "a..b" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("shape", ["list", "completed-list"])
-    def test_malformed_checkpoint(self, shape, tmp_path, capsys):
+    @pytest.mark.parametrize("bad", ["1,,2", "1,x", "x", "1,2,"])
+    def test_malformed_list(self, bad, capsys):
+        assert main(["search", "--D-list", bad, "--max-norm", "5", "--k", "3"]) == 2
+        assert "comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["list", "completed-list", "entry-list", "missing-key", "extra-key", "non-integer-key", "D-mismatch"],
+    )
+    def test_malformed_checkpoint(self, shape, tmp_path, capsys, monkeypatch):
         ck = tmp_path / "ck.json"
-        args = ["search", "--D-list", "1", "--max-norm", "10", "--k", "3", "--checkpoint", str(ck)]
+        args = ["search", "--D-list", "1,2", "--max-norm", "10", "--k", "3", "--checkpoint", str(ck)]
         assert main(args) == 1
         saved = json.loads(ck.read_text())
+        entry = saved["completed"].pop("1")  # schema and config hash still match; D=2 stays done
         if shape == "list":
             saved = [1, 2]
+        elif shape == "completed-list":
+            saved["completed"] = [1]
+        elif shape == "entry-list":
+            saved["completed"]["1"] = [1]
+        elif shape == "missing-key":
+            del entry["wall_time"]
+            saved["completed"]["1"] = entry
+        elif shape == "extra-key":
+            saved["completed"]["1"] = {**entry, "note": 0}
+        elif shape == "non-integer-key":
+            saved["completed"]["one"] = entry
         else:
-            saved["completed"] = [1]  # schema and config hash still match
+            saved["completed"]["1"] = {**entry, "D": 2}
         ck.write_text(json.dumps(saved))
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
         capsys.readouterr()
         assert main(args + ["--resume"]) == 2
         assert str(ck) in capsys.readouterr().err
+        assert ran == []  # rejected before any field ran
 
     def test_csv_export(self, tmp_path):
         csv_path = str(tmp_path / "cliques.csv")

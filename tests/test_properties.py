@@ -442,6 +442,15 @@ def test_theta_defects_enclose_reference(data, signs, dz):
     assert tc.defect2.max_rel_error < 2.0**-64
 
 
+def test_theta_identity_is_exact():
+    # a genuine witness has a*z^2 - c*x^2 = c - a, so the two integer norms tie exactly
+    for w in chain_witnesses():
+        assert theta_defect(w).identity_rel_diff == 0.0
+        z = w.z + QuadInt(w.z.ring, 1, 0)
+        bumped = PellWitness(w.a, w.b, w.c, w.d, w.r, w.s, w.t, w.x, w.y, z)
+        assert theta_defect(bumped).identity_rel_diff > 0
+
+
 def test_overlapping_enclosures_are_undecided():
     lo, hi = PrecReal(iv.mpf([1, 2]), 128), PrecReal(iv.mpf([1.5, 4]), 128)
     assert abs(lo.value - hi.value) > 2.0**-64

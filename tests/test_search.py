@@ -162,6 +162,16 @@ class TestDivisorKernel:
         g = build_graph([q1(-6, -6), q1(-3, -1)], q1(4, 6))
         assert g.edge_count == 1
 
+    def test_norm_window_ends(self):
+        # the window of m = norm(a) is ceil(M/N1) <= m <= isqrt(M), with M = norm(a*b)
+        # (1+i)(1-i) - 1 = 1**2: equal norms, m*m = M, the top end
+        # 1*(-24) - 1 = (5i)**2: norm(-24) = N1, m = M/N1, the bottom end
+        elems = [q1(1), q1(1, 1), q1(1, -1), q1(-24)]
+        g = build_graph(elems, M1)
+        want = pairwise_edges(elems, M1)
+        assert {frozenset((q1(1, 1), q1(1, -1))), frozenset((q1(1), q1(-24)))} <= want
+        assert {frozenset(e) for e in g.edges()} == want
+
     def test_witness_zero(self):
         # x = 0 is a witness: i*(-i) - 1 = 0
         g = build_graph([q1(0, 1), q1(0, -1), q1(2)], M1)

@@ -1,9 +1,11 @@
-"""Source checks: invariant checks in the package must survive `python -O`, and
-the omega convention stays inside quad_ring."""
+"""Source checks: invariant checks in the package must survive `python -O`, the
+omega convention stays inside quad_ring, and the package imports only the
+stdlib and its declared dependency."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "diotuples"
@@ -32,3 +34,19 @@ def test_omega_convention_stays_in_quad_ring():
         if "OmegaMode" in line or "omega_mode" in line
     ]
     assert not found, f"the omega convention is named outside quad_ring.py: {found}"
+
+
+def test_package_imports_only_declared_dependencies():
+    # mpmath is the one declared dependency; numpy and others may be installed but are not
+    allowed = set(sys.stdlib_module_names) | {"mpmath", "diotuples"}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert not found, f"imports outside the stdlib and mpmath: {found}"
