@@ -6,9 +6,10 @@ pairs {a, b} with a*b + n a square.  build_graph finds the edges from the
 witnesses: for each candidate x it divides x**2 - n by the vertices whose norm
 lies in a window of the sorted vertex norms and divides M = norm(x**2 - n), so
 its cost follows the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2
-the two largest vertex norms), not the number of vertex pairs.  A campaign
-runs one field per work unit, persists a compact, fsync'd JSON checkpoint
-after each field and is resumable.
+the two largest vertex norms), not the number of vertex pairs.  The sparse
+graph is stored as forward-neighbour sets, which find_cliques narrows into
+candidate lists.  A campaign runs one field per work unit, persists a compact,
+fsync'd JSON checkpoint after each field and is resumable.
 """
 
 from __future__ import annotations
@@ -66,28 +67,19 @@ def enum_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
 
 @dataclass
 class CompatGraph:
-    """Compatibility graph: adjacency stored as one bitmask per vertex."""
+    """Compatibility graph: fwd[i] is the set of neighbours j > i of vertex i."""
 
     ring: RingParams
     n: QuadInt
     vertices: list[QuadInt]
-    adj: list[int]
+    fwd: list[set[int]]
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+        return sum(map(len, self.fwd))
 
     def edges(self) -> list[tuple[QuadInt, QuadInt]]:
-        out = []
-        for i, m in enumerate(self.adj):
-            m >>= i + 1
-            j = i + 1
-            while m:
-                if m & 1:
-                    out.append((self.vertices[i], self.vertices[j]))
-                m >>= 1
-                j += 1
-        return out
+        return [(self.vertices[i], self.vertices[j]) for i, f in enumerate(self.fwd) for j in sorted(f)]
 
 
 def build_graph(elements, n: QuadInt) -> CompatGraph:
@@ -110,25 +102,24 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     """
     vs = sorted(elements, key=elem_key)
     ring = n.ring
-    for e in vs:
+    D = ring.D
+    index: dict[tuple[int, int], int] = {}
+    by_norm: dict[int, list[tuple[int, int, int]]] = {}  # norm -> [(u, v, index)]
+    for i, e in enumerate(vs):
         if e.ring != ring:
             raise ValueError("elements must live in the ring of n")
         if e.is_zero():
             raise ValueError("zero is not a valid vertex")
-    if len(set(vs)) != len(vs):
-        raise ValueError("duplicate vertices")
-    adj = [0] * len(vs)
-    if len(vs) < 2:
-        return CompatGraph(ring, n, vs, adj)
-
-    D = ring.D
-    Un, Vn = n.half_coords()
-    index: dict[tuple[int, int], int] = {}
-    by_norm: dict[int, list[tuple[int, int, int]]] = {}  # norm -> [(u, v, index)]
-    for i, e in enumerate(vs):
         u, v = c = e.half_coords()
         index[c] = i
         by_norm.setdefault((u * u + D * v * v) // 4, []).append((u, v, i))
+    if len(index) != len(vs):  # one ring, so equal half-coordinates mean equal elements
+        raise ValueError("duplicate vertices")
+    fwd: list[set[int]] = [set() for _ in vs]
+    if len(vs) < 2:
+        return CompatGraph(ring, n, vs, fwd)
+
+    Un, Vn = n.half_coords()
     norms = sorted(by_norm)
     N1 = norms[-1]
     top = N1 * vs[-2].norm()  # N1 * N2: vs is sorted by norm first
@@ -148,41 +139,41 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
             for u, v, i in by_norm[m]:
                 b = _div_half(D, WU, WV, u, v)
                 if b is not None:
+                    # vs is sorted by norm first: norm(a) < norm(b) finds the edge only from a,
+                    # the lower index; equal norms (m*m = M) find it from both ends, kept once
                     j = index.get(b)
-                    if j is not None and j != i:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-    return CompatGraph(ring, n, vs, adj)
+                    if j is not None and j > i:
+                        fwd[i].add(j)
+    return CompatGraph(ring, n, vs, fwd)
 
 
 def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
-    """All k-cliques, each once, by ordered DFS over vertices sorted by (norm, x, y)."""
+    """All k-cliques, each once, in lexicographic order of their (norm, x, y) vertex indices.
+
+    Each grows from its lowest vertex i over the sorted fwd[i], narrowed at each
+    step to the later candidates adjacent to the newest vertex.
+    """
     if k < 2:
         raise ValueError("k must be >= 2")
-    adj = g.adj
-    cnt = len(g.vertices)
+    fwd = g.fwd
     out: list[tuple[int, ...]] = []
 
-    def grow(prefix: list[int], cand: int) -> None:
-        if len(prefix) == k:
-            out.append(tuple(prefix))
+    def grow(prefix: list[int], cand: list[int]) -> None:
+        # cand: the indices after prefix[-1] adjacent to every vertex of prefix
+        if len(prefix) == k - 1:
+            out.extend((*prefix, j) for j in cand)
             return
         need = k - len(prefix) - 1
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            j = b.bit_length() - 1
-            nxt = cand & adj[j] & ~((b << 1) - 1)
-            if nxt.bit_count() >= need:
+        for pos, j in enumerate(cand):
+            nxt = [l for l in cand[pos + 1 :] if l in fwd[j]]
+            if len(nxt) >= need:
                 prefix.append(j)
                 grow(prefix, nxt)
                 prefix.pop()
 
-    for i in range(cnt):
-        high = adj[i] >> (i + 1) << (i + 1)
-        if high.bit_count() >= k - 1:
-            grow([i], high)
+    for i, f in enumerate(fwd):
+        if len(f) >= k - 1:
+            grow([i], sorted(f))
     return [tuple(g.vertices[i] for i in idx) for idx in out]
 
 
@@ -429,9 +420,17 @@ def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
         raise ValueError(f"checkpoint {path} was written by a different configuration")
     completed = data.get("completed", {})
     for key, res in completed.items():
-        # each entry is a FieldResult's JSON, stored under the text of its own D
-        well_formed = isinstance(res, dict) and res.keys() == _FIELD_KEYS
-        if not (well_formed and isinstance(res["D"], int) and key == str(res["D"])):
+        # each entry is a FieldResult's JSON, stored under the text of its own D: int D and
+        # counts, clique objects with an "elems" list and a numeric wall_time
+        well_formed = (
+            isinstance(res, dict)
+            and res.keys() == _FIELD_KEYS
+            and all(type(res[f]) is int for f in ("D", "vertex_count", "edge_count"))
+            and type(res["wall_time"]) in (int, float)
+            and isinstance(res["cliques"], list)
+            and all(isinstance(rec, dict) and isinstance(rec.get("elems"), list) for rec in res["cliques"])
+        )
+        if not (well_formed and key == str(res["D"])):
             raise ValueError(f"checkpoint {path}: malformed 'completed' entry {key!r}")
     return {res["D"]: res for res in completed.values()}
 

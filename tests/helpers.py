@@ -212,3 +212,18 @@ def chain_quadruples_zi(ring: RingParams, depth: int = 4) -> list[tuple[QuadInt,
             if ok:
                 quads.append(tuple(members))
     return quads
+
+
+def adjacency_masks(g) -> list[int]:
+    """One integer per vertex of a CompatGraph, bit j of entry i set iff {i, j} is an edge.
+
+    Rebuilt from the forward-neighbour sets g.fwd, each of which must hold only
+    higher indices; the pinned adjacency digests hash these integers.
+    """
+    masks = [0] * len(g.vertices)
+    for i, f in enumerate(g.fwd):
+        for j in f:
+            assert j > i, (i, j)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks

@@ -98,7 +98,21 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize(
         "shape",
-        ["list", "completed-list", "entry-list", "missing-key", "extra-key", "non-integer-key", "D-mismatch"],
+        [
+            "list",
+            "completed-list",
+            "entry-list",
+            "missing-key",
+            "extra-key",
+            "non-integer-key",
+            "D-mismatch",
+            "vertex-count-text",
+            "edge-count-float",
+            "cliques-null",
+            "clique-not-object",
+            "clique-without-elems",
+            "wall-time-text",
+        ],
     )
     def test_malformed_checkpoint(self, shape, tmp_path, capsys, monkeypatch):
         ck = tmp_path / "ck.json"
@@ -119,8 +133,19 @@ class TestSearchCommand:
             saved["completed"]["1"] = {**entry, "note": 0}
         elif shape == "non-integer-key":
             saved["completed"]["one"] = entry
-        else:
+        elif shape == "D-mismatch":
             saved["completed"]["1"] = {**entry, "D": 2}
+        else:
+            # keys intact, one value of the wrong type
+            bad = {
+                "vertex-count-text": {"vertex_count": str(entry["vertex_count"])},
+                "edge-count-float": {"edge_count": float(entry["edge_count"])},
+                "cliques-null": {"cliques": None},
+                "clique-not-object": {"cliques": [1]},
+                "clique-without-elems": {"cliques": [{"orbit": []}]},
+                "wall-time-text": {"wall_time": "1.0"},
+            }[shape]
+            saved["completed"]["1"] = {**entry, **bad}
         ck.write_text(json.dumps(saved))
         ran = []
         monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))

@@ -42,6 +42,7 @@ from diotuples.tuples import (
     verify_tuple,
 )
 from helpers import (
+    adjacency_masks,
     brute_root_table,
     canonical_sign,
     chain_quadruples_zi,
@@ -96,11 +97,12 @@ def test_graph_matches_pairwise_definition(D, max_norm, kind, nx, ny, data):
     # arbitrary subsets, so sign classes {a, -a} are often only half present
     picked = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
     g = build_graph(picked, n)
+    adj = adjacency_masks(g)
     for i, j in combinations(range(len(g.vertices)), 2):
         want = pair_witness(g.vertices[i], g.vertices[j], n) is not None
-        assert bool(g.adj[i] >> j & 1) == want, (g.vertices[i], g.vertices[j], n)
-        assert bool(g.adj[j] >> i & 1) == want
-    assert all(not m >> i & 1 for i, m in enumerate(g.adj))
+        assert bool(adj[i] >> j & 1) == want, (g.vertices[i], g.vertices[j], n)
+        assert bool(adj[j] >> i & 1) == want
+    assert all(not m >> i & 1 for i, m in enumerate(adj))
 
 
 @settings(max_examples=300, deadline=None)

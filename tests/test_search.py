@@ -18,7 +18,7 @@ from diotuples.search import (
     run_campaign,
 )
 from diotuples.tuples import make_tuple, verify_tuple
-from helpers import box_elements
+from helpers import adjacency_masks, box_elements
 
 R1 = make_ring(1)
 R3 = make_ring(3)
@@ -63,9 +63,8 @@ class TestBuildGraph:
     def test_adjacency_pinned_d1_576(self):
         # adjacency recorded from the object-arithmetic build, before the integer kernel
         g = build_graph(enum_elements(R1, 576), M1)
-        digest = hashlib.sha256(",".join(map(str, g.adj)).encode()).hexdigest()
         assert (len(g.vertices), g.edge_count) == (1792, 8937)
-        assert digest == "fd8f5760a8a2c12c71c49ef885f511d1628312b90f1bc226b09203af378ef1f4"
+        assert adjacency_digest(g) == "fd8f5760a8a2c12c71c49ef885f511d1628312b90f1bc226b09203af378ef1f4"
 
     def test_sign_class_pairs(self):
         # {1, -1}: 1*(-1) + 1 = 0 is a square; {a, -a} edges need both signs present
@@ -101,7 +100,7 @@ class TestBuildGraph:
 
 
 def adjacency_digest(g) -> str:
-    return hashlib.sha256(",".join(map(str, g.adj)).encode()).hexdigest()
+    return hashlib.sha256(",".join(map(str, adjacency_masks(g))).encode()).hexdigest()
 
 
 def pairwise_edges(elems, n) -> set[frozenset]:
@@ -222,6 +221,23 @@ class TestFindCliques:
             ]
             assert set(find_cliques(g, k)) == set(literal)
             assert set(brute_force_tuples(elems, k, M1)) == set(literal)
+
+    # recorded from the bitmask DFS; _group_orbits takes its representatives in this order
+    @pytest.mark.parametrize(
+        "D, max_norm, count, digest",
+        [
+            (1, 576, 2398, "214f9eb7e6329d99d11d1bc87112f9fd873fe7fa5c77dc2dab599b9c90f1ae2e"),
+            (3, 600, 698, "8e1ab5b4a570e6dffaa427eca9731610640093c9c273d697a4f136622c64738f"),
+        ],
+        ids=["D1-N576", "D3-N600"],
+    )
+    def test_clique_order_pinned(self, D, max_norm, count, digest):
+        ring = make_ring(D)
+        g = build_graph(enum_elements(ring, max_norm), QuadInt(ring, -1, 0))
+        cliques = find_cliques(g, 3)
+        blob = json.dumps([[[e.x, e.y] for e in c] for c in cliques]).encode()
+        assert len(cliques) == count
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestBruteForce:
