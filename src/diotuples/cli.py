@@ -49,8 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write a clique CSV here")
-    p.add_argument("--checkpoint", help="persist per-field progress to this JSON file")
-    p.add_argument("--resume", action="store_true", help="reuse an existing checkpoint")
+    p.add_argument(
+        "--checkpoint",
+        help="persist finished fields to this JSON file, rewritten once per chunk of fields "
+        "(a crash loses at most the chunks in flight)",
+    )
+    p.add_argument("--resume", action="store_true", help="reuse an existing checkpoint (needs --checkpoint)")
     p.add_argument(
         "--symmetry-prune",
         action=argparse.BooleanOptionalAction,
@@ -142,6 +146,8 @@ def _cmd_search(args) -> int:
         checkpoint_path=args.checkpoint,
     )
     cfg.validate()
+    if args.resume and not cfg.checkpoint_path:
+        raise ValueError("--resume needs --checkpoint")
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path) and not args.resume:
         raise ValueError(f"checkpoint {cfg.checkpoint_path} exists; pass --resume to reuse it")
 

@@ -328,18 +328,27 @@ def elem_from_json(d: dict[str, str], ring: RingParams) -> QuadInt:
     return QuadInt(ring, int(d["x"]), int(d["y"]))
 
 
-def _iter_half(D: int, max_norm: int):
-    """Half-coordinates (u, v) of one element of each pair {z, -z} of norm <= max_norm.
+def _half_rows(D: int, max_norm: int):
+    """The rows of _iter_half: pairs (u, range of v), in ascending u, built from integer square roots.
 
-    Yields the z with u > 0, or u = 0 and v > 0 (the half-plane of _sqrt_half's
-    roots), in rows of ascending u.  By the integrality rule (u, v) lies in O_K
-    exactly when v = u (mod 2) and, unless D = 3 (mod 4), u is even.
+    By the integrality rule (u, v) lies in O_K exactly when v = u (mod 2) and,
+    unless D = 3 (mod 4), u is even.  Row u = 0 keeps v > 0 only.
     """
     four_n = 4 * max_norm
     ustep = 1 if D % 4 == 3 else 2
     for u in range(0, isqrt(four_n) + 1, ustep):
         vmax = isqrt((four_n - u * u) // D)
-        for v in range(2 if u == 0 else (vmax - u) % 2 - vmax, vmax + 1, 2):
+        yield u, range(2 if u == 0 else (vmax - u) % 2 - vmax, vmax + 1, 2)
+
+
+def _iter_half(D: int, max_norm: int):
+    """Half-coordinates (u, v) of one element of each pair {z, -z} of norm <= max_norm.
+
+    Yields the z with u > 0, or u = 0 and v > 0 (the half-plane of _sqrt_half's
+    roots), in the rows of _half_rows.
+    """
+    for u, vs in _half_rows(D, max_norm):
+        for v in vs:
             yield u, v
 
 

@@ -8,20 +8,25 @@ lies in a window of the sorted vertex norms and divides M = norm(x**2 - n), so
 its cost follows the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2
 the two largest vertex norms), not the number of vertex pairs.  The sparse
 graph is stored as forward-neighbour sets, which find_cliques narrows into
-candidate lists.  A campaign runs one field per work unit, persists a compact,
-fsync'd JSON checkpoint after each field and is resumable.
+candidate lists.  A campaign groups its pending fields into chunks of balanced
+predicted cost (field_cost, scheduled longest first), runs one chunk per work
+unit and rewrites its compact, fsync'd JSON checkpoint once per chunk, so a
+crash loses at most the chunks in flight; it resumes from the checkpoint.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from math import isqrt
+from operator import itemgetter
 
 from . import __version__
 from .quad_ring import (
@@ -34,6 +39,7 @@ from .quad_ring import (
     make_ring,
     parse_elem,
     _div_half,
+    _half_rows,
     _iter_half,
     _sqrt_half,
 )
@@ -50,6 +56,7 @@ __all__ = [
     "brute_force_tuples",
     "run_campaign",
     "clamp_workers",
+    "field_cost",
     "load_report",
     "write_report",
     "write_clique_csv",
@@ -100,19 +107,24 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     times the width of each norm window, not the number of vertex pairs: a
     sparse list with one element of high norm scans as many x as the full ball.
     """
-    vs = sorted(elements, key=elem_key)
     ring = n.ring
     D = ring.D
-    index: dict[tuple[int, int], int] = {}
-    by_norm: dict[int, list[tuple[int, int, int]]] = {}  # norm -> [(u, v, index)]
-    for i, e in enumerate(vs):
+    rows = []  # ((norm, x, y), u, v, element): the elem_key order, from one half_coords call
+    for e in elements:
         if e.ring != ring:
             raise ValueError("elements must live in the ring of n")
         if e.is_zero():
             raise ValueError("zero is not a valid vertex")
-        u, v = c = e.half_coords()
-        index[c] = i
-        by_norm.setdefault((u * u + D * v * v) // 4, []).append((u, v, i))
+        u, v = e.half_coords()
+        rows.append((((u * u + D * v * v) // 4, e.x, e.y), u, v, e))
+    rows.sort(key=itemgetter(0))
+    vs = [e for _, _, _, e in rows]
+    index: dict[tuple[int, int], int] = {}
+    by_norm: dict[int, list[tuple[int, int, int]]] = {}  # norm -> [(u, v, index)]
+    for i, ((m, _, _), u, v, _) in enumerate(rows):
+        index[u, v] = i
+        by_norm.setdefault(m, []).append((u, v, i))
+    del rows  # the sort keys are not needed by the scan, which allocates the adjacency
     if len(index) != len(vs):  # one ring, so equal half-coordinates mean equal elements
         raise ValueError("duplicate vertices")
     fwd: list[set[int]] = [set() for _ in vs]
@@ -464,31 +476,81 @@ def clamp_workers(jobs: int, pending: int, cpus: int) -> int:
     return max(1, min(jobs, pending, cpus))
 
 
-def _field_results(tasks: list[tuple], workers: int):
-    """Yield _run_field(*task) for each task as it completes.
+# the fixed work of a field (ring, n, orbit records) costs about as much as scanning two x
+_FIELD_BASE_COST = 2
+# chunks per worker: enough to even out the tail, few enough that checkpoint writes stay cheap
+_CHUNKS_PER_WORKER = 4
 
-    One worker runs the fields in this process, in task order; more run them
-    in a process pool, in completion order.  A worker failure propagates.
+
+def field_cost(D: int, max_norm: int) -> int:
+    """Predicted cost of one field, in witnesses x that build_graph scans; builds no element.
+
+    Counts the x up to sign with norm(x) <= max_norm (x = 0 included) from the
+    integer-square-root row bounds of _iter_half, plus a constant per field.
+    build_graph's own bound, isqrt(N1*N2) + isqrt(norm(n)) + 1, differs by a
+    few x, which does not matter for ranking fields.
+    """
+    return _FIELD_BASE_COST + 1 + sum(len(vs) for _, vs in _half_rows(D, max_norm))
+
+
+def _chunks(tasks: list[tuple], workers: int) -> list[list[tuple]]:
+    """Group the _run_field tasks into min(len(tasks), 4 * workers) chunks of balanced cost.
+
+    Longest processing time first (Graham, SIAM J. Appl. Math. 1969): tasks in
+    order of falling field_cost, ties by D, each to the chunk with the least
+    load so far, ties by chunk index.  The largest load then exceeds the
+    smallest by at most the largest single cost, and the costliest fields
+    start first, so they do not set the tail.
+    """
+    count = min(len(tasks), _CHUNKS_PER_WORKER * workers)
+    costs = {t: field_cost(t[0], t[1]) for t in tasks}
+    chunks: list[list[tuple]] = [[] for _ in range(count)]
+    loads = [(0, c) for c in range(count)]  # a heap of (load, chunk index)
+    for task in sorted(tasks, key=lambda t: (-costs[t], t[0])):
+        load, c = loads[0]
+        chunks[c].append(task)
+        heapq.heapreplace(loads, (load + costs[task], c))
+    return chunks
+
+
+def _run_chunk(chunk: list[tuple]) -> list[dict]:
+    """_run_field(*task) for each task of a chunk; the unit of work of a campaign."""
+    return [_run_field(*task) for task in chunk]
+
+
+def _field_results(chunks: list[list[tuple]], workers: int):
+    """Yield one list of _run_field results per chunk, as each chunk completes.
+
+    One worker runs the chunks in this process, in order; more run them in a
+    process pool, in completion order.  A worker failure propagates.  Closing
+    the generator early (the caller raised, or a checkpoint write failed)
+    cancels the chunks not yet started and waits for the running ones.
     """
     if workers == 1:
-        for task in tasks:
-            yield _run_field(*task)
+        for chunk in chunks:
+            yield _run_chunk(chunk)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_field, *task) for task in tasks]
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
         for fut in as_completed(futures):
             yield fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
-    """Run the campaign field by field, checkpointing after each completed D.
+    """Run the campaign in chunks of fields, checkpointing once per completed chunk.
 
-    Fields already present in a compatible checkpoint are skipped.  Each
-    pending field's result passes through one loop, in completion order:
-    stored, checkpointed, then handed to progress.  The fields run in this
-    process when clamp_workers (cfg.jobs, capped by the pending fields and
-    usable CPUs) gives one worker, else in a process pool with one field per
-    task; the merge is by ascending D and independent of completion order.
+    Fields already present in a compatible checkpoint are skipped.  The
+    pending fields are grouped by _chunks into cost-balanced chunks; each
+    chunk's results pass through one loop, in completion order: every result
+    is stored, the checkpoint is rewritten once, then each result is handed
+    to progress.  A crash therefore loses at most the chunks in flight.  The
+    chunks run in this process when clamp_workers (cfg.jobs, capped by the
+    pending fields and usable CPUs) gives one worker, else in a process pool
+    with one chunk per task; the merge is by ascending D and independent of
+    completion order.  Leaving the loop early cancels the chunks not yet started.
     """
     cfg.validate()
     t0 = time.monotonic()
@@ -497,11 +559,15 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     completed = _load_checkpoint(cfg.checkpoint_path, config_hash)
     tasks = [(D, cfg.max_norm, cfg.k, cfg.n, cfg.symmetry_prune) for D in ds if D not in completed]
     workers = clamp_workers(cfg.jobs, len(tasks), _usable_cpus())
-    for res in _field_results(tasks, workers):
-        completed[res["D"]] = res
-        _save_checkpoint(cfg, config_hash, completed)
-        if progress:
-            progress(res)
+    # closing() shuts the pool down as soon as the loop is left, not when the generator is freed
+    with closing(_field_results(_chunks(tasks, workers), workers)) as chunk_results:
+        for results in chunk_results:
+            for res in results:
+                completed[res["D"]] = res
+            _save_checkpoint(cfg, config_hash, completed)
+            if progress:
+                for res in results:
+                    progress(res)
 
     results = [FieldResult(**completed[D]) for D in ds]
     return SearchReport(cfg, results, time.monotonic() - t0)

@@ -195,6 +195,13 @@ class TestSearchCommand:
         assert main(args) == 2  # existing checkpoint without --resume
         assert main(args + ["--resume"]) == 0
 
+    def test_resume_requires_checkpoint(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        assert main(["search", "--D-list", "1", "--max-norm", "10", "--k", "3", "--resume"]) == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert ran == []  # rejected before any field ran
+
 
 class TestExtendCommand:
     def test_golden(self, capsys):

@@ -2,18 +2,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import time
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from diotuples.quad_ring import QuadInt, elem_key, format_elem, make_ring
+from diotuples import search
+from diotuples.quad_ring import QuadInt, _iter_half, elem_key, format_elem, is_squarefree, make_ring
 from diotuples.search import (
     SearchConfig,
     brute_force_tuples,
     build_graph,
     clamp_workers,
     enum_elements,
+    field_cost,
     find_cliques,
     run_campaign,
 )
@@ -317,12 +321,19 @@ class TestCampaign:
         with pytest.raises(ValueError, match="different configuration"):
             run_campaign(other)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)  # run the pool even on one CPU
         base = dict(D_list=[1, 2, 5, 13], max_norm=80, k=3, n="-1")
         serial = run_campaign(SearchConfig(**base, jobs=1))
         parallel = run_campaign(SearchConfig(**base, jobs=2))
         assert serial.all_clique_sets() == parallel.all_clique_sets()
         assert [r.D for r in parallel.results] == [1, 2, 5, 13]
+        # 38 fields in 8 chunks: several fields per chunk, and the merge is still by D
+        many = dict(D_list=SQUAREFREE_60, max_norm=40, k=3, n="-1")
+        serial = run_campaign(SearchConfig(**many, jobs=1))
+        parallel = run_campaign(SearchConfig(**many, jobs=2))
+        assert [r.D for r in parallel.results] == SQUAREFREE_60
+        assert [without_wall_time(r) for r in parallel.results] == [without_wall_time(r) for r in serial.results]
 
     def test_large_D_supported(self):
         # fields beyond D = 226 stay searchable; for D = 895 (3 mod 4) the ring
@@ -455,6 +466,153 @@ class TestClampWorkers:
         monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
         report = run_campaign(SearchConfig(D_list=[1, 2], max_norm=30, k=3, n="-1", jobs=2))
         assert [r.D for r in report.results] == [1, 2]
+
+
+SQUAREFREE_60 = [D for D in range(1, 61) if is_squarefree(D)]
+SQUAREFREE_225 = [D for D in range(1, 226) if is_squarefree(D)]
+
+
+def without_wall_time(result) -> dict:
+    return {**result.to_json(), "wall_time": None}
+
+
+def tasks_of(cfg: SearchConfig) -> list[tuple]:
+    """The _run_field tasks of a campaign with nothing checkpointed, as run_campaign forms them."""
+    return [(D, cfg.max_norm, cfg.k, cfg.n, cfg.symmetry_prune) for D in sorted(set(cfg.D_list))]
+
+
+class Boom(Exception):
+    pass
+
+
+class TestChunks:
+    # _chunks and field_cost are pure, so no test here starts a worker process
+    TASKS = tasks_of(SearchConfig(D_list=SQUAREFREE_225, max_norm=224, k=5))
+
+    def test_field_cost_counts_iter_half_rows(self):
+        for D, max_norm in [(1, 224), (2, 30), (3, 224), (7, 1), (163, 40), (895, 224)]:
+            assert field_cost(D, max_norm) == search._FIELD_BASE_COST + 1 + len(list(_iter_half(D, max_norm)))
+        # the two slowest fields of the quintuple scan are the two predicted costliest
+        assert sorted(SQUAREFREE_225, key=lambda D: -field_cost(D, 224))[:2] == [3, 1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 40])
+    def test_invariants(self, workers):
+        chunks = search._chunks(self.TASKS, workers)
+        assert len(chunks) == min(len(self.TASKS), 4 * workers)
+        flat = [t for c in chunks for t in c]
+        assert len(flat) == len(set(flat)) == len(self.TASKS) and set(flat) == set(self.TASKS)
+        # deterministic, whatever the order of the tasks
+        assert search._chunks(self.TASKS[::-1], workers) == chunks
+        costs = [field_cost(D, max_norm) for D, max_norm, *_ in self.TASKS]
+        loads = [sum(field_cost(D, max_norm) for D, max_norm, *_ in c) for c in chunks]
+        assert min(loads) > 0 and max(loads) - min(loads) <= max(costs)
+
+    def test_fewer_tasks_than_chunks(self):
+        tasks = self.TASKS[:3]
+        assert sorted(search._chunks(tasks, 2)) == sorted([t] for t in tasks)
+        assert search._chunks([], 2) == []
+
+
+class TestChunkedCampaign:
+    def cfg(self, path=None, **kw) -> SearchConfig:
+        return SearchConfig(D_list=SQUAREFREE_60[:20], max_norm=30, k=3, n="-1", checkpoint_path=path, **kw)
+
+    def test_one_checkpoint_write_per_chunk(self, tmp_path, monkeypatch):
+        writes = []
+        real = search._atomic_write_json
+
+        def counted(path, *args, **kwargs):
+            writes.append(path)
+            real(path, *args, **kwargs)
+
+        monkeypatch.setattr(search, "_atomic_write_json", counted)
+        cfg = self.cfg(str(tmp_path / "ck.json"))
+        report = run_campaign(cfg)
+        assert len(report.results) == 20
+        assert 1 <= len(writes) <= 4  # 4 chunks for one worker, not one write per field
+        assert sorted(json.loads((tmp_path / "ck.json").read_text())["completed"], key=int) == [
+            str(D) for D in SQUAREFREE_60[:20]
+        ]
+
+    def test_crash_between_chunks_resumes(self, tmp_path):
+        path = tmp_path / "ck.json"
+        cfg = self.cfg(str(path))
+        seen = []
+
+        def crash(res):
+            seen.append(res["D"])
+            raise Boom
+
+        with pytest.raises(Boom):
+            run_campaign(cfg, progress=crash)
+        first = search._chunks(tasks_of(cfg), 1)[0]
+        assert seen == [first[0][0]]
+        assert sorted(map(int, json.loads(path.read_text())["completed"])) == sorted(t[0] for t in first)
+        resumed = run_campaign(cfg)
+        whole = run_campaign(self.cfg())
+        assert [r.D for r in resumed.results] == SQUAREFREE_60[:20]
+        assert [without_wall_time(r) for r in resumed.results] == [without_wall_time(r) for r in whole.results]
+
+    def test_all_fields_checkpointed(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.json"
+        cfg = self.cfg(str(path))
+        first = run_campaign(cfg)
+        text = path.read_text()
+
+        def no_field(*task):
+            raise AssertionError("every field is checkpointed")
+
+        monkeypatch.setattr(search, "_run_field", no_field)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_field)
+        again = run_campaign(self.cfg(str(path), jobs=2))
+        assert [r.to_json() for r in again.results] == [r.to_json() for r in first.results]
+        assert path.read_text() == text  # nothing new, so no rewrite
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="only forked workers inherit the patched _run_field"
+    )
+    @pytest.mark.parametrize("failure", ["progress", "checkpoint", "worker"])
+    def test_early_exit_cancels_pending_chunks(self, failure, tmp_path, monkeypatch):
+        # 20 fields in 8 chunks on 2 workers; each field sleeps, so the first chunk is done
+        # long before the last ones start, and the campaign fails right after it
+        log = tmp_path / "ran.txt"
+        path = tmp_path / "ck.json"
+        cfg = self.cfg(str(path), jobs=2)
+        chunks = search._chunks(tasks_of(cfg), 2)
+        real = search._run_field
+
+        def logged(*task):
+            if failure == "worker" and task == chunks[0][0]:
+                raise Boom
+            time.sleep(0.05)
+            with open(log, "a") as f:
+                f.write(f"{task[0]}\n")
+            return real(*task)
+
+        def bad_write(*args, **kwargs):
+            raise OSError("disk full")
+
+        seen = []
+
+        def crash(res):
+            seen.append(res["D"])
+            raise Boom
+
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(search, "_run_field", logged)
+        if failure == "checkpoint":
+            monkeypatch.setattr(search, "_atomic_write_json", bad_write)
+        with pytest.raises(OSError if failure == "checkpoint" else Boom):
+            run_campaign(cfg, progress=crash)
+        # the pool is gone when the error leaves run_campaign, and the chunks not yet started never ran
+        assert multiprocessing.active_children() == []
+        ran = log.read_text().split() if log.exists() else []
+        assert len(ran) == len(set(ran)) < 20
+        if failure == "progress":
+            done = next(c for c in chunks if seen[0] in [t[0] for t in c])
+            assert sorted(map(int, json.loads(path.read_text())["completed"])) == sorted(t[0] for t in done)
+        if failure == "checkpoint":
+            assert not path.exists()
 
 
 def parse_many(group, ring):
