@@ -40,6 +40,7 @@ __all__ = [
     "elem_to_json",
     "elem_from_json",
     "iter_elements",
+    "sorted_ball",
 ]
 
 
@@ -357,3 +358,24 @@ def iter_elements(ring: RingParams, max_norm: int):
     for u, v in _iter_half(ring.D, max_norm):
         yield _from_half_unchecked(ring, u, v)
         yield _from_half_unchecked(ring, -u, -v)
+
+
+def sorted_ball(ring: RingParams, max_norm: int) -> list[QuadInt]:
+    """Every nonzero element of norm <= max_norm, sorted by elem_key (norm, x, y).
+
+    The keys are formed on integers from the rows of _half_rows, for z and -z
+    at once (their basis coordinates are (x, y) and (-x, -y)), and sorted
+    before any element is built.
+    """
+    D = ring.D
+    half = ring.omega_mode is OmegaMode.HALF
+    keys = []
+    for u, vs in _half_rows(D, max_norm):
+        uu = u * u
+        for v in vs:
+            m = (uu + D * v * v) >> 2
+            x, y = ((u - v) >> 1, v) if half else (u >> 1, v >> 1)
+            keys.append((m, x, y))
+            keys.append((m, -x, -y))
+    keys.sort()
+    return [QuadInt(ring, x, y) for _, x, y in keys]

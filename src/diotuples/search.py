@@ -4,14 +4,15 @@ Tuples of size k are exactly the k-cliques of the compatibility graph whose
 vertices are the nonzero elements within a norm bound and whose edges join
 pairs {a, b} with a*b + n a square.  build_graph finds the edges from the
 witnesses: for each candidate x it divides x**2 - n by the vertices whose norm
-lies in a window of the sorted vertex norms and divides M = norm(x**2 - n), so
-its cost follows the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2
-the two largest vertex norms), not the number of vertex pairs.  The sparse
-graph is stored as forward-neighbour sets, which find_cliques narrows into
-candidate lists.  A campaign groups its pending fields into chunks of balanced
-predicted cost (field_cost, scheduled longest first), runs one chunk per work
-unit and rewrites its compact, fsync'd JSON checkpoint once per chunk, so a
-crash loses at most the chunks in flight; it resumes from the checkpoint.
+lies in a window of the sorted vertex norms and divides M = norm(x**2 - n),
+one division per pair {a, -a} (the quotients are b and -b), so its cost
+follows the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2 the two
+largest vertex norms), not the number of vertex pairs.  The sparse graph is
+stored as forward-neighbour sets, which find_cliques narrows into candidate
+sets by set intersection.  A campaign groups its pending fields into chunks of
+balanced predicted cost (field_cost, scheduled longest first), runs one chunk
+per work unit and rewrites its compact, fsync'd JSON checkpoint once per chunk,
+so a crash loses at most the chunks in flight; it resumes from the checkpoint.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .quad_ring import (
     elem_from_json,
     elem_key,
     elem_to_json,
-    iter_elements,
     make_ring,
     parse_elem,
+    sorted_ball,
     _div_half,
     _half_rows,
     _iter_half,
@@ -69,7 +70,7 @@ def enum_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
     """All nonzero elements with norm <= max_norm, sorted by (norm, x, y)."""
     if max_norm < 1:
         raise ValueError("max_norm must be >= 1")
-    return sorted(iter_elements(ring, max_norm), key=elem_key)
+    return sorted_ball(ring, max_norm)
 
 
 @dataclass
@@ -98,10 +99,13 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     a*b of vertices.  Taking norm(a) = m <= norm(b), m divides M = norm(w),
     m*m <= M, and M/m is a vertex norm, so M/N1 <= m: the candidate m form a
     window of the sorted vertex norms, and each is kept when m | M and M/m is
-    a vertex norm.  Every vertex a of such a norm m is tested for a | w by an
-    exact division on half-coordinates (quad_ring's integer core), and {a, b}
-    is an edge when b = w/a is another vertex.  Vertex lists that are not a
-    norm ball work alike, because b is looked up by membership.
+    a vertex norm.  The vertices a of such a norm m are tested for a | w by an
+    exact division on half-coordinates (quad_ring's integer core), one division
+    per pair {a, -a}: -a divides w exactly when a does, with quotient -b.  So
+    each norm keeps one representative of each pair, the one in _iter_half's
+    half-plane or the only one present, with the index of -a when -a is a vertex
+    too; {a, b} and {-a, -b} are edges when b = w/a and -b are vertices.  Vertex
+    lists that are not a norm ball work alike, because b is looked up by membership.
 
     Cost follows the number of x, about isqrt(N1*N2) + isqrt(norm(n)) elements
     times the width of each norm window, not the number of vertex pairs: a
@@ -111,7 +115,7 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     D = ring.D
     rows = []  # ((norm, x, y), u, v, element): the elem_key order, from one half_coords call
     for e in elements:
-        if e.ring != ring:
+        if e.ring is not ring and e.ring != ring:
             raise ValueError("elements must live in the ring of n")
         if e.is_zero():
             raise ValueError("zero is not a valid vertex")
@@ -119,14 +123,17 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
         rows.append((((u * u + D * v * v) // 4, e.x, e.y), u, v, e))
     rows.sort(key=itemgetter(0))
     vs = [e for _, _, _, e in rows]
-    index: dict[tuple[int, int], int] = {}
-    by_norm: dict[int, list[tuple[int, int, int]]] = {}  # norm -> [(u, v, index)]
-    for i, ((m, _, _), u, v, _) in enumerate(rows):
-        index[u, v] = i
-        by_norm.setdefault(m, []).append((u, v, i))
-    del rows  # the sort keys are not needed by the scan, which allocates the adjacency
+    index: dict[tuple[int, int], int] = {(u, v): i for i, (_, u, v, _) in enumerate(rows)}
     if len(index) != len(vs):  # one ring, so equal half-coordinates mean equal elements
         raise ValueError("duplicate vertices")
+    # norm -> [(u, v, index of a, index of -a or None)], one representative a of each pair {a, -a}
+    by_norm: dict[int, list[tuple[int, int, int, int | None]]] = {}
+    for i, ((m, _, _), u, v, _) in enumerate(rows):
+        if u > 0 or (u == 0 and v > 0):
+            by_norm.setdefault(m, []).append((u, v, i, index.get((-u, -v))))
+        elif (-u, -v) not in index:
+            by_norm.setdefault(m, []).append((u, v, i, None))
+    del rows  # the sort keys are not needed by the scan, which allocates the adjacency
     fwd: list[set[int]] = [set() for _ in vs]
     if len(vs) < 2:
         return CompatGraph(ring, n, vs, fwd)
@@ -148,45 +155,56 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
         for m in norms[bisect_left(norms, -(-M // N1)) : bisect_right(norms, isqrt(M))]:
             if M % m or M // m not in by_norm:
                 continue
-            for u, v, i in by_norm[m]:
+            for u, v, i, ni in by_norm[m]:
                 b = _div_half(D, WU, WV, u, v)
-                if b is not None:
-                    # vs is sorted by norm first: norm(a) < norm(b) finds the edge only from a,
-                    # the lower index; equal norms (m*m = M) find it from both ends, kept once
-                    j = index.get(b)
-                    if j is not None and j > i:
-                        fwd[i].add(j)
+                if b is None:
+                    continue
+                # vs is sorted by norm first: norm(a) < norm(b) finds the edge only from a,
+                # the lower index; equal norms (m*m = M) find it from both ends, kept once
+                j = index.get(b)
+                if j is not None and j > i:
+                    fwd[i].add(j)
+                if ni is not None:  # (-a) * (-b) = w
+                    j = index.get((-b[0], -b[1]))
+                    if j is not None and j > ni:
+                        fwd[ni].add(j)
     return CompatGraph(ring, n, vs, fwd)
 
 
 def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
     """All k-cliques, each once, in lexicographic order of their (norm, x, y) vertex indices.
 
-    Each grows from its lowest vertex i over the sorted fwd[i], narrowed at each
-    step to the later candidates adjacent to the newest vertex.
+    Each grows from its lowest vertex i over the sorted fwd[i].  At each step
+    the candidates adjacent to a new vertex j are fwd[j] & cand, one C-level
+    set intersection (fwd[j] holds only indices > j, so these are exactly the
+    later candidates adjacent to j), and the last vertex is emitted straight
+    from that intersection.  Roots ascend and candidates are sorted, so the
+    order is that of the plain candidate-list DFS.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     fwd = g.fwd
+    vs = g.vertices
+    if k == 2:
+        return [(vs[i], vs[j]) for i, f in enumerate(fwd) for j in sorted(f)]
     out: list[tuple[int, ...]] = []
 
-    def grow(prefix: list[int], cand: list[int]) -> None:
-        # cand: the indices after prefix[-1] adjacent to every vertex of prefix
-        if len(prefix) == k - 1:
-            out.extend((*prefix, j) for j in cand)
-            return
-        need = k - len(prefix) - 1
-        for pos, j in enumerate(cand):
-            nxt = [l for l in cand[pos + 1 :] if l in fwd[j]]
-            if len(nxt) >= need:
-                prefix.append(j)
-                grow(prefix, nxt)
-                prefix.pop()
+    def grow(prefix: tuple[int, ...], cand: list[int], cset: set[int]) -> None:
+        # cand: the sorted indices after prefix[-1] adjacent to every vertex of prefix; cset: as a set
+        need = k - len(prefix) - 1  # vertices still to add after the next one
+        for j in cand:
+            nxt = fwd[j] & cset
+            if len(nxt) < need:
+                continue
+            if need == 1:
+                out.extend((*prefix, j, l) for l in sorted(nxt))
+            else:
+                grow((*prefix, j), sorted(nxt), nxt)
 
     for i, f in enumerate(fwd):
         if len(f) >= k - 1:
-            grow([i], sorted(f))
-    return [tuple(g.vertices[i] for i in idx) for idx in out]
+            grow((i,), sorted(f), f)
+    return [tuple(map(vs.__getitem__, idx)) for idx in out]
 
 
 def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]]:

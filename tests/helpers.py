@@ -227,3 +227,32 @@ def adjacency_masks(g) -> list[int]:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return masks
+
+
+def reference_cliques(fwd: list[set[int]], k: int) -> list[tuple[int, ...]]:
+    """Every k-clique of forward-neighbour sets as index tuples, by a plain candidate-list DFS.
+
+    fwd[i] holds the neighbours j > i of vertex i.  Each clique grows from its
+    lowest index over the sorted fwd[i], and each step keeps the later
+    candidates that lie in the newest vertex's set, tested one by one, so
+    cliques come out in lexicographic order of their index tuples.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def grow(prefix: list[int], cand: list[int]) -> None:
+        # cand: the indices after prefix[-1] adjacent to every vertex of prefix
+        if len(prefix) == k - 1:
+            out.extend((*prefix, j) for j in cand)
+            return
+        need = k - len(prefix) - 1
+        for pos, j in enumerate(cand):
+            nxt = [l for l in cand[pos + 1 :] if l in fwd[j]]
+            if len(nxt) >= need:
+                prefix.append(j)
+                grow(prefix, nxt)
+                prefix.pop()
+
+    for i, f in enumerate(fwd):
+        if len(f) >= k - 1:
+            grow([i], sorted(f))
+    return out

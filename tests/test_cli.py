@@ -160,7 +160,7 @@ class TestSearchCommand:
             ["search", "--D-list", "1", "--max-norm", "576", "--k", "4", "--csv", csv_path]
         )
         assert code == 1
-        rows = open(csv_path).read().strip().splitlines()
+        rows = Path(csv_path).read_text().strip().splitlines()
         assert rows[0] == "D,k,elems"
         assert any("-24" in r for r in rows[1:])
 

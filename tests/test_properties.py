@@ -31,7 +31,7 @@ from diotuples.quad_ring import (
     parse_elem,
     sqrt_exact,
 )
-from diotuples.search import brute_force_tuples, build_graph, enum_elements
+from diotuples.search import CompatGraph, brute_force_tuples, build_graph, enum_elements, find_cliques
 from diotuples.tuples import (
     PellWitness,
     build_pell_witness,
@@ -48,6 +48,7 @@ from helpers import (
     chain_quadruples_zi,
     fibonacci,
     reference_c_plus_minus,
+    reference_cliques,
     reference_extend,
     reference_verify_tuple,
     witness_triples,
@@ -103,6 +104,44 @@ def test_graph_matches_pairwise_definition(D, max_norm, kind, nx, ny, data):
         assert bool(adj[i] >> j & 1) == want, (g.vertices[i], g.vertices[j], n)
         assert bool(adj[j] >> i & 1) == want
     assert all(not m >> i & 1 for i, m in enumerate(adj))
+
+
+CLIQUE_DS = [1, 2, 3, 5, 7]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.integers(0, 24),
+    density=st.integers(0, 100),
+    k=st.integers(2, 5),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_cliques_match_reference_on_random_forward_sets(size, density, k, rnd):
+    # the vertices stand for their own indices, so find_cliques returns index tuples
+    fwd = [{j for j in range(i + 1, size) if rnd.randrange(100) < density} for i in range(size)]
+    g = CompatGraph(make_ring(1), QuadInt(make_ring(1), -1, 0), list(range(size)), fwd)
+    assert find_cliques(g, k) == reference_cliques(fwd, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    D=st.sampled_from(CLIQUE_DS),
+    max_norm=st.integers(1, 200),
+    kind=st.sampled_from(["-1", "1", "0", "random"]),
+    nx=st.integers(-6, 6),
+    ny=st.integers(-6, 6),
+    k=st.integers(2, 5),
+    keep=st.integers(30, 100),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_graph_cliques_match_reference_in_order(D, max_norm, kind, nx, ny, k, keep, rnd):
+    # n = 0 makes every pair of squares an edge, so its graphs hold many 4- and 5-cliques
+    ring = make_ring(D)
+    n = QuadInt(ring, 0, 0) if kind == "0" else shift(ring, kind, nx, ny)
+    picked = [e for e in enum_elements(ring, max_norm) if rnd.randrange(100) < keep]
+    g = build_graph(picked, n)
+    want = [tuple(g.vertices[i] for i in idx) for idx in reference_cliques(g.fwd, k)]
+    assert find_cliques(g, k) == want
 
 
 @settings(max_examples=300, deadline=None)

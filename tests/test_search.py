@@ -149,6 +149,26 @@ class TestDivisorKernel:
             assert g.edge_count > 0
             assert {frozenset(e) for e in g.edges()} == pairwise_edges(elems, n)
 
+    @pytest.mark.parametrize("D", [1, 2, 3, 7])
+    def test_pairs_not_closed_under_negation(self, D):
+        # one division per pair {a, -a}: a list of lower-half-plane elements has no vertex in
+        # _iter_half's half-plane, and in the mixed lists some a lack -a, on either side
+        ring = make_ring(D)
+        rng = Random(D)
+        ball = enum_elements(ring, 40)
+        upper = [e for e in ball if e.half_coords() > (0, 0)]
+        lower = [e for e in ball if e.half_coords() < (0, 0)]
+        lists = {
+            "lower": lower,
+            "upper, some lower": upper + rng.sample(lower, len(lower) // 2),
+            "lower, some upper": lower + rng.sample(upper, len(upper) // 2),
+        }
+        for n in (QuadInt(ring, -1, 0), QuadInt(ring, 0, 1)):  # -1 and omega, which is not real
+            for name, elems in lists.items():
+                want = pairwise_edges(elems, n)
+                assert want, (name, n)
+                assert {frozenset(e) for e in build_graph(elems, n).edges()} == want, (name, n)
+
     def test_sparse_list_with_high_norm(self):
         # not a norm ball: the x range follows the two largest norms, b is looked up by membership
         elems = [q1(1), q1(2), q1(5), q1(-24), q1(100)]  # -24*100 - 1 = (49i)**2
