@@ -14,7 +14,13 @@ kept strictly apart:
     L > 1              <=>  A > 0 and A^2 > 2916*m, A = 27*(norm(T) + M^2) - 16*N,
     lambda < 1.8       <=>  16^18 N^18 (4 norm(T) + 9 M^2 + 12 sqrt(m))^5
                               < 27^8 min^15 (norm(T) + M^2 - 2 sqrt(m))^8,
-  the last a sign test of an element a + b*sqrt(m) of Z[sqrt(m)];
+  the last a sign test of an element u + v*sqrt(m) of Z[sqrt(m)].  The
+  kernel stays on integers: norm(abc) = norm(a)*norm(b)*norm(c) by
+  multiplicativity, the fifth and eighth powers in Z[sqrt(m)] are taken by
+  squaring, and the sign of u + v*sqrt(m) is read off the bit lengths of
+  u, v and m when one side of u|u| vs -v|v|m is below 2^-54 of the other,
+  where the correctly rounded margin is exactly 1.0; otherwise both sides
+  are formed and compared;
 * the chain verifier works purely on big integers and exact fractions,
   with the recurring factor 330/65 stored reduced as 66/13;
 * the displayed values of the constants L, l, p, P, lambda, c1 and the
@@ -190,17 +196,28 @@ def _margin(x: int, y: int) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
-def _lemma_norms(a1: QuadInt, a2: QuadInt, T: QuadInt) -> tuple[int, int, int, int, float]:
-    """(norm(T), M^2, N, min, margin of L > 1) of the lemma at (a1, a2, T).
+def _pair_norms(a1: QuadInt, a2: QuadInt) -> tuple[int, int, int]:
+    """(norm(a1), norm(a2), norm(a1 - a2)), once a1 != a2, both are nonzero and share a ring.
 
-    Checks a1 != a2, both nonzero, |T| > M on norms and L > 1 by its integer
-    form; raises HypothesisFailure when |T| <= M or L <= 1.
+    Raises ValueError otherwise, in that order; the mixed-ring message is that of
+    a1 - a2.  The checks and norms are unchanged by (a1, a2) -> (-a1, -a2).
     """
     if a1 == a2:
         raise ValueError("a1 and a2 must be distinct")
     if a1.is_zero() or a2.is_zero():
         raise ValueError("a1 and a2 must be nonzero")
-    n1, n2, n12, nT = norm(a1), norm(a2), norm(a1 - a2), norm(T)
+    ring = a1.ring
+    if a2.ring != ring:
+        raise ValueError(f"mixed rings: {ring} vs {a2.ring}")
+    return norm(a1), norm(a2), QuadInt(ring, a1.x - a2.x, a1.y - a2.y).norm()
+
+
+def _lemma_norms(n1: int, n2: int, n12: int, nT: int) -> tuple[int, int, int, float]:
+    """(M^2, N, min, margin of L > 1) of the lemma from the norms of a1, a2, a1 - a2 and T.
+
+    Checks |T| > M and L > 1 by their integer forms; raises HypothesisFailure
+    when |T| <= M or L <= 1.
+    """
     M_sq = max(n1, n2)
     if nT <= M_sq:
         raise HypothesisFailure("|T| <= M = max(|a1|, |a2|)")
@@ -209,7 +226,7 @@ def _lemma_norms(a1: QuadInt, a2: QuadInt, T: QuadInt) -> tuple[int, int, int, i
     A_sq, bound = A * A, 2916 * nT * M_sq
     if A <= 0 or A_sq <= bound:
         raise HypothesisFailure("L <= 1: approximation lemma does not apply")
-    return nT, M_sq, N, min(n1, n2, n12), _margin(A_sq, bound)
+    return M_sq, N, min(n1, n2, n12), _margin(A_sq, bound)
 
 
 def jz_constants(
@@ -226,7 +243,8 @@ def jz_constants(
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
-    nT, M_sq, N, min_sq, _ = _lemma_norms(a1, a2, T)
+    nT = norm(T)
+    M_sq, N, min_sq, _ = _lemma_norms(*_pair_norms(a1, a2), nT)
     with _iv_precision(precision_bits):
         rT = iv.sqrt(nT)
         rM = iv.sqrt(M_sq)
@@ -282,11 +300,42 @@ def check_gap_hypotheses(a: QuadInt, b: QuadInt, c: QuadInt) -> HypothesisReport
 
 
 def _zsqrt_pow(a: int, b: int, m: int, k: int) -> tuple[int, int]:
-    """(a + b*sqrt(m))^k as the coefficient pair (x, y) of x + y*sqrt(m)."""
+    """(a + b*sqrt(m))^k as the coefficient pair (x, y) of x + y*sqrt(m), by squaring.
+
+    Left to right over the bits of k: x^5 = (x^2)^2 * x and x^8 = ((x^2)^2)^2.
+    """
     x, y = 1, 0
-    for _ in range(k):
-        x, y = x * a + y * b * m, x * b + y * a
+    for bit in bin(k)[2:]:
+        x, y = x * x + y * y * m, 2 * x * y
+        if bit == "1":
+            x, y = x * a + y * b * m, x * b + y * a
     return x, y
+
+
+# One side of u|u| vs -v|v|m dominates when its bit-length bound clears the
+# other's by this many bits: the smaller is then below 2^-54 of the larger.
+_DOMINANCE_BITS = 57
+
+
+def _zsqrt_negative(u: int, v: int, m: int) -> tuple[bool, float]:
+    """(u + v*sqrt(m) < 0, margin of the exact comparison u|u| vs -v|v|m), for m > 0.
+
+    The verdict is u|u| < -v|v|m, as t -> t|t| is increasing, and the margin is
+    _margin(u|u|, -v|v|m).  With ex = 2*bl(u) and ey = 2*bl(v) + bl(m) (bl the
+    bit length; ey = 0 when v = 0), 2^(ex-2) <= u^2 < 2^ex for u != 0 and
+    2^(ey-3) <= v^2 m < 2^ey for v != 0.  So when ey + 57 <= ex the ratio
+    v^2 m / u^2 is below 2^-55, the sign is that of u, and the exact margin
+    1 +- ratio rounds to 1.0 (the doubles next to 1 are 1 - 2^-53 and
+    1 + 2^-52); the mirror case ex + 57 <= ey bounds u^2 / v^2 m by 2^-54 and
+    takes the sign of v.  Otherwise both squares are formed.
+    """
+    ex, ey = 2 * u.bit_length(), (2 * v.bit_length() + m.bit_length() if v else 0)
+    if ey + _DOMINANCE_BITS <= ex:
+        return u < 0, 1.0
+    if ex + _DOMINANCE_BITS <= ey:
+        return v < 0, 1.0
+    x, y = u * abs(u), -v * abs(v) * m
+    return x < y, _margin(x, y)
 
 
 def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool, float, int]]:
@@ -299,21 +348,32 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
     of the integer comparison X vs Y that decided it (0.0 on an exact tie; for
     lambda, X = u|u| and Y = -v|v|m with u + v*sqrt(m) the difference of the two
     sides), and bits is 0: the verdict is exact and used no working precision.
+
+    Runs on integers: norm(T) = norm(a)*norm(b)*norm(c) by multiplicativity, so
+    abc is never formed; the norms and checks of (a1, a2) are taken at (b, a),
+    as they do not change under negation; the powers in Z[sqrt(m)] are taken by
+    squaring; and the lambda sign is read off the bit lengths of u, v and m
+    when one side of X vs Y dominates (see _zsqrt_negative).  A mixed-ring
+    input raises the ValueError that a*b, then (ab)*c, would raise.
     """
-    nT, M_sq, N, min_sq, L_margin = _lemma_norms(-b, -a, a * b * c)
+    ring = a.ring
+    for other in (b, c):
+        if other.ring != ring:
+            raise ValueError(f"mixed rings: {ring} vs {other.ring}")
+    nb, na, nab = _pair_norms(b, a)  # as at (a1, a2) = (-b, -a)
+    nT = na * nb * norm(c)
+    M_sq, N, min_sq, L_margin = _lemma_norms(nb, na, nab, nT)
     m = nT * M_sq
     # P^5 < L^4, squared: 16^18 N^18 (2|T| + 3M)^10 < 27^8 min^15 (|T| - M)^16
     x1, y1 = _zsqrt_pow(4 * nT + 9 * M_sq, 12, m, 5)
     x2, y2 = _zsqrt_pow(nT + M_sq, -2, m, 8)
     lhs, rhs = 16**18 * N**18, 27**8 * min_sq**15
-    u, v = lhs * x1 - rhs * x2, lhs * y1 - rhs * y2
-    # u + v*sqrt(m) < 0  <=>  u|u| < -v|v|m, as t -> t|t| is increasing
-    lam_x, lam_y = u * abs(u), -v * abs(v) * m
+    lam_holds, lam_margin = _zsqrt_negative(lhs * x1 - rhs * x2, lhs * y1 - rhs * y2, m)
     return {
         "l < 1/2": (1024 * M_sq < 25 * nT, _margin(1024 * M_sq, 25 * nT), 0),
         "p <= sqrt(47/42)": (484 * M_sq <= nT, _margin(484 * M_sq, nT), 0),
         "L > 1": (True, L_margin, 0),
-        "lambda < 1.8": (lam_x < lam_y, _margin(lam_x, lam_y), 0),
+        "lambda < 1.8": (lam_holds, lam_margin, 0),
     }
 
 

@@ -15,13 +15,14 @@ from . import __version__
 from .quad_ring import format_elem, is_squarefree, make_ring, parse_elem
 from .tuples import extend_triple, is_regular, make_tuple, verify_tuple
 from .search import SearchConfig, run_campaign, write_clique_csv, write_report
-from . import bounds as bnd
 
 REPRODUCE_TARGETS = ("quintuple-scan", "quadruple-min", "example-quadruple", "d3-triples")
 
 
 def _default_bits() -> int:
-    text = os.environ.get("DIO_PRECISION_BITS", str(bnd.DEFAULT_PRECISION_BITS))
+    from .bounds import DEFAULT_PRECISION_BITS  # bounds pulls in mpmath; only `bounds` needs it
+
+    text = os.environ.get("DIO_PRECISION_BITS", str(DEFAULT_PRECISION_BITS))
     try:
         return int(text)
     except ValueError:
@@ -215,6 +216,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bnd  # bounds pulls in mpmath; the other commands never need it
+
     if args.bounds_command == "chain":
         trace = bnd.chain_verify()
         if args.json:

@@ -23,7 +23,6 @@ import json
 import os
 import time
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from math import isqrt
@@ -548,6 +547,9 @@ def _field_results(chunks: list[list[tuple]], workers: int):
         for chunk in chunks:
             yield _run_chunk(chunk)
         return
+    # imported here: concurrent.futures.process pulls in multiprocessing, which one worker never needs
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]

@@ -9,7 +9,8 @@ from __future__ import annotations
 from math import isqrt
 from random import Random
 
-from diotuples.quad_ring import OmegaMode, QuadInt, RingParams, exact_div, format_elem, sqrt_exact
+from diotuples.bounds import HypothesisFailure
+from diotuples.quad_ring import OmegaMode, QuadInt, RingParams, exact_div, format_elem, norm, sqrt_exact
 from diotuples.tuples import (
     DioTuple,
     ExtensionPair,
@@ -256,3 +257,52 @@ def reference_cliques(fwd: list[set[int]], k: int) -> list[tuple[int, ...]]:
         if len(f) >= k - 1:
             grow([i], sorted(f))
     return out
+
+
+def reference_gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool, float, int]]:
+    """gap_lemma_checks on QuadInt arithmetic, the naive power loop and the full squares.
+
+    The lemma is taken at (a1, a2, T) = (-b, -a, abc) with T formed as a product
+    (so mixed rings raise from a*b, then from (ab)*c), its norms taken on those
+    elements, (a + b*sqrt(m))^k by k multiplications, and the lambda sign
+    decided on u|u| vs -v|v|m formed in full.  Errors and messages are the
+    library's.
+    """
+
+    def margin(x: int, y: int) -> float:
+        scale = max(abs(x), abs(y))
+        return abs(x - y) / scale if scale else 0.0
+
+    def power(p: int, q: int, m: int, k: int) -> tuple[int, int]:
+        x, y = 1, 0
+        for _ in range(k):
+            x, y = x * p + y * q * m, x * q + y * p
+        return x, y
+
+    a1, a2, T = -b, -a, a * b * c
+    if a1 == a2:
+        raise ValueError("a1 and a2 must be distinct")
+    if a1.is_zero() or a2.is_zero():
+        raise ValueError("a1 and a2 must be nonzero")
+    n1, n2, n12, nT = norm(a1), norm(a2), norm(a1 - a2), norm(T)
+    M_sq = max(n1, n2)
+    if nT <= M_sq:
+        raise HypothesisFailure("|T| <= M = max(|a1|, |a2|)")
+    N = n1 * n2 * n12
+    A = 27 * (nT + M_sq) - 16 * N
+    A_sq, bound = A * A, 2916 * nT * M_sq
+    if A <= 0 or A_sq <= bound:
+        raise HypothesisFailure("L <= 1: approximation lemma does not apply")
+    min_sq = min(n1, n2, n12)
+    m = nT * M_sq
+    x1, y1 = power(4 * nT + 9 * M_sq, 12, m, 5)
+    x2, y2 = power(nT + M_sq, -2, m, 8)
+    lhs, rhs = 16**18 * N**18, 27**8 * min_sq**15
+    u, v = lhs * x1 - rhs * x2, lhs * y1 - rhs * y2
+    lam_x, lam_y = u * abs(u), -v * abs(v) * m
+    return {
+        "l < 1/2": (1024 * M_sq < 25 * nT, margin(1024 * M_sq, 25 * nT), 0),
+        "p <= sqrt(47/42)": (484 * M_sq <= nT, margin(484 * M_sq, nT), 0),
+        "L > 1": (True, margin(A_sq, bound), 0),
+        "lambda < 1.8": (lam_x < lam_y, margin(lam_x, lam_y), 0),
+    }

@@ -228,21 +228,22 @@ def test_criterion_8_extension_golden():
             assert p.c_plus * p.c_minus == want
             identity_cases += 1
 
+    # {1, 2, 5, 145} is not D(-1): 5*145 - 1 = 724 lies between 26^2 and 27^2, and a
+    # rational integer is a square in Z[i] only if it is +-m^2
     rep_a = verify_tuple(make_tuple(ring, m1, [q(1), q(2), q(5), q(145)]))
-    ok = has_minus_24 and cpm_ok and rep_a.ok and rep_b.ok and identity_cases >= 1000
+    rejected = not rep_a.ok and rep_a.failing_pair == (q(5), q(145))
+    ok = has_minus_24 and cpm_ok and rep_b.ok and identity_cases >= 1000 and rejected
     detail = (
         f"extend has -24: {has_minus_24}; c+- = {{5, 145}}: {cpm_ok}; "
         f"{{1,2,-24,145}} verifies: {rep_b.ok}; identity on {identity_cases} triples; "
-        f"{{1,2,5,145}} verifies: {rep_a.ok}"
+        f"{{1,2,5,145}} rejected at (5, 145), 5*145-1 = 724 not a square in Z[i]: {rejected}"
     )
-    if not rep_a.ok:
-        detail += " (5*145-1 = 724 is not a square in Z[i])"
     _report(8, ok, detail)
     assert has_minus_24
     assert cpm_ok
     assert rep_b.ok
     assert identity_cases >= 1000
-    assert rep_a.ok, "{1,2,5,145}: pair (5,145) gives 724, which has no square root in Z[i]"
+    assert not rep_a.ok and rep_a.failing_pair == (q(5), q(145))
 
 
 def test_criterion_9_property_invariants():

@@ -14,9 +14,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import iv
 
+from diotuples import bounds
 from diotuples.bounds import (
     HypothesisFailure,
     PrecReal,
+    _margin,
+    _zsqrt_negative,
+    _zsqrt_pow,
     gap_lemma_checks,
     jz_constants,
     theta_defect,
@@ -50,6 +54,7 @@ from helpers import (
     reference_c_plus_minus,
     reference_cliques,
     reference_extend,
+    reference_gap_lemma_checks,
     reference_verify_tuple,
     witness_triples,
 )
@@ -445,6 +450,126 @@ def test_gap_clause_ties_are_exact():
     a1, a2, T = (parse_elem(t, r2) for t in ("-2-1*w", "-1+1*w", "-10-5*w"))
     with pytest.raises(HypothesisFailure, match="L <= 1"):
         jz_constants(a1, a2, T)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the ValueError (or HypothesisFailure) it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference_kernel(a: QuadInt, b: QuadInt, c: QuadInt) -> None:
+    # dict ==, so every verdict and margin float is bit-identical; or the same error
+    got, want = outcome(gap_lemma_checks, a, b, c), outcome(reference_gap_lemma_checks, a, b, c)
+    assert got == want, (a, b, c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    D=st.sampled_from(GAP_DS),
+    kind=st.sampled_from(["gap", "free", "equal", "zero", "mixed"]),
+    data=st.data(),
+)
+def test_gap_lemma_checks_matches_object_kernel(D, kind, data):
+    ring = make_ring(D)
+    if kind == "gap":  # as in the gap lemma, hypotheses not enforced
+        a, b = data.draw(elements(D, 10)), data.draw(elements(D, 60))
+        c = QuadInt(ring, norm(b) ** 8 + data.draw(st.integers(1, 10**6)), data.draw(st.integers(0, 50)))
+    else:  # |c| from 1 to 2^120 takes lambda across 1.8
+        a, b = data.draw(elements(D, 8)), data.draw(elements(D, 8))
+        c = data.draw(elements(D, 2 ** data.draw(st.integers(0, 120))))
+    if kind == "equal":
+        b = a
+    elif kind == "zero":
+        zero = QuadInt(ring, 0, 0)
+        which = data.draw(st.sampled_from(["a", "b", "c", "ab"]))
+        a = zero if "a" in which else a
+        b = zero if "b" in which else b
+        c = zero if which == "c" else c
+    elif kind == "mixed":  # a*b raises first, then (ab)*c
+        Db, Dc = data.draw(st.lists(st.sampled_from([E for E in GAP_DS if E != D]), min_size=2, max_size=2))
+        which = data.draw(st.sampled_from(["b", "c", "bc"]))
+        b = QuadInt(make_ring(Db), b.x, b.y) if "b" in which else b
+        c = QuadInt(make_ring(Dc), c.x, c.y) if "c" in which else c
+    assert_matches_reference_kernel(a, b, c)
+
+
+def test_gap_lemma_checks_matches_object_kernel_on_fixed_sets():
+    for D, *coords in FIXED_GAP_SETS:
+        assert_matches_reference_kernel(*(QuadInt(make_ring(D), x, y) for x, y in coords))
+    # the exact tie p = sqrt(47/42): margin 0.0 on both sides
+    assert_matches_reference_kernel(*(QuadInt(make_ring(1), x, 0) for x in (1, -1, -22)))
+    # three rings: the message names the ring of b, as a*b raises before (ab)*c
+    assert_matches_reference_kernel(*(QuadInt(make_ring(D), 2, 1) for D in (1, 2, 3)))
+
+
+def with_bit_length(bits: int):
+    """Strategy for the integers of exactly `bits` bits, either sign (0 for bits = 0)."""
+    if bits == 0:
+        return st.just(0)
+    magnitude = st.integers(1 << (bits - 1), (1 << bits) - 1)
+    return st.tuples(magnitude, st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    m_bits=st.integers(1, 100),
+    v_bits=st.integers(0, 150),
+    gap=st.integers(-64, 64),  # ex - ey, across the +-57 thresholds both ways
+    data=st.data(),
+)
+def test_zsqrt_negative_matches_full_squares(m_bits, v_bits, gap, data):
+    m = data.draw(with_bit_length(m_bits).map(abs))
+    v = data.draw(with_bit_length(v_bits))
+    u = data.draw(with_bit_length(max(0, (2 * v_bits + m_bits + gap) // 2)))
+    x, y = u * abs(u), -v * abs(v) * m
+    assert _zsqrt_negative(u, v, m) == (x < y, _margin(x, y))
+
+
+def test_zsqrt_negative_edges():
+    def full(u, v, m):
+        x, y = u * abs(u), -v * abs(v) * m
+        return x < y, _margin(x, y)
+
+    cases = [(0, 0, 5), (0, 0, 2**80), (0, 3, 5), (0, -(2**40), 7), (3, 0, 5), (-(2**40), 0, 7), (1, 1, 1), (-1, -1, 1)]
+    # worst cases one bit either side of each threshold: the smallest dominant
+    # side against the largest other side of the given bit lengths
+    for bu in range(24, 40):
+        for bv, bm in ((0, 1), (1, 1), (2, 3), (5, 8)):
+            for su, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                cases.append((su << (bu - 1), sv * ((1 << bv) - 1), (1 << bm) - 1))
+                cases.append((su * ((1 << bu) - 1), sv << (bv - 1) if bv else 0, 1 << (bm - 1)))
+                cases.append((su * ((1 << bv) - 1), sv << (bu - 1), (1 << (bm - 1))))
+                cases.append((su << (bv - 1) if bv else 0, sv * ((1 << bu) - 1), (1 << bm) - 1))
+    for u, v, m in cases:
+        assert _zsqrt_negative(u, v, m) == full(u, v, m), (u, v, m)
+
+
+def test_zsqrt_negative_skips_the_squares_when_one_side_dominates(monkeypatch):
+    def no_margin(x, y):
+        raise AssertionError("a dominant side needs no full comparison")
+
+    monkeypatch.setattr(bounds, "_margin", no_margin)
+    assert _zsqrt_negative(-(2**200), 3, 5) == (True, 1.0)
+    assert _zsqrt_negative(2**200, -(2**90), 5) == (False, 1.0)
+    assert _zsqrt_negative(3, -(2**100), 5) == (True, 1.0)
+    assert _zsqrt_negative(0, 2**100, 5) == (False, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(-(2**300), 2**300),
+    b=st.integers(-(2**300), 2**300),
+    m=st.integers(1, 2**600),
+    k=st.integers(0, 20),
+)
+def test_zsqrt_pow_matches_naive_loop(a, b, m, k):
+    x, y = 1, 0
+    for _ in range(k):
+        x, y = x * a + y * b * m, x * b + y * a
+    assert _zsqrt_pow(a, b, m, k) == (x, y)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import multiprocessing
@@ -483,7 +484,8 @@ class TestClampWorkers:
             raise AssertionError("a single usable CPU must not start a worker pool")
 
         monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        # the pool branch of _field_results imports ProcessPoolExecutor from here
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         report = run_campaign(SearchConfig(D_list=[1, 2], max_norm=30, k=3, n="-1", jobs=2))
         assert [r.D for r in report.results] == [1, 2]
 
@@ -583,7 +585,7 @@ class TestChunkedCampaign:
             raise AssertionError("every field is checkpointed")
 
         monkeypatch.setattr(search, "_run_field", no_field)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_field)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_field)
         again = run_campaign(self.cfg(str(path), jobs=2))
         assert [r.to_json() for r in again.results] == [r.to_json() for r in first.results]
         assert path.read_text() == text  # nothing new, so no rewrite

@@ -1,10 +1,11 @@
 """Source checks: invariant checks in the package must survive `python -O`, the
-omega convention stays inside quad_ring, and the package imports only the
-stdlib and its declared dependency."""
+omega convention stays inside quad_ring, the package imports only the stdlib
+and its declared dependency, and importing the CLI stays cheap."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +51,16 @@ def test_package_imports_only_declared_dependencies():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert not found, f"imports outside the stdlib and mpmath: {found}"
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # mpmath (through bounds) and the process pool load only when a command needs them
+    heavy = ("mpmath", "diotuples.bounds", "concurrent.futures.process")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import diotuples.cli; "
+        f"print(*(name for name in {heavy!r} if name in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE_DIR.parent)], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.split() == [], f"import diotuples.cli loads {proc.stdout.split()}"
