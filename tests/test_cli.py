@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -237,6 +238,23 @@ class TestExtendCommand:
 
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["bounds", "chain", "--json"], "53959c0d5985af7bb53bbfcb7c7ac0527869d01c2441b3110cb1d9859987577f"),
+            (["bounds", "chain"], "64583c0d69dcbb8a19ffd0a48be2b95c4ea82c9d799f985224dfe9d1f32ec0e5"),
+            (
+                ["bounds", "jz", "--a1", "1", "--a2", "-1", "--T", "100"],
+                "ea46de154f181fe5f64a4641c0d855fa9fa6e29f2759874a670c140a6f6419da",
+            ),
+        ],
+    )
+    def test_output_pinned(self, argv, digest, capsys, monkeypatch):
+        # sha256 of stdout, byte for byte; jz runs at the default precision
+        monkeypatch.delenv("DIO_PRECISION_BITS", raising=False)
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_chain(self, capsys):
         assert main(["bounds", "chain"]) == 0
         assert "CONFIRMED" in capsys.readouterr().out
