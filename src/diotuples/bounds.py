@@ -26,9 +26,14 @@ kept strictly apart:
 * the displayed values of the constants L, l, p, P, lambda, c1 and the
   theta defects are evaluated as PrecReal: an mpmath.iv interval that
   encloses the true value at the requested working precision, with directed
-  rounding done by mpmath.  No verdict is read off these enclosures.  The
-  theta defects are enclosed from exact integer norms by a formula without
-  cancellation.
+  rounding done by mpmath.  No verdict is read off these enclosures.
+  PrecReal.compare orders two enclosures exactly when they are disjoint and
+  calls them undecided (sign 0) when they overlap, with no threshold on the
+  gap.  The theta defects are enclosed from exact integer norms by a formula
+  without cancellation.
+
+Every exact comparison, of a hypothesis clause or a chain step, is one
+Comparison record whose verdict is computed from its operands.
 """
 
 from __future__ import annotations
@@ -49,10 +54,9 @@ __all__ = [
     "PrecReal",
     "JZConstants",
     "HypothesisFailure",
-    "HypothesisClause",
+    "Comparison",
     "HypothesisReport",
     "ThetaCheck",
-    "ChainStep",
     "ChainTrace",
     "jz_constants",
     "gap_lemma_checks",
@@ -63,11 +67,9 @@ __all__ = [
     "chain_verify",
     "threshold_a22",
     "DEFAULT_PRECISION_BITS",
-    "DECISION_MARGIN",
 ]
 
 DEFAULT_PRECISION_BITS = 128
-DECISION_MARGIN = 2.0 ** -64  # minimum relative margin for a trusted comparison
 
 
 class HypothesisFailure(ValueError):
@@ -96,16 +98,6 @@ class PrecReal:
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
 
-    @classmethod
-    def from_int(cls, n: int, bits: int) -> "PrecReal":
-        with _iv_precision(bits):
-            return cls(iv.mpf(n), bits)
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction, bits: int) -> "PrecReal":
-        with _iv_precision(bits):
-            return cls(iv.mpf(fr.numerator) / fr.denominator, bits)
-
     @property
     def value(self) -> mpmath.mpf:
         """Midpoint of the enclosure."""
@@ -123,23 +115,6 @@ class PrecReal:
             return float("inf")
         return float(mpmath.mpf((e.delta / 2 / min(abs(e.a), abs(e.b))).b))
 
-    def _combine(self, other: "PrecReal", op) -> "PrecReal":
-        bits = min(self.precision_bits, other.precision_bits)
-        with _iv_precision(bits):
-            return PrecReal(op(self.enclosure, other.enclosure), bits)
-
-    def add(self, other: "PrecReal") -> "PrecReal":
-        return self._combine(other, operator.add)
-
-    def sub(self, other: "PrecReal") -> "PrecReal":
-        return self._combine(other, operator.sub)
-
-    def mul(self, other: "PrecReal") -> "PrecReal":
-        return self._combine(other, operator.mul)
-
-    def div(self, other: "PrecReal") -> "PrecReal":
-        return self._combine(other, operator.truediv)
-
     def compare(self, other: "PrecReal") -> tuple[int, float]:
         """(sign, relative margin) of the gap between the two enclosures.
 
@@ -156,10 +131,6 @@ class PrecReal:
             return 0, 0.0
         scale = max(abs(self.enclosure).b, abs(other.enclosure).b)
         return sign, float(mpmath.mpf((gap / scale).a))
-
-    def decided_against(self, other: "PrecReal") -> bool:
-        """True when the enclosures are disjoint and the gap clears 2^-64."""
-        return self.compare(other)[1] > DECISION_MARGIN
 
     def __float__(self) -> float:
         return float(self.value)
@@ -263,17 +234,40 @@ def jz_constants(
     return JZConstants(a1, a2, T, M_sq, *consts, precision_bits)
 
 
+_RELATIONS = {">": operator.gt, ">=": operator.ge, "==": operator.eq}
+
+
 @dataclass(frozen=True)
-class HypothesisClause:
+class Comparison:
+    """The exact comparison lhs <relation> rhs of integers or fractions; holds follows from the operands."""
+
     name: str
-    holds: bool
-    lhs: int
-    rhs: int
+    relation: str  # ">", ">=" or "=="
+    lhs: int | Fraction
+    rhs: int | Fraction
+
+    @property
+    def holds(self) -> bool:
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
+
+    @property
+    def margin(self) -> int | Fraction:
+        return self.lhs - self.rhs
+
+    def to_json(self) -> dict:
+        return {
+            "description": self.name,
+            "relation": self.relation,
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+            "holds": self.holds,
+            "margin": str(self.margin),
+        }
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    clauses: tuple[HypothesisClause, ...]
+    clauses: tuple[Comparison, ...]
 
     @property
     def all_hold(self) -> bool:
@@ -291,10 +285,10 @@ def check_gap_hypotheses(a: QuadInt, b: QuadInt, c: QuadInt) -> HypothesisReport
     """
     na, nb, nc = norm(a), norm(b), norm(c)
     clauses = (
-        HypothesisClause("|b| >= (3/2)|a|", 4 * nb >= 9 * na, 4 * nb, 9 * na),
-        HypothesisClause("|b| >= 22", nb >= 484, nb, 484),
-        HypothesisClause("|a| >= 2", na >= 4, na, 4),
-        HypothesisClause("|c| > |b|^16", nc > nb**16, nc, nb**16),
+        Comparison("|b| >= (3/2)|a|", ">=", 4 * nb, 9 * na),
+        Comparison("|b| >= 22", ">=", nb, 484),
+        Comparison("|a| >= 2", ">=", na, 4),
+        Comparison("|c| > |b|^16", ">", nc, nb**16),
     )
     return HypothesisReport(clauses)
 
@@ -458,9 +452,9 @@ def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -
 
     hyp = HypothesisReport(
         (
-            HypothesisClause("|c| > 4|b|", nc > 16 * nb, nc, 16 * nb),
-            HypothesisClause("|c| > 4|a|", nc > 16 * na, nc, 16 * na),
-            HypothesisClause("|a| >= 2", na >= 4, na, 4),
+            Comparison("|c| > 4|b|", ">", nc, 16 * nb),
+            Comparison("|c| > 4|a|", ">", nc, 16 * na),
+            Comparison("|a| >= 2", ">=", na, 4),
         )
     )
     return ThetaCheck(
@@ -478,31 +472,8 @@ def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -
 
 
 @dataclass(frozen=True)
-class ChainStep:
-    description: str
-    relation: str
-    lhs: object  # int or Fraction
-    rhs: object
-    holds: bool
-
-    @property
-    def margin(self):
-        return self.lhs - self.rhs
-
-    def to_json(self) -> dict:
-        return {
-            "description": self.description,
-            "relation": self.relation,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "holds": self.holds,
-            "margin": str(self.margin),
-        }
-
-
-@dataclass(frozen=True)
 class ChainTrace:
-    steps: tuple[ChainStep, ...]
+    steps: tuple[Comparison, ...]
     notes: tuple[str, ...] = ()
 
     @property
@@ -521,7 +492,7 @@ class ChainTrace:
         lines = []
         for i, s in enumerate(self.steps, 1):
             status = "ok  " if s.holds else "FAIL"
-            lines.append(f"[{status}] step {i}: {s.description}")
+            lines.append(f"[{status}] step {i}: {s.name}")
             lines.append(f"        {s.lhs} {s.relation} {s.rhs}")
         lines.append(f"trace {'CONFIRMED' if self.confirmed else 'NOT CONFIRMED'}")
         for note in self.notes:
@@ -545,89 +516,53 @@ def chain_verify() -> ChainTrace:
     Floors: the 4th element of any long tuple has magnitude >= 12 and the 5th
     >= 15; the squaring cascade then forces the growth that collides with the
     upper bound 3956^10 |c|^24.  Every comparison below is on big integers or
-    exact fractions; a failing step is recorded, never raised.
+    exact fractions; a failing step is recorded, never raised.  Only the literal
+    index and floor bookkeeping of steps (ii) and (vi) raises RuntimeError.
     """
-    steps: list[ChainStep] = []
-
-    # (i) 12 * 15 * (13/66) > 35
-    steps.append(
-        ChainStep(
-            "floor of the 7th magnitude: 12*15*13 vs 35*66",
-            ">",
-            12 * 15 * 13,
-            35 * 66,
-            12 * 15 * 13 > 35 * 66,
-        )
-    )
-
-    # (ii) five squaring steps take index 7 to 22 and give x^32 * (13/66)^31
+    floor = 10**27  # the floor of the 22nd magnitude that step (iv) certifies
+    # literal side conditions of steps (ii) and (vi); raised, so they also run under -O
+    if 7 + 3 * 5 != 22 or floor < 18 * 10**6:
+        raise RuntimeError("chain bookkeeping: 5 steps must take index 7 to 22, and 10^27 >= 1.8*10^7")
     f35 = Fraction(35)
-    cascade_val = _cascade(f35, 5)
-    closed = f35**32 * GROWTH**31
-    steps.append(
-        ChainStep(
+    steps = (
+        # (i) 12 * 15 * (13/66) > 35
+        Comparison("floor of the 7th magnitude: 12*15*13 vs 35*66", ">", 12 * 15 * 13, 35 * 66),
+        # (ii) five squaring steps take index 7 to 22 and give x^32 * (13/66)^31
+        Comparison(
             "squaring cascade 7->22 (5 steps of x -> x^2*13/66) matches x^32*(13/66)^31 at x=35",
             "==",
-            cascade_val,
-            closed,
-            cascade_val == closed and 7 + 3 * 5 == 22,
-        )
-    )
-
-    # (iii) the 22nd magnitude exceeds the 7th to the 16th power: x^16 > (66/13)^31 at x=35
-    steps.append(
-        ChainStep(
-            "16th-power domination at the floor 35: 35^16*13^31 vs 66^31",
-            ">",
-            35**16 * 13**31,
-            66**31,
-            35**16 * 13**31 > 66**31,
-        )
-    )
-
-    # (iv) the 22nd magnitude exceeds 10^27: 35^32*13^31 > 10^27*66^31
-    steps.append(
-        ChainStep(
-            "22nd magnitude exceeds 1e27: 35^32*13^31 vs 10^27*66^31",
-            ">",
-            35**32 * 13**31,
-            10**27 * 66**31,
-            35**32 * 13**31 > 10**27 * 66**31,
-        )
-    )
-
-    # (v) the threshold 1.8e7 suffices: (18e6)^8*13^31 >= 66^31*3956^10
-    steps.append(
-        ChainStep(
+            _cascade(f35, 5),
+            f35**32 * GROWTH**31,
+        ),
+        # (iii) the 22nd magnitude exceeds the 7th to the 16th power: x^16 > (66/13)^31 at x=35
+        Comparison("16th-power domination at the floor 35: 35^16*13^31 vs 66^31", ">", 35**16 * 13**31, 66**31),
+        # (iv) the 22nd magnitude exceeds 10^27: 35^32*13^31 > 10^27*66^31
+        Comparison(
+            "22nd magnitude exceeds 1e27: 35^32*13^31 vs 10^27*66^31", ">", 35**32 * 13**31, 10**27 * 66**31
+        ),
+        # (v) the threshold 1.8e7 suffices: (18e6)^8*13^31 >= 66^31*3956^10
+        Comparison(
             "threshold sufficiency: (18*10^6)^8*13^31 vs 66^31*3956^10",
             ">=",
             (18 * 10**6) ** 8 * 13**31,
             66**31 * 3956**10,
-            (18 * 10**6) ** 8 * 13**31 >= 66**31 * 3956**10,
-        )
-    )
-
-    # (vi) contradiction: with the floor 10^27 from (iv), the cascade output
-    # strictly exceeds the upper bound, i.e. F^8*13^31 > 66^31*3956^10
-    floor = 10**27
-    holds = floor >= 18 * 10**6 and floor**8 * 13**31 > 66**31 * 3956**10
-    steps.append(
-        ChainStep(
+        ),
+        # (vi) contradiction: with the floor 10^27 from (iv), the cascade output
+        # strictly exceeds the upper bound, i.e. F^8*13^31 > 66^31*3956^10
+        Comparison(
             "final collision at the floor 10^27: F^8*13^31 vs 66^31*3956^10 (F=10^27 >= 1.8*10^7)",
             ">",
             floor**8 * 13**31,
             66**31 * 3956**10,
-            holds,
-        )
+        ),
     )
-
     notes = (
         "all magnitude inequalities are squared/cross-multiplied into exact integers;"
         " 330/65 is stored reduced as 66/13",
         "the gap-lemma growth hypothesis is read as |b|^16 < |c|"
         " (the magnitude bound needs |b|^7.8 < |c|^0.4875)",
     )
-    return ChainTrace(tuple(steps), notes)
+    return ChainTrace(steps, notes)
 
 
 def threshold_a22() -> int:

@@ -39,7 +39,6 @@ __all__ = [
     "elem_key",
     "elem_to_json",
     "elem_from_json",
-    "iter_elements",
     "sorted_ball",
 ]
 
@@ -148,9 +147,8 @@ class QuadInt:
     __rmul__ = __mul__
 
     def conj(self) -> "QuadInt":
-        if self.ring.omega_mode is OmegaMode.SQRT:
-            return QuadInt(self.ring, self.x, -self.y)
-        return QuadInt(self.ring, self.x + self.y, -self.y)
+        u, v = self.half_coords()
+        return _from_half_unchecked(self.ring, u, -v)
 
     def norm(self) -> int:
         u, v = self.half_coords()
@@ -351,13 +349,6 @@ def _iter_half(D: int, max_norm: int):
     for u, vs in _half_rows(D, max_norm):
         for v in vs:
             yield u, v
-
-
-def iter_elements(ring: RingParams, max_norm: int):
-    """Yield every nonzero element of norm <= max_norm (unspecified order)."""
-    for u, v in _iter_half(ring.D, max_norm):
-        yield _from_half_unchecked(ring, u, v)
-        yield _from_half_unchecked(ring, -u, -v)
 
 
 def sorted_ball(ring: RingParams, max_norm: int) -> list[QuadInt]:

@@ -1,10 +1,12 @@
 """Source checks: invariant checks in the package must survive `python -O`, the
 omega convention stays inside quad_ring, the package imports only the stdlib
-and its declared dependency, and importing the CLI stays cheap."""
+and its declared dependency, every exported name exists, and importing the CLI
+stays cheap."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +66,20 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         [sys.executable, "-c", code, str(PACKAGE_DIR.parent)], capture_output=True, text=True, timeout=60, check=True
     )
     assert proc.stdout.split() == [], f"import diotuples.cli loads {proc.stdout.split()}"
+
+
+def test_exported_names_resolve():
+    # a name left in __all__ after its definition is deleted breaks `from module import *`
+    missing, count = [], 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            module = importlib.import_module("diotuples")
+            tree = ast.parse(path.read_text(), filename=str(path))
+            names = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+        else:
+            module = importlib.import_module(f"diotuples.{path.stem}")
+            names = getattr(module, "__all__", [])
+        count += len(names)
+        missing += [f"{module.__name__}.{name}" for name in names if not hasattr(module, name)]
+    assert count > 0
+    assert not missing, f"exported names that do not resolve: {missing}"
