@@ -89,7 +89,12 @@ def _iv_precision(bits: int):
 
 @dataclass(frozen=True)
 class PrecReal:
-    """A rigorous enclosure (an mpmath.iv interval) evaluated at a working precision."""
+    """A rigorous enclosure (an mpmath.iv interval) evaluated at a working precision.
+
+    The caller must compute the enclosure at precision_bits, for example under
+    _iv_precision(precision_bits), as jz_constants and theta_defect do; the
+    label is not checked against the interval's width.
+    """
 
     enclosure: iv.mpf
     precision_bits: int

@@ -19,16 +19,6 @@ from .search import SearchConfig, run_campaign, write_clique_csv, write_report
 REPRODUCE_TARGETS = ("quintuple-scan", "quadruple-min", "example-quadruple", "d3-triples")
 
 
-def _default_bits() -> int:
-    from .bounds import DEFAULT_PRECISION_BITS  # bounds pulls in mpmath; only `bounds` needs it
-
-    text = os.environ.get("DIO_PRECISION_BITS", str(DEFAULT_PRECISION_BITS))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"DIO_PRECISION_BITS must be an integer, got {text!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="diotuples", description=__doc__)
     ap.add_argument("--version", action="version", version=f"diotuples {__version__}")
@@ -56,12 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(a crash loses at most the chunks in flight)",
     )
     p.add_argument("--resume", action="store_true", help="reuse an existing checkpoint (needs --checkpoint)")
-    p.add_argument(
-        "--symmetry-prune",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="report orbit representatives with expansions",
-    )
     p.add_argument("--json", action="store_true", help="print the report JSON to stdout")
 
     p = sub.add_parser("extend", help="extend a D(-1) triple by a z-scan")
@@ -142,7 +126,6 @@ def _cmd_search(args) -> int:
         max_norm=args.max_norm,
         k=args.k,
         n=args.n,
-        symmetry_prune=args.symmetry_prune,
         jobs=args.jobs,
         checkpoint_path=args.checkpoint,
     )
@@ -151,6 +134,10 @@ def _cmd_search(args) -> int:
         raise ValueError("--resume needs --checkpoint")
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path) and not args.resume:
         raise ValueError(f"checkpoint {cfg.checkpoint_path} exists; pass --resume to reuse it")
+    for flag, path in (("--out", args.out), ("--csv", args.csv), ("--checkpoint", args.checkpoint)):
+        # checked here, so a bad path fails before the campaign rather than after it
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path}: directory does not exist")
 
     report = run_campaign(cfg, progress=_print_progress)
     if args.out:
@@ -231,7 +218,7 @@ def _cmd_bounds(args) -> int:
         print(f"N <= 1.8e7: {n <= 18 * 10**6}")
         return 0
     # jz
-    bits = _default_bits() if args.precision_bits is None else args.precision_bits
+    bits = bnd.DEFAULT_PRECISION_BITS if args.precision_bits is None else args.precision_bits
     ring = make_ring(args.D)
     a1 = parse_elem(args.a1, ring)
     a2 = parse_elem(args.a2, ring)

@@ -263,7 +263,6 @@ class SearchConfig:
     max_norm: int
     k: int
     n: str = "-1"
-    symmetry_prune: bool = True
     jobs: int = 1
     checkpoint_path: str | None = None
 
@@ -309,7 +308,9 @@ class SearchConfig:
             "max_norm": self.max_norm,
             "k": self.k,
             "n": self.n,
-            "symmetry_prune": self.symmetry_prune,
+            # every report groups its cliques into orbits; the key stays so that config
+            # hashes, and with them older checkpoints, are unchanged
+            "symmetry_prune": True,
         }
 
     def config_hash(self) -> str:
@@ -323,16 +324,11 @@ class FieldResult:
     D: int
     vertex_count: int
     edge_count: int
-    cliques: list[dict]  # {"elems": [...]} plus "orbit": [[...]] when pruned
+    cliques: list[dict]  # {"elems": representative, "orbit": [every member]}
     wall_time: float
 
     def clique_sets(self, ring: RingParams) -> set[frozenset[QuadInt]]:
-        out: set[frozenset[QuadInt]] = set()
-        for rec in self.cliques:
-            groups = rec.get("orbit", [rec["elems"]])
-            for g in groups:
-                out.add(frozenset(elem_from_json(e, ring) for e in g))
-        return out
+        return {frozenset(elem_from_json(e, ring) for e in g) for rec in self.cliques for g in rec["orbit"]}
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -346,11 +342,7 @@ class SearchReport:
 
     @property
     def total_cliques(self) -> int:
-        total = 0
-        for r in self.results:
-            for rec in r.cliques:
-                total += len(rec.get("orbit", [rec["elems"]]))
-        return total
+        return sum(len(rec["orbit"]) for r in self.results for rec in r.cliques)
 
     def all_clique_sets(self) -> dict[int, set[frozenset[QuadInt]]]:
         return {r.D: r.clique_sets(make_ring(r.D)) for r in self.results}
@@ -375,7 +367,7 @@ class SearchReport:
         }
 
 
-def _run_field(D: int, max_norm: int, k: int, n_text: str, symmetry_prune: bool) -> dict:
+def _run_field(D: int, max_norm: int, k: int, n_text: str) -> dict:
     ring = make_ring(D)
     n = parse_elem(n_text, ring)
     t0 = time.monotonic()
@@ -386,15 +378,11 @@ def _run_field(D: int, max_norm: int, k: int, n_text: str, symmetry_prune: bool)
         # report invariant: every emitted clique re-verifies
         if not verify_tuple(make_tuple(ring, n, c)).ok:
             raise RuntimeError(f"clique {c} failed re-verification")
-    if symmetry_prune:
-        records = _group_orbits(cliques, n)
-    else:
-        records = [{"elems": [elem_to_json(e) for e in c]} for c in cliques]
     return {
         "D": D,
         "vertex_count": len(elems),
         "edge_count": g.edge_count,
-        "cliques": records,
+        "cliques": _group_orbits(cliques, n),
         "wall_time": time.monotonic() - t0,
     }
 
@@ -436,6 +424,31 @@ def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
 _FIELD_KEYS = {f.name for f in fields(FieldResult)}
 
 
+def _is_elem_list(value) -> bool:
+    """True for a list of {"x": str, "y": str} objects whose texts int() reads, as elem_from_json needs."""
+    if not isinstance(value, list):
+        return False
+    for e in value:
+        if not (isinstance(e, dict) and e.keys() == {"x", "y"} and type(e["x"]) is str and type(e["y"]) is str):
+            return False
+        try:
+            int(e["x"]), int(e["y"])
+        except ValueError:
+            return False
+    return True
+
+
+def _is_clique_record(rec) -> bool:
+    """True for {"elems": elements, "orbit": [elements, ...]}, as _group_orbits writes it."""
+    return (
+        isinstance(rec, dict)
+        and rec.keys() == {"elems", "orbit"}
+        and _is_elem_list(rec["elems"])
+        and isinstance(rec["orbit"], list)
+        and all(_is_elem_list(f) for f in rec["orbit"])
+    )
+
+
 def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
     if not path or not os.path.exists(path):
         return {}
@@ -450,14 +463,14 @@ def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
     completed = data.get("completed", {})
     for key, res in completed.items():
         # each entry is a FieldResult's JSON, stored under the text of its own D: int D and
-        # counts, clique objects with an "elems" list and a numeric wall_time
+        # counts, clique records down to their elements, and a numeric wall_time
         well_formed = (
             isinstance(res, dict)
             and res.keys() == _FIELD_KEYS
             and all(type(res[f]) is int for f in ("D", "vertex_count", "edge_count"))
             and type(res["wall_time"]) in (int, float)
             and isinstance(res["cliques"], list)
-            and all(isinstance(rec, dict) and isinstance(rec.get("elems"), list) for rec in res["cliques"])
+            and all(_is_clique_record(rec) for rec in res["cliques"])
         )
         if not (well_formed and key == str(res["D"])):
             raise ValueError(f"checkpoint {path}: malformed 'completed' entry {key!r}")
@@ -577,7 +590,7 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     ds = sorted(set(cfg.D_list))
     config_hash = cfg.config_hash()
     completed = _load_checkpoint(cfg.checkpoint_path, config_hash)
-    tasks = [(D, cfg.max_norm, cfg.k, cfg.n, cfg.symmetry_prune) for D in ds if D not in completed]
+    tasks = [(D, cfg.max_norm, cfg.k, cfg.n) for D in ds if D not in completed]
     workers = clamp_workers(cfg.jobs, len(tasks), _usable_cpus())
     # closing() shuts the pool down as soon as the loop is left, not when the generator is freed
     with closing(_field_results(_chunks(tasks, workers), workers)) as chunk_results:

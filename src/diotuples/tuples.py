@@ -147,10 +147,6 @@ def verify_tuple(t: DioTuple) -> VerifyReport:
     return VerifyReport(t, True, tuple(checks), None)
 
 
-def _minus_one(ring: RingParams) -> QuadInt:
-    return QuadInt(ring, -1, 0)
-
-
 def _witnesses(**pairs: tuple[QuadInt, QuadInt]) -> dict[str, tuple[int, int]]:
     """Half-coordinates of the canonical D(-1) witnesses sqrt(p*q - 1), by name.
 
@@ -207,13 +203,7 @@ def pell_residuals(w: PellWitness) -> tuple[QuadInt, QuadInt]:
     return r1, r2
 
 
-def extend_triple(
-    a: QuadInt,
-    b: QuadInt,
-    c: QuadInt,
-    z_norm_bound: int,
-    n: QuadInt | None = None,
-) -> list[tuple[QuadInt, PellWitness]]:
+def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list[tuple[QuadInt, PellWitness]]:
     """All extensions d = (z^2 + 1)/c of the D(-1) triple {a, b, c} from a z-scan.
 
     Scans nonzero z with norm(z) <= z_norm_bound up to sign; keeps d when
@@ -227,14 +217,11 @@ def extend_triple(
     plain ints; elements and Pell witnesses are built only for the hits.
     """
     ring = a.ring
-    m1 = _minus_one(ring)
-    if n is not None and n != m1:
-        raise ValueError("extension machinery is specific to the shift n = -1")
     if z_norm_bound < 0:
         raise ValueError("z_norm_bound must be >= 0")
     if c.is_zero():
         raise ValueError("c must be nonzero")
-    triple = make_tuple(ring, m1, [a, b, c])
+    triple = make_tuple(ring, QuadInt(ring, -1, 0), [a, b, c])
     if not verify_tuple(triple).ok:
         raise ValueError("{a, b, c} is not a D(-1) triple")
 

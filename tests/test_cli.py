@@ -112,12 +112,17 @@ class TestSearchCommand:
             "cliques-null",
             "clique-not-object",
             "clique-without-elems",
+            "clique-without-orbit",
+            "orbit-not-list",
+            "element-without-y",
+            "element-x-not-decimal",
             "wall-time-text",
         ],
     )
     def test_malformed_checkpoint(self, shape, tmp_path, capsys, monkeypatch):
         ck = tmp_path / "ck.json"
-        args = ["search", "--D-list", "1,2", "--max-norm", "10", "--k", "3", "--checkpoint", str(ck)]
+        # D=1 at max_norm 30 has a 3-clique, so the element shapes have a record to break
+        args = ["search", "--D-list", "1,2", "--max-norm", "30", "--k", "3", "--checkpoint", str(ck)]
         assert main(args) == 1
         saved = json.loads(ck.read_text())
         entry = saved["completed"].pop("1")  # schema and config hash still match; D=2 stays done
@@ -136,6 +141,13 @@ class TestSearchCommand:
             saved["completed"]["one"] = entry
         elif shape == "D-mismatch":
             saved["completed"]["1"] = {**entry, "D": 2}
+        elif shape in ("element-without-y", "element-x-not-decimal"):
+            elem = entry["cliques"][0]["orbit"][-1][0]
+            if shape == "element-without-y":
+                del elem["y"]
+            else:
+                elem["x"] = "1.5"
+            saved["completed"]["1"] = entry
         else:
             # keys intact, one value of the wrong type
             bad = {
@@ -144,6 +156,8 @@ class TestSearchCommand:
                 "cliques-null": {"cliques": None},
                 "clique-not-object": {"cliques": [1]},
                 "clique-without-elems": {"cliques": [{"orbit": []}]},
+                "clique-without-orbit": {"cliques": [{"elems": entry["cliques"][0]["elems"]}]},
+                "orbit-not-list": {"cliques": [{**entry["cliques"][0], "orbit": None}]},
                 "wall-time-text": {"wall_time": "1.0"},
             }[shape]
             saved["completed"]["1"] = {**entry, **bad}
@@ -195,6 +209,15 @@ class TestSearchCommand:
         assert main(args) == 0
         assert main(args) == 2  # existing checkpoint without --resume
         assert main(args + ["--resume"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv", "--checkpoint"])
+    def test_output_in_missing_directory(self, flag, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        path = str(tmp_path / "missing" / "file")
+        assert main(["search", "--D-list", "1", "--max-norm", "10", "--k", "3", flag, path]) == 2
+        assert f"{flag} {path}" in capsys.readouterr().err
+        assert ran == []  # rejected before any field ran
 
     def test_resume_requires_checkpoint(self, capsys, monkeypatch):
         ran = []
@@ -249,9 +272,8 @@ class TestBoundsCommand:
             ),
         ],
     )
-    def test_output_pinned(self, argv, digest, capsys, monkeypatch):
+    def test_output_pinned(self, argv, digest, capsys):
         # sha256 of stdout, byte for byte; jz runs at the default precision
-        monkeypatch.delenv("DIO_PRECISION_BITS", raising=False)
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -291,13 +313,6 @@ class TestBoundsCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "precision_bits" in captured.err
-        assert captured.out == ""
-
-    def test_malformed_precision_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIO_PRECISION_BITS", "lots")
-        assert main(["bounds", "jz", "--a1", "1", "--a2", "-1", "--T", "100"]) == 2
-        captured = capsys.readouterr()
-        assert "DIO_PRECISION_BITS" in captured.err
         assert captured.out == ""
 
     def test_jz_precision_flag(self, capsys):

@@ -312,14 +312,6 @@ class TestCampaign:
         for s in sets:
             assert verify_tuple(make_tuple(R1, M1, s)).ok
 
-    def test_symmetry_prune_equivalence(self):
-        for D in (1, 3):
-            base = dict(D_list=[D], max_norm=120, k=3, n="-1")
-            on = run_campaign(SearchConfig(**base, symmetry_prune=True))
-            off = run_campaign(SearchConfig(**base, symmetry_prune=False))
-            assert on.all_clique_sets() == off.all_clique_sets()
-            assert on.total_cliques == off.total_cliques
-
     def test_checkpoint_resume(self, tmp_path):
         path = str(tmp_path / "ck.json")
         cfg = SearchConfig(D_list=[1, 2, 3], max_norm=60, k=3, n="-1", checkpoint_path=path)
@@ -442,7 +434,7 @@ class TestCampaign:
 
         monkeypatch.setattr(search, "verify_tuple", lambda t: Failed())
         with pytest.raises(RuntimeError, match="re-verification"):
-            search._run_field(1, 30, 3, "-1", True)
+            search._run_field(1, 30, 3, "-1")
         with pytest.raises(RuntimeError, match="verify_tuple"):
             brute_force_tuples(enum_elements(R1, 30), 3, M1)
 
@@ -460,7 +452,7 @@ class TestCampaign:
         rebuilt = {
             frozenset(parse_many(group, ring))
             for rec in payload["results"][0]["cliques"]
-            for group in rec.get("orbit", [rec["elems"]])
+            for group in rec["orbit"]
         }
         assert rebuilt == report.all_clique_sets()[1]
 
@@ -500,7 +492,7 @@ def without_wall_time(result) -> dict:
 
 def tasks_of(cfg: SearchConfig) -> list[tuple]:
     """The _run_field tasks of a campaign with nothing checkpointed, as run_campaign forms them."""
-    return [(D, cfg.max_norm, cfg.k, cfg.n, cfg.symmetry_prune) for D in sorted(set(cfg.D_list))]
+    return [(D, cfg.max_norm, cfg.k, cfg.n) for D in sorted(set(cfg.D_list))]
 
 
 class Boom(Exception):

@@ -1,7 +1,7 @@
 """Source checks: invariant checks in the package must survive `python -O`, the
 omega convention stays inside quad_ring, the package imports only the stdlib
-and its declared dependency, every exported name exists, and importing the CLI
-stays cheap."""
+and its declared dependency and reads no environment variable, every exported
+name exists, and importing the CLI stays cheap."""
 
 from __future__ import annotations
 
@@ -53,6 +53,22 @@ def test_package_imports_only_declared_dependencies():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert not found, f"imports outside the stdlib and mpmath: {found}"
+
+
+def test_package_reads_no_environment():
+    # every setting is a command-line option or a parameter, so no knob hides in the environment
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} os.{name}" for name in names if name in readers]
+    assert not found, f"the package reads the process environment: {found}"
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():

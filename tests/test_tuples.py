@@ -211,8 +211,6 @@ class TestExtendTriple:
             extend_triple(q1(1), q1(2), q1(3), 100)  # not a triple
         with pytest.raises(ValueError):
             extend_triple(q1(1), q1(2), q1(0), 100)  # c = 0 fails nonzero check
-        with pytest.raises(ValueError):
-            extend_triple(q1(1), q1(2), q1(5), 100, n=QuadInt(R1, 1, 0))
 
 
 class TestCPlusMinus:
