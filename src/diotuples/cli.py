@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .quad_ring import format_elem, is_squarefree, make_ring, parse_elem
-from .tuples import extend_triple, is_regular, make_tuple, verify_tuple
+from .tuples import extend_scan, extend_triple, is_regular, make_tuple, verify_tuple
 from .search import SearchConfig, run_campaign, write_clique_csv, write_report
 
 REPRODUCE_TARGETS = ("quintuple-scan", "quadruple-min", "example-quadruple", "d3-triples")
@@ -120,6 +120,13 @@ def _print_progress(res: dict) -> None:
     )
 
 
+def _check_output_dirs(*flag_paths: tuple[str, str | None]) -> None:
+    """Reject an output path in a missing directory, so it fails before a campaign rather than after it."""
+    for flag, path in flag_paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path}: directory does not exist")
+
+
 def _cmd_search(args) -> int:
     cfg = SearchConfig(
         D_list=_parse_d_selection(args),
@@ -134,10 +141,7 @@ def _cmd_search(args) -> int:
         raise ValueError("--resume needs --checkpoint")
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path) and not args.resume:
         raise ValueError(f"checkpoint {cfg.checkpoint_path} exists; pass --resume to reuse it")
-    for flag, path in (("--out", args.out), ("--csv", args.csv), ("--checkpoint", args.checkpoint)):
-        # checked here, so a bad path fails before the campaign rather than after it
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"{flag} {path}: directory does not exist")
+    _check_output_dirs(("--out", args.out), ("--csv", args.csv), ("--checkpoint", args.checkpoint))
 
     report = run_campaign(cfg, progress=_print_progress)
     if args.out:
@@ -165,10 +169,11 @@ def _cmd_extend(args) -> int:
     if args.z_norm_bound < 0:
         raise ValueError("--z-norm-bound must be >= 0")
     try:
-        found = extend_triple(a, b, c, args.z_norm_bound)
+        scan = extend_scan(a, b, c, args.z_norm_bound)
     except ValueError as exc:
         print(f"not extendable: {exc}", file=sys.stderr)
         return 1
+    found = scan.extensions
     base_regular = is_regular(a, b, c)
     if args.json:
         payload = {
@@ -186,6 +191,7 @@ def _cmd_extend(args) -> int:
                 }
                 for d, w in found
             ],
+            "scan": scan.to_json(),
         }
         print(json.dumps(payload, indent=1))
     else:
@@ -199,6 +205,8 @@ def _cmd_extend(args) -> int:
                 f"  d = {format_elem(d)}  (x={format_elem(w.x)}, y={format_elem(w.y)}, "
                 f"z={format_elem(w.z)}; {{a, b, d}} {dflag})"
             )
+        classes = "whole ball" if scan.root_classes is None else f"{scan.root_classes} root classes"
+        print(f"scan: {classes}, {scan.z_scanned} z scanned, {scan.accepted} accepted")
     return 0
 
 
@@ -264,6 +272,7 @@ def _reproduce_scan(max_norm: int, k: int, jobs: int, out: str | None) -> int:
         n="-1",
         jobs=jobs,
     )
+    _check_output_dirs(("--out", out))
 
     report = run_campaign(cfg, progress=_print_progress)
     if out:

@@ -225,13 +225,20 @@ def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
     u*v = V.  (U, V) must be the half-coordinates of an element of O_K, so r is
     even and the candidate has u**2 + D*v**2 = 2*r = 0 (mod 4): it lies in O_K
     by the integrality rule, with no parity test.
+
+    A rational alpha (V = 0) has 4*norm(alpha) = U**2 exactly, so r = |U| is
+    taken without the square test; the steps after it and the closing
+    beta**2 = alpha check are the same for every alpha.
     """
-    n4 = U * U + D * V * V
-    if not _SQUARE_MOD64[n4 & 63]:
-        return None
-    r = isqrt(n4)
-    if r * r != n4:
-        return None
+    if V == 0:
+        r = abs(U)
+    else:
+        n4 = U * U + D * V * V
+        if not _SQUARE_MOD64[n4 & 63]:
+            return None
+        r = isqrt(n4)
+        if r * r != n4:
+            return None
     usq = U + r  # >= 0 since |U| <= r
     u = isqrt(usq)
     if u * u != usq:
@@ -349,6 +356,76 @@ def _iter_half(D: int, max_norm: int):
     for u, vs in _half_rows(D, max_norm):
         for v in vs:
             yield u, v
+
+
+def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*p + t*q = g = gcd(p, q) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while q:
+        k = p // q
+        p, q = q, p - k * q
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    return (p, s0, t0) if p >= 0 else (-p, -s0, -t0)
+
+
+def _ideal_hnf(c: QuadInt) -> tuple[int, int, int]:
+    """(n1, t, n2) with c*O_K = Z*(n1, 0) + Z*(t, n2) in basis coordinates and 0 <= t < n1.
+
+    The Hermite normal form of the lattice spanned by c and c*omega, for a
+    nonzero c.  n1*n2 = norm(c), so the (x, y) with 0 <= x < n1 and
+    0 <= y < n2 are one representative of each class of O_K/(c).
+    """
+    cw = c * QuadInt(c.ring, 0, 1)
+    n2, s, t = _ext_gcd(c.y, cw.y)
+    n1 = abs(c.x * cw.y - cw.x * c.y) // n2
+    return n1, (s * c.x + t * cw.x) % n1, n2
+
+
+def _sqrt_mod(n: QuadInt, hnf: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """The representatives (x, y) of O_K/(c) with (x + y*omega)^2 = n (mod c), c*O_K given by _ideal_hnf.
+
+    One pass over the norm(c) representatives on integers: z^2 - n lies in
+    c*O_K when its omega coordinate is a multiple k of n2 and its rational
+    coordinate minus k*t a multiple of n1.
+    """
+    D = n.ring.D
+    n1, t, n2 = hnf
+    p, q = (1, -(D + 1) // 4) if n.ring.omega_mode is OmegaMode.HALF else (0, -D)  # omega^2 = p*omega + q
+    roots = []
+    for y in range(n2):
+        wy0, wx0 = p * y * y - n.y, q * y * y - n.x  # z^2 - n = (x^2 + wx0) + (2xy + wy0)*omega
+        for x in range(n1):
+            wy = 2 * x * y + wy0
+            if wy % n2 == 0 and (x * x + wx0 - wy // n2 * t) % n1 == 0:
+                roots.append((x, y))
+    return roots
+
+
+def _class_rows(ring: RingParams, hnf: tuple[int, int, int], z0: tuple[int, int], max_norm: int):
+    """Rows (v, range of u) of the z = z0 (mod c) with norm(z) <= max_norm, u > 0 or u = 0 and v > 0.
+
+    c*O_K is given by _ideal_hnf and z0 by basis coordinates (x0, y0):
+    z = x + y*omega lies in the class when y = y0 (mod n2) and then
+    x = x0 + t*(y - y0)/n2 (mod n1).  The rows run over y; each bounds u from
+    an integer square root, as _half_rows does, and keeps the half-plane of
+    _iter_half.  With hnf (1, 0, 1) and z0 = (0, 0) they cover _iter_half's z.
+    """
+    D = ring.D
+    n1, t, n2 = hnf
+    x0, y0 = z0
+    p = 1 if ring.omega_mode is OmegaMode.HALF else 0  # x + y*omega = (2x + p*y + (2 - p)*y*sqrt(-D))/2
+    four_n = 4 * max_norm
+    ymax = isqrt(four_n // D) // (2 - p)  # D*v^2 <= 4*max_norm
+    y = (y0 + ymax) % n2 - ymax  # the least y >= -ymax in the class
+    xr = (x0 + (y - y0) // n2 * t) % n1
+    while y <= ymax:
+        v, py = (2 - p) * y, p * y
+        xlo = -((py - (v <= 0)) // 2)  # u >= 1, or u >= 0 when v > 0
+        xhi = (isqrt(four_n - D * v * v) - py) // 2
+        yield v, range(2 * (xlo + (xr - xlo) % n1) + py, 2 * xhi + py + 1, 2 * n1)
+        y += n2
+        xr = (xr + t) % n1
 
 
 def sorted_ball(ring: RingParams, max_norm: int) -> list[QuadInt]:

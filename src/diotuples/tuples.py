@@ -19,11 +19,14 @@ from dataclasses import dataclass
 from .quad_ring import (
     QuadInt,
     RingParams,
+    _class_rows,
     _div_half,
     _from_half_unchecked,
-    _iter_half,
+    _half_rows,
+    _ideal_hnf,
     _mul_half,
     _sqrt_half,
+    _sqrt_mod,
     elem_key,
     elem_to_json,
     format_elem,
@@ -42,6 +45,8 @@ __all__ = [
     "is_regular",
     "build_pell_witness",
     "pell_residuals",
+    "ExtendScan",
+    "extend_scan",
     "extend_triple",
     "c_plus_minus",
     "tuple_orbit",
@@ -66,15 +71,15 @@ class DioTuple:
 
 def make_tuple(ring: RingParams, n: QuadInt, elems) -> DioTuple:
     """Validate and normalize: same ring, nonzero, pairwise distinct, sorted."""
-    if n.ring != ring:
+    if n.ring is not ring and n.ring != ring:
         raise ValueError("shift n lives in a different ring")
     elems = list(elems)
     for e in elems:
-        if e.ring != ring:
+        if e.ring is not ring and e.ring != ring:
             raise ValueError(f"element {e} lives in a different ring")
         if e.is_zero():
             raise ValueError("tuple elements must be nonzero")
-    if len(set(elems)) != len(elems):
+    if len({(e.x, e.y) for e in elems}) != len(elems):  # one ring, so coordinates decide equality
         raise ValueError("tuple elements must be pairwise distinct")
     return DioTuple(ring, n, tuple(sorted(elems, key=elem_key)))
 
@@ -120,7 +125,7 @@ class VerifyReport:
 def _halves(ring: RingParams, *elems: QuadInt) -> list[tuple[int, int]]:
     """Half-coordinates of elems, which must all live in ring."""
     for e in elems:
-        if e.ring != ring:
+        if e.ring is not ring and e.ring != ring:
             raise ValueError(f"mixed rings: {ring} vs {e.ring}")
     return [e.half_coords() for e in elems]
 
@@ -155,12 +160,16 @@ def _witnesses(**pairs: tuple[QuadInt, QuadInt]) -> dict[str, tuple[int, int]]:
     out = {}
     for name, (p, q) in pairs.items():
         ring = p.ring
-        P, Q = _mul_half(ring.D, *_halves(ring, p, q))
-        root = _sqrt_half(ring.D, P - 2, Q)  # p*q - 1, with 1 = (2 + 0*s)/2
-        if root is None:
-            raise ValueError(f"{format_elem(p)}*{format_elem(q)} - 1 is not a square ({name} missing)")
-        out[name] = root
+        out[name] = _witness_half(ring.D, _mul_half(ring.D, *_halves(ring, p, q)), p, q, name)
     return out
+
+
+def _witness_half(D: int, pq: tuple[int, int], p: QuadInt, q: QuadInt, name: str) -> tuple[int, int]:
+    """Half-coordinates of the canonical sqrt(p*q - 1), from those of p*q; raises naming the missing square."""
+    root = _sqrt_half(D, pq[0] - 2, pq[1])  # p*q - 1, with 1 = (2 + 0*s)/2
+    if root is None:
+        raise ValueError(f"{format_elem(p)}*{format_elem(q)} - 1 is not a square ({name} missing)")
+    return root
 
 
 def is_regular(a: QuadInt, b: QuadInt, c: QuadInt) -> bool:
@@ -203,19 +212,29 @@ def pell_residuals(w: PellWitness) -> tuple[QuadInt, QuadInt]:
     return r1, r2
 
 
-def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list[tuple[QuadInt, PellWitness]]:
-    """All extensions d = (z^2 + 1)/c of the D(-1) triple {a, b, c} from a z-scan.
+@dataclass(frozen=True)
+class ExtendScan:
+    """extend_triple's extensions with the counts of the z-scan that found them.
 
-    Scans nonzero z with norm(z) <= z_norm_bound up to sign; keeps d when
-    c | z^2 + 1, d is not in {0, a, b, c} and ad - 1, bd - 1 are squares.
-    z and -z give the same d, and z^2 = cd - 1 fixes z up to sign, so each d
-    comes from exactly one scanned z.  Results are ordered by the smaller
-    (norm, x, y) of z and -z.
-
-    The scan runs on half-coordinates (see quad_ring): z^2 + 1 is divided by
-    c with _div_half and ad - 1, bd - 1 are tested with _sqrt_half, all on
-    plain ints; elements and Pell witnesses are built only for the hits.
+    root_classes is the number of classes z0 of O_K/(c) with z0^2 = -1, or
+    None when the whole half-ball was scanned instead; z_scanned counts the z (one
+    of each pair {z, -z}) taken to the filters.
     """
+
+    extensions: list[tuple[QuadInt, PellWitness]]
+    root_classes: int | None
+    z_scanned: int
+
+    @property
+    def accepted(self) -> int:
+        return len(self.extensions)
+
+    def to_json(self) -> dict:
+        return {"root_classes": self.root_classes, "z_scanned": self.z_scanned, "accepted": self.accepted}
+
+
+def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> ExtendScan:
+    """extend_triple's scan, returned with its counts (see ExtendScan)."""
     ring = a.ring
     if z_norm_bound < 0:
         raise ValueError("z_norm_bound must be >= 0")
@@ -226,24 +245,60 @@ def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list
         raise ValueError("{a, b, c} is not a D(-1) triple")
 
     D = ring.D
+    if c.norm() <= sum(len(vs) for _, vs in _half_rows(D, z_norm_bound)):
+        hnf = _ideal_hnf(c)
+        classes = _sqrt_mod(QuadInt(ring, -1, 0), hnf)
+        root_classes = len(classes)
+    else:  # the root pass would visit more classes than the half-ball has z: scan that half-ball
+        hnf, classes, root_classes = (1, 0, 1), [(0, 0)], None
+
     ha, hb, (cu, cv) = a.half_coords(), b.half_coords(), c.half_coords()
     excluded = {(0, 0), ha, hb, (cu, cv)}
     survivors = []
-    for u, v in _iter_half(D, z_norm_bound):  # one z of each pair {z, -z}
-        # z^2 + 1, with 1 = (2 + 0*sqrt(-D))/2
-        d = _div_half(D, (u * u - D * v * v) // 2 + 2, u * v, cu, cv)
-        if d is None or d in excluded:
-            continue
-        P, Q = _mul_half(D, ha, d)  # ad - 1 = (P - 2 + Q*s)/2
-        if _sqrt_half(D, P - 2, Q) is None:
-            continue
-        P, Q = _mul_half(D, hb, d)
-        if _sqrt_half(D, P - 2, Q) is None:
-            continue
-        z = _from_half_unchecked(ring, u, v)
-        survivors.append((min(elem_key(z), elem_key(-z)), _from_half_unchecked(ring, *d)))
+    z_scanned = 0
+    for z0 in classes:
+        for v, us in _class_rows(ring, hnf, z0, z_norm_bound):
+            z_scanned += len(us)
+            for u in us:
+                # z^2 + 1, with 1 = (2 + 0*sqrt(-D))/2
+                d = _div_half(D, (u * u - D * v * v) // 2 + 2, u * v, cu, cv)
+                if d is None or d in excluded:
+                    continue
+                P, Q = _mul_half(D, ha, d)  # ad - 1 = (P - 2 + Q*s)/2
+                if _sqrt_half(D, P - 2, Q) is None:
+                    continue
+                P, Q = _mul_half(D, hb, d)
+                if _sqrt_half(D, P - 2, Q) is None:
+                    continue
+                z = _from_half_unchecked(ring, u, v)
+                survivors.append((min(elem_key(z), elem_key(-z)), _from_half_unchecked(ring, *d)))
     survivors.sort(key=lambda s: s[0])
-    return [(d, build_pell_witness(a, b, c, d)) for _, d in survivors]
+    return ExtendScan([(d, build_pell_witness(a, b, c, d)) for _, d in survivors], root_classes, z_scanned)
+
+
+def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list[tuple[QuadInt, PellWitness]]:
+    """All extensions d = (z^2 + 1)/c of the D(-1) triple {a, b, c} from a z-scan.
+
+    Scans nonzero z with norm(z) <= z_norm_bound up to sign; keeps d when
+    c | z^2 + 1, d is not in {0, a, b, c} and ad - 1, bd - 1 are squares.
+    z and -z give the same d, and z^2 = cd - 1 fixes z up to sign, so each d
+    comes from exactly one scanned z.  Results are ordered by the smaller
+    (norm, x, y) of z and -z.
+
+    c | z^2 + 1 exactly when z mod c is a root of z^2 = -1 in O_K/(c).  The
+    roots z0 are found in one pass over the norm(c) representatives that the
+    Hermite normal form of c*O_K gives (_ideal_hnf), and only the z = z0 + c*w
+    with norm(z) <= z_norm_bound are scanned, row by row with integer square
+    root bounds, in the half-plane u > 0, or u = 0 and v > 0, of _iter_half.
+    When norm(c) exceeds the number of z in that half of the ball, the whole
+    half-ball is scanned instead (one class, c*O_K replaced by O_K).  A unit
+    c has a single class, so it scans the same half-ball.
+
+    The scan runs on half-coordinates (see quad_ring): z^2 + 1 is divided by
+    c with _div_half and ad - 1, bd - 1 are tested with _sqrt_half, all on
+    plain ints; elements and Pell witnesses are built only for the hits.
+    """
+    return extend_scan(a, b, c, z_norm_bound).extensions
 
 
 @dataclass(frozen=True)
@@ -265,17 +320,25 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
 
     Flipping the sign of any witness only swaps c_+ and c_-, so the canonical
     witnesses from _sqrt_half lose no generality.  Everything up to the
-    returned ExtensionPair runs on half-coordinates with _mul_half.
+    returned ExtensionPair runs on half-coordinates with _mul_half; ab, ad
+    and bd are formed once, for the witnesses and for the identity check.
+    The pairs are taken in the order (a, b), (a, d), (b, d), and a pair from
+    two rings or without a witness raises as _witnesses does.
     """
-    w = _witnesses(r=(a, b), x=(a, d), y=(b, d))
     ring = a.ring
     D = ring.D
-    ha, hb, hd = a.half_coords(), b.half_coords(), d.half_coords()
+    ha, hb = _halves(ring, a, b)
+    ab = _mul_half(D, ha, hb)
+    r = _witness_half(D, ab, a, b, "r")
+    (hd,) = _halves(ring, d)
+    ad = _mul_half(D, ha, hd)
+    x = _witness_half(D, ad, a, d, "x")
+    bd = _mul_half(D, hb, hd)
+    y = _witness_half(D, bd, b, d, "y")
     su, sv = ha[0] + hb[0] + hd[0], ha[1] + hb[1] + hd[1]  # s = a + b + d
-    ab, ad, bd = _mul_half(D, ha, hb), _mul_half(D, ha, hd), _mul_half(D, hb, hd)
     abd = _mul_half(D, ab, hd)
     eu, ev = su - 2 * abd[0], sv - 2 * abd[1]  # e = s - 2abd
-    fu, fv = _mul_half(D, _mul_half(D, w["r"], w["x"]), w["y"])
+    fu, fv = _mul_half(D, _mul_half(D, r, x), y)
     fu, fv = 2 * fu, 2 * fv  # f = 2rxy
     cp, cm = (eu + fu, ev + fv), (eu - fu, ev - fv)
     if cp[0] * cp[0] + D * cp[1] * cp[1] < cm[0] * cm[0] + D * cm[1] * cm[1]:  # 4 * norm
@@ -286,8 +349,8 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
     prod = (s2u - 4 * (ab[0] + ad[0] + bd[0]) + 8, s2v - 4 * (ab[1] + ad[1] + bd[1]))
     if _mul_half(D, cp, cm) != prod:
         raise AssertionError("c_plus * c_minus identity violated")
-    cp_e, cm_e, r, x, y = (_from_half_unchecked(ring, *h) for h in (cp, cm, w["r"], w["x"], w["y"]))
-    return ExtensionPair(cp_e, cm_e, a, b, d, r, x, y)
+    cp_e, cm_e, r_e, x_e, y_e = (_from_half_unchecked(ring, *h) for h in (cp, cm, r, x, y))
+    return ExtensionPair(cp_e, cm_e, a, b, d, r_e, x_e, y_e)
 
 
 def tuple_orbit(t: DioTuple) -> set[DioTuple]:

@@ -259,6 +259,25 @@ class TestExtendCommand:
         assert any(e["d"] == "-24" for e in payload["extensions"])
         assert all(e["abd_regular"] is False for e in payload["extensions"] if e["d"] == "-24")
 
+    @pytest.mark.parametrize(
+        "bound, scan, line",
+        [
+            (
+                10**4,
+                {"root_classes": 4, "z_scanned": 2500, "accepted": 1},
+                "scan: 4 root classes, 2500 z scanned, 1 accepted",
+            ),
+            (10, {"root_classes": None, "z_scanned": 18, "accepted": 0}, "scan: whole ball, 18 z scanned, 0 accepted"),
+        ],
+    )
+    def test_scan_counts(self, bound, scan, line, capsys):
+        # norm(5) = 25 is above the 18 z of the half-ball at bound 10, so that bound scans the ball
+        argv = ["extend", "--D", "1", "--triple", "1,2,5", "--z-norm-bound", str(bound)]
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["scan"] == scan
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == line
+
 
 class TestBoundsCommand:
     @pytest.mark.parametrize(
@@ -336,6 +355,14 @@ class TestReproduceCommand:
 
     def test_unknown_target(self):
         assert main(["reproduce", "nonsense"]) == 2
+
+    def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        path = str(tmp_path / "missing" / "r.json")
+        assert main(["reproduce", "quadruple-min", "--out", path]) == 2
+        assert f"--out {path}" in capsys.readouterr().err
+        assert ran == []  # rejected before any field ran
 
 
 def test_version_flag():

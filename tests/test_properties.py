@@ -27,6 +27,7 @@ from diotuples.bounds import (
 )
 from diotuples.quad_ring import (
     QuadInt,
+    _sqrt_half,
     exact_div,
     format_elem,
     from_half,
@@ -40,6 +41,7 @@ from diotuples.tuples import (
     PellWitness,
     build_pell_witness,
     c_plus_minus,
+    extend_scan,
     extend_triple,
     make_tuple,
     pair_witness,
@@ -47,6 +49,7 @@ from diotuples.tuples import (
 )
 from helpers import (
     adjacency_masks,
+    box_elements,
     brute_root_table,
     canonical_sign,
     chain_quadruples_zi,
@@ -173,6 +176,58 @@ def test_sqrt_is_none_or_a_root(D, data, dx, dy):
         assert root is None or root * root == a
 
 
+def general_sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
+    """_sqrt_half's reconstruction with no rational shortcut: r = isqrt(U^2 + D*V^2) for every alpha."""
+    n4 = U * U + D * V * V
+    r = isqrt(n4)
+    if r * r != n4:
+        return None
+    u = isqrt(U + r)
+    if u * u != U + r:
+        return None
+    if u == 0:
+        if V != 0 or (2 * r) % D:
+            return None
+        v = isqrt(2 * r // D)
+        if D * v * v != 2 * r:
+            return None
+    elif V % u:
+        return None
+    else:
+        v = V // u
+    if u * u - D * v * v != 2 * U or u * v != V:
+        return None
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.sampled_from([1, 2, 3, 7, 11, 163]),
+    t=st.integers(0, 2**1300),
+    shape=st.sampled_from(["2t^2", "-2t^2", "-2Dt^2", "any"]),
+    nudge=st.sampled_from([0, 0, -4, -2, 2, 4]),
+)
+def test_sqrt_half_rational_matches_general(D, t, shape, nudge):
+    # V = 0: rational alpha = U/2, with U even and up to about 2,600 bits; squares and their neighbours
+    U = {
+        "2t^2": 2 * t * t,
+        "-2t^2": -2 * t * t,
+        "-2Dt^2": -2 * D * t * t,
+        "any": (-1) ** t * 2 * (t * t // (t % 5 + 1)),
+    }[shape]
+    U += nudge
+    assert _sqrt_half(D, U, 0) == general_sqrt_half(D, U, 0)
+
+
+def test_sqrt_half_rational_edges():
+    for D in (1, 2, 3, 7, 11, 163):
+        assert _sqrt_half(D, 0, 0) == (0, 0)
+        assert _sqrt_half(D, 2 * 9, 0) == (6, 0)  # 9 = 3^2
+        assert _sqrt_half(D, -2 * D * 25, 0) == (0, 10)  # -25D = (5*sqrt(-D))^2
+        for U in (-2, 2, 4, -4 * D, 2 * 10**780, -2 * 10**780):
+            assert _sqrt_half(D, U, 0) == general_sqrt_half(D, U, 0)
+
+
 @lru_cache(maxsize=None)
 def extend_cases(D: int) -> list:
     """Benchmark and chain triples, the `reproduce d3-triples` pair, and witness_triples."""
@@ -191,6 +246,18 @@ def extend_cases(D: int) -> list:
 def test_extend_matches_object_scan(D, bound, data):
     triples = extend_cases(D)
     a, b, c = data.draw(st.permutations(data.draw(st.sampled_from(triples))))
+    scan = extend_scan(a, b, c, bound)
+    assert scan.extensions == extend_triple(a, b, c, bound) == reference_extend(a, b, c, bound)
+    # the root classes scan exactly the z with c | z^2 + 1; the ball scan takes every z to the filters
+    half = [z for z in box_elements(c.ring, bound) if z == canonical_sign(z)]
+    divisible = sum(exact_div(z * z + 1, c) is not None for z in half)
+    assert scan.z_scanned == (len(half) if scan.root_classes is None else divisible)
+
+
+@settings(max_examples=8, deadline=None)
+@given(D=st.sampled_from(EXTEND_DS), bound=st.integers(300, 10**4), data=st.data())
+def test_extend_matches_object_scan_at_larger_bounds(D, bound, data):
+    a, b, c = data.draw(st.permutations(data.draw(st.sampled_from(extend_cases(D)))))
     assert extend_triple(a, b, c, bound) == reference_extend(a, b, c, bound)
 
 

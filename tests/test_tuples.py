@@ -11,6 +11,7 @@ from diotuples.tuples import (
     PellWitness,
     build_pell_witness,
     c_plus_minus,
+    extend_scan,
     extend_triple,
     is_regular,
     make_tuple,
@@ -199,6 +200,38 @@ class TestExtendTriple:
             assert [d for d, _ in found] == [q1(5), q1(145)]
             assert found == reference_extend(a, b, c, 4000)
 
+    def test_scan_counts_match_brute_force(self):
+        # (1, 2, 5) at the benchmark bound: 5*Z[i] holds x + y*i exactly when 5 | x and 5 | y
+        scan = extend_scan(q1(1), q1(2), q1(5), 10**4)
+        roots = [(x, y) for x in range(5) for y in range(5) if (x * x - y * y + 1) % 5 == 0 == 2 * x * y % 5]
+        divisible = sum(
+            1
+            for x in range(101)
+            for y in range(-100, 101)
+            if (x > 0 or y > 0) and x * x + y * y <= 10**4 and (x * x - y * y + 1) % 5 == 0 == 2 * x * y % 5
+        )
+        assert (scan.root_classes, scan.z_scanned, scan.accepted) == (len(roots), divisible, 1) == (4, 2500, 1)
+        assert scan.to_json() == {"root_classes": 4, "z_scanned": 2500, "accepted": 1}
+
+    def test_benchmark_triples_match_object_scan(self):
+        w = q3(0, 1)
+        triples = [tuple(q1(v) for v in t) for t in ((1, 2, 5), (2, 5, 13), (2, 13, 25), (5, 13, 34))]
+        for a, b, c in triples + [(w, w.conj(), q3(1)), (-w, -w.conj(), q3(-1))]:
+            scan = extend_scan(a, b, c, 10**4)
+            assert scan.root_classes is not None
+            assert scan.extensions == reference_extend(a, b, c, 10**4)
+
+    def test_root_classes_and_ball_scan_agree(self):
+        # norm(c) against the half-ball's size picks the scan; bounds on both sides of the switch
+        w = q3(0, 1)
+        for a, b, c in ((q1(1), q1(2), q1(5)), (q1(2), q1(-24), q1(1)), (w, w.conj(), q3(1)), (q3(1), q3(2), q3(5))):
+            kinds = set()
+            for bound in range(0, 3 * c.norm()):
+                scan = extend_scan(a, b, c, bound)
+                kinds.add(scan.root_classes is None)
+                assert scan.extensions == reference_extend(a, b, c, bound)
+            assert kinds == {True, False}  # a unit c takes the ball scan only at bound 0
+
     def test_empty_scan(self):
         assert extend_triple(q1(1), q1(2), q1(5), 0) == []
 
@@ -243,6 +276,10 @@ class TestCPlusMinus:
         with pytest.raises(ValueError) as exc:
             c_plus_minus(q1(1), q1(3), q1(2))
         assert str(exc.value) == "1*3 - 1 is not a square (r missing)"
+        # ab - 1 = 1 and ad - 1 = 9 are squares, bd - 1 = 19 is not
+        with pytest.raises(ValueError) as exc:
+            c_plus_minus(q1(1), q1(2), q1(10))
+        assert str(exc.value) == "2*10 - 1 is not a square (y missing)"
 
 
 MIXED = "mixed rings: RingParams(D=1, omega=sqrt) vs RingParams(D=2, omega=sqrt)"
@@ -254,6 +291,10 @@ class TestMixedRings:
             with pytest.raises(ValueError) as exc:
                 c_plus_minus(a, b, d)
             assert str(exc.value) == MIXED
+        # the pair (a, b) names a's ring first; with a, b in one ring (b, d) cannot mix alone
+        with pytest.raises(ValueError) as exc:
+            c_plus_minus(QuadInt(R2, 1, 0), q1(2), q1(5))
+        assert str(exc.value) == "mixed rings: RingParams(D=2, omega=sqrt) vs RingParams(D=1, omega=sqrt)"
 
     def test_first_missing_square_wins(self):
         # the pairs are taken in order: r = sqrt(1*3 - 1) is missing before d is looked at
