@@ -104,7 +104,10 @@ def _parse_d_selection(args) -> list[int]:
             raise ValueError(f"--D-range must have the form a..b (integers), got {args.d_range!r}") from None
         if not lo <= hi:
             raise ValueError(f"empty D range {args.d_range}")
-        return [D for D in range(max(lo, 1), hi + 1) if is_squarefree(D)]
+        ds = [D for D in range(max(lo, 1), hi + 1) if is_squarefree(D)]
+        if not ds:
+            raise ValueError(f"--D-range {args.d_range} holds no squarefree D >= 1")
+        return ds
     try:
         return [int(t) for t in args.d_list.split(",")]  # SearchConfig.validate rejects a bad D
     except ValueError:
@@ -121,8 +124,10 @@ def _print_progress(res: dict) -> None:
 
 
 def _check_output_dirs(*flag_paths: tuple[str, str | None]) -> None:
-    """Reject an output path in a missing directory, so it fails before a campaign rather than after it."""
+    """Reject an output path that is a directory or lies in a missing one, before a campaign rather than after it."""
     for flag, path in flag_paths:
+        if path and os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag} {path}: directory does not exist")
 
@@ -139,9 +144,9 @@ def _cmd_search(args) -> int:
     cfg.validate()
     if args.resume and not cfg.checkpoint_path:
         raise ValueError("--resume needs --checkpoint")
+    _check_output_dirs(("--out", args.out), ("--csv", args.csv), ("--checkpoint", args.checkpoint))
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path) and not args.resume:
         raise ValueError(f"checkpoint {cfg.checkpoint_path} exists; pass --resume to reuse it")
-    _check_output_dirs(("--out", args.out), ("--csv", args.csv), ("--checkpoint", args.checkpoint))
 
     report = run_campaign(cfg, progress=_print_progress)
     if args.out:

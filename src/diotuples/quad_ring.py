@@ -334,30 +334,6 @@ def elem_from_json(d: dict[str, str], ring: RingParams) -> QuadInt:
     return QuadInt(ring, int(d["x"]), int(d["y"]))
 
 
-def _half_rows(D: int, max_norm: int):
-    """The rows of _iter_half: pairs (u, range of v), in ascending u, built from integer square roots.
-
-    By the integrality rule (u, v) lies in O_K exactly when v = u (mod 2) and,
-    unless D = 3 (mod 4), u is even.  Row u = 0 keeps v > 0 only.
-    """
-    four_n = 4 * max_norm
-    ustep = 1 if D % 4 == 3 else 2
-    for u in range(0, isqrt(four_n) + 1, ustep):
-        vmax = isqrt((four_n - u * u) // D)
-        yield u, range(2 if u == 0 else (vmax - u) % 2 - vmax, vmax + 1, 2)
-
-
-def _iter_half(D: int, max_norm: int):
-    """Half-coordinates (u, v) of one element of each pair {z, -z} of norm <= max_norm.
-
-    Yields the z with u > 0, or u = 0 and v > 0 (the half-plane of _sqrt_half's
-    roots), in the rows of _half_rows.
-    """
-    for u, vs in _half_rows(D, max_norm):
-        for v in vs:
-            yield u, v
-
-
 def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
     """(g, s, t) with s*p + t*q = g = gcd(p, q) >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -402,19 +378,19 @@ def _sqrt_mod(n: QuadInt, hnf: tuple[int, int, int]) -> list[tuple[int, int]]:
     return roots
 
 
-def _class_rows(ring: RingParams, hnf: tuple[int, int, int], z0: tuple[int, int], max_norm: int):
+def _class_rows(D: int, max_norm: int, hnf: tuple[int, int, int] = (1, 0, 1), z0: tuple[int, int] = (0, 0)):
     """Rows (v, range of u) of the z = z0 (mod c) with norm(z) <= max_norm, u > 0 or u = 0 and v > 0.
 
-    c*O_K is given by _ideal_hnf and z0 by basis coordinates (x0, y0):
-    z = x + y*omega lies in the class when y = y0 (mod n2) and then
-    x = x0 + t*(y - y0)/n2 (mod n1).  The rows run over y; each bounds u from
-    an integer square root, as _half_rows does, and keeps the half-plane of
-    _iter_half.  With hnf (1, 0, 1) and z0 = (0, 0) they cover _iter_half's z.
+    Half-coordinates, z = (u + v*sqrt(-D))/2.  c*O_K is given by _ideal_hnf
+    and z0 by basis coordinates (x0, y0): z = x + y*omega lies in the class
+    when y = y0 (mod n2) and then x = x0 + t*(y - y0)/n2 (mod n1).  The rows
+    run over y in ascending order, each bounding u by an integer square root.
+    The default class is O_K itself, so the rows then hold one z of each pair
+    {z, -z} of the ball, the one in the half-plane of _sqrt_half's roots.
     """
-    D = ring.D
     n1, t, n2 = hnf
     x0, y0 = z0
-    p = 1 if ring.omega_mode is OmegaMode.HALF else 0  # x + y*omega = (2x + p*y + (2 - p)*y*sqrt(-D))/2
+    p = 1 if D % 4 == 3 else 0  # x + y*omega = (2x + p*y + (2 - p)*y*sqrt(-D))/2
     four_n = 4 * max_norm
     ymax = isqrt(four_n // D) // (2 - p)  # D*v^2 <= 4*max_norm
     y = (y0 + ymax) % n2 - ymax  # the least y >= -ymax in the class
@@ -428,21 +404,27 @@ def _class_rows(ring: RingParams, hnf: tuple[int, int, int], z0: tuple[int, int]
         xr = (xr + t) % n1
 
 
+def _half_ball_size(D: int, max_norm: int) -> int:
+    """The number of pairs {z, -z} of nonzero elements of norm <= max_norm, counted from _class_rows."""
+    return sum(len(us) for _, us in _class_rows(D, max_norm))
+
+
 def sorted_ball(ring: RingParams, max_norm: int) -> list[QuadInt]:
     """Every nonzero element of norm <= max_norm, sorted by elem_key (norm, x, y).
 
-    The keys are formed on integers from the rows of _half_rows, for z and -z
+    The keys are formed on integers from the rows of _class_rows, for z and -z
     at once (their basis coordinates are (x, y) and (-x, -y)), and sorted
     before any element is built.
     """
     D = ring.D
     half = ring.omega_mode is OmegaMode.HALF
     keys = []
-    for u, vs in _half_rows(D, max_norm):
-        uu = u * u
-        for v in vs:
-            m = (uu + D * v * v) >> 2
-            x, y = ((u - v) >> 1, v) if half else (u >> 1, v >> 1)
+    for v, us in _class_rows(D, max_norm):
+        dvv = D * v * v
+        y, sh = (v, v) if half else (v >> 1, 0)  # x = (u - v)/2 or u/2
+        for u in us:
+            m = (u * u + dvv) >> 2
+            x = (u - sh) >> 1
             keys.append((m, x, y))
             keys.append((m, -x, -y))
     keys.sort()

@@ -23,7 +23,7 @@ import json
 import os
 import time
 from bisect import bisect_left, bisect_right
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, fields
 from math import isqrt
 from operator import itemgetter
@@ -38,9 +38,9 @@ from .quad_ring import (
     make_ring,
     parse_elem,
     sorted_ball,
+    _class_rows,
     _div_half,
-    _half_rows,
-    _iter_half,
+    _half_ball_size,
     _sqrt_half,
 )
 from .tuples import make_tuple, tuple_orbit, verify_tuple
@@ -101,7 +101,7 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     a vertex norm.  The vertices a of such a norm m are tested for a | w by an
     exact division on half-coordinates (quad_ring's integer core), one division
     per pair {a, -a}: -a divides w exactly when a does, with quotient -b.  So
-    each norm keeps one representative of each pair, the one in _iter_half's
+    each norm keeps one representative of each pair, the one in _class_rows'
     half-plane or the only one present, with the index of -a when -a is a vertex
     too; {a, b} and {-a, -b} are edges when b = w/a and -b are vertices.  Vertex
     lists that are not a norm ball work alike, because b is looked up by membership.
@@ -142,8 +142,8 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     N1 = norms[-1]
     top = N1 * vs[-2].norm()  # N1 * N2: vs is sorted by norm first
     xmax = isqrt(top) + isqrt(n.norm()) + 1
-    # x and -x give the same w: _iter_half yields one of each pair; x = 0 is a witness when a*b = -n
-    for p, q in [(0, 0), *_iter_half(D, xmax)]:
+    # x and -x give the same w: the rows hold one of each pair; x = 0 is a witness when a*b = -n
+    for p, q in [(0, 0), *((u, v) for v, us in _class_rows(D, xmax) for u in us)]:
         # w = x**2 - n = (WU + WV*s)/2
         WU = ((p * p - D * q * q) >> 1) - Un
         WV = p * q - Vn
@@ -411,14 +411,19 @@ def _group_orbits(cliques: list[tuple[QuadInt, ...]], n: QuadInt) -> list[dict]:
 
 
 def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
-    """Write JSON to a temporary file, flush and fsync it, then rename it over path."""
+    """Write JSON to path.tmp, flush and fsync it, then rename it over path; a failure removes path.tmp."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        # json.dumps, unlike json.dump, uses the C encoder when there is no indent
-        f.write(json.dumps(payload, **dump_kw))
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            # json.dumps, unlike json.dump, uses the C encoder when there is no indent
+            f.write(json.dumps(payload, **dump_kw))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 _FIELD_KEYS = {f.name for f in fields(FieldResult)}
@@ -452,8 +457,11 @@ def _is_clique_record(rec) -> bool:
 def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
     if not path or not os.path.exists(path):
         return {}
-    with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
+        raise ValueError(f"checkpoint {path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict) or not isinstance(data.get("completed", {}), dict):
         raise ValueError(f"checkpoint {path}: expected a JSON object with an object 'completed'")
     if data.get("schema") != SCHEMA_VERSION:
@@ -516,11 +524,11 @@ def field_cost(D: int, max_norm: int) -> int:
     """Predicted cost of one field, in witnesses x that build_graph scans; builds no element.
 
     Counts the x up to sign with norm(x) <= max_norm (x = 0 included) from the
-    integer-square-root row bounds of _iter_half, plus a constant per field.
+    integer-square-root row bounds of _class_rows, plus a constant per field.
     build_graph's own bound, isqrt(N1*N2) + isqrt(norm(n)) + 1, differs by a
     few x, which does not matter for ranking fields.
     """
-    return _FIELD_BASE_COST + 1 + sum(len(vs) for _, vs in _half_rows(D, max_norm))
+    return _FIELD_BASE_COST + 1 + _half_ball_size(D, max_norm)
 
 
 def _chunks(tasks: list[tuple], workers: int) -> list[list[tuple]]:

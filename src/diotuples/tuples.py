@@ -22,7 +22,7 @@ from .quad_ring import (
     _class_rows,
     _div_half,
     _from_half_unchecked,
-    _half_rows,
+    _half_ball_size,
     _ideal_hnf,
     _mul_half,
     _sqrt_half,
@@ -245,7 +245,7 @@ def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> Extend
         raise ValueError("{a, b, c} is not a D(-1) triple")
 
     D = ring.D
-    if c.norm() <= sum(len(vs) for _, vs in _half_rows(D, z_norm_bound)):
+    if c.norm() <= _half_ball_size(D, z_norm_bound):
         hnf = _ideal_hnf(c)
         classes = _sqrt_mod(QuadInt(ring, -1, 0), hnf)
         root_classes = len(classes)
@@ -257,7 +257,7 @@ def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> Extend
     survivors = []
     z_scanned = 0
     for z0 in classes:
-        for v, us in _class_rows(ring, hnf, z0, z_norm_bound):
+        for v, us in _class_rows(D, z_norm_bound, hnf, z0):
             z_scanned += len(us)
             for u in us:
                 # z^2 + 1, with 1 = (2 + 0*sqrt(-D))/2
@@ -289,7 +289,7 @@ def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list
     roots z0 are found in one pass over the norm(c) representatives that the
     Hermite normal form of c*O_K gives (_ideal_hnf), and only the z = z0 + c*w
     with norm(z) <= z_norm_bound are scanned, row by row with integer square
-    root bounds, in the half-plane u > 0, or u = 0 and v > 0, of _iter_half.
+    root bounds, in the half-plane u > 0, or u = 0 and v > 0 (_class_rows).
     When norm(c) exceeds the number of z in that half of the ball, the whole
     half-ball is scanned instead (one class, c*O_K replaced by O_K).  A unit
     c has a single class, so it scans the same half-ball.

@@ -86,6 +86,16 @@ class TestSearchCommand:
 
     def test_range_filters_squarefree(self, capsys):
         assert main(["search", "--D-range", "8..9", "--max-norm", "5", "--k", "3"]) == 2
+        assert "--D-range 8..9 holds no squarefree D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rng", ["4..4", "0..0"])
+    def test_range_without_squarefree_d(self, rng, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        assert main(["search", "--D-range", rng, "--max-norm", "5", "--k", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"--D-range {rng}" in err and "D_list" not in err
+        assert ran == []  # rejected before any field ran
 
     @pytest.mark.parametrize("bad", ["5", "..5", "1..", "a..b", "1..2..3", "1-5"])
     def test_malformed_range(self, bad, capsys):
@@ -117,6 +127,8 @@ class TestSearchCommand:
             "element-without-y",
             "element-x-not-decimal",
             "wall-time-text",
+            "not-json",
+            "not-utf-8",
         ],
     )
     def test_malformed_checkpoint(self, shape, tmp_path, capsys, monkeypatch):
@@ -126,7 +138,10 @@ class TestSearchCommand:
         assert main(args) == 1
         saved = json.loads(ck.read_text())
         entry = saved["completed"].pop("1")  # schema and config hash still match; D=2 stays done
-        if shape == "list":
+        raw = {"not-json": b'{"schema": 1,', "not-utf-8": b"\xff\xfe{}"}  # bytes json.load cannot read
+        if shape in raw:
+            pass
+        elif shape == "list":
             saved = [1, 2]
         elif shape == "completed-list":
             saved["completed"] = [1]
@@ -161,12 +176,15 @@ class TestSearchCommand:
                 "wall-time-text": {"wall_time": "1.0"},
             }[shape]
             saved["completed"]["1"] = {**entry, **bad}
-        ck.write_text(json.dumps(saved))
+        ck.write_bytes(raw.get(shape) or json.dumps(saved).encode())
         ran = []
         monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
         capsys.readouterr()
         assert main(args + ["--resume"]) == 2
-        assert str(ck) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(ck) in err
+        if shape in raw:
+            assert f"checkpoint {ck}: not valid JSON" in err
         assert ran == []  # rejected before any field ran
 
     def test_csv_export(self, tmp_path):
@@ -218,6 +236,21 @@ class TestSearchCommand:
         assert main(["search", "--D-list", "1", "--max-norm", "10", "--k", "3", flag, path]) == 2
         assert f"{flag} {path}" in capsys.readouterr().err
         assert ran == []  # rejected before any field ran
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--out"], ["--csv"], ["--checkpoint"], ["--resume", "--checkpoint"]],
+        ids=["out", "csv", "checkpoint", "resume-checkpoint"],
+    )
+    def test_output_is_directory(self, flags, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        path = tmp_path / "dir"
+        path.mkdir()
+        assert main(["search", "--D-list", "1,2", "--max-norm", "30", "--k", "3", *flags, str(path)]) == 2
+        assert f"{flags[-1]} {path}: is a directory" in capsys.readouterr().err
+        assert ran == []  # rejected before any field ran
+        assert list(tmp_path.iterdir()) == [path]  # no dir.tmp left behind
 
     def test_resume_requires_checkpoint(self, capsys, monkeypatch):
         ran = []
@@ -362,6 +395,13 @@ class TestReproduceCommand:
         path = str(tmp_path / "missing" / "r.json")
         assert main(["reproduce", "quadruple-min", "--out", path]) == 2
         assert f"--out {path}" in capsys.readouterr().err
+        assert ran == []  # rejected before any field ran
+
+    def test_out_is_directory(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        assert main(["reproduce", "quadruple-min", "--out", str(tmp_path)]) == 2
+        assert f"--out {tmp_path}: is a directory" in capsys.readouterr().err
         assert ran == []  # rejected before any field ran
 
 

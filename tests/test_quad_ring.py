@@ -10,7 +10,7 @@ from diotuples.quad_ring import (
     OmegaMode,
     ParityError,
     QuadInt,
-    _iter_half,
+    _class_rows,
     cmp_abs,
     elem_key,
     elem_from_json,
@@ -235,8 +235,10 @@ class TestEnumeration:
     @pytest.mark.parametrize("D", ENUM_DS)
     @pytest.mark.parametrize("max_norm", [0, 1, 2, 3, 4, 41, 300])
     def test_iter_half_yields_one_of_each_sign_pair(self, D, max_norm):
+        # the default class is O_K: one element of each pair {z, -z} of the ball, in _sqrt_half's half-plane
+        # (the name is that of the ball enumerator _class_rows replaced)
         ring = make_ring(D)
-        got = list(_iter_half(D, max_norm))
+        got = [(u, v) for v, us in _class_rows(D, max_norm) for u in us]
         assert all(u > 0 or (u == 0 and v > 0) for u, v in got)
         pairs = {frozenset({(u, v), (-u, -v)}) for u, v in got}
         want = {frozenset({a.half_coords(), (-a).half_coords()}) for a in box_elements(ring, max_norm)}

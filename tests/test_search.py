@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from diotuples import search
-from diotuples.quad_ring import QuadInt, _iter_half, elem_key, format_elem, is_squarefree, make_ring
+from diotuples.quad_ring import QuadInt, elem_key, format_elem, is_squarefree, make_ring
 from diotuples.search import (
     SearchConfig,
     brute_force_tuples,
@@ -153,7 +153,7 @@ class TestDivisorKernel:
     @pytest.mark.parametrize("D", [1, 2, 3, 7])
     def test_pairs_not_closed_under_negation(self, D):
         # one division per pair {a, -a}: a list of lower-half-plane elements has no vertex in
-        # _iter_half's half-plane, and in the mixed lists some a lack -a, on either side
+        # the half-plane of _class_rows, and in the mixed lists some a lack -a, on either side
         ring = make_ring(D)
         rng = Random(D)
         ball = enum_elements(ring, 40)
@@ -504,8 +504,11 @@ class TestChunks:
     TASKS = tasks_of(SearchConfig(D_list=SQUAREFREE_225, max_norm=224, k=5))
 
     def test_field_cost_counts_iter_half_rows(self):
+        # x up to sign with norm(x) <= max_norm, x = 0 included, counted on the box oracle
+        # (the name is that of the ball enumerator _class_rows replaced)
         for D, max_norm in [(1, 224), (2, 30), (3, 224), (7, 1), (163, 40), (895, 224)]:
-            assert field_cost(D, max_norm) == search._FIELD_BASE_COST + 1 + len(list(_iter_half(D, max_norm)))
+            half_ball = len(box_elements(make_ring(D), max_norm)) // 2
+            assert field_cost(D, max_norm) == search._FIELD_BASE_COST + 1 + half_ball
         # the two slowest fields of the quintuple scan are the two predicted costliest
         assert sorted(SQUAREFREE_225, key=lambda D: -field_cost(D, 224))[:2] == [3, 1]
 
@@ -637,6 +640,21 @@ def parse_many(group, ring):
 
 class TestLayout:
     FIELD_KEYS = ["D", "vertex_count", "edge_count", "cliques", "wall_time"]
+
+    @pytest.mark.parametrize("failure", ["write", "replace"])
+    def test_failed_write_removes_temporary_file(self, failure, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+        payload = {"a": object()} if failure == "write" else {"a": 1}  # json.dumps fails after the open
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        if failure == "replace":
+            monkeypatch.setattr(search.os, "replace", refuse)
+        with pytest.raises(TypeError if failure == "write" else OSError):
+            search._atomic_write_json(str(path), payload)
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "old"
 
     def test_report_and_checkpoint_key_order(self, tmp_path):
         from diotuples.search import write_report

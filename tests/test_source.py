@@ -1,7 +1,8 @@
 """Source checks: invariant checks in the package must survive `python -O`, the
 omega convention stays inside quad_ring, the package imports only the stdlib
 and its declared dependency and reads no environment variable, every exported
-name exists, and importing the CLI stays cheap."""
+name exists, the package names the benchmark uses exist, and importing the CLI
+stays cheap."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "diotuples"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_package_has_no_assert_statements():
@@ -99,3 +101,21 @@ def test_exported_names_resolve():
         missing += [f"{module.__name__}.{name}" for name in names if not hasattr(module, name)]
     assert count > 0
     assert not missing, f"exported names that do not resolve: {missing}"
+
+
+def test_benchmark_calls_resolve():
+    # a rename in the package fails here before it fails a benchmark run.  bench/tracing.py is
+    # left out: its patch plan still names search.iter_elements, search.sqrt_exact,
+    # tuples.exact_div and tuples.iter_elements, gone from the package; they wait for the next
+    # change to the benchmark, as the open FOUND notes in CHANGES.md say
+    names = ("search", "tuples", "quad_ring", "bounds")
+    modules = {name: importlib.import_module(f"diotuples.{name}") for name in names}
+    missing, count = [], 0
+    for path in (BENCH_DIR / "workloads.py", BENCH_DIR / "run.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                count += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert count > 0
+    assert not missing, f"the benchmark uses package names that do not exist: {missing}"
