@@ -6,7 +6,6 @@ from .quad_ring import (  # noqa: F401
     ParityError,
     QuadInt,
     RingParams,
-    cmp_abs,
     format_elem,
     make_ring,
     norm,

@@ -124,12 +124,22 @@ def _print_progress(res: dict) -> None:
 
 
 def _check_output_dirs(*flag_paths: tuple[str, str | None]) -> None:
-    """Reject an output path that is a directory or lies in a missing one, before a campaign rather than after it."""
+    """Reject an output path that is a directory, lies in a missing one or is named by two flags.
+
+    Runs before a campaign rather than after it.
+    """
+    flag_of: dict[str, str] = {}  # real path -> the first flag naming it
     for flag, path in flag_paths:
-        if path and os.path.isdir(path):
+        if not path:
+            continue
+        if os.path.isdir(path):
             raise ValueError(f"{flag} {path}: is a directory")
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag} {path}: directory does not exist")
+        real = os.path.realpath(path)
+        if real in flag_of:
+            raise ValueError(f"{flag_of[real]} and {flag} name one file: {path}")
+        flag_of[real] = flag
 
 
 def _cmd_search(args) -> int:
@@ -320,10 +330,21 @@ def _cmd_reproduce(args) -> int:
     return _reproduce_d3_triples()
 
 
+def _join_d_range(argv: list[str]) -> list[str]:
+    """`--D-range a..b` as `--D-range=a..b`, so that argparse does not read a range like -5..3 as an option."""
+    args = list(argv)
+    i = 0
+    while i < len(args) - 1:
+        if args[i] == "--D-range" and ".." in args[i + 1]:
+            args[i : i + 2] = [f"--D-range={args[i + 1]}"]
+        i += 1
+    return args
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_d_range(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -17,6 +17,7 @@ the omega convention matters only for basis coordinates.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -28,9 +29,7 @@ __all__ = [
     "QuadInt",
     "make_ring",
     "is_squarefree",
-    "is_perfect_square",
     "norm",
-    "cmp_abs",
     "units",
     "sqrt_exact",
     "exact_div",
@@ -39,6 +38,7 @@ __all__ = [
     "elem_key",
     "elem_to_json",
     "elem_from_json",
+    "ElementRows",
     "sorted_ball",
 ]
 
@@ -61,10 +61,6 @@ def is_squarefree(n: int) -> bool:
             if n % p == 0:
                 return False
     return True
-
-
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,14 +179,6 @@ def from_half(ring: RingParams, u: int, v: int) -> QuadInt:
 
 def norm(a: QuadInt) -> int:
     return a.norm()
-
-
-def cmp_abs(a: QuadInt, b: QuadInt) -> int:
-    """Compare |a| with |b| exactly (via norms): -1, 0 or +1."""
-    if a.ring != b.ring:
-        raise ValueError("mixed rings in cmp_abs")
-    na, nb = a.norm(), b.norm()
-    return (na > nb) - (na < nb)
 
 
 def elem_key(a: QuadInt) -> tuple[int, int, int]:
@@ -409,23 +397,62 @@ def _half_ball_size(D: int, max_norm: int) -> int:
     return sum(len(us) for _, us in _class_rows(D, max_norm))
 
 
-def sorted_ball(ring: RingParams, max_norm: int) -> list[QuadInt]:
+class ElementRows(Sequence):
+    """A read-only sequence of distinct nonzero elements of one ring, sorted by elem_key, held as integer rows.
+
+    rows[i] = (norm, x, y, u, v): the sort key (norm, x, y) of element i and
+    its half-coordinates (u, v).  A QuadInt is built only when the sequence is
+    indexed or iterated.  It compares equal to the list of the same elements.
+    """
+
+    __slots__ = ("ring", "rows")
+
+    def __init__(self, ring: RingParams, rows: list[tuple[int, int, int, int, int]]):
+        self.ring = ring
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [QuadInt(self.ring, x, y) for _, x, y, _, _ in self.rows[i]]
+        _, x, y, _, _ = self.rows[i]
+        return QuadInt(self.ring, x, y)
+
+    def __iter__(self):
+        ring = self.ring
+        for _, x, y, _, _ in self.rows:
+            yield QuadInt(ring, x, y)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ElementRows):
+            return self.ring == other.ring and self.rows == other.rows
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ElementRows({self.ring!r}, {len(self.rows)} elements)"
+
+
+def sorted_ball(ring: RingParams, max_norm: int) -> ElementRows:
     """Every nonzero element of norm <= max_norm, sorted by elem_key (norm, x, y).
 
-    The keys are formed on integers from the rows of _class_rows, for z and -z
-    at once (their basis coordinates are (x, y) and (-x, -y)), and sorted
-    before any element is built.
+    The rows (norm, x, y, u, v) are formed on integers from the rows of
+    _class_rows, for z and -z at once (their coordinates are (x, y, u, v) and
+    (-x, -y, -u, -v)), and sorted once; no element is built here.
     """
     D = ring.D
     half = ring.omega_mode is OmegaMode.HALF
-    keys = []
+    rows = []
     for v, us in _class_rows(D, max_norm):
         dvv = D * v * v
         y, sh = (v, v) if half else (v >> 1, 0)  # x = (u - v)/2 or u/2
         for u in us:
             m = (u * u + dvv) >> 2
             x = (u - sh) >> 1
-            keys.append((m, x, y))
-            keys.append((m, -x, -y))
-    keys.sort()
-    return [QuadInt(ring, x, y) for _, x, y in keys]
+            rows.append((m, x, y, u, v))
+            rows.append((m, -x, -y, -u, -v))
+    rows.sort()
+    return ElementRows(ring, rows)

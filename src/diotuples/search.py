@@ -2,12 +2,17 @@
 
 Tuples of size k are exactly the k-cliques of the compatibility graph whose
 vertices are the nonzero elements within a norm bound and whose edges join
-pairs {a, b} with a*b + n a square.  build_graph finds the edges from the
+pairs {a, b} with a*b + n a square.  A field is one integer pipeline: the ball
+is sorted once as integer rows (norm, x, y, u, v) (quad_ring.ElementRows),
+which build_graph reads as they are, and elements are built only for the
+vertices of the cliques found.  build_graph finds the edges from the
 witnesses: for each candidate x it divides x**2 - n by the vertices whose norm
 lies in a window of the sorted vertex norms and divides M = norm(x**2 - n),
 one division per pair {a, -a} (the quotients are b and -b), so its cost
 follows the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2 the two
-largest vertex norms), not the number of vertex pairs.  The sparse graph is
+largest vertex norms), not the number of vertex pairs.  When n is rational and
+the vertices are closed under conjugation, as a ball is, it scans the x up to
+conjugation too and records each edge with its conjugate.  The sparse graph is
 stored as forward-neighbour sets, which find_cliques narrows into candidate
 sets by set intersection.  A campaign groups its pending fields into chunks of
 balanced predicted cost (field_cost, scheduled longest first), runs one chunk
@@ -26,10 +31,10 @@ from bisect import bisect_left, bisect_right
 from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, fields
 from math import isqrt
-from operator import itemgetter
 
 from . import __version__
 from .quad_ring import (
+    ElementRows,
     QuadInt,
     RingParams,
     elem_from_json,
@@ -65,8 +70,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def enum_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
-    """All nonzero elements with norm <= max_norm, sorted by (norm, x, y)."""
+def enum_elements(ring: RingParams, max_norm: int) -> ElementRows:
+    """All nonzero elements with norm <= max_norm, sorted by (norm, x, y), as integer rows."""
     if max_norm < 1:
         raise ValueError("max_norm must be >= 1")
     return sorted_ball(ring, max_norm)
@@ -78,7 +83,7 @@ class CompatGraph:
 
     ring: RingParams
     n: QuadInt
-    vertices: list[QuadInt]
+    vertices: ElementRows
     fwd: list[set[int]]
 
     @property
@@ -91,6 +96,11 @@ class CompatGraph:
 
 def build_graph(elements, n: QuadInt) -> CompatGraph:
     """Edge {a, b} iff a*b + n is a square in O_K; enumerates witnesses x, not pairs.
+
+    The vertices are integer rows (norm, x, y, u, v) sorted by elem_key: an
+    ElementRows, as enum_elements returns it, is taken as it is, and any other
+    element list is turned into the same rows, so the graph's vertices are an
+    ElementRows either way and elements are built only where they are read.
 
     If a*b + n = x**2 then |x|**2 <= |a||b| + |n|, so norm(x) is at most
     isqrt(N1*N2) + isqrt(norm(n)) + 1 with N1 >= N2 the two largest vertex norms.
@@ -106,67 +116,101 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
     too; {a, b} and {-a, -b} are edges when b = w/a and -b are vertices.  Vertex
     lists that are not a norm ball work alike, because b is looked up by membership.
 
+    When n is rational and the vertex set is closed under conjugation (a ball
+    always is), conjugation maps the graph onto itself: conj(a)*conj(b) + n is
+    the conjugate of a*b + n.  Then only the x with v >= 0 are scanned, and each
+    edge found from a w that is not rational also gives {conj(a), conj(b)} and
+    {-conj(a), -conj(b)}, the edges of conj(x), which is not scanned.  Otherwise
+    every x up to sign is scanned, in the same loop.
+
     Cost follows the number of x, about isqrt(N1*N2) + isqrt(norm(n)) elements
-    times the width of each norm window, not the number of vertex pairs: a
-    sparse list with one element of high norm scans as many x as the full ball.
+    times the width of each norm window (half of those x on the conjugation
+    path), not the number of vertex pairs: a sparse list with one element of
+    high norm scans as many x as the full ball.
     """
     ring = n.ring
     D = ring.D
-    rows = []  # ((norm, x, y), u, v, element): the elem_key order, from one half_coords call
-    for e in elements:
-        if e.ring is not ring and e.ring != ring:
+    if isinstance(elements, ElementRows):
+        if elements.ring != ring:
             raise ValueError("elements must live in the ring of n")
-        if e.is_zero():
-            raise ValueError("zero is not a valid vertex")
-        u, v = e.half_coords()
-        rows.append((((u * u + D * v * v) // 4, e.x, e.y), u, v, e))
-    rows.sort(key=itemgetter(0))
-    vs = [e for _, _, _, e in rows]
-    index: dict[tuple[int, int], int] = {(u, v): i for i, (_, u, v, _) in enumerate(rows)}
-    if len(index) != len(vs):  # one ring, so equal half-coordinates mean equal elements
+        vs = elements
+    else:
+        rows = []
+        for e in elements:
+            if e.ring is not ring and e.ring != ring:
+                raise ValueError("elements must live in the ring of n")
+            if e.is_zero():
+                raise ValueError("zero is not a valid vertex")
+            u, v = e.half_coords()
+            rows.append(((u * u + D * v * v) // 4, e.x, e.y, u, v))
+        rows.sort()
+        vs = ElementRows(ring, rows)
+    rows = vs.rows
+    index: dict[tuple[int, int], int] = {(u, v): i for i, (_, _, _, u, v) in enumerate(rows)}
+    if len(index) != len(rows):  # one ring, so equal half-coordinates mean equal elements
         raise ValueError("duplicate vertices")
-    # norm -> [(u, v, index of a, index of -a or None)], one representative a of each pair {a, -a}
-    by_norm: dict[int, list[tuple[int, int, int, int | None]]] = {}
-    for i, ((m, _, _), u, v, _) in enumerate(rows):
-        if u > 0 or (u == 0 and v > 0):
-            by_norm.setdefault(m, []).append((u, v, i, index.get((-u, -v))))
-        elif (-u, -v) not in index:
-            by_norm.setdefault(m, []).append((u, v, i, None))
-    del rows  # the sort keys are not needed by the scan, which allocates the adjacency
-    fwd: list[set[int]] = [set() for _ in vs]
-    if len(vs) < 2:
+    fwd: list[set[int]] = [set() for _ in rows]
+    if len(rows) < 2:
         return CompatGraph(ring, n, vs, fwd)
 
     Un, Vn = n.half_coords()
+    by_conj = Vn == 0 and all((u, -v) in index for u, v in index)
+    # norm -> [(u, v, index of a, of -a, of conj(a), of -conj(a))], one representative a of each
+    # pair {a, -a}; an index is None when that element is not a vertex
+    by_norm: dict[int, list[tuple[int, int, int, int | None, int | None, int | None]]] = {}
+    for i, (m, _, _, u, v) in enumerate(rows):
+        if u > 0 or (u == 0 and v > 0):
+            ni = index.get((-u, -v))
+        elif (-u, -v) in index:
+            continue  # -a is the representative
+        else:
+            ni = None
+        by_norm.setdefault(m, []).append((u, v, i, ni, index.get((u, -v)), index.get((-u, v))))
     norms = sorted(by_norm)
     N1 = norms[-1]
-    top = N1 * vs[-2].norm()  # N1 * N2: vs is sorted by norm first
+    top = N1 * rows[-2][0]  # N1 * N2: rows are sorted by norm first
     xmax = isqrt(top) + isqrt(n.norm()) + 1
     # x and -x give the same w: the rows hold one of each pair; x = 0 is a witness when a*b = -n
-    for p, q in [(0, 0), *((u, v) for v, us in _class_rows(D, xmax) for u in us)]:
+    xs = ((u, v) for v, us in _class_rows(D, xmax) if v >= 0 or not by_conj for u in us)
+    for p, q in [(0, 0), *xs]:
         # w = x**2 - n = (WU + WV*s)/2
         WU = ((p * p - D * q * q) >> 1) - Un
         WV = p * q - Vn
         M = (WU * WU + D * WV * WV) >> 2
         if M == 0 or M > top:
             continue
+        mirror = by_conj and WV != 0  # conj(x) is not scanned, and its w = conj(w) differs from w
         # m = norm(a) in the window ceil(M/N1) <= m <= isqrt(M)
         for m in norms[bisect_left(norms, -(-M // N1)) : bisect_right(norms, isqrt(M))]:
             if M % m or M // m not in by_norm:
                 continue
-            for u, v, i, ni in by_norm[m]:
+            for u, v, i, ni, ci, nci in by_norm[m]:
                 b = _div_half(D, WU, WV, u, v)
                 if b is None:
                     continue
-                # vs is sorted by norm first: norm(a) < norm(b) finds the edge only from a,
+                bu, bv = b
+                # rows are sorted by norm first: norm(a) < norm(b) finds the edge only from a,
                 # the lower index; equal norms (m*m = M) find it from both ends, kept once
                 j = index.get(b)
                 if j is not None and j > i:
                     fwd[i].add(j)
+                    if mirror:  # conj(a) * conj(b) = conj(w); conj(b) is a vertex as b is
+                        j = index[bu, -bv]
+                        # conjugation keeps norms, so only equal norms can swap the two ends
+                        if ci < j:
+                            fwd[ci].add(j)
+                        else:
+                            fwd[j].add(ci)
                 if ni is not None:  # (-a) * (-b) = w
-                    j = index.get((-b[0], -b[1]))
+                    j = index.get((-bu, -bv))
                     if j is not None and j > ni:
                         fwd[ni].add(j)
+                        if mirror:  # -conj(a) * -conj(b) = conj(w)
+                            j = index[-bu, bv]
+                            if nci < j:
+                                fwd[nci].add(j)
+                            else:
+                                fwd[j].add(nci)
     return CompatGraph(ring, n, vs, fwd)
 
 

@@ -97,6 +97,19 @@ class TestSearchCommand:
         assert f"--D-range {rng}" in err and "D_list" not in err
         assert ran == []  # rejected before any field ran
 
+    def test_range_with_negative_start(self, tmp_path):
+        # "--D-range -5..3" must not be read as an option; it means the same as "--D-range=-5..3"
+        reports = []
+        for i, spelling in enumerate((["--D-range", "-5..3"], ["--D-range=-5..3"])):
+            out = tmp_path / f"r{i}.json"
+            assert main(["search", *spelling, "--max-norm", "30", "--k", "3", "--out", str(out)]) == 1
+            report = json.loads(out.read_text())
+            for rec in (report, *report["results"]):
+                rec.pop("wall_time")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["D_list"] == [1, 2, 3]
+
     @pytest.mark.parametrize("bad", ["5", "..5", "1..", "a..b", "1..2..3", "1-5"])
     def test_malformed_range(self, bad, capsys):
         assert main(["search", "--D-range", bad, "--max-norm", "5", "--k", "3"]) == 2
@@ -251,6 +264,31 @@ class TestSearchCommand:
         assert f"{flags[-1]} {path}: is a directory" in capsys.readouterr().err
         assert ran == []  # rejected before any field ran
         assert list(tmp_path.iterdir()) == [path]  # no dir.tmp left behind
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("--out", "--csv"), ("--out", "--checkpoint"), ("--csv", "--checkpoint")],
+    )
+    def test_two_flags_name_one_path(self, first, second, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        path = tmp_path / "same.json"
+        argv = ["search", "--D-list", "1,2", "--max-norm", "30", "--k", "3", first, str(path)]
+        assert main([*argv, second, f"{tmp_path}/./same.json"]) == 2  # compared by real path
+        assert f"{first} and {second} name one file" in capsys.readouterr().err
+        assert ran == []  # rejected before any field ran
+        assert list(tmp_path.iterdir()) == []
+
+    def test_resume_with_out_on_checkpoint(self, tmp_path, capsys):
+        # the report would overwrite the checkpoint, and a later --resume would reject it
+        ck = tmp_path / "same.json"
+        argv = ["search", "--D-list", "1,2", "--max-norm", "30", "--k", "3", "--checkpoint", str(ck)]
+        assert main(argv) == 1
+        saved = ck.read_bytes()
+        assert main([*argv, "--resume", "--out", str(ck)]) == 2
+        assert "--out and --checkpoint name one file" in capsys.readouterr().err
+        assert ck.read_bytes() == saved
+        assert main([*argv, "--resume"]) == 1
 
     def test_resume_requires_checkpoint(self, capsys, monkeypatch):
         ran = []

@@ -85,6 +85,10 @@ def shift(ring, kind: str, x: int, y: int) -> QuadInt:
         return QuadInt(ring, -1, 0)
     if kind == "1":
         return QuadInt(ring, 1, 0)
+    if kind == "0":
+        return QuadInt(ring, 0, 0)
+    if kind == "rational":
+        return QuadInt(ring, x, 0)
     if kind == "sqrt(-D)":  # the non-real analogue of i
         return from_half(ring, 0, 2)
     return QuadInt(ring, x, y)
@@ -105,13 +109,42 @@ def test_graph_matches_pairwise_definition(D, max_norm, kind, nx, ny, data):
     pool = enum_elements(ring, max_norm)
     # arbitrary subsets, so sign classes {a, -a} are often only half present
     picked = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
-    g = build_graph(picked, n)
+    assert_edges_are_witnessed_pairs(build_graph(picked, n), n)
+
+
+def assert_edges_are_witnessed_pairs(g: CompatGraph, n: QuadInt) -> None:
+    """{i, j} is an edge of g exactly when pair_witness finds a witness for the pair, and no loops."""
     adj = adjacency_masks(g)
     for i, j in combinations(range(len(g.vertices)), 2):
         want = pair_witness(g.vertices[i], g.vertices[j], n) is not None
         assert bool(adj[i] >> j & 1) == want, (g.vertices[i], g.vertices[j], n)
         assert bool(adj[j] >> i & 1) == want
     assert all(not m >> i & 1 for i, m in enumerate(adj))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    D=st.sampled_from(GRAPH_DS),
+    max_norm=st.integers(1, 60),
+    kind=st.sampled_from(["-1", "1", "0", "rational", "sqrt(-D)", "random"]),
+    nx=st.integers(-6, 6),
+    ny=st.integers(-6, 6).filter(bool),
+    data=st.data(),
+)
+def test_graph_matches_pairwise_definition_up_to_conjugation(D, max_norm, kind, nx, ny, data):
+    # a set closed under conjugation takes the v >= 0 witness scan when n is rational ("random" n is
+    # not); leaving out some conjugates makes the same set take the full scan
+    ring = make_ring(D)
+    n = shift(ring, kind, nx, ny)
+    pool = enum_elements(ring, max_norm)
+    picked = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=24))
+    closed = set(picked) | {e.conj() for e in picked}
+    assert_edges_are_witnessed_pairs(build_graph(list(closed), n), n)
+    upper = sorted((e for e in closed if e.half_coords()[1] > 0), key=str)
+    if upper:
+        # each left-out element keeps its conjugate, so the set is not closed
+        dropped = data.draw(st.lists(st.sampled_from(upper), unique=True, min_size=1))
+        assert_edges_are_witnessed_pairs(build_graph([e for e in closed if e not in dropped], n), n)
 
 
 CLIQUE_DS = [1, 2, 3, 5, 7]

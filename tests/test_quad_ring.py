@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from math import isqrt
 from random import Random
 
 import pytest
@@ -10,15 +11,14 @@ from diotuples.quad_ring import (
     OmegaMode,
     ParityError,
     QuadInt,
+    _SQUARE_MOD64,
     _class_rows,
-    cmp_abs,
     elem_key,
     elem_from_json,
     elem_to_json,
     exact_div,
     format_elem,
     from_half,
-    is_perfect_square,
     is_squarefree,
     make_ring,
     norm,
@@ -132,6 +132,12 @@ class TestNorm:
                 b = random_elem(ring, rng, 10**6)
                 assert norm(a * b) == norm(a) * norm(b)
 
+    def test_orders_magnitudes(self):
+        # |a| and |b| compare as their exact integer norms
+        assert norm(q1(2, 1)) > norm(q1(2))  # 5 > 4
+        assert norm(q1(3)) > norm(q1(2, 2))  # 9 > 8
+        assert norm(q1(4, -7)) == norm(q1(-7, 4)) == norm(q1(4, 7))
+
     def test_zero_iff_zero(self):
         for D in (1, 3):
             ring = make_ring(D)
@@ -151,14 +157,6 @@ class TestConj:
                 assert (a + b).conj() == a.conj() + b.conj()
                 assert (a * b).conj() == a.conj() * b.conj()
                 assert norm(a.conj()) == norm(a)
-
-
-class TestCmpAbs:
-    def test_examples(self):
-        assert cmp_abs(q1(2, 1), q1(2)) == 1  # 5 > 4
-        assert cmp_abs(q1(3), q1(2, 2)) == 1  # 9 > 8
-        a = q1(4, -7)
-        assert cmp_abs(a, a) == 0
 
 
 class TestUnits:
@@ -292,8 +290,9 @@ class TestParseFormat:
                 assert elem_from_json(elem_to_json(a), ring) == a
 
 
-def test_is_perfect_square():
+def test_square_filter_passes_every_square():
+    # _sqrt_half rejects a norm whose residue mod 64 is no square residue before taking isqrt
     squares = {n * n for n in range(100)}
-    for n in range(2000):
-        assert is_perfect_square(n) == (n in squares)
-    assert not is_perfect_square(-4)
+    assert {n for n in range(10**4) if isqrt(n) ** 2 == n} == squares
+    assert all(_SQUARE_MOD64[n & 63] for n in squares)
+    assert sum(_SQUARE_MOD64) == len({k * k % 64 for k in range(64)}) == 12

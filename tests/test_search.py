@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from diotuples import search
-from diotuples.quad_ring import QuadInt, elem_key, format_elem, is_squarefree, make_ring
+from diotuples.quad_ring import QuadInt, elem_key, format_elem, from_half, is_squarefree, make_ring
 from diotuples.search import (
     SearchConfig,
     brute_force_tuples,
@@ -102,6 +102,20 @@ class TestBuildGraph:
             if pair_witness(a, b, M1) is not None
         }
         assert edge_set == want
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7])
+    @pytest.mark.parametrize("max_norm", [1, 37, 600])
+    def test_rows_and_list_agree(self, D, max_norm):
+        # enum_elements' rows are taken as they are; a list of the same elements, in any order, is
+        # turned into the same rows; n = -1 takes the scan up to conjugation, sqrt(-D) the full scan
+        ring = make_ring(D)
+        ball = enum_elements(ring, max_norm)
+        listed = list(ball)
+        Random(D).shuffle(listed)
+        for n in (QuadInt(ring, -1, 0), from_half(ring, 0, 2)):
+            g, h = build_graph(ball, n), build_graph(listed, n)
+            assert g.fwd == h.fwd
+            assert g.vertices == h.vertices == ball
 
 
 def adjacency_digest(g) -> str:
