@@ -331,11 +331,15 @@ def _cmd_reproduce(args) -> int:
 
 
 def _join_d_range(argv: list[str]) -> list[str]:
-    """`--D-range a..b` as `--D-range=a..b`, so that argparse does not read a range like -5..3 as an option."""
+    """`--D-range a..b` as `--D-range=a..b`, so that argparse does not read a range like -5..3 as an option.
+
+    Argparse takes any unambiguous prefix of an option, so `--D-r`, `--D-ra`, ... are joined too;
+    `--D-` is a prefix of `--D-list` as well, so it is left to argparse.
+    """
     args = list(argv)
     i = 0
     while i < len(args) - 1:
-        if args[i] == "--D-range" and ".." in args[i + 1]:
+        if args[i].startswith("--D-r") and "--D-range".startswith(args[i]) and ".." in args[i + 1]:
             args[i : i + 2] = [f"--D-range={args[i + 1]}"]
         i += 1
     return args

@@ -5,19 +5,21 @@ vertices are the nonzero elements within a norm bound and whose edges join
 pairs {a, b} with a*b + n a square.  A field is one integer pipeline: the ball
 is sorted once as integer rows (norm, x, y, u, v) (quad_ring.ElementRows),
 which build_graph reads as they are, and elements are built only for the
-vertices of the cliques found.  build_graph finds the edges from the
-witnesses: for each candidate x it divides x**2 - n by the vertices whose norm
-lies in a window of the sorted vertex norms and divides M = norm(x**2 - n),
-one division per pair {a, -a} (the quotients are b and -b), so its cost
-follows the number of x up to isqrt(N1*N2) + isqrt(norm(n)) (N1 >= N2 the two
-largest vertex norms), not the number of vertex pairs.  When n is rational and
-the vertices are closed under conjugation, as a ball is, it scans the x up to
-conjugation too and records each edge with its conjugate.  The sparse graph is
-stored as forward-neighbour sets, which find_cliques narrows into candidate
-sets by set intersection.  A campaign groups its pending fields into chunks of
-balanced predicted cost (field_cost, scheduled longest first), runs one chunk
-per work unit and rewrites its compact, fsync'd JSON checkpoint once per chunk,
-so a crash loses at most the chunks in flight; it resumes from the checkpoint.
+vertices of the cliques found.  build_graph takes a whole norm ball only, as
+enum_elements returns it, and finds the edges from the witnesses: for each
+candidate x it divides x**2 - n by the vertices whose norm lies in a window of
+the sorted vertex norms and divides M = norm(x**2 - n), one division per pair
+{a, -a} (the quotients are b and -b), so its cost follows the number of x up
+to N + isqrt(norm(n)) (N the largest vertex norm), not the number of vertex
+pairs.  When n is rational it scans the x up to conjugation too and records
+each edge with its conjugate.  The sparse graph is stored as forward-neighbour
+sets, which find_cliques narrows into candidate sets by set intersection.  The
+brute-force clique oracle lives in the tests (tests/helpers.py) and decides
+pairs from a table of squares.  A campaign groups its pending fields into
+chunks of balanced predicted cost (field_cost, scheduled longest first), runs
+one chunk per work unit and rewrites its compact, fsync'd JSON checkpoint once
+per chunk, so a crash loses at most the chunks in flight; it resumes from the
+checkpoint.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .quad_ring import (
     _class_rows,
     _div_half,
     _half_ball_size,
-    _sqrt_half,
 )
 from .tuples import make_tuple, tuple_orbit, verify_tuple
 
@@ -58,7 +59,6 @@ __all__ = [
     "enum_elements",
     "build_graph",
     "find_cliques",
-    "brute_force_tuples",
     "run_campaign",
     "clamp_workers",
     "field_cost",
@@ -94,82 +94,58 @@ class CompatGraph:
         return [(self.vertices[i], self.vertices[j]) for i, f in enumerate(self.fwd) for j in sorted(f)]
 
 
-def build_graph(elements, n: QuadInt) -> CompatGraph:
+def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     """Edge {a, b} iff a*b + n is a square in O_K; enumerates witnesses x, not pairs.
 
-    The vertices are integer rows (norm, x, y, u, v) sorted by elem_key: an
-    ElementRows, as enum_elements returns it, is taken as it is, and any other
-    element list is turned into the same rows, so the graph's vertices are an
-    ElementRows either way and elements are built only where they are read.
+    The vertices are a whole norm ball of the ring of n, as enum_elements
+    returns it: integer rows (norm, x, y, u, v) sorted by elem_key, read as
+    they are, so elements are built only where they are read.  Anything else
+    (a list, another ring, an empty or partial ball) raises ValueError.
 
     If a*b + n = x**2 then |x|**2 <= |a||b| + |n|, so norm(x) is at most
-    isqrt(N1*N2) + isqrt(norm(n)) + 1 with N1 >= N2 the two largest vertex norms.
-    For each such x up to sign (x = 0 included), w = x**2 - n must be a product
-    a*b of vertices.  Taking norm(a) = m <= norm(b), m divides M = norm(w),
-    m*m <= M, and M/m is a vertex norm, so M/N1 <= m: the candidate m form a
-    window of the sorted vertex norms, and each is kept when m | M and M/m is
-    a vertex norm.  The vertices a of such a norm m are tested for a | w by an
+    N + isqrt(norm(n)) with N the largest vertex norm.  For each such x up to
+    sign (x = 0 included), w = x**2 - n must be a product a*b of vertices.
+    Taking norm(a) = m <= norm(b), m divides M = norm(w), m*m <= M, and M/m is
+    a vertex norm, so M/N <= m: the candidate m form a window of the sorted
+    vertex norms, and each is kept when m | M and M/m is a vertex norm.  The vertices a of such a norm m are tested for a | w by an
     exact division on half-coordinates (quad_ring's integer core), one division
     per pair {a, -a}: -a divides w exactly when a does, with quotient -b.  So
-    each norm keeps one representative of each pair, the one in _class_rows'
-    half-plane or the only one present, with the index of -a when -a is a vertex
-    too; {a, b} and {-a, -b} are edges when b = w/a and -b are vertices.  Vertex
-    lists that are not a norm ball work alike, because b is looked up by membership.
+    each norm keeps the representative a of each pair in _class_rows'
+    half-plane, and {a, b} and {-a, -b} are edges when b = w/a.  In a ball
+    -a, conj(a) and every such b (of norm M/m <= N) are vertices.
 
-    When n is rational and the vertex set is closed under conjugation (a ball
-    always is), conjugation maps the graph onto itself: conj(a)*conj(b) + n is
-    the conjugate of a*b + n.  Then only the x with v >= 0 are scanned, and each
-    edge found from a w that is not rational also gives {conj(a), conj(b)} and
-    {-conj(a), -conj(b)}, the edges of conj(x), which is not scanned.  Otherwise
-    every x up to sign is scanned, in the same loop.
+    When n is rational, conjugation maps the graph onto itself:
+    conj(a)*conj(b) + n is the conjugate of a*b + n.  Then only the x with
+    v >= 0 are scanned, and each edge found from a w that is not rational also
+    gives {conj(a), conj(b)} and {-conj(a), -conj(b)}, the edges of conj(x),
+    which is not scanned.  Otherwise every x up to sign is scanned, in the
+    same loop.
 
-    Cost follows the number of x, about isqrt(N1*N2) + isqrt(norm(n)) elements
-    times the width of each norm window (half of those x on the conjugation
-    path), not the number of vertex pairs: a sparse list with one element of
-    high norm scans as many x as the full ball.
+    Cost follows the number of x, about N + isqrt(norm(n)) elements times the
+    width of each norm window (half of those x on the conjugation path), not
+    the number of vertex pairs.
     """
     ring = n.ring
     D = ring.D
-    if isinstance(elements, ElementRows):
-        if elements.ring != ring:
-            raise ValueError("elements must live in the ring of n")
-        vs = elements
-    else:
-        rows = []
-        for e in elements:
-            if e.ring is not ring and e.ring != ring:
-                raise ValueError("elements must live in the ring of n")
-            if e.is_zero():
-                raise ValueError("zero is not a valid vertex")
-            u, v = e.half_coords()
-            rows.append(((u * u + D * v * v) // 4, e.x, e.y, u, v))
-        rows.sort()
-        vs = ElementRows(ring, rows)
-    rows = vs.rows
+    rows = elements.rows if isinstance(elements, ElementRows) and elements.ring == ring else None
+    if not rows or len(rows) != 2 * _half_ball_size(D, rows[-1][0]):
+        raise ValueError("elements must be a norm ball of the ring of n, as enum_elements returns it")
     index: dict[tuple[int, int], int] = {(u, v): i for i, (_, _, _, u, v) in enumerate(rows)}
     if len(index) != len(rows):  # one ring, so equal half-coordinates mean equal elements
         raise ValueError("duplicate vertices")
     fwd: list[set[int]] = [set() for _ in rows]
-    if len(rows) < 2:
-        return CompatGraph(ring, n, vs, fwd)
 
     Un, Vn = n.half_coords()
-    by_conj = Vn == 0 and all((u, -v) in index for u, v in index)
-    # norm -> [(u, v, index of a, of -a, of conj(a), of -conj(a))], one representative a of each
-    # pair {a, -a}; an index is None when that element is not a vertex
-    by_norm: dict[int, list[tuple[int, int, int, int | None, int | None, int | None]]] = {}
+    by_conj = Vn == 0
+    # norm -> [(u, v, index of a, of -a, of conj(a), of -conj(a))], one representative a of each pair {a, -a}
+    by_norm: dict[int, list[tuple[int, int, int, int, int, int]]] = {}
     for i, (m, _, _, u, v) in enumerate(rows):
         if u > 0 or (u == 0 and v > 0):
-            ni = index.get((-u, -v))
-        elif (-u, -v) in index:
-            continue  # -a is the representative
-        else:
-            ni = None
-        by_norm.setdefault(m, []).append((u, v, i, ni, index.get((u, -v)), index.get((-u, v))))
+            by_norm.setdefault(m, []).append((u, v, i, index[-u, -v], index[u, -v], index[-u, v]))
     norms = sorted(by_norm)
-    N1 = norms[-1]
-    top = N1 * rows[-2][0]  # N1 * N2: rows are sorted by norm first
-    xmax = isqrt(top) + isqrt(n.norm()) + 1
+    N = norms[-1]
+    top = N * N
+    xmax = N + isqrt(n.norm())
     # x and -x give the same w: the rows hold one of each pair; x = 0 is a witness when a*b = -n
     xs = ((u, v) for v, us in _class_rows(D, xmax) if v >= 0 or not by_conj for u in us)
     for p, q in [(0, 0), *xs]:
@@ -180,8 +156,8 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
         if M == 0 or M > top:
             continue
         mirror = by_conj and WV != 0  # conj(x) is not scanned, and its w = conj(w) differs from w
-        # m = norm(a) in the window ceil(M/N1) <= m <= isqrt(M)
-        for m in norms[bisect_left(norms, -(-M // N1)) : bisect_right(norms, isqrt(M))]:
+        # m = norm(a) in the window ceil(M/N) <= m <= isqrt(M)
+        for m in norms[bisect_left(norms, -(-M // N)) : bisect_right(norms, isqrt(M))]:
             if M % m or M // m not in by_norm:
                 continue
             for u, v, i, ni, ci, nci in by_norm[m]:
@@ -191,27 +167,26 @@ def build_graph(elements, n: QuadInt) -> CompatGraph:
                 bu, bv = b
                 # rows are sorted by norm first: norm(a) < norm(b) finds the edge only from a,
                 # the lower index; equal norms (m*m = M) find it from both ends, kept once
-                j = index.get(b)
-                if j is not None and j > i:
+                j = index[b]
+                if j > i:
                     fwd[i].add(j)
-                    if mirror:  # conj(a) * conj(b) = conj(w); conj(b) is a vertex as b is
+                    if mirror:  # conj(a) * conj(b) = conj(w)
                         j = index[bu, -bv]
                         # conjugation keeps norms, so only equal norms can swap the two ends
                         if ci < j:
                             fwd[ci].add(j)
                         else:
                             fwd[j].add(ci)
-                if ni is not None:  # (-a) * (-b) = w
-                    j = index.get((-bu, -bv))
-                    if j is not None and j > ni:
-                        fwd[ni].add(j)
-                        if mirror:  # -conj(a) * -conj(b) = conj(w)
-                            j = index[-bu, bv]
-                            if nci < j:
-                                fwd[nci].add(j)
-                            else:
-                                fwd[j].add(nci)
-    return CompatGraph(ring, n, vs, fwd)
+                j = index[-bu, -bv]  # (-a) * (-b) = w
+                if j > ni:
+                    fwd[ni].add(j)
+                    if mirror:  # -conj(a) * -conj(b) = conj(w)
+                        j = index[-bu, bv]
+                        if nci < j:
+                            fwd[nci].add(j)
+                        else:
+                            fwd[j].add(nci)
+    return CompatGraph(ring, n, elements, fwd)
 
 
 def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
@@ -248,55 +223,6 @@ def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
         if len(f) >= k - 1:
             grow((i,), sorted(f), f)
     return [tuple(map(vs.__getitem__, idx)) for idx in out]
-
-
-def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]]:
-    """Oracle for find_cliques: k-subsets whose pairs all carry witnesses.
-
-    Subsets are enumerated in lexicographic order; each prefix carries the
-    later indices compatible with all of its elements, so a prefix with a
-    witness-less pair is never extended (a subset fails verification on that
-    same pair, so nothing is lost); accepted subsets are re-passed through
-    verify_tuple.  A pair is tested by a square root of a*b + n on
-    half-coordinates (build_graph decides edges by exact division instead);
-    no graph or adjacency is shared with build_graph or find_cliques.
-    Intended for small inputs (<= ~200 elements).
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    vs = sorted(elements, key=elem_key)
-    if any(e.ring != n.ring for e in vs):
-        raise ValueError("elements must live in the ring of n")
-    cnt = len(vs)
-    out: list[tuple[QuadInt, ...]] = []
-    D = n.ring.D
-    Un, Vn = n.half_coords()
-    coords = [e.half_coords() for e in vs]
-
-    def compatible(i: int, j: int) -> bool:
-        (u1, v1), (u2, v2) = coords[i], coords[j]
-        # a*b + n = (Un + P + (Vn + Q)*s)/2
-        P = (u1 * u2 - D * v1 * v2) >> 1
-        Q = (u1 * v2 + v1 * u2) >> 1
-        return _sqrt_half(D, Un + P, Vn + Q) is not None
-
-    def rec(chosen: list[int], cands: list[int]) -> None:
-        # cands: the indices after chosen[-1] compatible with every chosen index
-        if len(chosen) == k:
-            elems = tuple(vs[i] for i in chosen)
-            if not verify_tuple(make_tuple(n.ring, n, elems)).ok:
-                raise RuntimeError(f"subset {elems} has witnesses but fails verify_tuple")
-            out.append(elems)
-            return
-        for pos, j in enumerate(cands):
-            if len(cands) - pos < k - len(chosen):
-                break
-            chosen.append(j)
-            rec(chosen, [i for i in cands[pos + 1 :] if compatible(j, i)])
-            chosen.pop()
-
-    rec([], list(range(cnt)))
-    return out
 
 
 @dataclass
@@ -569,8 +495,8 @@ def field_cost(D: int, max_norm: int) -> int:
 
     Counts the x up to sign with norm(x) <= max_norm (x = 0 included) from the
     integer-square-root row bounds of _class_rows, plus a constant per field.
-    build_graph's own bound, isqrt(N1*N2) + isqrt(norm(n)) + 1, differs by a
-    few x, which does not matter for ranking fields.
+    build_graph's own bound, N + isqrt(norm(n)) with N the largest vertex
+    norm, differs by a few x, which does not matter for ranking fields.
     """
     return _FIELD_BASE_COST + 1 + _half_ball_size(D, max_norm)
 

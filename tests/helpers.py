@@ -1,7 +1,9 @@
 """Shared test utilities: independent brute-force oracles and witness generators.
 
 Everything here deliberately avoids the library's enumeration and clique
-machinery where it serves as an oracle for them.
+machinery where it serves as an oracle for them.  list_graph is the one
+exception: it is not an oracle but the graph of an element list, cut out of
+build_graph's graph of the covering ball.
 """
 
 from __future__ import annotations
@@ -10,7 +12,18 @@ from math import isqrt
 from random import Random
 
 from diotuples.bounds import HypothesisFailure
-from diotuples.quad_ring import OmegaMode, QuadInt, RingParams, exact_div, format_elem, norm, sqrt_exact
+from diotuples.quad_ring import (
+    ElementRows,
+    OmegaMode,
+    QuadInt,
+    RingParams,
+    elem_key,
+    exact_div,
+    format_elem,
+    norm,
+    sqrt_exact,
+)
+from diotuples.search import CompatGraph, build_graph, enum_elements
 from diotuples.tuples import (
     DioTuple,
     ExtensionPair,
@@ -18,7 +31,9 @@ from diotuples.tuples import (
     VerifyReport,
     build_pell_witness,
     c_plus_minus,
+    make_tuple,
     pair_witness,
+    verify_tuple,
 )
 
 
@@ -256,6 +271,81 @@ def reference_cliques(fwd: list[set[int]], k: int) -> list[tuple[int, ...]]:
     for i, f in enumerate(fwd):
         if len(f) >= k - 1:
             grow([i], sorted(f))
+    return out
+
+
+def list_graph(elements, n: QuadInt) -> CompatGraph:
+    """The compatibility graph of a list of distinct nonzero elements of n's ring.
+
+    build_graph takes whole norm balls only, so this builds the graph of the
+    ball up to the largest norm in the list and keeps the subgraph induced on
+    the list: its vertices are the kept rows, as an ElementRows, and fwd is
+    renumbered.  An edge is a property of its two ends alone, so this is the
+    graph of the list.
+    """
+    ring = n.ring
+    keep = {(e.x, e.y) for e in elements}
+    assert len(keep) == len(elements) and all(e.ring == ring and not e.is_zero() for e in elements)
+    if not keep:
+        return CompatGraph(ring, n, ElementRows(ring, []), [])
+    g = build_graph(enum_elements(ring, max(e.norm() for e in elements)), n)
+    kept = [i for i, (_, x, y, _, _) in enumerate(g.vertices.rows) if (x, y) in keep]
+    new = {i: pos for pos, i in enumerate(kept)}
+    fwd = [{new[j] for j in g.fwd[i] if j in new} for i in kept]
+    return CompatGraph(ring, n, ElementRows(ring, [g.vertices.rows[i] for i in kept]), fwd)
+
+
+def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]]:
+    """Oracle for find_cliques: k-subsets whose pairs all carry witnesses.
+
+    Subsets are enumerated in lexicographic order; each prefix carries the
+    later indices compatible with all of its elements, so a prefix with a
+    witness-less pair is never extended (a subset fails verification on that
+    same pair, so nothing is lost); accepted subsets are re-passed through
+    verify_tuple.  A pair is compatible when a*b + n, formed on basis
+    coordinates (x, y) with omega**2 from one QuadInt product, is zero or a
+    key of brute_root_table: the squares of every element up to the largest
+    root norm, isqrt(N1*N2) + isqrt(norm(n)) + 1 (N1 >= N2 the two largest
+    norms of the elements).  No square root kernel, graph or adjacency is
+    shared with build_graph or find_cliques.  Intended for small inputs
+    (<= ~200 elements).
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    vs = sorted(elements, key=elem_key)
+    if any(e.ring != n.ring for e in vs):
+        raise ValueError("elements must live in the ring of n")
+    if len(vs) < k:
+        return []
+    N2, N1 = sorted(e.norm() for e in vs)[-2:]
+    squares = brute_root_table(n.ring, isqrt(N1 * N2) + isqrt(n.norm()) + 1)
+    omega = QuadInt(n.ring, 0, 1)
+    w2 = omega * omega  # omega**2 = w2.x + w2.y*omega
+    coords = [(e.x, e.y) for e in vs]
+    out: list[tuple[QuadInt, ...]] = []
+
+    def compatible(i: int, j: int) -> bool:
+        (x1, y1), (x2, y2) = coords[i], coords[j]
+        yy = y1 * y2
+        w = (x1 * x2 + yy * w2.x + n.x, x1 * y2 + x2 * y1 + yy * w2.y + n.y)  # a*b + n
+        return w == (0, 0) or w in squares
+
+    def rec(chosen: list[int], cands: list[int]) -> None:
+        # cands: the indices after chosen[-1] compatible with every chosen index
+        if len(chosen) == k:
+            elems = tuple(vs[i] for i in chosen)
+            if not verify_tuple(make_tuple(n.ring, n, elems)).ok:
+                raise RuntimeError(f"subset {elems} has witnesses but fails verify_tuple")
+            out.append(elems)
+            return
+        for pos, j in enumerate(cands):
+            if len(cands) - pos < k - len(chosen):
+                break
+            chosen.append(j)
+            rec(chosen, [i for i in cands[pos + 1 :] if compatible(j, i)])
+            chosen.pop()
+
+    rec([], list(range(len(vs))))
     return out
 
 

@@ -31,14 +31,13 @@ from diotuples.tuples import (
 )
 from diotuples.search import (
     SearchConfig,
-    brute_force_tuples,
     build_graph,
     enum_elements,
     find_cliques,
     run_campaign,
 )
 from diotuples.bounds import gap_lemma_checks, chain_verify, threshold_a22
-from helpers import brute_root_table, chain_quadruples_zi, random_elem, witness_triples
+from helpers import brute_force_tuples, brute_root_table, chain_quadruples_zi, random_elem, witness_triples
 
 JOBS = min(4, os.cpu_count() or 1)
 SQUAREFREE_LT_226 = [D for D in range(1, 226) if is_squarefree(D)]

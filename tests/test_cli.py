@@ -98,16 +98,18 @@ class TestSearchCommand:
         assert ran == []  # rejected before any field ran
 
     def test_range_with_negative_start(self, tmp_path):
-        # "--D-range -5..3" must not be read as an option; it means the same as "--D-range=-5..3"
+        # "--D-range -5..3" must not be read as an option; it means the same as "--D-range=-5..3", and
+        # so does an unambiguous prefix of the flag, which argparse also takes
         reports = []
-        for i, spelling in enumerate((["--D-range", "-5..3"], ["--D-range=-5..3"])):
+        spellings = (["--D-range", "-5..3"], ["--D-range=-5..3"], ["--D-ran", "-5..3"], ["--D-r", "-5..3"])
+        for i, spelling in enumerate(spellings):
             out = tmp_path / f"r{i}.json"
             assert main(["search", *spelling, "--max-norm", "30", "--k", "3", "--out", str(out)]) == 1
             report = json.loads(out.read_text())
             for rec in (report, *report["results"]):
                 rec.pop("wall_time")
             reports.append(report)
-        assert reports[0] == reports[1]
+        assert all(r == reports[0] for r in reports)
         assert reports[0]["config"]["D_list"] == [1, 2, 3]
 
     @pytest.mark.parametrize("bad", ["5", "..5", "1..", "a..b", "1..2..3", "1-5"])

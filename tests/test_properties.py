@@ -36,7 +36,7 @@ from diotuples.quad_ring import (
     parse_elem,
     sqrt_exact,
 )
-from diotuples.search import CompatGraph, brute_force_tuples, build_graph, enum_elements, find_cliques
+from diotuples.search import CompatGraph, enum_elements, find_cliques
 from diotuples.tuples import (
     PellWitness,
     build_pell_witness,
@@ -50,10 +50,12 @@ from diotuples.tuples import (
 from helpers import (
     adjacency_masks,
     box_elements,
+    brute_force_tuples,
     brute_root_table,
     canonical_sign,
     chain_quadruples_zi,
     fibonacci,
+    list_graph,
     reference_c_plus_minus,
     reference_cliques,
     reference_extend,
@@ -109,7 +111,7 @@ def test_graph_matches_pairwise_definition(D, max_norm, kind, nx, ny, data):
     pool = enum_elements(ring, max_norm)
     # arbitrary subsets, so sign classes {a, -a} are often only half present
     picked = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
-    assert_edges_are_witnessed_pairs(build_graph(picked, n), n)
+    assert_edges_are_witnessed_pairs(list_graph(picked, n), n)
 
 
 def assert_edges_are_witnessed_pairs(g: CompatGraph, n: QuadInt) -> None:
@@ -132,19 +134,20 @@ def assert_edges_are_witnessed_pairs(g: CompatGraph, n: QuadInt) -> None:
     data=st.data(),
 )
 def test_graph_matches_pairwise_definition_up_to_conjugation(D, max_norm, kind, nx, ny, data):
-    # a set closed under conjugation takes the v >= 0 witness scan when n is rational ("random" n is
-    # not); leaving out some conjugates makes the same set take the full scan
+    # the covering ball takes the v >= 0 witness scan when n is rational ("random" n is not) and
+    # records each edge with its conjugate; the subsets are closed under conjugation, then lose
+    # some conjugates
     ring = make_ring(D)
     n = shift(ring, kind, nx, ny)
     pool = enum_elements(ring, max_norm)
     picked = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=24))
     closed = set(picked) | {e.conj() for e in picked}
-    assert_edges_are_witnessed_pairs(build_graph(list(closed), n), n)
+    assert_edges_are_witnessed_pairs(list_graph(list(closed), n), n)
     upper = sorted((e for e in closed if e.half_coords()[1] > 0), key=str)
     if upper:
         # each left-out element keeps its conjugate, so the set is not closed
         dropped = data.draw(st.lists(st.sampled_from(upper), unique=True, min_size=1))
-        assert_edges_are_witnessed_pairs(build_graph([e for e in closed if e not in dropped], n), n)
+        assert_edges_are_witnessed_pairs(list_graph([e for e in closed if e not in dropped], n), n)
 
 
 CLIQUE_DS = [1, 2, 3, 5, 7]
@@ -180,7 +183,7 @@ def test_graph_cliques_match_reference_in_order(D, max_norm, kind, nx, ny, k, ke
     ring = make_ring(D)
     n = QuadInt(ring, 0, 0) if kind == "0" else shift(ring, kind, nx, ny)
     picked = [e for e in enum_elements(ring, max_norm) if rnd.randrange(100) < keep]
-    g = build_graph(picked, n)
+    g = list_graph(picked, n)
     want = [tuple(g.vertices[i] for i in idx) for idx in reference_cliques(g.fwd, k)]
     assert find_cliques(g, k) == want
 

@@ -11,10 +11,9 @@ from random import Random
 import pytest
 
 from diotuples import search
-from diotuples.quad_ring import QuadInt, elem_key, format_elem, from_half, is_squarefree, make_ring
+from diotuples.quad_ring import ElementRows, QuadInt, elem_key, format_elem, from_half, is_squarefree, make_ring
 from diotuples.search import (
     SearchConfig,
-    brute_force_tuples,
     build_graph,
     clamp_workers,
     enum_elements,
@@ -23,7 +22,7 @@ from diotuples.search import (
     run_campaign,
 )
 from diotuples.tuples import make_tuple, verify_tuple
-from helpers import adjacency_masks, box_elements
+from helpers import adjacency_masks, box_elements, brute_force_tuples, list_graph
 
 R1 = make_ring(1)
 R3 = make_ring(3)
@@ -62,7 +61,7 @@ class TestEnumElements:
 
 class TestBuildGraph:
     def test_complete_on_quadruple(self):
-        g = build_graph([q1(1), q1(2), q1(5), q1(-24)], M1)
+        g = list_graph([q1(1), q1(2), q1(5), q1(-24)], M1)
         assert g.edge_count == 6
 
     def test_adjacency_pinned_d1_576(self):
@@ -72,23 +71,36 @@ class TestBuildGraph:
         assert adjacency_digest(g) == "fd8f5760a8a2c12c71c49ef885f511d1628312b90f1bc226b09203af378ef1f4"
 
     def test_sign_class_pairs(self):
-        # {1, -1}: 1*(-1) + 1 = 0 is a square; {a, -a} edges need both signs present
-        g = build_graph([q1(1), q1(-1), q1(3)], QuadInt(R1, 1, 0))
+        # {1, -1}: 1*(-1) + 1 = 0 is a square
+        g = list_graph([q1(1), q1(-1), q1(3)], QuadInt(R1, 1, 0))
         assert {frozenset(e) for e in g.edges()} == {frozenset((q1(1), q1(-1))), frozenset((q1(1), q1(3)))}
 
     def test_no_edge(self):
-        g = build_graph([q1(1), q1(3)], M1)
+        g = list_graph([q1(1), q1(3)], M1)
         assert g.edge_count == 0
 
     def test_empty(self):
-        g = build_graph([], M1)
-        assert g.edge_count == 0 and g.vertices == []
+        # a ball holds the units, so an empty vertex set is never one
+        for elems in ([], ElementRows(R1, [])):
+            with pytest.raises(ValueError, match="norm ball"):
+                build_graph(elems, M1)
 
     def test_rejects_bad_vertices(self):
-        with pytest.raises(ValueError):
-            build_graph([q1(0), q1(1)], M1)
-        with pytest.raises(ValueError):
-            build_graph([q1(1), q1(1)], M1)
+        # only a ball as enum_elements returns it is taken; a list is rejected, even one of a whole ball
+        for elems in ([q1(0), q1(1)], [q1(1), q1(1)], [q1(1), q1(2)], list(enum_elements(R1, 5))):
+            with pytest.raises(ValueError, match="norm ball"):
+                build_graph(elems, M1)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7])
+    def test_rejects_all_but_a_whole_ball(self, D):
+        ring = make_ring(D)
+        ball = enum_elements(ring, 37)
+        other = make_ring(5 if D == 1 else 1)
+        with pytest.raises(ValueError, match="norm ball"):
+            build_graph(ball, QuadInt(other, -1, 0))  # another ring
+        with pytest.raises(ValueError, match="norm ball"):
+            build_graph(ElementRows(ring, ball.rows[:-1]), QuadInt(ring, -1, 0))  # a ball minus its last row
+        assert build_graph(ElementRows(ring, list(ball.rows)), QuadInt(ring, -1, 0)).vertices == ball
 
     def test_edges_match_pairwise_definition(self):
         elems = enum_elements(R1, 20)
@@ -106,14 +118,17 @@ class TestBuildGraph:
     @pytest.mark.parametrize("D", [1, 2, 3, 7])
     @pytest.mark.parametrize("max_norm", [1, 37, 600])
     def test_rows_and_list_agree(self, D, max_norm):
-        # enum_elements' rows are taken as they are; a list of the same elements, in any order, is
-        # turned into the same rows; n = -1 takes the scan up to conjugation, sqrt(-D) the full scan
+        # build_graph takes enum_elements' rows and rejects a list of the same elements; list_graph
+        # gives the list, in any order, the ball's graph; n = -1 takes the scan up to conjugation,
+        # sqrt(-D) the full scan
         ring = make_ring(D)
         ball = enum_elements(ring, max_norm)
         listed = list(ball)
         Random(D).shuffle(listed)
         for n in (QuadInt(ring, -1, 0), from_half(ring, 0, 2)):
-            g, h = build_graph(ball, n), build_graph(listed, n)
+            with pytest.raises(ValueError, match="norm ball"):
+                build_graph(listed, n)
+            g, h = build_graph(ball, n), list_graph(listed, n)
             assert g.fwd == h.fwd
             assert g.vertices == h.vertices == ball
 
@@ -166,8 +181,9 @@ class TestDivisorKernel:
 
     @pytest.mark.parametrize("D", [1, 2, 3, 7])
     def test_pairs_not_closed_under_negation(self, D):
-        # one division per pair {a, -a}: a list of lower-half-plane elements has no vertex in
-        # the half-plane of _class_rows, and in the mixed lists some a lack -a, on either side
+        # a vertex set in which some a lack -a is not a ball, so build_graph rejects it; its graph
+        # is the subgraph of the ball's graph on it: a list of lower-half-plane elements, which has
+        # no vertex in the half-plane of _class_rows, and lists in which some a lack -a, on either side
         ring = make_ring(D)
         rng = Random(D)
         ball = enum_elements(ring, 40)
@@ -180,45 +196,53 @@ class TestDivisorKernel:
         }
         for n in (QuadInt(ring, -1, 0), QuadInt(ring, 0, 1)):  # -1 and omega, which is not real
             for name, elems in lists.items():
+                kept = set(elems)
+                rows = ElementRows(ring, [r for r, e in zip(ball.rows, ball) if e in kept])
+                with pytest.raises(ValueError, match="norm ball"):
+                    build_graph(rows, n)
                 want = pairwise_edges(elems, n)
                 assert want, (name, n)
-                assert {frozenset(e) for e in build_graph(elems, n).edges()} == want, (name, n)
+                assert {frozenset(e) for e in list_graph(elems, n).edges()} == want, (name, n)
 
     def test_sparse_list_with_high_norm(self):
-        # not a norm ball: the x range follows the two largest norms, b is looked up by membership
+        # the subgraph of the ball up to norm 10**4 on five of its elements
         elems = [q1(1), q1(2), q1(5), q1(-24), q1(100)]  # -24*100 - 1 = (49i)**2
-        g = build_graph(elems, M1)
+        g = list_graph(elems, M1)
         want = pairwise_edges(elems, M1)
         assert frozenset((q1(-24), q1(100))) in want and len(want) == 7
         assert {frozenset(e) for e in g.edges()} == want
 
     def test_large_shift_widens_witness_range(self):
-        # 1*2 + 23 = 5**2: norm(x) = 25 is far above norm(1)*norm(2), so the range needs the norm(n) term
-        g = build_graph([q1(1), q1(2)], q1(23))
+        # 1*2 + 23 = 5**2: norm(x) = 25 is far above the ball's largest norm 4, so the range needs
+        # the norm(n) term
+        g = list_graph([q1(1), q1(2)], q1(23))
         assert g.edge_count == 1
-        # (-6-6i)(-3-i) + 4+6i = (5+3i)**2 with norm 34 = isqrt(720) + isqrt(52) + 1: the bound is tight
-        g = build_graph([q1(-6, -6), q1(-3, -1)], q1(4, 6))
+        # (-6-6i)(-3-i) + 4+6i = (5+3i)**2, a shift that is not rational
+        g = list_graph([q1(-6, -6), q1(-3, -1)], q1(4, 6))
         assert g.edge_count == 1
+        # i*(-i) + 3 = 2**2 with norm 4 = 1 + isqrt(9) in the unit ball: the bound is tight
+        g = build_graph(enum_elements(R1, 1), q1(3))
+        assert {frozenset(e) for e in g.edges()} == {frozenset((q1(0, 1), q1(0, -1)))}
 
     def test_norm_window_ends(self):
         # the window of m = norm(a) is ceil(M/N1) <= m <= isqrt(M), with M = norm(a*b)
         # (1+i)(1-i) - 1 = 1**2: equal norms, m*m = M, the top end
         # 1*(-24) - 1 = (5i)**2: norm(-24) = N1, m = M/N1, the bottom end
         elems = [q1(1), q1(1, 1), q1(1, -1), q1(-24)]
-        g = build_graph(elems, M1)
+        g = list_graph(elems, M1)
         want = pairwise_edges(elems, M1)
         assert {frozenset((q1(1, 1), q1(1, -1))), frozenset((q1(1), q1(-24)))} <= want
         assert {frozenset(e) for e in g.edges()} == want
 
     def test_witness_zero(self):
         # x = 0 is a witness: i*(-i) - 1 = 0
-        g = build_graph([q1(0, 1), q1(0, -1), q1(2)], M1)
+        g = list_graph([q1(0, 1), q1(0, -1), q1(2)], M1)
         assert {frozenset(e) for e in g.edges()} == {frozenset((q1(0, 1), q1(0, -1)))}
 
 
 class TestFindCliques:
     def test_k4(self):
-        g = build_graph([q1(1), q1(2), q1(5), q1(-24)], M1)
+        g = list_graph([q1(1), q1(2), q1(5), q1(-24)], M1)
         cliques = find_cliques(g, 4)
         assert len(cliques) == 1
         assert sorted(format_elem(e) for e in cliques[0]) == ["-24", "1", "2", "5"]
@@ -230,7 +254,7 @@ class TestFindCliques:
         assert cliques == {frozenset(e) for e in g.edges()}
 
     def test_k_too_small(self):
-        g = build_graph([q1(1)], M1)
+        g = build_graph(enum_elements(R1, 1), M1)
         with pytest.raises(ValueError):
             find_cliques(g, 1)
 
@@ -441,12 +465,14 @@ class TestCampaign:
 
     def test_reverification_failure_raises(self, monkeypatch):
         # an explicit raise, not an assert, so the check also runs under python -O
+        import helpers
         from diotuples import search
 
         class Failed:
             ok = False
 
         monkeypatch.setattr(search, "verify_tuple", lambda t: Failed())
+        monkeypatch.setattr(helpers, "verify_tuple", lambda t: Failed())
         with pytest.raises(RuntimeError, match="re-verification"):
             search._run_field(1, 30, 3, "-1")
         with pytest.raises(RuntimeError, match="verify_tuple"):

@@ -1,8 +1,9 @@
 """Source checks: invariant checks in the package must survive `python -O`, the
 omega convention stays inside quad_ring, the package imports only the stdlib
 and its declared dependency and reads no environment variable, every exported
-name exists, the package names the benchmark uses exist, and importing the CLI
-stays cheap."""
+name exists, the package names the benchmark uses exist, importing the CLI
+stays cheap, and the clique oracle in tests/helpers.py shares no kernel with
+the package."""
 
 from __future__ import annotations
 
@@ -119,3 +120,37 @@ def test_benchmark_calls_resolve():
                     missing.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert count > 0
     assert not missing, f"the benchmark uses package names that do not exist: {missing}"
+
+
+def test_clique_oracle_shares_no_kernel():
+    # brute_force_tuples checks build_graph and find_cliques, so it must not decide pairs with the
+    # square roots verify_tuple uses: neither it nor a helper it calls may name sqrt_exact,
+    # pair_witness or a private name of the package
+    path = Path(__file__).resolve().parent / "helpers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    package_names = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "diotuples"
+        for alias in node.names
+    }
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, todo, seen = [], ["brute_force_tuples"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                used, private = node.id, node.id in package_names and node.id.startswith("_")
+                if used in functions:
+                    todo.append(used)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in package_names:
+                used, private = node.attr, node.attr.startswith("_")  # a package module's attribute
+            else:
+                continue
+            if private or used in {"sqrt_exact", "pair_witness"}:
+                found.append(f"helpers.py:{node.lineno} {name} uses {used}")
+    assert "box_elements" in seen, "the oracle no longer reaches its root table"
+    assert not found, f"the clique oracle shares the code it checks: {found}"
