@@ -433,16 +433,17 @@ def _defect(ns: int, na: int, nc: int, nx: int, nz: int, n_res: int) -> iv.mpf:
     return iv.sqrt(2) * N / iv.sqrt(S + iv.sqrt(disc))
 
 
-def theta_defect(w: PellWitness, precision_bits: int = DEFAULT_PRECISION_BITS) -> ThetaCheck:
+def theta_defect(w: PellWitness) -> ThetaCheck:
     """Defects, middle bounds and the shared outer bound 21|c|/(16|a||z|^2).
 
     Also checks the algebraic identity
     |theta1^2 - (sx/az)^2| = |s^2/a^2| * |c-a| / (|c| |z|^2) exactly, on norms.
+    The enclosures are computed at DEFAULT_PRECISION_BITS.
     """
     a, b, c, z = w.a, w.b, w.c, w.z
     if a.is_zero() or b.is_zero() or c.is_zero() or z.is_zero():
         raise ValueError("a, b, c and z must be nonzero")
-    bits = precision_bits
+    bits = DEFAULT_PRECISION_BITS
     na, nb, nc, nz = norm(a), norm(b), norm(c), norm(z)
     ns, nt = norm(w.s), norm(w.t)
     n_res1 = norm(a * z * z - c * w.x * w.x)

@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .quad_ring import format_elem, is_squarefree, make_ring, parse_elem
+from .quad_ring import QuadInt, format_elem, is_squarefree, make_ring, parse_elem
 from .tuples import extend_scan, extend_triple, is_regular, make_tuple, verify_tuple
 from .search import SearchConfig, run_campaign, write_clique_csv, write_report
 
@@ -183,11 +183,11 @@ def _cmd_extend(args) -> int:
     a, b, c = parts
     if args.z_norm_bound < 0:
         raise ValueError("--z-norm-bound must be >= 0")
-    try:
-        scan = extend_scan(a, b, c, args.z_norm_bound)
-    except ValueError as exc:
-        print(f"not extendable: {exc}", file=sys.stderr)
+    # a zero or repeated element is a usage error: make_tuple raises, and main exits 2
+    if not verify_tuple(make_tuple(ring, QuadInt(ring, -1, 0), parts)).ok:
+        print("not extendable: {a, b, c} is not a D(-1) triple", file=sys.stderr)
         return 1
+    scan = extend_scan(a, b, c, args.z_norm_bound)
     found = scan.extensions
     base_regular = is_regular(a, b, c)
     if args.json:

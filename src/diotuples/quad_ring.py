@@ -39,7 +39,6 @@ __all__ = [
     "elem_to_json",
     "elem_from_json",
     "ElementRows",
-    "sorted_ball",
 ]
 
 
@@ -398,25 +397,41 @@ def _half_ball_size(D: int, max_norm: int) -> int:
 
 
 class ElementRows(Sequence):
-    """A read-only sequence of distinct nonzero elements of one ring, sorted by elem_key, held as integer rows.
+    """Every nonzero element of norm <= max_norm, sorted by elem_key (norm, x, y), held as integer rows.
 
-    rows[i] = (norm, x, y, u, v): the sort key (norm, x, y) of element i and
-    its half-coordinates (u, v).  A QuadInt is built only when the sequence is
-    indexed or iterated.  It compares equal to the list of the same elements.
+    The only constructor builds the whole ball, so a value of this type is
+    whole and sorted by construction.  rows[i] = (norm, x, y, u, v): the sort
+    key of element i and its half-coordinates (u, v), formed on integers from
+    the rows of _class_rows for z and -z at once (their coordinates are
+    (x, y, u, v) and (-x, -y, -u, -v)) and sorted once.  A QuadInt is built
+    only when the sequence is indexed or iterated.
     """
 
-    __slots__ = ("ring", "rows")
+    __slots__ = ("ring", "max_norm", "rows")
 
-    def __init__(self, ring: RingParams, rows: list[tuple[int, int, int, int, int]]):
+    def __init__(self, ring: RingParams, max_norm: int):
+        if max_norm < 1:
+            raise ValueError("max_norm must be >= 1")
+        D = ring.D
+        half = ring.omega_mode is OmegaMode.HALF
+        rows = []
+        for v, us in _class_rows(D, max_norm):
+            dvv = D * v * v
+            y, sh = (v, v) if half else (v >> 1, 0)  # x = (u - v)/2 or u/2
+            for u in us:
+                m = (u * u + dvv) >> 2
+                x = (u - sh) >> 1
+                rows.append((m, x, y, u, v))
+                rows.append((m, -x, -y, -u, -v))
+        rows.sort()
         self.ring = ring
+        self.max_norm = max_norm
         self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [QuadInt(self.ring, x, y) for _, x, y, _, _ in self.rows[i]]
+    def __getitem__(self, i: int) -> QuadInt:
         _, x, y, _, _ = self.rows[i]
         return QuadInt(self.ring, x, y)
 
@@ -425,34 +440,5 @@ class ElementRows(Sequence):
         for _, x, y, _, _ in self.rows:
             yield QuadInt(ring, x, y)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ElementRows):
-            return self.ring == other.ring and self.rows == other.rows
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
-
     def __repr__(self) -> str:
-        return f"ElementRows({self.ring!r}, {len(self.rows)} elements)"
-
-
-def sorted_ball(ring: RingParams, max_norm: int) -> ElementRows:
-    """Every nonzero element of norm <= max_norm, sorted by elem_key (norm, x, y).
-
-    The rows (norm, x, y, u, v) are formed on integers from the rows of
-    _class_rows, for z and -z at once (their coordinates are (x, y, u, v) and
-    (-x, -y, -u, -v)), and sorted once; no element is built here.
-    """
-    D = ring.D
-    half = ring.omega_mode is OmegaMode.HALF
-    rows = []
-    for v, us in _class_rows(D, max_norm):
-        dvv = D * v * v
-        y, sh = (v, v) if half else (v >> 1, 0)  # x = (u - v)/2 or u/2
-        for u in us:
-            m = (u * u + dvv) >> 2
-            x = (u - sh) >> 1
-            rows.append((m, x, y, u, v))
-            rows.append((m, -x, -y, -u, -v))
-    rows.sort()
-    return ElementRows(ring, rows)
+        return f"ElementRows({self.ring!r}, max_norm={self.max_norm})"

@@ -3,9 +3,10 @@
 Tuples of size k are exactly the k-cliques of the compatibility graph whose
 vertices are the nonzero elements within a norm bound and whose edges join
 pairs {a, b} with a*b + n a square.  A field is one integer pipeline: the ball
-is sorted once as integer rows (norm, x, y, u, v) (quad_ring.ElementRows),
-which build_graph reads as they are, and elements are built only for the
-vertices of the cliques found.  build_graph takes a whole norm ball only, as
+is a quad_ring.ElementRows, integer rows (norm, x, y, u, v) sorted once, whole
+and sorted by construction (its only constructor takes the ring and the norm
+bound), which build_graph reads as they are; elements are built only for the
+vertices of the cliques found.  build_graph takes such a ball only, as
 enum_elements returns it, and finds the edges from the witnesses: for each
 candidate x it divides x**2 - n by the vertices whose norm lies in a window of
 the sorted vertex norms and divides M = norm(x**2 - n), one division per pair
@@ -13,13 +14,11 @@ the sorted vertex norms and divides M = norm(x**2 - n), one division per pair
 to N + isqrt(norm(n)) (N the largest vertex norm), not the number of vertex
 pairs.  When n is rational it scans the x up to conjugation too and records
 each edge with its conjugate.  The sparse graph is stored as forward-neighbour
-sets, which find_cliques narrows into candidate sets by set intersection.  The
-brute-force clique oracle lives in the tests (tests/helpers.py) and decides
-pairs from a table of squares.  A campaign groups its pending fields into
-chunks of balanced predicted cost (field_cost, scheduled longest first), runs
-one chunk per work unit and rewrites its compact, fsync'd JSON checkpoint once
-per chunk, so a crash loses at most the chunks in flight; it resumes from the
-checkpoint.
+sets, which find_cliques narrows into candidate sets by set intersection.  A
+campaign groups its pending fields into chunks of balanced predicted cost
+(field_cost, scheduled longest first), runs one chunk per work unit and
+rewrites its compact, fsync'd JSON checkpoint once per chunk, so a crash loses
+at most the chunks in flight; it resumes from the checkpoint.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .quad_ring import (
     elem_to_json,
     make_ring,
     parse_elem,
-    sorted_ball,
     _class_rows,
     _div_half,
     _half_ball_size,
@@ -72,16 +70,13 @@ SCHEMA_VERSION = 1
 
 def enum_elements(ring: RingParams, max_norm: int) -> ElementRows:
     """All nonzero elements with norm <= max_norm, sorted by (norm, x, y), as integer rows."""
-    if max_norm < 1:
-        raise ValueError("max_norm must be >= 1")
-    return sorted_ball(ring, max_norm)
+    return ElementRows(ring, max_norm)
 
 
 @dataclass
 class CompatGraph:
     """Compatibility graph: fwd[i] is the set of neighbours j > i of vertex i."""
 
-    ring: RingParams
     n: QuadInt
     vertices: ElementRows
     fwd: list[set[int]]
@@ -97,19 +92,21 @@ class CompatGraph:
 def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     """Edge {a, b} iff a*b + n is a square in O_K; enumerates witnesses x, not pairs.
 
-    The vertices are a whole norm ball of the ring of n, as enum_elements
-    returns it: integer rows (norm, x, y, u, v) sorted by elem_key, read as
-    they are, so elements are built only where they are read.  Anything else
-    (a list, another ring, an empty or partial ball) raises ValueError.
+    The vertices are an ElementRows of the ring of n, as enum_elements
+    returns it: a whole norm ball by construction, as integer rows
+    (norm, x, y, u, v) sorted by elem_key, read as they are, so elements are
+    built only where they are read.  Anything else (a list, a ball of another
+    ring) raises ValueError.
 
     If a*b + n = x**2 then |x|**2 <= |a||b| + |n|, so norm(x) is at most
     N + isqrt(norm(n)) with N the largest vertex norm.  For each such x up to
     sign (x = 0 included), w = x**2 - n must be a product a*b of vertices.
     Taking norm(a) = m <= norm(b), m divides M = norm(w), m*m <= M, and M/m is
     a vertex norm, so M/N <= m: the candidate m form a window of the sorted
-    vertex norms, and each is kept when m | M and M/m is a vertex norm.  The vertices a of such a norm m are tested for a | w by an
-    exact division on half-coordinates (quad_ring's integer core), one division
-    per pair {a, -a}: -a divides w exactly when a does, with quotient -b.  So
+    vertex norms, and each is kept when m | M and M/m is a vertex norm.  The
+    vertices a of such a norm m are tested for a | w by an exact division on
+    half-coordinates (quad_ring's integer core), one division per pair
+    {a, -a}: -a divides w exactly when a does, with quotient -b.  So
     each norm keeps the representative a of each pair in _class_rows'
     half-plane, and {a, b} and {-a, -b} are edges when b = w/a.  In a ball
     -a, conj(a) and every such b (of norm M/m <= N) are vertices.
@@ -127,12 +124,10 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     """
     ring = n.ring
     D = ring.D
-    rows = elements.rows if isinstance(elements, ElementRows) and elements.ring == ring else None
-    if not rows or len(rows) != 2 * _half_ball_size(D, rows[-1][0]):
+    if not (isinstance(elements, ElementRows) and elements.ring == ring):
         raise ValueError("elements must be a norm ball of the ring of n, as enum_elements returns it")
+    rows = elements.rows
     index: dict[tuple[int, int], int] = {(u, v): i for i, (_, _, _, u, v) in enumerate(rows)}
-    if len(index) != len(rows):  # one ring, so equal half-coordinates mean equal elements
-        raise ValueError("duplicate vertices")
     fwd: list[set[int]] = [set() for _ in rows]
 
     Un, Vn = n.half_coords()
@@ -142,7 +137,7 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     for i, (m, _, _, u, v) in enumerate(rows):
         if u > 0 or (u == 0 and v > 0):
             by_norm.setdefault(m, []).append((u, v, i, index[-u, -v], index[u, -v], index[-u, v]))
-    norms = sorted(by_norm)
+    norms = list(by_norm)  # rows ascend by norm
     N = norms[-1]
     top = N * N
     xmax = N + isqrt(n.norm())
@@ -186,7 +181,7 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
                             fwd[nci].add(j)
                         else:
                             fwd[j].add(nci)
-    return CompatGraph(ring, n, elements, fwd)
+    return CompatGraph(n, elements, fwd)
 
 
 def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:

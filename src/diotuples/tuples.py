@@ -238,8 +238,6 @@ def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> Extend
     ring = a.ring
     if z_norm_bound < 0:
         raise ValueError("z_norm_bound must be >= 0")
-    if c.is_zero():
-        raise ValueError("c must be nonzero")
     triple = make_tuple(ring, QuadInt(ring, -1, 0), [a, b, c])
     if not verify_tuple(triple).ok:
         raise ValueError("{a, b, c} is not a D(-1) triple")

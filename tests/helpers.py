@@ -13,7 +13,6 @@ from random import Random
 
 from diotuples.bounds import HypothesisFailure
 from diotuples.quad_ring import (
-    ElementRows,
     OmegaMode,
     QuadInt,
     RingParams,
@@ -279,20 +278,20 @@ def list_graph(elements, n: QuadInt) -> CompatGraph:
 
     build_graph takes whole norm balls only, so this builds the graph of the
     ball up to the largest norm in the list and keeps the subgraph induced on
-    the list: its vertices are the kept rows, as an ElementRows, and fwd is
-    renumbered.  An edge is a property of its two ends alone, so this is the
-    graph of the list.
+    the list: its vertices are the kept elements in ball order, as a plain
+    list, and fwd is renumbered.  An edge is a property of its two ends alone,
+    so this is the graph of the list.
     """
     ring = n.ring
     keep = {(e.x, e.y) for e in elements}
     assert len(keep) == len(elements) and all(e.ring == ring and not e.is_zero() for e in elements)
     if not keep:
-        return CompatGraph(ring, n, ElementRows(ring, []), [])
+        return CompatGraph(n, [], [])
     g = build_graph(enum_elements(ring, max(e.norm() for e in elements)), n)
     kept = [i for i, (_, x, y, _, _) in enumerate(g.vertices.rows) if (x, y) in keep]
     new = {i: pos for pos, i in enumerate(kept)}
     fwd = [{new[j] for j in g.fwd[i] if j in new} for i in kept]
-    return CompatGraph(ring, n, ElementRows(ring, [g.vertices.rows[i] for i in kept]), fwd)
+    return CompatGraph(n, [g.vertices[i] for i in kept], fwd)
 
 
 def brute_force_tuples(elements, k: int, n: QuadInt) -> list[tuple[QuadInt, ...]]:

@@ -311,6 +311,17 @@ class TestExtendCommand:
     def test_non_triple(self, capsys):
         code = main(["extend", "--D", "1", "--triple", "1,2,3", "--z-norm-bound", "100"])
         assert code == 1
+        assert "not extendable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "triple, message", [("1,2,0", "must be nonzero"), ("1,1,2", "must be pairwise distinct")]
+    )
+    def test_malformed_triple_is_usage_error(self, triple, message, capsys):
+        # as for verify: a zero or repeated element is not a tuple at all, so it is no "not extendable"
+        code = main(["extend", "--D", "1", "--triple", triple, "--z-norm-bound", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "not extendable" not in err
 
     def test_zero_bound(self, capsys):
         code = main(["extend", "--D", "1", "--triple", "1,2,5", "--z-norm-bound", "0"])

@@ -163,7 +163,7 @@ CLIQUE_DS = [1, 2, 3, 5, 7]
 def test_cliques_match_reference_on_random_forward_sets(size, density, k, rnd):
     # the vertices stand for their own indices, so find_cliques returns index tuples
     fwd = [{j for j in range(i + 1, size) if rnd.randrange(100) < density} for i in range(size)]
-    g = CompatGraph(make_ring(1), QuadInt(make_ring(1), -1, 0), list(range(size)), fwd)
+    g = CompatGraph(QuadInt(make_ring(1), -1, 0), list(range(size)), fwd)
     assert find_cliques(g, k) == reference_cliques(fwd, k)
 
 

@@ -51,12 +51,15 @@ class TestEnumElements:
             max_norm = rng.randrange(1, 80)
             ring = make_ring(D)
             got = enum_elements(ring, max_norm)
-            assert got == sorted(box_elements(ring, max_norm), key=elem_key)
+            assert list(got) == sorted(box_elements(ring, max_norm), key=elem_key)
             assert len(set(got)) == len(got)
 
     def test_bad_bound(self):
-        with pytest.raises(ValueError):
-            enum_elements(R1, 0)
+        # enum_elements returns ElementRows(ring, max_norm), the ball's only constructor
+        for build in (enum_elements, ElementRows):
+            for max_norm in (0, -1):
+                with pytest.raises(ValueError, match="max_norm"):
+                    build(R1, max_norm)
 
 
 class TestBuildGraph:
@@ -81,9 +84,8 @@ class TestBuildGraph:
 
     def test_empty(self):
         # a ball holds the units, so an empty vertex set is never one
-        for elems in ([], ElementRows(R1, [])):
-            with pytest.raises(ValueError, match="norm ball"):
-                build_graph(elems, M1)
+        with pytest.raises(ValueError, match="norm ball"):
+            build_graph([], M1)
 
     def test_rejects_bad_vertices(self):
         # only a ball as enum_elements returns it is taken; a list is rejected, even one of a whole ball
@@ -96,11 +98,10 @@ class TestBuildGraph:
         ring = make_ring(D)
         ball = enum_elements(ring, 37)
         other = make_ring(5 if D == 1 else 1)
+        # a ball is whole by construction, so only its ring can be wrong
         with pytest.raises(ValueError, match="norm ball"):
             build_graph(ball, QuadInt(other, -1, 0))  # another ring
-        with pytest.raises(ValueError, match="norm ball"):
-            build_graph(ElementRows(ring, ball.rows[:-1]), QuadInt(ring, -1, 0))  # a ball minus its last row
-        assert build_graph(ElementRows(ring, list(ball.rows)), QuadInt(ring, -1, 0)).vertices == ball
+        assert build_graph(ball, QuadInt(ring, -1, 0)).vertices is ball
 
     def test_edges_match_pairwise_definition(self):
         elems = enum_elements(R1, 20)
@@ -130,7 +131,7 @@ class TestBuildGraph:
                 build_graph(listed, n)
             g, h = build_graph(ball, n), list_graph(listed, n)
             assert g.fwd == h.fwd
-            assert g.vertices == h.vertices == ball
+            assert g.vertices is ball and h.vertices == list(ball)
 
 
 def adjacency_digest(g) -> str:
@@ -181,9 +182,9 @@ class TestDivisorKernel:
 
     @pytest.mark.parametrize("D", [1, 2, 3, 7])
     def test_pairs_not_closed_under_negation(self, D):
-        # a vertex set in which some a lack -a is not a ball, so build_graph rejects it; its graph
-        # is the subgraph of the ball's graph on it: a list of lower-half-plane elements, which has
-        # no vertex in the half-plane of _class_rows, and lists in which some a lack -a, on either side
+        # a vertex set in which some a lack -a is not a ball; its graph is the subgraph of the
+        # ball's graph on it: a list of lower-half-plane elements, which has no vertex in the
+        # half-plane of _class_rows, and lists in which some a lack -a, on either side
         ring = make_ring(D)
         rng = Random(D)
         ball = enum_elements(ring, 40)
@@ -196,10 +197,6 @@ class TestDivisorKernel:
         }
         for n in (QuadInt(ring, -1, 0), QuadInt(ring, 0, 1)):  # -1 and omega, which is not real
             for name, elems in lists.items():
-                kept = set(elems)
-                rows = ElementRows(ring, [r for r, e in zip(ball.rows, ball) if e in kept])
-                with pytest.raises(ValueError, match="norm ball"):
-                    build_graph(rows, n)
                 want = pairwise_edges(elems, n)
                 assert want, (name, n)
                 assert {frozenset(e) for e in list_graph(elems, n).edges()} == want, (name, n)
