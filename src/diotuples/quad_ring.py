@@ -265,6 +265,11 @@ def _div_half(D: int, U1: int, V1: int, U2: int, V2: int) -> tuple[int, int] | N
     Multiplying by the conjugate gives (p + q*sqrt(-D)) / (U2**2 + D*V2**2),
     and U2**2 + D*V2**2 = 4*norm(den), so u = p / (2*norm(den)) and likewise
     v.  (U2, V2) must be the nonzero half-coordinates of an element of O_K.
+    exact_div and tuples.extend_scan call it.  search.build_graph has its own
+    copy inlined in its hot loop, where a call per quotient costs more than
+    the division, and without the parity test: it divides only where
+    norm(den) divides norm(num), and then an exact quotient has an integer
+    norm, so it lies in O_K.
     """
     m = (U2 * U2 + D * V2 * V2) // 2
     p = U1 * U2 + D * V1 * V2

@@ -10,15 +10,16 @@ vertices of the cliques found.  build_graph takes such a ball only, as
 enum_elements returns it, and finds the edges from the witnesses: for each
 candidate x it divides x**2 - n by the vertices whose norm lies in a window of
 the sorted vertex norms and divides M = norm(x**2 - n), one division per pair
-{a, -a} (the quotients are b and -b), so its cost follows the number of x up
-to N + isqrt(norm(n)) (N the largest vertex norm), not the number of vertex
-pairs.  When n is rational it scans the x up to conjugation too and records
-each edge with its conjugate.  The sparse graph is stored as forward-neighbour
-sets, which find_cliques narrows into candidate sets by set intersection.  A
-campaign groups its pending fields into chunks of balanced predicted cost
-(field_cost, scheduled longest first), runs one chunk per work unit and
-rewrites its compact, fsync'd JSON checkpoint once per chunk, so a crash loses
-at most the chunks in flight; it resumes from the checkpoint.
+{a, -a}, inlined on integers (the quotients b and -b are looked up by integer
+keys), so its cost follows the number of x up to N + isqrt(norm(n)) (N the
+largest vertex norm), not the number of vertex pairs.  When n is rational it
+scans the x up to conjugation too and records each edge with its conjugate.
+The sparse graph is stored as forward-neighbour sets, which find_cliques
+narrows into candidate sets by set intersection.  A campaign groups its
+pending fields into chunks of balanced predicted cost (field_cost, scheduled
+longest first), runs one chunk per work unit and rewrites its compact, fsync'd
+JSON checkpoint once per chunk, so a crash loses at most the chunks in flight;
+it resumes from the checkpoint.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .quad_ring import (
     make_ring,
     parse_elem,
     _class_rows,
-    _div_half,
     _half_ball_size,
 )
 from .tuples import make_tuple, tuple_orbit, verify_tuple
@@ -89,6 +89,12 @@ class CompatGraph:
         return [(self.vertices[i], self.vertices[j]) for i, f in enumerate(self.fwd) for j in sorted(f)]
 
 
+def _vertex_index(elements: ElementRows) -> tuple[int, dict[int, int]]:
+    """(S, index) with index[u*S + v] the row of the vertex of half-coordinates (u, v); S as in build_graph."""
+    S = 2 * isqrt(4 * elements.rows[-1][0] // elements.ring.D) + 1
+    return S, {u * S + v: i for i, (_, _, _, u, v) in enumerate(elements.rows)}
+
+
 def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     """Edge {a, b} iff a*b + n is a square in O_K; enumerates witnesses x, not pairs.
 
@@ -103,13 +109,19 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     sign (x = 0 included), w = x**2 - n must be a product a*b of vertices.
     Taking norm(a) = m <= norm(b), m divides M = norm(w), m*m <= M, and M/m is
     a vertex norm, so M/N <= m: the candidate m form a window of the sorted
-    vertex norms, and each is kept when m | M and M/m is a vertex norm.  The
-    vertices a of such a norm m are tested for a | w by an exact division on
-    half-coordinates (quad_ring's integer core), one division per pair
-    {a, -a}: -a divides w exactly when a does, with quotient -b.  So
-    each norm keeps the representative a of each pair in _class_rows'
-    half-plane, and {a, b} and {-a, -b} are edges when b = w/a.  In a ball
-    -a, conj(a) and every such b (of norm M/m <= N) are vertices.
+    vertex norms, and each is kept when m | M and M/m is a vertex norm.  Each
+    vertex a = (u + v*s)/2 of such a norm is tested for a | w by an exact
+    division inlined on integers (quad_ring._div_half without its parity
+    test): for w = (WU + WV*s)/2, b = w/a = w*conj(a)/m is (P + Q*s)/2m with
+    P = WU*u + WV*D*v, Q = WV*u - WU*v.  When 2m divides P and Q, b has the
+    integer norm M/m, so b, -b, conj(b) and -conj(b) lie in O_K (the
+    integrality rule) and in the ball.  They are looked up by one integer
+    key u*S + v, S = 2*isqrt(4*N // D) + 1, one-to-one on the elements of
+    norm <= N (they have |v| <= isqrt(4*N // D)): k, -k, k - Q/m and Q/m - k
+    for k the key of b, so no lookup misses.  One division serves each pair
+    {a, -a}: -a divides w exactly when a does, with quotient -b.  So each
+    norm keeps the representative a of each pair in _class_rows' half-plane,
+    and {a, b} and {-a, -b} are edges when b = w/a.
 
     When n is rational, conjugation maps the graph onto itself:
     conj(a)*conj(b) + n is the conjugate of a*b + n.  Then only the x with
@@ -126,61 +138,64 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     D = ring.D
     if not (isinstance(elements, ElementRows) and elements.ring == ring):
         raise ValueError("elements must be a norm ball of the ring of n, as enum_elements returns it")
-    rows = elements.rows
-    index: dict[tuple[int, int], int] = {(u, v): i for i, (_, _, _, u, v) in enumerate(rows)}
-    fwd: list[set[int]] = [set() for _ in rows]
+    S, index = _vertex_index(elements)
+    fwd: list[set[int]] = [set() for _ in elements.rows]
 
     Un, Vn = n.half_coords()
     by_conj = Vn == 0
-    # norm -> [(u, v, index of a, of -a, of conj(a), of -conj(a))], one representative a of each pair {a, -a}
-    by_norm: dict[int, list[tuple[int, int, int, int, int, int]]] = {}
-    for i, (m, _, _, u, v) in enumerate(rows):
+    # norm -> [(u, v, D*v, index of a, of -a, of conj(a), of -conj(a))], one representative a of each pair {a, -a}
+    by_norm: dict[int, list[tuple[int, int, int, int, int, int, int]]] = {}
+    for i, (m, _, _, u, v) in enumerate(elements.rows):
         if u > 0 or (u == 0 and v > 0):
-            by_norm.setdefault(m, []).append((u, v, i, index[-u, -v], index[u, -v], index[-u, v]))
+            by_norm.setdefault(m, []).append((u, v, D * v, i, index[-u * S - v], index[u * S - v], index[v - u * S]))
     norms = list(by_norm)  # rows ascend by norm
     N = norms[-1]
     top = N * N
     xmax = N + isqrt(n.norm())
-    # x and -x give the same w: the rows hold one of each pair; x = 0 is a witness when a*b = -n
-    xs = ((u, v) for v, us in _class_rows(D, xmax) if v >= 0 or not by_conj for u in us)
-    for p, q in [(0, 0), *xs]:
-        # w = x**2 - n = (WU + WV*s)/2
-        WU = ((p * p - D * q * q) >> 1) - Un
-        WV = p * q - Vn
-        M = (WU * WU + D * WV * WV) >> 2
-        if M == 0 or M > top:
-            continue
-        mirror = by_conj and WV != 0  # conj(x) is not scanned, and its w = conj(w) differs from w
-        # m = norm(a) in the window ceil(M/N) <= m <= isqrt(M)
-        for m in norms[bisect_left(norms, -(-M // N)) : bisect_right(norms, isqrt(M))]:
-            if M % m or M // m not in by_norm:
+    # rows of x = (p + q*s)/2 hold one of each pair {x, -x} (same w); x = 0 is a witness when a*b = -n
+    for q, ps in [(0, range(1)), *((q, ps) for q, ps in _class_rows(D, xmax) if q >= 0 or not by_conj)]:
+        dqq = D * q * q
+        for p in ps:
+            # w = x**2 - n = (WU + WV*s)/2
+            WU = ((p * p - dqq) >> 1) - Un
+            WV = p * q - Vn
+            M = (WU * WU + D * WV * WV) >> 2
+            if M == 0 or M > top:
                 continue
-            for u, v, i, ni, ci, nci in by_norm[m]:
-                b = _div_half(D, WU, WV, u, v)
-                if b is None:
+            mirror = by_conj and WV != 0  # conj(x) is not scanned, and its w = conj(w) differs from w
+            # m = norm(a) in the window ceil(M/N) <= m <= isqrt(M)
+            for m in norms[bisect_left(norms, -(-M // N)) : bisect_right(norms, isqrt(M))]:
+                if M % m or M // m not in by_norm:
                     continue
-                bu, bv = b
-                # rows are sorted by norm first: norm(a) < norm(b) finds the edge only from a,
-                # the lower index; equal norms (m*m = M) find it from both ends, kept once
-                j = index[b]
-                if j > i:
-                    fwd[i].add(j)
-                    if mirror:  # conj(a) * conj(b) = conj(w)
-                        j = index[bu, -bv]
-                        # conjugation keeps norms, so only equal norms can swap the two ends
-                        if ci < j:
-                            fwd[ci].add(j)
-                        else:
-                            fwd[j].add(ci)
-                j = index[-bu, -bv]  # (-a) * (-b) = w
-                if j > ni:
-                    fwd[ni].add(j)
-                    if mirror:  # -conj(a) * -conj(b) = conj(w)
-                        j = index[-bu, bv]
-                        if nci < j:
-                            fwd[nci].add(j)
-                        else:
-                            fwd[j].add(nci)
+                m2 = 2 * m
+                for u, v, Dv, i, ni, ci, nci in by_norm[m]:
+                    P = WU * u + WV * Dv
+                    Q = WV * u - WU * v
+                    if P % m2 or Q % m2:
+                        continue
+                    bv = Q // m2  # b = (P + Q*s)/2m is a vertex
+                    k = P // m2 * S + bv
+                    # rows are sorted by norm first: norm(a) < norm(b) finds the edge only from a,
+                    # the lower index; equal norms (m*m = M) find it from both ends, kept once
+                    j = index[k]
+                    if j > i:
+                        fwd[i].add(j)
+                        if mirror:  # conj(a) * conj(b) = conj(w)
+                            j = index[k - 2 * bv]
+                            # conjugation keeps norms, so only equal norms can swap the two ends
+                            if ci < j:
+                                fwd[ci].add(j)
+                            else:
+                                fwd[j].add(ci)
+                    j = index[-k]  # (-a) * (-b) = w
+                    if j > ni:
+                        fwd[ni].add(j)
+                        if mirror:  # -conj(a) * -conj(b) = conj(w)
+                            j = index[2 * bv - k]
+                            if nci < j:
+                                fwd[nci].add(j)
+                            else:
+                                fwd[j].add(nci)
     return CompatGraph(n, elements, fwd)
 
 

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from diotuples import search
+from diotuples import __version__, search
 from diotuples.cli import main
 from helpers import fibonacci
 
@@ -458,3 +461,17 @@ class TestReproduceCommand:
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_python_m_runs_the_cli():
+    # `python -m diotuples` runs the same front end as the installed `diotuples` script
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "diotuples", "--version"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"diotuples {__version__}"

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import time
 from itertools import combinations
+from math import isqrt
 from random import Random
 
 import pytest
@@ -230,6 +231,48 @@ class TestDivisorKernel:
         want = pairwise_edges(elems, M1)
         assert {frozenset((q1(1, 1), q1(1, -1))), frozenset((q1(1), q1(-24)))} <= want
         assert {frozenset(e) for e in g.edges()} == want
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 7])
+    def test_quotient_outside_ring(self, D):
+        # the inlined division: for w = x**2 - n = (WU + WV*s)/2 and a vertex a = (u + v*s)/2 of norm m,
+        # w/a is (P + Q*s)/2m with P = WU*u + WV*D*v, Q = WV*u - WU*v.  Some w and a have 2m | P and
+        # 2m | Q but a quotient outside O_K (its norm not an integer).  Each of these has m not
+        # dividing M = norm(w), which build_graph tests first, so it never looks such a quotient up
+        ring = make_ring(D)
+        ball = enum_elements(ring, 30)
+        for n in (QuadInt(ring, -1, 0), QuadInt(ring, 0, 1)):  # -1, and omega or sqrt(-D)
+            Un, Vn = n.half_coords()
+            r = 4 * (ball.rows[-1][0] + isqrt(n.norm()))  # the witnesses: norm(x) <= N + isqrt(norm(n))
+            box = range(-isqrt(r), isqrt(r) + 1)
+            xs = [(p, q) for p in box for q in box if p * p + D * q * q <= r and (p * p + D * q * q) % 4 == 0]
+            outside = []
+            for p, q in xs:
+                WU, WV = (p * p - D * q * q) // 2 - Un, p * q - Vn
+                M = (WU * WU + D * WV * WV) // 4
+                for m, _, _, u, v in ball.rows:
+                    P, Q = WU * u + WV * D * v, WV * u - WU * v
+                    if P % (2 * m) == 0 and Q % (2 * m) == 0:
+                        bu, bv = P // (2 * m), Q // (2 * m)
+                        if (bu * bu + D * bv * bv) % 4:
+                            outside.append(M % m)
+            assert outside, (D, n)
+            assert 0 not in outside, (D, n)
+            assert {frozenset(e) for e in build_graph(ball, n).edges()} == pairwise_edges(ball, n)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7, 163, 895])
+    @pytest.mark.parametrize("max_norm", [1, 2, 5, 224])
+    def test_vertex_key(self, D, max_norm):
+        # u*S + v is one-to-one on the half-coordinates of every element of norm <= N (u**2 + D*v**2
+        # <= 4*N, so |u| <= isqrt(4*N) and |v| <= isqrt(4*N // D)), quotients included, and the key of
+        # each ball row gives that row's index
+        ball = enum_elements(make_ring(D), max_norm)
+        S, index = search._vertex_index(ball)
+        N = ball.rows[-1][0]
+        us, vs = isqrt(4 * N), isqrt(4 * N // D)
+        keys = {u * S + v for u in range(-us, us + 1) for v in range(-vs, vs + 1)}
+        assert len(keys) == (2 * us + 1) * (2 * vs + 1)
+        assert len(index) == len(ball)
+        assert all(index[u * S + v] == i for i, (_, _, _, u, v) in enumerate(ball.rows))
 
     def test_witness_zero(self):
         # x = 0 is a witness: i*(-i) - 1 = 0
