@@ -1,12 +1,12 @@
 """Exact arithmetic in the ring of integers of Q(sqrt(-D)).
 
-For squarefree D >= 1 the ring is Z[omega] with omega = sqrt(-D) when
--D = 2, 3 (mod 4) and omega = (1 + sqrt(-D))/2 when -D = 1 (mod 4).
-Elements carry basis coordinates (x, y), meaning x + y*omega.  All
-arithmetic runs through half-coordinates (u, v) with
-alpha = (u + v*sqrt(-D))/2, which gives a single multiplication kernel
-for both omega conventions and keeps every magnitude comparison on
-exact integer norms (no floating point anywhere in this module).
+The ring is its squarefree D >= 1, checked as RingParams(D) is built: Z[omega]
+with omega = (1 + sqrt(-D))/2 when -D = 1 (mod 4), else sqrt(-D), a rule stated
+once, in _omega_p.  Elements carry basis coordinates (x, y), meaning
+x + y*omega.  All arithmetic runs through half-coordinates (u, v) with
+alpha = (u + v*sqrt(-D))/2, which gives a single multiplication kernel for
+both omega conventions and keeps every magnitude comparison on exact integer
+norms (no floating point anywhere in this module).
 
 Integrality rule (Cohen, A Course in Computational Algebraic Number Theory,
 sec. 5.1): (u + v*sqrt(-D))/2 with integers u, v lies in O_K exactly when its
@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from math import isqrt
 
 __all__ = [
-    "OmegaMode",
     "ParityError",
     "RingParams",
     "QuadInt",
@@ -42,11 +40,6 @@ __all__ = [
 ]
 
 
-class OmegaMode(Enum):
-    SQRT = "sqrt"  # omega = sqrt(-D),        -D = 2, 3 (mod 4)
-    HALF = "half"  # omega = (1+sqrt(-D))/2,  -D = 1 (mod 4)
-
-
 class ParityError(ValueError):
     """Half-coordinates (u, v) that do not describe an algebraic integer."""
 
@@ -62,25 +55,27 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
+def _omega_p(D: int) -> int:
+    return 1 if D % 4 == 3 else 0  # x + y*omega = (2x + p*y + (2 - p)*y*sqrt(-D))/2, the one omega rule
+
+
 @dataclass(frozen=True, slots=True)
 class RingParams:
-    """Descriptor of O_K for K = Q(sqrt(-D)): the squarefree D and omega convention."""
+    """O_K for K = Q(sqrt(-D)), given by its squarefree D >= 1 alone; D is checked on construction."""
 
     D: int
-    omega_mode: OmegaMode
+    omega_p: int = field(init=False, repr=False, compare=False)  # _omega_p(D)
+
+    def __post_init__(self) -> None:
+        if not is_squarefree(self.D):
+            raise ValueError(f"D must be {'squarefree' if self.D >= 1 else 'a positive integer'}, got {self.D}")
+        object.__setattr__(self, "omega_p", _omega_p(self.D))
 
     def __repr__(self) -> str:
-        return f"RingParams(D={self.D}, omega={self.omega_mode.value})"
+        return f"RingParams(D={self.D}, omega={'half' if self.omega_p else 'sqrt'})"
 
 
-def make_ring(D: int) -> RingParams:
-    """Build the ring descriptor; rejects D < 1 and non-squarefree D."""
-    if D < 1:
-        raise ValueError(f"D must be a positive integer, got {D}")
-    if not is_squarefree(D):
-        raise ValueError(f"D must be squarefree, got {D}")
-    mode = OmegaMode.HALF if D % 4 == 3 else OmegaMode.SQRT
-    return RingParams(D, mode)
+make_ring = RingParams  # the public constructor, as the CLI and the benchmark call it
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,9 +97,9 @@ class QuadInt:
 
     def half_coords(self) -> tuple[int, int]:
         """(u, v) with alpha = (u + v*sqrt(-D))/2."""
-        if self.ring.omega_mode is OmegaMode.SQRT:
-            return 2 * self.x, 2 * self.y
-        return 2 * self.x + self.y, self.y
+        if self.ring.omega_p:
+            return 2 * self.x + self.y, self.y
+        return 2 * self.x, 2 * self.y
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -164,9 +159,9 @@ def _mul_half(D: int, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]
 
 
 def _from_half_unchecked(ring: RingParams, u: int, v: int) -> QuadInt:
-    if ring.omega_mode is OmegaMode.SQRT:
-        return QuadInt(ring, u // 2, v // 2)
-    return QuadInt(ring, (u - v) // 2, v)
+    if ring.omega_p:
+        return QuadInt(ring, (u - v) // 2, v)
+    return QuadInt(ring, u // 2, v // 2)
 
 
 def from_half(ring: RingParams, u: int, v: int) -> QuadInt:
@@ -187,13 +182,11 @@ def elem_key(a: QuadInt) -> tuple[int, int, int]:
 
 def units(ring: RingParams) -> list[QuadInt]:
     """All units of O_K: 4 for D=1, 6 for D=3, otherwise {1, -1}."""
-    one = QuadInt(ring, 1, 0)
+    one, w = QuadInt(ring, 1, 0), QuadInt(ring, 0, 1)  # w = omega: i for D=1, (1+sqrt(-3))/2 for D=3
     out = [one, -one]
     if ring.D == 1:
-        i = QuadInt(ring, 0, 1)
-        out += [i, -i]
+        out += [w, -w]
     elif ring.D == 3:
-        w = QuadInt(ring, 0, 1)  # (1+sqrt(-3))/2
         out += [w, -w, one - w, w - one]
     return sorted(out, key=elem_key)
 
@@ -357,9 +350,9 @@ def _sqrt_mod(n: QuadInt, hnf: tuple[int, int, int]) -> list[tuple[int, int]]:
     c*O_K when its omega coordinate is a multiple k of n2 and its rational
     coordinate minus k*t a multiple of n1.
     """
-    D = n.ring.D
+    D, p = n.ring.D, n.ring.omega_p
     n1, t, n2 = hnf
-    p, q = (1, -(D + 1) // 4) if n.ring.omega_mode is OmegaMode.HALF else (0, -D)  # omega^2 = p*omega + q
+    q = -(D + 1) // 4 if p else -D  # omega^2 = p*omega + q
     roots = []
     for y in range(n2):
         wy0, wx0 = p * y * y - n.y, q * y * y - n.x  # z^2 - n = (x^2 + wx0) + (2xy + wy0)*omega
@@ -382,7 +375,7 @@ def _class_rows(D: int, max_norm: int, hnf: tuple[int, int, int] = (1, 0, 1), z0
     """
     n1, t, n2 = hnf
     x0, y0 = z0
-    p = 1 if D % 4 == 3 else 0  # x + y*omega = (2x + p*y + (2 - p)*y*sqrt(-D))/2
+    p = _omega_p(D)
     four_n = 4 * max_norm
     ymax = isqrt(four_n // D) // (2 - p)  # D*v^2 <= 4*max_norm
     y = (y0 + ymax) % n2 - ymax  # the least y >= -ymax in the class
@@ -417,12 +410,11 @@ class ElementRows(Sequence):
     def __init__(self, ring: RingParams, max_norm: int):
         if max_norm < 1:
             raise ValueError("max_norm must be >= 1")
-        D = ring.D
-        half = ring.omega_mode is OmegaMode.HALF
+        D, p = ring.D, ring.omega_p
         rows = []
         for v, us in _class_rows(D, max_norm):
             dvv = D * v * v
-            y, sh = (v, v) if half else (v >> 1, 0)  # x = (u - v)/2 or u/2
+            y, sh = (v, v) if p else (v >> 1, 0)  # v = (2 - p)*y and x = (u - p*y)/2
             for u in us:
                 m = (u * u + dvv) >> 2
                 x = (u - sh) >> 1

@@ -390,13 +390,12 @@ def _group_orbits(cliques: list[tuple[QuadInt, ...]], n: QuadInt) -> list[dict]:
     return records
 
 
-def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
-    """Write JSON to path.tmp, flush and fsync it, then rename it over path; a failure removes path.tmp."""
+def _atomic_write(path: str, write) -> None:
+    """Call write(f) on path.tmp, fsync it, then rename it over path; a failure removes path.tmp, keeping path."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            # json.dumps, unlike json.dump, uses the C encoder when there is no indent
-            f.write(json.dumps(payload, **dump_kw))
+        with open(tmp, "w", newline="", encoding="utf-8") as f:
+            write(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -404,6 +403,11 @@ def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
         with suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
+    # json.dumps, unlike json.dump, uses the C encoder when there is no indent
+    _atomic_write(path, lambda f: f.write(json.dumps(payload, **dump_kw)))
 
 
 _FIELD_KEYS = {f.name for f in fields(FieldResult)}
@@ -607,8 +611,5 @@ def write_clique_csv(report: SearchReport, path: str) -> None:
     """CSV export: one row per clique, columns D, k, elems..."""
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["D", "k", "elems"])
-        for D, elems in report.sorted_cliques():
-            writer.writerow([D, len(elems), *[str(e) for e in elems]])
+    rows = [[D, len(elems), *map(str, elems)] for D, elems in report.sorted_cliques()]
+    _atomic_write(path, lambda f: csv.writer(f).writerows([["D", "k", "elems"], *rows]))

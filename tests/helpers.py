@@ -13,7 +13,6 @@ from random import Random
 
 from diotuples.bounds import HypothesisFailure
 from diotuples.quad_ring import (
-    OmegaMode,
     QuadInt,
     RingParams,
     elem_key,
@@ -40,12 +39,12 @@ def box_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
     """All nonzero elements of norm <= max_norm by filtering a coordinate box."""
     out = []
     D = ring.D
-    if ring.omega_mode is OmegaMode.SQRT:
-        ybound = isqrt(max_norm) + 1
-        xbound = isqrt(max_norm) + 1
-    else:
+    if D % 4 == 3:  # omega = (1 + sqrt(-D))/2
         ybound = isqrt(4 * max_norm // D) + 1
         xbound = isqrt(4 * max_norm) + ybound + 1
+    else:  # omega = sqrt(-D)
+        ybound = isqrt(max_norm) + 1
+        xbound = isqrt(max_norm) + 1
     for x in range(-xbound, xbound + 1):
         for y in range(-ybound, ybound + 1):
             a = QuadInt(ring, x, y)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from diotuples.quad_ring import (
     ElementRows,
-    OmegaMode,
     ParityError,
     QuadInt,
+    RingParams,
     _SQUARE_MOD64,
     _class_rows,
     elem_key,
@@ -44,16 +44,36 @@ def q3(x, y=0):
 
 class TestMakeRing:
     def test_modes(self):
-        assert R1.omega_mode is OmegaMode.SQRT
-        assert R2.omega_mode is OmegaMode.SQRT
-        assert R3.omega_mode is OmegaMode.HALF
-        assert make_ring(7).omega_mode is OmegaMode.HALF
-        assert make_ring(163).omega_mode is OmegaMode.HALF
+        # omega = (1 + sqrt(-D))/2 exactly when D = 3 (mod 4), else sqrt(-D); the repr names it
+        for D in (1, 2, 3, 7, 163):
+            assert repr(make_ring(D)) == f"RingParams(D={D}, omega={'half' if D % 4 == 3 else 'sqrt'})"
+
+    @pytest.mark.parametrize(
+        "D, omega_sq, half",
+        [(1, (-1, 0), (0, 2)), (2, (-2, 0), (0, 2)), (3, (-1, 1), (1, 1)), (7, (-2, 1), (1, 1)), (163, (-41, 1), (1, 1))],
+    )
+    def test_omega_rule(self, D, omega_sq, half):
+        # omega**2 in basis coordinates, and omega = (half[0] + half[1]*sqrt(-D))/2
+        w = QuadInt(make_ring(D), 0, 1)
+        assert ((w * w).x, (w * w).y) == omega_sq
+        assert w.half_coords() == half and from_half(w.ring, *half) == w
 
     @pytest.mark.parametrize("bad", [4, 8, 9, 12, 18, 0, -3, 50])
     def test_rejections(self, bad):
         with pytest.raises(ValueError):
             make_ring(bad)
+
+    @pytest.mark.parametrize("bad", [4, 8, 9, 12, 18, 0, -3, 50])
+    def test_ring_checks_its_own_d(self, bad):
+        # every RingParams is valid: the class itself rejects what make_ring rejects, with the same text
+        want = f"D must be {'a positive integer' if bad < 1 else 'squarefree'}, got {bad}"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            RingParams(bad)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 163])
+    def test_make_ring_is_ring_params(self, D):
+        assert make_ring(D) == RingParams(D) and hash(make_ring(D)) == hash(RingParams(D))
+        assert make_ring(D) != RingParams(5 if D == 1 else 1)
 
     def test_squarefree_helper(self):
         assert [n for n in range(1, 20) if is_squarefree(n)] == [
@@ -249,10 +269,10 @@ class TestEnumeration:
         ring = make_ring(D)
         for u in range(-5, 6):
             for v in range(-5, 6):
-                if ring.omega_mode is OmegaMode.SQRT:
-                    integral = u % 2 == 0 and v % 2 == 0
-                else:
+                if D % 4 == 3:
                     integral = (u - v) % 2 == 0
+                else:
+                    integral = u % 2 == 0 and v % 2 == 0
                 if integral:
                     assert from_half(ring, u, v).half_coords() == (u, v)
                 else:

@@ -736,6 +736,27 @@ class TestLayout:
             search._atomic_write_json(str(path), payload)
         assert list(tmp_path.iterdir()) == [path] and path.read_text() == "old"
 
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_csv_export_leaves_no_trace(self, existing, tmp_path, monkeypatch):
+        # every row is formed before the file is touched, and the file is replaced whole or not at all
+        report = run_campaign(SearchConfig(D_list=[1], max_norm=60, k=3, n="-1"))
+        path = tmp_path / "cliques.csv"
+        old = b"D,k,elems\r\n1,3,-1,1,2\r\n"
+        if existing:
+            path.write_bytes(old)
+
+        def boom(self):
+            raise Boom("sorted_cliques failed")
+
+        with monkeypatch.context() as m:
+            m.setattr(search.SearchReport, "sorted_cliques", boom)
+            with pytest.raises(Boom):
+                search.write_clique_csv(report, str(path))
+        assert list(tmp_path.iterdir()) == ([path] if existing else [])
+        assert not existing or path.read_bytes() == old
+        search.write_clique_csv(report, str(path))
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes().startswith(b"D,k,elems\r\n1,3,")
+
     def test_report_and_checkpoint_key_order(self, tmp_path):
         from diotuples.search import write_report
 

@@ -1,5 +1,5 @@
 """Source checks: invariant checks in the package must survive `python -O`, the
-omega convention stays inside quad_ring, the package imports only the stdlib
+omega rule is stated once, in quad_ring, the package imports only the stdlib
 and its declared dependency and reads no environment variable, every exported
 name exists, the package names the benchmark uses exist, importing the CLI
 stays cheap, and the clique oracle in tests/helpers.py shares no kernel with
@@ -30,16 +30,24 @@ def test_package_has_no_assert_statements():
 
 
 def test_omega_convention_stays_in_quad_ring():
-    # the integer kernels need only the integrality rule; the omega convention
-    # belongs to basis conversion, which lives in quad_ring alone
-    found = [
+    # the ring is its D: the omega rule (omega = (1 + sqrt(-D))/2 when D = 3 mod 4) is stated once,
+    # in quad_ring, and the integer kernels need only the integrality rule, so no other module reads
+    # the ring's derived omega_p; basis conversion lives in quad_ring alone
+    rule = [
         f"{path.name}:{lineno}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
-        if path.name != "quad_ring.py"
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if "OmegaMode" in line or "omega_mode" in line
+        if "% 4 == 3" in line
     ]
-    assert not found, f"the omega convention is named outside quad_ring.py: {found}"
+    assert len(rule) == 1 and rule[0].startswith("quad_ring.py:"), f"the omega rule is not stated once: {rule}"
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "quad_ring.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "omega_p"
+    ]
+    assert not readers, f"the omega convention is read outside quad_ring.py: {readers}"
 
 
 def test_package_imports_only_declared_dependencies():
