@@ -14,12 +14,18 @@ the sorted vertex norms and divides M = norm(x**2 - n), one division per pair
 keys), so its cost follows the number of x up to N + isqrt(norm(n)) (N the
 largest vertex norm), not the number of vertex pairs.  When n is rational it
 scans the x up to conjugation too and records each edge with its conjugate.
-The sparse graph is stored as forward-neighbour sets, which find_cliques
-narrows into candidate sets by set intersection.  A campaign groups its
-pending fields into chunks of balanced predicted cost (field_cost, scheduled
-longest first), runs one chunk per work unit and rewrites its compact, fsync'd
-JSON checkpoint once per chunk, so a crash loses at most the chunks in flight;
-it resumes from the checkpoint.
+The sparse graph is stored as forward-neighbour sets, which one clique DFS
+narrows into candidate sets by set intersection.  find_cliques grows it from
+every vertex; a search field grows it from the orbit roots only, the
+vertices with the lowest index among their images under negation (and
+conjugation, for rational n), so it finds each symmetry orbit of cliques at
+least once, its smallest clique first.  That listing is an ordered sublist of
+the full one, so the orbit records and their order are those of the full
+listing (isomorph rejection at the root: McKay, J. Algorithms 26, 1998).  A
+campaign groups its pending fields into chunks of balanced predicted cost
+(field_cost, scheduled longest first), runs one chunk per work unit and
+rewrites its compact, fsync'd JSON checkpoint once per chunk, so a crash
+loses at most the chunks in flight; it resumes from the checkpoint.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ __all__ = [
     "run_campaign",
     "clamp_workers",
     "field_cost",
-    "load_report",
     "write_report",
     "write_clique_csv",
 ]
@@ -80,6 +85,8 @@ class CompatGraph:
     n: QuadInt
     vertices: ElementRows
     fwd: list[set[int]]
+    # build_graph's vertex keys (S, index), as _vertex_index gives them; _orbit_roots reads them
+    keys: tuple[int, dict[int, int]] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -196,25 +203,32 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
                                 fwd[nci].add(j)
                             else:
                                 fwd[j].add(nci)
-    return CompatGraph(n, elements, fwd)
+    return CompatGraph(n, elements, fwd, (S, index))
 
 
 def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
     """All k-cliques, each once, in lexicographic order of their (norm, x, y) vertex indices.
+
+    This is _clique_indices grown from every vertex.  A search field
+    (_run_field) grows the same DFS from the orbit roots only, so its listing
+    is an ordered sublist of this one.
+    """
+    vs = g.vertices
+    return [tuple(map(vs.__getitem__, idx)) for idx in _clique_indices(g.fwd, k, range(len(g.fwd)))]
+
+
+def _clique_indices(fwd: list[set[int]], k: int, roots) -> list[tuple[int, ...]]:
+    """The k-cliques whose lowest vertex is in roots (ascending indices), as sorted index tuples.
 
     Each grows from its lowest vertex i over the sorted fwd[i].  At each step
     the candidates adjacent to a new vertex j are fwd[j] & cand, one C-level
     set intersection (fwd[j] holds only indices > j, so these are exactly the
     later candidates adjacent to j), and the last vertex is emitted straight
     from that intersection.  Roots ascend and candidates are sorted, so the
-    order is that of the plain candidate-list DFS.
+    order is that of the plain candidate-list DFS: lexicographic.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    fwd = g.fwd
-    vs = g.vertices
-    if k == 2:
-        return [(vs[i], vs[j]) for i, f in enumerate(fwd) for j in sorted(f)]
     out: list[tuple[int, ...]] = []
 
     def grow(prefix: tuple[int, ...], cand: list[int], cset: set[int]) -> None:
@@ -229,10 +243,39 @@ def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
             else:
                 grow((*prefix, j), sorted(nxt), nxt)
 
-    for i, f in enumerate(fwd):
-        if len(f) >= k - 1:
+    for i in roots:
+        f = fwd[i]
+        if len(f) < k - 1:
+            continue
+        if k == 2:
+            out.extend((i, j) for j in sorted(f))
+        else:
             grow((i,), sorted(f), f)
-    return [tuple(map(vs.__getitem__, idx)) for idx in out]
+    return out
+
+
+def _orbit_roots(g: CompatGraph, k: int):
+    """Yield, ascending, the vertices i with at least k - 1 forward neighbours that are orbit roots.
+
+    i is an orbit root when no image of its vertex a under the graph's
+    symmetries has a lower index: i <= index(-a), and when n is rational,
+    which makes conjugation a symmetry too, i <= index(conj(a)) and
+    i <= index(-conj(a)).  The lexicographically smallest clique of an orbit
+    has a root as its lowest vertex (an image of that vertex with a lower
+    index would give a smaller clique of the orbit), so growing cliques from
+    the roots finds every orbit.  The test costs three lookups of
+    build_graph's vertex keys and runs only on the vertices that pass the
+    cheaper degree test.
+    """
+    S, index = g.keys
+    rows = g.vertices.rows
+    by_conj = g.n.half_coords()[1] == 0
+    for i, f in enumerate(g.fwd):
+        if len(f) < k - 1:
+            continue
+        _, _, _, u, v = rows[i]
+        if i <= index[-u * S - v] and (not by_conj or (i <= index[u * S - v] and i <= index[v - u * S])):
+            yield i
 
 
 @dataclass
@@ -348,43 +391,50 @@ class SearchReport:
 
 
 def _run_field(D: int, max_norm: int, k: int, n_text: str) -> dict:
+    """One field: the graph, one clique per orbit from its orbit roots, and the orbit records."""
     ring = make_ring(D)
     n = parse_elem(n_text, ring)
     t0 = time.monotonic()
     elems = enum_elements(ring, max_norm)
     g = build_graph(elems, n)
-    cliques = find_cliques(g, k)
-    for c in cliques:
-        # report invariant: every emitted clique re-verifies
-        if not verify_tuple(make_tuple(ring, n, c)).ok:
-            raise RuntimeError(f"clique {c} failed re-verification")
+    reps = [tuple(map(elems.__getitem__, idx)) for idx in _clique_indices(g.fwd, k, _orbit_roots(g, k))]
     return {
         "D": D,
         "vertex_count": len(elems),
         "edge_count": g.edge_count,
-        "cliques": _group_orbits(cliques, n),
+        "cliques": _group_orbits(reps, n),
         "wall_time": time.monotonic() - t0,
     }
 
 
 def _group_orbits(cliques: list[tuple[QuadInt, ...]], n: QuadInt) -> list[dict]:
-    """Group the found cliques into symmetry orbits: representative + expansion."""
+    """Group cliques in lexicographic order into symmetry orbit records, re-verifying every member.
+
+    An orbit is {C, -C, conj(C), -conj(C)} (conjugates only for rational n),
+    and its record is the sorted orbit with its first member as
+    representative.  Records follow the first clique of each orbit met.  The
+    first met is the orbit's lexicographically smallest, both in find_cliques'
+    full listing and in _run_field's listing from the orbit roots (an ordered
+    sublist holding that clique), so both give the same records in the same
+    order.  Every member is re-verified with verify_tuple, whether it was
+    listed or not; a failure raises RuntimeError.
+    """
     seen: set[tuple] = set()
     records: list[dict] = []
     for c in cliques:
         key = tuple(elem_key(e) for e in c)
         if key in seen:
             continue
-        orbit = sorted(
-            (t.elems for t in tuple_orbit(make_tuple(n.ring, n, c))),
-            key=lambda t: [elem_key(e) for e in t],
-        )
-        for f in orbit:
-            seen.add(tuple(elem_key(e) for e in f))
+        orbit = sorted(tuple_orbit(make_tuple(n.ring, n, c)), key=lambda t: [elem_key(e) for e in t.elems])
+        for t in orbit:
+            # report invariant: every recorded clique re-verifies
+            if not verify_tuple(t).ok:
+                raise RuntimeError(f"clique {t.elems} failed re-verification")
+            seen.add(tuple(elem_key(e) for e in t.elems))
         records.append(
             {
-                "elems": [elem_to_json(e) for e in orbit[0]],
-                "orbit": [[elem_to_json(e) for e in f] for f in orbit],
+                "elems": [elem_to_json(e) for e in orbit[0].elems],
+                "orbit": [[elem_to_json(e) for e in t.elems] for t in orbit],
             }
         )
     return records
@@ -596,11 +646,6 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
 
     results = [FieldResult(**completed[D]) for D in ds]
     return SearchReport(cfg, results, time.monotonic() - t0)
-
-
-def load_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
 
 
 def write_report(report: SearchReport, path: str) -> None:

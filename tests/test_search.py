@@ -12,7 +12,16 @@ from random import Random
 import pytest
 
 from diotuples import search
-from diotuples.quad_ring import ElementRows, QuadInt, elem_key, format_elem, from_half, is_squarefree, make_ring
+from diotuples.quad_ring import (
+    ElementRows,
+    QuadInt,
+    elem_key,
+    format_elem,
+    from_half,
+    is_squarefree,
+    make_ring,
+    parse_elem,
+)
 from diotuples.search import (
     SearchConfig,
     build_graph,
@@ -325,7 +334,7 @@ class TestFindCliques:
             assert set(find_cliques(g, k)) == set(literal)
             assert set(brute_force_tuples(elems, k, M1)) == set(literal)
 
-    # recorded from the bitmask DFS; _group_orbits takes its representatives in this order
+    # recorded from the bitmask DFS; a search field's listing from its orbit roots is an ordered sublist of it
     @pytest.mark.parametrize(
         "D, max_norm, count, digest",
         [
@@ -341,6 +350,70 @@ class TestFindCliques:
         blob = json.dumps([[[e.x, e.y] for e in c] for c in cliques]).encode()
         assert len(cliques) == count
         assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestOrbitRoots:
+    # (D, max_norm, k, n): k in {2, 3, 4}; n rational (conjugation and negation) and not
+    # (negation only); D = 3 mod 4 fields; the dense n = 0 graph at D=1, N=200 (21,720 cliques)
+    FIELDS = [
+        (1, 576, 3, "-1"),
+        (1, 576, 4, "-1"),
+        (3, 600, 3, "-1"),
+        (2, 1000, 3, "-1"),
+        (7, 500, 3, "-2"),
+        (1, 400, 3, "2+1*w"),
+        (1, 2500, 4, "-1"),
+        (5, 300, 3, "3"),
+        (6, 300, 3, "0"),
+        (1, 200, 4, "0"),
+        (15, 300, 3, "0+1*w"),
+        (3, 300, 3, "1-1*w"),
+        (2, 300, 3, "-1+2*w"),
+        (1, 300, 2, "-1"),
+        (3, 200, 2, "1-1*w"),
+    ]
+
+    @pytest.mark.parametrize("D, max_norm, k, n_text", FIELDS)
+    def test_field_records_equal_full_listing(self, D, max_norm, k, n_text):
+        # a field lists cliques from its orbit roots only; grouping the full listing, as fields
+        # did before, must give the same records in the same order
+        ring = make_ring(D)
+        n = parse_elem(n_text, ring)
+        g = build_graph(enum_elements(ring, max_norm), n)
+        full = find_cliques(g, k)
+        want = search._group_orbits(full, n)
+        assert want
+        assert search._run_field(D, max_norm, k, n_text)["cliques"] == want
+        # the root listing is an ordered sublist of the full one, and shorter
+        roots = search._clique_indices(g.fwd, k, search._orbit_roots(g, k))
+        rest = iter(search._clique_indices(g.fwd, k, range(len(g.fwd))))
+        assert all(c in rest for c in roots)
+        assert len(roots) < len(full)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n_text", ["-1", "0", "1+1*w"])
+    def test_roots_match_oracle(self, D, n_text):
+        # a vertex of degree >= k - 1 is a root exactly when its index is the smallest ball position
+        # of a, -a, conj(a) and -conj(a) (conjugates only for rational n), found here by element
+        # arithmetic and a position lookup, not by build_graph's integer keys
+        ring = make_ring(D)
+        n = parse_elem(n_text, ring)
+        ball = enum_elements(ring, 150)
+        g = build_graph(ball, n)
+        pos = {e: i for i, e in enumerate(ball)}
+        rational = n.half_coords()[1] == 0
+
+        def images(a):
+            return [a, -a, a.conj(), -a.conj()] if rational else [a, -a]
+
+        for k in (2, 3, 4):
+            want = [
+                i
+                for i, a in enumerate(ball)
+                if len(g.fwd[i]) >= k - 1 and i == min(pos[b] for b in images(a))
+            ]
+            assert want
+            assert list(search._orbit_roots(g, k)) == want
 
 
 class TestBruteForce:
@@ -519,13 +592,14 @@ class TestCampaign:
             brute_force_tuples(enum_elements(R1, 30), 3, M1)
 
     def test_report_json_roundtrip(self, tmp_path):
-        from diotuples.search import load_report, write_report
+        from diotuples.search import write_report
 
         cfg = SearchConfig(D_list=[1], max_norm=576, k=4, n="-1")
         report = run_campaign(cfg)
         path = str(tmp_path / "report.json")
         write_report(report, path)
-        payload = load_report(path)
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
         assert payload["schema"] == 1
         assert payload["total_cliques"] == report.total_cliques
         ring = R1

@@ -2,13 +2,14 @@
 omega rule is stated once, in quad_ring, the package imports only the stdlib
 and its declared dependency and reads no environment variable, every exported
 name exists, the package names the benchmark uses exist, importing the CLI
-stays cheap, and the clique oracle in tests/helpers.py shares no kernel with
-the package."""
+stays cheap, the clique oracle in tests/helpers.py shares no kernel with the
+package, and the package holds one clique DFS behind find_cliques(g, k)."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -162,3 +163,27 @@ def test_clique_oracle_shares_no_kernel():
                 found.append(f"helpers.py:{node.lineno} {name} uses {used}")
     assert "box_elements" in seen, "the oracle no longer reaches its root table"
     assert not found, f"the clique oracle shares the code it checks: {found}"
+
+
+def test_one_clique_dfs():
+    # find_cliques(g, k) is the full listing, and a search field grows the same DFS from its orbit
+    # roots, so the orbit listing is neither an option of find_cliques nor a second search
+    from diotuples.search import find_cliques
+
+    params = inspect.signature(find_cliques).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("g", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("k", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+    ]
+    # every candidate intersection fwd[...] & ... in the package: the one DFS has the only one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.left, ast.Subscript)
+        and isinstance(node.left.value, ast.Name)
+        and node.left.value.id == "fwd"
+    ]
+    assert len(found) == 1 and found[0].startswith("search.py:"), f"not one clique DFS: {found}"
