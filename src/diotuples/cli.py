@@ -14,9 +14,14 @@ import sys
 from . import __version__
 from .quad_ring import QuadInt, format_elem, is_squarefree, make_ring, parse_elem
 from .tuples import extend_scan, extend_triple, is_regular, make_tuple, verify_tuple
-from .search import SearchConfig, run_campaign, write_clique_csv, write_report
+from .search import SearchConfig, run_campaign, write_clique_csv, write_report, _WORKER_COST
 
 REPRODUCE_TARGETS = ("quintuple-scan", "quadruple-min", "example-quadruple", "d3-triples")
+JOBS_HELP = (
+    "worker processes at most (default 1); fewer when fewer fields are pending, fewer CPUs are "
+    f"usable or the predicted work is under {_WORKER_COST:,} witnesses per worker, below which a "
+    "pool costs more than it saves; one worker runs in this process; the report records the value given"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-norm", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", default="-1")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write a clique CSV here")
     p.add_argument(
@@ -68,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a canned computation and compare outcomes")
     p.add_argument("target", choices=REPRODUCE_TARGETS)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help=JOBS_HELP + " (both scans are below the floor, so they run in one process)"
+    )
     p.add_argument("--out", help="write the search report here (scan targets)")
     return ap
 

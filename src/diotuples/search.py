@@ -22,10 +22,16 @@ conjugation, for rational n), so it finds each symmetry orbit of cliques at
 least once, its smallest clique first.  That listing is an ordered sublist of
 the full one, so the orbit records and their order are those of the full
 listing (isomorph rejection at the root: McKay, J. Algorithms 26, 1998).  A
-campaign groups its pending fields into chunks of balanced predicted cost
-(field_cost, scheduled longest first), runs one chunk per work unit and
-rewrites its compact, fsync'd JSON checkpoint once per chunk, so a crash
-loses at most the chunks in flight; it resumes from the checkpoint.
+campaign predicts each pending field's cost once (field_cost, in witnesses x
+scanned), groups the fields into chunks of balanced predicted cost (scheduled
+longest first), runs one chunk per work unit and rewrites its compact,
+fsync'd JSON checkpoint once per chunk, so a crash loses at most the chunks
+in flight; it resumes from the checkpoint.  It starts a process pool only
+when the predicted total pays for it: a pool of w workers needs
+w * _WORKER_COST of predicted work, since below that the pool's start-up
+eats the gain in wall time and adds CPU, so a cheap campaign (both
+reproduce scans included) runs in the calling process whatever jobs says.
+A report's config.jobs stays the jobs requested.
 """
 
 from __future__ import annotations
@@ -543,15 +549,28 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def clamp_workers(jobs: int, pending: int, cpus: int) -> int:
-    """Worker processes for a campaign: min(jobs, pending fields, cpus), at least 1."""
-    return max(1, min(jobs, pending, cpus))
-
-
 # the fixed work of a field (ring, n, orbit records) costs about as much as scanning two x
 _FIELD_BASE_COST = 2
+# predicted cost (x scanned) that each worker of a pool needs for the pool to pay (see clamp_workers)
+_WORKER_COST = 10_000
 # chunks per worker: enough to even out the tail, few enough that checkpoint writes stay cheap
 _CHUNKS_PER_WORKER = 4
+
+
+def clamp_workers(jobs: int, costs: list[int], cpus: int) -> int:
+    """Worker processes for a campaign; costs holds the field_cost of each pending field.
+
+    min(jobs, pending fields, cpus, sum(costs) // _WORKER_COST), at least 1,
+    so a pool of w workers needs a predicted total of at least
+    w * _WORKER_COST.  A pool of 2 pays once it saves about as much wall
+    time as the CPU time its workers add: over the 139 fields D <= 225 at
+    k=5, on a shared 2-vCPU machine, that break-even fell, noisily, between
+    predicted totals of 12,000 and 22,000 x (N = 300-576), and 2 * 10,000
+    lies inside it.  At N = 224 (8,929 x) the pool saved a few milliseconds
+    of wall time at best and took 40-50% more CPU.  The floor is a constant,
+    not an option, and changes no answer.
+    """
+    return max(1, min(jobs, len(costs), cpus, sum(costs) // _WORKER_COST))
 
 
 def field_cost(D: int, max_norm: int) -> int:
@@ -565,23 +584,22 @@ def field_cost(D: int, max_norm: int) -> int:
     return _FIELD_BASE_COST + 1 + _half_ball_size(D, max_norm)
 
 
-def _chunks(tasks: list[tuple], workers: int) -> list[list[tuple]]:
+def _chunks(tasks: list[tuple], costs: list[int], workers: int) -> list[list[tuple]]:
     """Group the _run_field tasks into min(len(tasks), 4 * workers) chunks of balanced cost.
 
-    Longest processing time first (Graham, SIAM J. Appl. Math. 1969): tasks in
-    order of falling field_cost, ties by D, each to the chunk with the least
-    load so far, ties by chunk index.  The largest load then exceeds the
-    smallest by at most the largest single cost, and the costliest fields
-    start first, so they do not set the tail.
+    costs[i] is the field_cost of tasks[i].  Longest processing time first
+    (Graham, SIAM J. Appl. Math. 1969): tasks in order of falling cost, ties
+    by D, each to the chunk with the least load so far, ties by chunk index.
+    The largest load then exceeds the smallest by at most the largest single
+    cost, and the costliest fields start first, so they do not set the tail.
     """
     count = min(len(tasks), _CHUNKS_PER_WORKER * workers)
-    costs = {t: field_cost(t[0], t[1]) for t in tasks}
     chunks: list[list[tuple]] = [[] for _ in range(count)]
     loads = [(0, c) for c in range(count)]  # a heap of (load, chunk index)
-    for task in sorted(tasks, key=lambda t: (-costs[t], t[0])):
+    for cost, task in sorted(zip(costs, tasks), key=lambda ct: (-ct[0], ct[1][0])):
         load, c = loads[0]
         chunks[c].append(task)
-        heapq.heapreplace(loads, (load + costs[task], c))
+        heapq.heapreplace(loads, (load + cost, c))
     return chunks
 
 
@@ -621,11 +639,15 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     pending fields are grouped by _chunks into cost-balanced chunks; each
     chunk's results pass through one loop, in completion order: every result
     is stored, the checkpoint is rewritten once, then each result is handed
-    to progress.  A crash therefore loses at most the chunks in flight.  The
-    chunks run in this process when clamp_workers (cfg.jobs, capped by the
-    pending fields and usable CPUs) gives one worker, else in a process pool
+    to progress.  A crash therefore loses at most the chunks in flight.  Each
+    pending field's field_cost is computed once and serves both the chunks
+    and clamp_workers, which caps cfg.jobs by the pending fields, the usable
+    CPUs and the predicted total cost (each worker needs _WORKER_COST of it).
+    With one worker the chunks run in this process, else in a process pool
     with one chunk per task; the merge is by ascending D and independent of
-    completion order.  Leaving the loop early cancels the chunks not yet started.
+    completion order.  Leaving the loop early cancels the chunks not yet
+    started.  The report's config records cfg.jobs as requested, not the
+    workers used.
     """
     cfg.validate()
     t0 = time.monotonic()
@@ -633,9 +655,10 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     config_hash = cfg.config_hash()
     completed = _load_checkpoint(cfg.checkpoint_path, config_hash)
     tasks = [(D, cfg.max_norm, cfg.k, cfg.n) for D in ds if D not in completed]
-    workers = clamp_workers(cfg.jobs, len(tasks), _usable_cpus())
+    costs = [field_cost(D, cfg.max_norm) for D, *_ in tasks]
+    workers = clamp_workers(cfg.jobs, costs, _usable_cpus())
     # closing() shuts the pool down as soon as the loop is left, not when the generator is freed
-    with closing(_field_results(_chunks(tasks, workers), workers)) as chunk_results:
+    with closing(_field_results(_chunks(tasks, costs, workers), workers)) as chunk_results:
         for results in chunk_results:
             for res in results:
                 completed[res["D"]] = res

@@ -486,7 +486,10 @@ class TestCampaign:
             run_campaign(other)
 
     def test_parallel_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)  # run the pool even on one CPU
+        # run the pool even on one CPU, and for campaigns below the cost floor
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(search, "_WORKER_COST", 1)
+        pools = spy_pools(monkeypatch)
         base = dict(D_list=[1, 2, 5, 13], max_norm=80, k=3, n="-1")
         serial = run_campaign(SearchConfig(**base, jobs=1))
         parallel = run_campaign(SearchConfig(**base, jobs=2))
@@ -498,6 +501,7 @@ class TestCampaign:
         parallel = run_campaign(SearchConfig(**many, jobs=2))
         assert [r.D for r in parallel.results] == SQUAREFREE_60
         assert [without_wall_time(r) for r in parallel.results] == [without_wall_time(r) for r in serial.results]
+        assert pools == [2, 2]  # each jobs=2 campaign really ran a pool of 2
 
     def test_large_D_supported(self):
         # fields beyond D = 226 stay searchable; for D = 895 (3 mod 4) the ring
@@ -613,27 +617,64 @@ class TestCampaign:
 
 class TestClampWorkers:
     # the clamp is a pure function, so no test here starts a worker process
+    W = search._WORKER_COST
+
     def test_smallest_bound_wins(self):
-        assert clamp_workers(2, 139, 2) == 2  # the campaign-scan benchmark on 2 CPUs
-        assert clamp_workers(8, 139, 2) == 2
-        assert clamp_workers(4, 3, 16) == 3
-        assert clamp_workers(1, 139, 16) == 1
+        rich = [self.W] * 139  # enough predicted work for any pool
+        assert clamp_workers(2, rich, 2) == 2
+        assert clamp_workers(8, rich, 2) == 2
+        assert clamp_workers(4, rich[:3], 16) == 3
+        assert clamp_workers(1, rich, 16) == 1
 
     def test_at_least_one(self):
-        assert clamp_workers(4, 0, 2) == 1  # everything already checkpointed
-        assert clamp_workers(4, 5, 0) == 1
+        assert clamp_workers(4, [], 2) == 1  # everything already checkpointed
+        assert clamp_workers(4, [self.W] * 5, 0) == 1
+        assert clamp_workers(4, [1] * 5, 4) == 1  # a campaign below the floor
+
+    def test_campaign_scan_runs_serially_and_large_n_pools(self):
+        # the campaign-scan benchmark's fields (N = 224) at jobs 2 on 2 CPUs, then at N = 1,500
+        assert clamp_workers(2, [field_cost(D, 224) for D in SQUAREFREE_225], 2) == 1
+        assert clamp_workers(2, [field_cost(D, 1500) for D in SQUAREFREE_225], 2) == 2
+
+    def test_workers_need_their_share_of_cost(self):
+        # w workers need a predicted total of w * _WORKER_COST, however it is spread over the fields
+        for w in (2, 3):
+            part = w * self.W // 4
+            costs = [part] * 3 + [w * self.W - 3 * part]
+            assert clamp_workers(8, costs, 8) == w
+            costs[0] -= 1
+            assert clamp_workers(8, costs, 8) == w - 1
+        assert clamp_workers(8, [3 * self.W], 8) == 1  # one field is one unit of work
+
+    @pytest.mark.parametrize("max_norm, k", [(224, 5), (143, 4)])
+    def test_reproduce_scans_stay_serial(self, max_norm, k):
+        # `reproduce quintuple-scan` and `quadruple-min` over squarefree D < 226, as README's --jobs 4 examples
+        costs = [field_cost(D, max_norm) for D in SQUAREFREE_225]
+        assert sum(costs) < 2 * self.W
+        assert clamp_workers(4, costs, 4) == 1
 
     def test_campaign_runs_serially_when_clamped(self, monkeypatch):
-        from diotuples import search
-
         def no_pool(*args, **kwargs):
-            raise AssertionError("a single usable CPU must not start a worker pool")
+            raise AssertionError("a clamped campaign must not start a worker pool")
 
         monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
         # the pool branch of _field_results imports ProcessPoolExecutor from here
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         report = run_campaign(SearchConfig(D_list=[1, 2], max_norm=30, k=3, n="-1", jobs=2))
         assert [r.D for r in report.results] == [1, 2]
+        # two CPUs, but a campaign below the cost floor: the same report as jobs=1, in this process
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        cheap = dict(D_list=SQUAREFREE_60, max_norm=60, k=3, n="-1")
+        assert sum(field_cost(D, 60) for D in SQUAREFREE_60) < 2 * self.W
+        pooled = run_campaign(SearchConfig(**cheap, jobs=2)).to_json()
+        serial = run_campaign(SearchConfig(**cheap, jobs=1)).to_json()
+        # config.jobs records the jobs requested, not the workers used
+        assert pooled["config"].pop("jobs") == 2 and serial["config"].pop("jobs") == 1
+        for report in (pooled, serial):
+            report["wall_time"] = None
+            for r in report["results"]:
+                r["wall_time"] = None
+        assert pooled == serial
 
 
 SQUAREFREE_60 = [D for D in range(1, 61) if is_squarefree(D)]
@@ -642,6 +683,25 @@ SQUAREFREE_225 = [D for D in range(1, 226) if is_squarefree(D)]
 
 def without_wall_time(result) -> dict:
     return {**result.to_json(), "wall_time": None}
+
+
+def spy_pools(monkeypatch) -> list:
+    """Record the max_workers of each process pool a campaign starts; the pools still run."""
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    # the pool branch of _field_results imports ProcessPoolExecutor from here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return started
+
+
+def costs_of(tasks: list[tuple]) -> list[int]:
+    """The field_cost of each task, as run_campaign computes them for _chunks."""
+    return [field_cost(D, max_norm) for D, max_norm, *_ in tasks]
 
 
 def tasks_of(cfg: SearchConfig) -> list[tuple]:
@@ -668,20 +728,20 @@ class TestChunks:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 40])
     def test_invariants(self, workers):
-        chunks = search._chunks(self.TASKS, workers)
+        chunks = search._chunks(self.TASKS, costs_of(self.TASKS), workers)
         assert len(chunks) == min(len(self.TASKS), 4 * workers)
         flat = [t for c in chunks for t in c]
         assert len(flat) == len(set(flat)) == len(self.TASKS) and set(flat) == set(self.TASKS)
         # deterministic, whatever the order of the tasks
-        assert search._chunks(self.TASKS[::-1], workers) == chunks
-        costs = [field_cost(D, max_norm) for D, max_norm, *_ in self.TASKS]
+        assert search._chunks(self.TASKS[::-1], costs_of(self.TASKS[::-1]), workers) == chunks
+        costs = costs_of(self.TASKS)
         loads = [sum(field_cost(D, max_norm) for D, max_norm, *_ in c) for c in chunks]
         assert min(loads) > 0 and max(loads) - min(loads) <= max(costs)
 
     def test_fewer_tasks_than_chunks(self):
         tasks = self.TASKS[:3]
-        assert sorted(search._chunks(tasks, 2)) == sorted([t] for t in tasks)
-        assert search._chunks([], 2) == []
+        assert sorted(search._chunks(tasks, costs_of(tasks), 2)) == sorted([t] for t in tasks)
+        assert search._chunks([], [], 2) == []
 
 
 class TestChunkedCampaign:
@@ -716,7 +776,8 @@ class TestChunkedCampaign:
 
         with pytest.raises(Boom):
             run_campaign(cfg, progress=crash)
-        first = search._chunks(tasks_of(cfg), 1)[0]
+        tasks = tasks_of(cfg)
+        first = search._chunks(tasks, costs_of(tasks), 1)[0]
         assert seen == [first[0][0]]
         assert sorted(map(int, json.loads(path.read_text())["completed"])) == sorted(t[0] for t in first)
         resumed = run_campaign(cfg)
@@ -749,7 +810,8 @@ class TestChunkedCampaign:
         log = tmp_path / "ran.txt"
         path = tmp_path / "ck.json"
         cfg = self.cfg(str(path), jobs=2)
-        chunks = search._chunks(tasks_of(cfg), 2)
+        tasks = tasks_of(cfg)
+        chunks = search._chunks(tasks, costs_of(tasks), 2)
         real = search._run_field
 
         def logged(*task):
@@ -769,13 +831,17 @@ class TestChunkedCampaign:
             seen.append(res["D"])
             raise Boom
 
+        # run the pool even on one CPU, and for a campaign below the cost floor
         monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(search, "_WORKER_COST", 1)
+        pools = spy_pools(monkeypatch)
         monkeypatch.setattr(search, "_run_field", logged)
         if failure == "checkpoint":
             monkeypatch.setattr(search, "_atomic_write_json", bad_write)
         with pytest.raises(OSError if failure == "checkpoint" else Boom):
             run_campaign(cfg, progress=crash)
-        # the pool is gone when the error leaves run_campaign, and the chunks not yet started never ran
+        # a pool of 2 ran, it is gone when the error leaves run_campaign, and the chunks not yet started never ran
+        assert pools == [2]
         assert multiprocessing.active_children() == []
         ran = log.read_text().split() if log.exists() else []
         assert len(ran) == len(set(ran)) < 20

@@ -3,7 +3,9 @@ omega rule is stated once, in quad_ring, the package imports only the stdlib
 and its declared dependency and reads no environment variable, every exported
 name exists, the package names the benchmark uses exist, importing the CLI
 stays cheap, the clique oracle in tests/helpers.py shares no kernel with the
-package, and the package holds one clique DFS behind find_cliques(g, k)."""
+package, the package holds one clique DFS behind find_cliques(g, k), and a
+campaign's settings stay the SearchConfig fields and run_campaign's
+parameters."""
 
 from __future__ import annotations
 
@@ -187,3 +189,18 @@ def test_one_clique_dfs():
         and node.left.value.id == "fwd"
     ]
     assert len(found) == 1 and found[0].startswith("search.py:"), f"not one clique DFS: {found}"
+
+
+def test_campaign_settings_stay_fixed():
+    # the worker cost floor (search._WORKER_COST) and the chunking are constants, not settings: a
+    # campaign is set only by these config fields and parameters, so a new knob must change this test
+    from dataclasses import fields
+
+    from diotuples.search import SearchConfig, run_campaign
+
+    assert [f.name for f in fields(SearchConfig)] == ["D_list", "max_norm", "k", "n", "jobs", "checkpoint_path"]
+    params = inspect.signature(run_campaign).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("cfg", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("progress", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
+    ]
