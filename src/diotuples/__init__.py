@@ -10,8 +10,6 @@ from .quad_ring import (  # noqa: F401
     make_ring,
     norm,
     parse_elem,
-    sqrt_exact,
-    units,
 )
 from .tuples import (  # noqa: F401
     DioTuple,
@@ -23,7 +21,6 @@ from .tuples import (  # noqa: F401
     extend_triple,
     is_regular,
     make_tuple,
-    pair_witness,
     pell_residuals,
     tuple_orbit,
     verify_tuple,

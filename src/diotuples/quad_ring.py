@@ -28,9 +28,6 @@ __all__ = [
     "make_ring",
     "is_squarefree",
     "norm",
-    "units",
-    "sqrt_exact",
-    "exact_div",
     "parse_elem",
     "format_elem",
     "elem_key",
@@ -180,17 +177,6 @@ def elem_key(a: QuadInt) -> tuple[int, int, int]:
     return (a.norm(), a.x, a.y)
 
 
-def units(ring: RingParams) -> list[QuadInt]:
-    """All units of O_K: 4 for D=1, 6 for D=3, otherwise {1, -1}."""
-    one, w = QuadInt(ring, 1, 0), QuadInt(ring, 0, 1)  # w = omega: i for D=1, (1+sqrt(-3))/2 for D=3
-    out = [one, -one]
-    if ring.D == 1:
-        out += [w, -w]
-    elif ring.D == 3:
-        out += [w, -w, one - w, w - one]
-    return sorted(out, key=elem_key)
-
-
 # _SQUARE_MOD64[r] is 1 iff r is a square modulo 64 (Cohen, Alg. 1.7.3).
 _SQUARE_MOD64 = bytes(1 if any(k * k % 64 == r for k in range(32)) else 0 for r in range(64))
 
@@ -240,17 +226,6 @@ def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
     return u, v
 
 
-def sqrt_exact(alpha: QuadInt) -> QuadInt | None:
-    """Canonical square root of alpha in O_K, or None if alpha is not a square.
-
-    Roots come in pairs {beta, -beta}; the representative with u > 0 (or
-    u = 0 and v >= 0 in half-coordinates) is returned.  See _sqrt_half.
-    """
-    ring = alpha.ring
-    root = _sqrt_half(ring.D, *alpha.half_coords())
-    return None if root is None else _from_half_unchecked(ring, *root)
-
-
 def _div_half(D: int, U1: int, V1: int, U2: int, V2: int) -> tuple[int, int] | None:
     """Half-coordinates of (U1 + V1*sqrt(-D)) / (U2 + V2*sqrt(-D)) in O_K, on integers.
 
@@ -258,11 +233,12 @@ def _div_half(D: int, U1: int, V1: int, U2: int, V2: int) -> tuple[int, int] | N
     Multiplying by the conjugate gives (p + q*sqrt(-D)) / (U2**2 + D*V2**2),
     and U2**2 + D*V2**2 = 4*norm(den), so u = p / (2*norm(den)) and likewise
     v.  (U2, V2) must be the nonzero half-coordinates of an element of O_K.
-    exact_div and tuples.extend_scan call it.  search.build_graph has its own
-    copy inlined in its hot loop, where a call per quotient costs more than
-    the division, and without the parity test: it divides only where
-    norm(den) divides norm(num), and then an exact quotient has an integer
-    norm, so it lies in O_K.
+    tuples.extend_scan is its one caller, and it needs the parity test: in
+    Z[i], 1/(1+i) passes both divisions with u = 1, v = -1, of norm 1/2.
+    search.build_graph has its own copy inlined in its hot loop, where a call
+    per quotient costs more than the division, and without the parity test:
+    it divides only where norm(den) divides norm(num), and then an exact
+    quotient has an integer norm, so it lies in O_K.
     """
     m = (U2 * U2 + D * V2 * V2) // 2
     p = U1 * U2 + D * V1 * V2
@@ -273,17 +249,6 @@ def _div_half(D: int, U1: int, V1: int, U2: int, V2: int) -> tuple[int, int] | N
     if (u * u + D * v * v) % 4:
         return None
     return u, v
-
-
-def exact_div(num: QuadInt, den: QuadInt) -> QuadInt | None:
-    """num / den when the quotient lies in O_K, else None.  See _div_half."""
-    if num.ring != den.ring:
-        raise ValueError("mixed rings in exact_div")
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero element")
-    ring = num.ring
-    q = _div_half(ring.D, *num.half_coords(), *den.half_coords())
-    return None if q is None else _from_half_unchecked(ring, *q)
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")

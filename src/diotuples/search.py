@@ -296,6 +296,12 @@ class SearchConfig:
     checkpoint_path: str | None = None
 
     def validate(self) -> None:
+        """Raise ValueError on a bad setting, a bad D or an n outside some O_K."""
+        self._check_settings()
+        self._parsed_n()
+
+    def _check_settings(self) -> None:
+        """validate's checks that parse nothing."""
         if self.max_norm < 1:
             raise ValueError("max_norm must be >= 1")
         if self.k < 2:
@@ -304,7 +310,6 @@ class SearchConfig:
             raise ValueError("jobs must be >= 1")
         if not self.D_list:
             raise ValueError("D_list must be nonempty")
-        self._parsed_n()
 
     def _parsed_n(self) -> list[QuadInt]:
         """n parsed in the ring of every D; ValueError on a bad D or an n outside O_K."""
@@ -635,11 +640,12 @@ def _field_results(chunks: list[list[tuple]], workers: int):
 def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     """Run the campaign in chunks of fields, checkpointing once per completed chunk.
 
-    Fields already present in a compatible checkpoint are skipped.  The
-    pending fields are grouped by _chunks into cost-balanced chunks; each
-    chunk's results pass through one loop, in completion order: every result
-    is stored, the checkpoint is rewritten once, then each result is handed
-    to progress.  A crash therefore loses at most the chunks in flight.  Each
+    cfg is checked as validate checks it before any work, with n parsed once
+    per ring: config_hash's parse is the check.  Fields already present in a
+    compatible checkpoint are skipped.  The pending fields are grouped by
+    _chunks into cost-balanced chunks; each chunk's results pass through one
+    loop, in completion order: every result is stored, the checkpoint is
+    rewritten once, then each result is handed to progress.  A crash therefore loses at most the chunks in flight.  Each
     pending field's field_cost is computed once and serves both the chunks
     and clamp_workers, which caps cfg.jobs by the pending fields, the usable
     CPUs and the predicted total cost (each worker needs _WORKER_COST of it).
@@ -649,10 +655,10 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     started.  The report's config records cfg.jobs as requested, not the
     workers used.
     """
-    cfg.validate()
+    cfg._check_settings()
     t0 = time.monotonic()
     ds = sorted(set(cfg.D_list))
-    config_hash = cfg.config_hash()
+    config_hash = cfg.config_hash()  # parses n in every ring, the rest of validate, before any work
     completed = _load_checkpoint(cfg.checkpoint_path, config_hash)
     tasks = [(D, cfg.max_norm, cfg.k, cfg.n) for D in ds if D not in completed]
     costs = [field_cost(D, cfg.max_norm) for D, *_ in tasks]

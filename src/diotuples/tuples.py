@@ -30,7 +30,6 @@ from .quad_ring import (
     elem_key,
     elem_to_json,
     format_elem,
-    sqrt_exact,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "PellWitness",
     "ExtensionPair",
     "make_tuple",
-    "pair_witness",
     "verify_tuple",
     "is_regular",
     "build_pell_witness",
@@ -82,11 +80,6 @@ def make_tuple(ring: RingParams, n: QuadInt, elems) -> DioTuple:
     if len({(e.x, e.y) for e in elems}) != len(elems):  # one ring, so coordinates decide equality
         raise ValueError("tuple elements must be pairwise distinct")
     return DioTuple(ring, n, tuple(sorted(elems, key=elem_key)))
-
-
-def pair_witness(a: QuadInt, b: QuadInt, n: QuadInt) -> QuadInt | None:
-    """Canonical x with a*b + n = x^2, or None."""
-    return sqrt_exact(a * b + n)
 
 
 @dataclass(frozen=True)

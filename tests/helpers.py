@@ -1,9 +1,12 @@
 """Shared test utilities: independent brute-force oracles and witness generators.
 
 Everything here deliberately avoids the library's enumeration and clique
-machinery where it serves as an oracle for them.  list_graph is the one
-exception: it is not an oracle but the graph of an element list, cut out of
-build_graph's graph of the covering ball.
+machinery where it serves as an oracle for them.  The references take square
+roots and exact divisions from reference_sqrt and reference_div, on QuadInt
+arithmetic alone; sqrt_half and div_half only adapt the package's integer
+kernels to elements for the tests of those kernels, and no reference reaches
+them.  list_graph is not an oracle either but the graph of an element list,
+cut out of build_graph's graph of the covering ball.
 """
 
 from __future__ import annotations
@@ -12,25 +15,16 @@ from math import isqrt
 from random import Random
 
 from diotuples.bounds import HypothesisFailure
-from diotuples.quad_ring import (
-    QuadInt,
-    RingParams,
-    elem_key,
-    exact_div,
-    format_elem,
-    norm,
-    sqrt_exact,
-)
+from diotuples.quad_ring import QuadInt, RingParams, _div_half, _sqrt_half, elem_key, format_elem, from_half, norm
 from diotuples.search import CompatGraph, build_graph, enum_elements
 from diotuples.tuples import (
     DioTuple,
     ExtensionPair,
     PairCheck,
+    PellWitness,
     VerifyReport,
-    build_pell_witness,
     c_plus_minus,
     make_tuple,
-    pair_witness,
     verify_tuple,
 )
 
@@ -53,28 +47,89 @@ def box_elements(ring: RingParams, max_norm: int) -> list[QuadInt]:
     return out
 
 
+def trace(a: QuadInt) -> int:
+    """a + conj(a), a rational integer."""
+    return (a + a.conj()).x
+
+
+def reference_sqrt(alpha: QuadInt) -> QuadInt | None:
+    """The canonical square root of alpha in O_K, or None, from the trace identities on QuadInt arithmetic.
+
+    A root beta with t = tr(beta) and m = norm(beta) >= 0 has m**2 = norm(alpha),
+    t**2 = tr(alpha) + 2m and beta*t = alpha + m.  Taking t >= 0 gives the
+    canonical root (in half-coordinates, u = t > 0, or u = 0 and v >= 0).  A
+    trace-zero root is y*(omega - tr(omega)/2) with y >= 0, of norm
+    y**2 * (4*norm(omega) - tr(omega)**2)/4; alpha = 0 takes this branch with
+    y = 0.  Every root is checked by squaring it.
+    """
+    ring = alpha.ring
+    m = isqrt(alpha.norm())
+    if m * m != alpha.norm():
+        return None
+    t = isqrt(trace(alpha) + 2 * m)  # |tr(alpha)| <= 2m, so the radicand is >= 0
+    if t:
+        w = alpha + m
+        if w.x % t or w.y % t:
+            return None
+        beta = QuadInt(ring, w.x // t, w.y // t)
+    else:
+        omega = QuadInt(ring, 0, 1)
+        tw = trace(omega)
+        e = 4 * omega.norm() - tw * tw
+        y = isqrt(4 * m // e)
+        if y * tw % 2:
+            return None
+        beta = QuadInt(ring, -(y * tw) // 2, y)
+    return beta if beta * beta == alpha else None
+
+
+def reference_div(num: QuadInt, den: QuadInt) -> QuadInt | None:
+    """num / den for a nonzero den when it lies in O_K, else None.
+
+    num / den = num * conj(den) / norm(den), which lies in O_K exactly when
+    both basis coordinates of num * conj(den) divide by norm(den).
+    """
+    w, nd = num * den.conj(), den.norm()
+    if w.x % nd or w.y % nd:
+        return None
+    return QuadInt(num.ring, w.x // nd, w.y // nd)
+
+
+def reference_witness(a: QuadInt, b: QuadInt, n: QuadInt) -> QuadInt | None:
+    """The canonical x with a*b + n = x**2, or None."""
+    return reference_sqrt(a * b + n)
+
+
+def sqrt_half(alpha: QuadInt) -> QuadInt | None:
+    """The kernel _sqrt_half on alpha's half-coordinates, its root back as an element; for the kernel's own tests."""
+    root = _sqrt_half(alpha.ring.D, *alpha.half_coords())
+    return None if root is None else from_half(alpha.ring, *root)
+
+
+def div_half(num: QuadInt, den: QuadInt) -> QuadInt | None:
+    """The kernel _div_half on num and a nonzero den, the quotient back as an element; for the kernel's own tests."""
+    q = _div_half(num.ring.D, *num.half_coords(), *den.half_coords())
+    return None if q is None else from_half(num.ring, *q)
+
+
 def reference_extend(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list:
     """extend_triple's scan on QuadInt objects, for a triple already known to be D(-1).
 
-    Takes every z of box_elements in (norm, x, y) order.  c | z^2 + 1 is tested
-    on basis coordinates: (z^2 + 1) * conj(c) must be norm(c) times an element
-    of O_K, so both of its coordinates divide by norm(c).
+    Takes every z of box_elements in (norm, x, y) order, keeps d = (z^2 + 1)/c
+    when reference_div finds it in O_K, and builds each Pell witness from
+    reference_sqrt.
     """
-    ring = a.ring
-    m1 = QuadInt(ring, -1, 0)
-    nc = c.norm()
+    m1 = QuadInt(a.ring, -1, 0)
     out, seen = [], set()
-    for z in sorted(box_elements(ring, z_norm_bound), key=lambda e: (e.norm(), e.x, e.y)):
-        w = (z * z + 1) * c.conj()
-        if w.x % nc or w.y % nc:
+    for z in sorted(box_elements(a.ring, z_norm_bound), key=lambda e: (e.norm(), e.x, e.y)):
+        d = reference_div(z * z + 1, c)
+        if d is None or d in seen or d.is_zero() or d in (a, b, c):
             continue
-        d = QuadInt(ring, w.x // nc, w.y // nc)
-        if d in seen or d.is_zero() or d in (a, b, c):
-            continue
-        if pair_witness(a, d, m1) is None or pair_witness(b, d, m1) is None:
+        if reference_witness(a, d, m1) is None or reference_witness(b, d, m1) is None:
             continue
         seen.add(d)
-        out.append((d, build_pell_witness(a, b, c, d)))
+        pairs = ((a, b), (a, c), (b, c), (a, d), (b, d), (c, d))
+        out.append((d, PellWitness(a, b, c, d, *(reference_witness(p, q, m1) for p, q in pairs))))
     return out
 
 
@@ -95,12 +150,12 @@ def brute_root_table(ring: RingParams, root_norm_bound: int) -> dict[tuple[int, 
 
 
 def reference_verify_tuple(t: DioTuple) -> VerifyReport:
-    """verify_tuple on QuadInt arithmetic: pair_witness on every pair, in order, to the first failure."""
+    """verify_tuple on QuadInt arithmetic: reference_witness on every pair, in order, to the first failure."""
     checks = []
     es = t.elems
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
-            w = pair_witness(es[i], es[j], t.n)
+            w = reference_witness(es[i], es[j], t.n)
             checks.append(PairCheck(es[i], es[j], w))
             if w is None:
                 return VerifyReport(t, False, tuple(checks), (es[i], es[j]))
@@ -111,7 +166,7 @@ def reference_c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
     """c_plus_minus on QuadInt arithmetic, each canonical witness checked by squaring."""
 
     def witness(p: QuadInt, q: QuadInt, name: str) -> QuadInt:
-        w = sqrt_exact(p * q - 1)
+        w = reference_sqrt(p * q - 1)
         if w is None:
             raise ValueError(f"{format_elem(p)}*{format_elem(q)} - 1 is not a square ({name} missing)")
         assert w * w == p * q - 1 and w == canonical_sign(w)
@@ -165,7 +220,7 @@ def witness_triples(ring: RingParams, count: int, seed: int = 7) -> list[tuple[Q
             if cand.is_zero() or cand in (a, b, d):
                 continue
             m1 = QuadInt(ring, -1, 0)
-            if pair_witness(a, cand, m1) is not None and pair_witness(b, cand, m1) is not None:
+            if reference_witness(a, cand, m1) is not None and reference_witness(b, cand, m1) is not None:
                 emit(a, b, cand)
         # a second family with a != 1: scan r until a | r^2 + 1
         a2 = random_elem(ring, rng, 6)
@@ -173,7 +228,7 @@ def witness_triples(ring: RingParams, count: int, seed: int = 7) -> list[tuple[Q
             continue
         for rx in range(0, 8):
             r = QuadInt(ring, rx, rng.randrange(-3, 4))
-            b2 = exact_div(r * r + 1, a2)
+            b2 = reference_div(r * r + 1, a2)
             if b2 is None or b2.is_zero():
                 continue
             for sign in (1, -1):
@@ -203,7 +258,7 @@ def chain_quadruples_zi(ring: RingParams, depth: int = 4) -> list[tuple[QuadInt,
     m1 = QuadInt(ring, -1, 0)
     for a0, b0 in ((2, 5), (2, 13), (5, 13), (1, 2)):
         a, b = QuadInt(ring, a0, 0), QuadInt(ring, b0, 0)
-        r = sqrt_exact(a * b + m1)
+        r = reference_sqrt(a * b + m1)
         assert r is not None
         chain = [a + b + 2 * r]  # regular completion
         for _ in range(depth):
@@ -219,7 +274,7 @@ def chain_quadruples_zi(ring: RingParams, depth: int = 4) -> list[tuple[QuadInt,
         for i in range(len(chain) - 1):
             members = sorted([a, b, chain[i], chain[i + 1]], key=lambda e: e.norm())
             ok = all(
-                pair_witness(members[i], members[j], m1) is not None
+                reference_witness(members[i], members[j], m1) is not None
                 for i in range(4)
                 for j in range(i + 1, 4)
             )

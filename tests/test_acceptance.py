@@ -15,11 +15,11 @@ from random import Random
 
 from diotuples.quad_ring import (
     QuadInt,
+    _sqrt_half,
     format_elem,
     is_squarefree,
     make_ring,
     norm,
-    sqrt_exact,
 )
 from diotuples.tuples import (
     build_pell_witness,
@@ -188,16 +188,16 @@ def test_criterion_7_oracle_equivalence():
             prev_elems = elems
             m += 1
 
-    # 7b: sqrt_exact vs brute-force root enumeration
+    # 7b: the square root kernel _sqrt_half vs brute-force root enumeration, in half-coordinates
     checked = 0
     for D in (1, 2, 3, 7, 163):
         ring = make_ring(D)
         table = brute_root_table(ring, 100)
         for alpha in enum_elements(ring, 10**4):
-            assert sqrt_exact(alpha) == table.get((alpha.x, alpha.y)), (D, alpha)
+            want = table.get((alpha.x, alpha.y))
+            assert _sqrt_half(D, *alpha.half_coords()) == (None if want is None else want.half_coords()), (D, alpha)
             checked += 1
-        zero = QuadInt(ring, 0, 0)
-        assert sqrt_exact(zero) == zero
+        assert _sqrt_half(D, 0, 0) == (0, 0)
     ok = instances > 0 and checked > 0
     _report(7, ok, f"clique oracle on {instances} distinct instances; sqrt oracle on {checked} elements")
     assert ok

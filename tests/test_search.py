@@ -32,7 +32,15 @@ from diotuples.search import (
     run_campaign,
 )
 from diotuples.tuples import make_tuple, verify_tuple
-from helpers import adjacency_masks, box_elements, brute_force_tuples, list_graph
+from helpers import (
+    adjacency_masks,
+    box_elements,
+    brute_force_tuples,
+    chain_quadruples_zi,
+    list_graph,
+    reference_sqrt,
+    reference_witness,
+)
 
 R1 = make_ring(1)
 R3 = make_ring(3)
@@ -117,12 +125,10 @@ class TestBuildGraph:
         elems = enum_elements(R1, 20)
         g = build_graph(elems, M1)
         edge_set = {frozenset(e) for e in g.edges()}
-        from diotuples.tuples import pair_witness
-
         want = {
             frozenset((a, b))
             for a, b in combinations(elems, 2)
-            if pair_witness(a, b, M1) is not None
+            if reference_witness(a, b, M1) is not None
         }
         assert edge_set == want
 
@@ -149,9 +155,7 @@ def adjacency_digest(g) -> str:
 
 
 def pairwise_edges(elems, n) -> set[frozenset]:
-    from diotuples.tuples import pair_witness
-
-    return {frozenset((a, b)) for a, b in combinations(elems, 2) if pair_witness(a, b, n) is not None}
+    return {frozenset((a, b)) for a, b in combinations(elems, 2) if reference_witness(a, b, n) is not None}
 
 
 class TestDivisorKernel:
@@ -431,9 +435,6 @@ class TestBruteForce:
 class TestQuadrupleProducts:
     def test_no_pair_product_is_square_in_found_quadruples(self):
         # in any D(-1) quadruple, no pairwise product can be a square
-        from diotuples.quad_ring import sqrt_exact
-        from helpers import chain_quadruples_zi
-
         cfg = SearchConfig(D_list=[1], max_norm=576, k=4, n="-1")
         quads = list(run_campaign(cfg).all_clique_sets()[1])
         quads += [frozenset(q) for q in chain_quadruples_zi(R1)]
@@ -441,7 +442,7 @@ class TestQuadrupleProducts:
         for s in quads:
             elems = sorted(s, key=elem_key)
             for a, b in combinations(elems, 2):
-                assert sqrt_exact(a * b) is None, (a, b)
+                assert reference_sqrt(a * b) is None, (a, b)
 
 
 class TestMonotonicity:
@@ -539,6 +540,14 @@ class TestCampaign:
         assert SearchConfig(**base, n="1+1*w").config_hash() != SearchConfig(**base, n="(2+2*s)/2").config_hash()
         one_mode = dict(D_list=[1, 2], max_norm=60, k=3)
         assert SearchConfig(**one_mode, n="1+1*w").config_hash() == SearchConfig(**one_mode, n="(2+2*s)/2").config_hash()
+
+    def test_campaign_parses_n_once_per_ring(self, monkeypatch):
+        # the config hash parses n in the ring of every D, which also checks it, so a campaign
+        # parses n twice per field: once there and once as the field runs (_run_field)
+        parsed, parse_elem = [], search.parse_elem
+        monkeypatch.setattr(search, "parse_elem", lambda text, ring: parsed.append(ring.D) or parse_elem(text, ring))
+        run_campaign(SearchConfig(D_list=[3, 1, 2, 1], max_norm=10, k=3))
+        assert sorted(parsed) == [1, 1, 2, 2, 3, 3]
 
     def test_schema1_checkpoint_resumes(self, tmp_path):
         # a checkpoint as written before canonical hashing, with a marker result for D = 1

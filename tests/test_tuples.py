@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from diotuples.quad_ring import QuadInt, elem_from_json, format_elem, make_ring, parse_elem, sqrt_exact
+from diotuples.quad_ring import QuadInt, elem_from_json, format_elem, make_ring, parse_elem
 from diotuples.tuples import (
     DioTuple,
     PellWitness,
@@ -15,12 +15,11 @@ from diotuples.tuples import (
     extend_triple,
     is_regular,
     make_tuple,
-    pair_witness,
     pell_residuals,
     tuple_orbit,
     verify_tuple,
 )
-from helpers import reference_extend, witness_triples
+from helpers import reference_extend, reference_sqrt, witness_triples
 
 R1 = make_ring(1)
 R2 = make_ring(2)
@@ -36,12 +35,17 @@ def q3(x, y=0):
     return QuadInt(R3, x, y)
 
 
+def reported_witness(a: QuadInt, b: QuadInt, n: QuadInt) -> QuadInt | None:
+    """The witness verify_tuple reports for the pair {a, b} of a D(n) pair."""
+    return verify_tuple(make_tuple(a.ring, n, [a, b])).pairs[0].witness
+
+
 class TestPairWitness:
     def test_examples(self):
-        assert pair_witness(q1(1), q1(2), M1) == q1(1)
-        assert pair_witness(q1(1), q1(-24), M1) == q1(0, 5)
-        assert pair_witness(q1(3), q1(8), QuadInt(R1, 1, 0)) == q1(5)
-        assert pair_witness(q1(1), q1(3), M1) is None
+        assert reported_witness(q1(1), q1(2), M1) == q1(1)
+        assert reported_witness(q1(1), q1(-24), M1) == q1(0, 5)
+        assert reported_witness(q1(3), q1(8), QuadInt(R1, 1, 0)) == q1(5)
+        assert reported_witness(q1(1), q1(3), M1) is None
 
 
 class TestVerifyTuple:
@@ -165,7 +169,7 @@ class TestExtendTriple:
         assert (w.x, w.y, w.z) == (q1(0, 5), q1(0, 7), q1(0, 11))
         # 5*145 - 1 = 724 is not a square in Z[i], so 145 must not appear
         assert q1(145) not in ds
-        assert sqrt_exact(q1(724)) is None
+        assert reference_sqrt(q1(724)) is None
 
     def test_extension_reverifies(self):
         found = extend_triple(q1(1), q1(2), q1(5), 2000)
