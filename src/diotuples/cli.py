@@ -73,9 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a canned computation and compare outcomes")
     p.add_argument("target", choices=REPRODUCE_TARGETS)
-    p.add_argument(
-        "--jobs", type=int, default=1, help=JOBS_HELP + " (both scans are below the floor, so they run in one process)"
-    )
     p.add_argument("--out", help="write the search report here (scan targets)")
     return ap
 
@@ -116,7 +113,7 @@ def _parse_d_selection(args) -> list[int]:
             raise ValueError(f"--D-range {args.d_range} holds no squarefree D >= 1")
         return ds
     try:
-        return [int(t) for t in args.d_list.split(",")]  # SearchConfig.validate rejects a bad D
+        return [int(t) for t in args.d_list.split(",")]  # building the SearchConfig rejects a bad D
     except ValueError:
         raise ValueError(f"--D-list must be comma-separated integers, got {args.d_list!r}") from None
 
@@ -158,7 +155,6 @@ def _cmd_search(args) -> int:
         jobs=args.jobs,
         checkpoint_path=args.checkpoint,
     )
-    cfg.validate()
     if args.resume and not cfg.checkpoint_path:
         raise ValueError("--resume needs --checkpoint")
     _check_output_dirs(("--out", args.out), ("--csv", args.csv), ("--checkpoint", args.checkpoint))
@@ -286,14 +282,9 @@ def _reproduce_example_quadruple() -> int:
     return 0 if ok else 1
 
 
-def _reproduce_scan(max_norm: int, k: int, jobs: int, out: str | None) -> int:
-    cfg = SearchConfig(
-        D_list=[D for D in range(1, 226) if is_squarefree(D)],
-        max_norm=max_norm,
-        k=k,
-        n="-1",
-        jobs=jobs,
-    )
+def _reproduce_scan(max_norm: int, k: int, out: str | None) -> int:
+    # both scans predict less work than a pool of two needs (search._WORKER_COST), so they run serially
+    cfg = SearchConfig(D_list=[D for D in range(1, 226) if is_squarefree(D)], max_norm=max_norm, k=k, n="-1")
     _check_output_dirs(("--out", out))
 
     report = run_campaign(cfg, progress=_print_progress)
@@ -331,9 +322,9 @@ def _cmd_reproduce(args) -> int:
     if args.target == "example-quadruple":
         return _reproduce_example_quadruple()
     if args.target == "quintuple-scan":
-        return _reproduce_scan(224, 5, args.jobs, args.out)
+        return _reproduce_scan(224, 5, args.out)
     if args.target == "quadruple-min":
-        return _reproduce_scan(143, 4, args.jobs, args.out)
+        return _reproduce_scan(143, 4, args.out)
     return _reproduce_d3_triples()
 
 

@@ -22,6 +22,9 @@ conjugation, for rational n), so it finds each symmetry orbit of cliques at
 least once, its smallest clique first.  That listing is an ordered sublist of
 the full one, so the orbit records and their order are those of the full
 listing (isomorph rejection at the root: McKay, J. Algorithms 26, 1998).  A
+campaign's SearchConfig is checked as it is built, which parses n once in
+the ring of every D; each field's task carries that parsed n, so a bad
+configuration fails before any work and nothing parses n again.  A
 campaign predicts each pending field's cost once (field_cost, in witnesses x
 scanned), groups the fields into chunks of balanced predicted cost (scheduled
 longest first), runs one chunk per work unit and rewrites its compact,
@@ -284,9 +287,15 @@ def _orbit_roots(g: CompatGraph, k: int):
             yield i
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
-    """Campaign parameters; n is element text so one config spans many rings."""
+    """Campaign parameters, checked as they are built; n is element text so one config spans many rings.
+
+    Construction raises ValueError on a bad setting, a bad D or an n outside
+    some O_K, so every SearchConfig is a valid campaign.  n is parsed once in
+    the ring of every distinct D and kept, by ascending D, in _n_by_D, which
+    is not a field.
+    """
 
     D_list: list[int]
     max_norm: int
@@ -295,13 +304,7 @@ class SearchConfig:
     jobs: int = 1
     checkpoint_path: str | None = None
 
-    def validate(self) -> None:
-        """Raise ValueError on a bad setting, a bad D or an n outside some O_K."""
-        self._check_settings()
-        self._parsed_n()
-
-    def _check_settings(self) -> None:
-        """validate's checks that parse nothing."""
+    def __post_init__(self) -> None:
         if self.max_norm < 1:
             raise ValueError("max_norm must be >= 1")
         if self.k < 2:
@@ -310,17 +313,14 @@ class SearchConfig:
             raise ValueError("jobs must be >= 1")
         if not self.D_list:
             raise ValueError("D_list must be nonempty")
-
-    def _parsed_n(self) -> list[QuadInt]:
-        """n parsed in the ring of every D; ValueError on a bad D or an n outside O_K."""
-        out = []
+        n_by_D: dict[int, QuadInt] = {}
         for D in sorted(set(self.D_list)):
             ring = make_ring(D)  # raises on non-squarefree D
             try:
-                out.append(parse_elem(self.n, ring))
+                n_by_D[D] = parse_elem(self.n, ring)
             except ValueError as exc:
                 raise ValueError(f"n={self.n!r} is not an element of O_K for D={D}: {exc}") from None
-        return out
+        object.__setattr__(self, "_n_by_D", n_by_D)
 
     def _canonical_n(self) -> str:
         """Ring-independent text of n from its half-coordinates (U, V) in every ring.
@@ -330,7 +330,7 @@ class SearchConfig:
         conventions gives one text per distinct element, comma-separated.
         """
         texts = set()
-        for e in self._parsed_n():
+        for e in self._n_by_D.values():
             U, V = e.half_coords()
             texts.add(str(U // 2) if V == 0 else f"({U}{V:+d}*s)/2")
         return ",".join(sorted(texts))
@@ -338,7 +338,7 @@ class SearchConfig:
     def semantic_json(self) -> dict:
         # jobs and checkpoint_path do not affect results, so they are not hashed
         return {
-            "D_list": sorted(set(self.D_list)),
+            "D_list": list(self._n_by_D),
             "max_norm": self.max_norm,
             "k": self.k,
             "n": self.n,
@@ -378,9 +378,6 @@ class SearchReport:
     def total_cliques(self) -> int:
         return sum(len(rec["orbit"]) for r in self.results for rec in r.cliques)
 
-    def all_clique_sets(self) -> dict[int, set[frozenset[QuadInt]]]:
-        return {r.D: r.clique_sets(make_ring(r.D)) for r in self.results}
-
     def sorted_cliques(self) -> list[tuple[int, tuple[QuadInt, ...]]]:
         """(D, elems) per clique, orbits expanded, elems by (norm, x, y); ordered by D, then elems."""
         out = []
@@ -401,12 +398,10 @@ class SearchReport:
         }
 
 
-def _run_field(D: int, max_norm: int, k: int, n_text: str) -> dict:
-    """One field: the graph, one clique per orbit from its orbit roots, and the orbit records."""
-    ring = make_ring(D)
-    n = parse_elem(n_text, ring)
+def _run_field(D: int, max_norm: int, k: int, n: QuadInt) -> dict:
+    """Field D, n in its ring: the graph, one clique per orbit from its orbit roots, and the orbit records."""
     t0 = time.monotonic()
-    elems = enum_elements(ring, max_norm)
+    elems = enum_elements(n.ring, max_norm)
     g = build_graph(elems, n)
     reps = [tuple(map(elems.__getitem__, idx)) for idx in _clique_indices(g.fwd, k, _orbit_roots(g, k))]
     return {
@@ -640,12 +635,13 @@ def _field_results(chunks: list[list[tuple]], workers: int):
 def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     """Run the campaign in chunks of fields, checkpointing once per completed chunk.
 
-    cfg is checked as validate checks it before any work, with n parsed once
-    per ring: config_hash's parse is the check.  Fields already present in a
-    compatible checkpoint are skipped.  The pending fields are grouped by
-    _chunks into cost-balanced chunks; each chunk's results pass through one
-    loop, in completion order: every result is stored, the checkpoint is
-    rewritten once, then each result is handed to progress.  A crash therefore loses at most the chunks in flight.  Each
+    cfg was checked as it was built, and each field's task carries n as
+    parsed then in the field's ring, so nothing here checks or parses again.
+    Fields already present in a compatible checkpoint are skipped.  The
+    pending fields are grouped by _chunks into cost-balanced chunks; each
+    chunk's results pass through one loop, in completion order: every result
+    is stored, the checkpoint is rewritten once, then each result is handed
+    to progress.  A crash therefore loses at most the chunks in flight.  Each
     pending field's field_cost is computed once and serves both the chunks
     and clamp_workers, which caps cfg.jobs by the pending fields, the usable
     CPUs and the predicted total cost (each worker needs _WORKER_COST of it).
@@ -655,12 +651,10 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     started.  The report's config records cfg.jobs as requested, not the
     workers used.
     """
-    cfg._check_settings()
     t0 = time.monotonic()
-    ds = sorted(set(cfg.D_list))
-    config_hash = cfg.config_hash()  # parses n in every ring, the rest of validate, before any work
+    config_hash = cfg.config_hash()
     completed = _load_checkpoint(cfg.checkpoint_path, config_hash)
-    tasks = [(D, cfg.max_norm, cfg.k, cfg.n) for D in ds if D not in completed]
+    tasks = [(D, cfg.max_norm, cfg.k, n) for D, n in cfg._n_by_D.items() if D not in completed]
     costs = [field_cost(D, cfg.max_norm) for D, *_ in tasks]
     workers = clamp_workers(cfg.jobs, costs, _usable_cpus())
     # closing() shuts the pool down as soon as the loop is left, not when the generator is freed
@@ -673,7 +667,7 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
                 for res in results:
                     progress(res)
 
-    results = [FieldResult(**completed[D]) for D in ds]
+    results = [FieldResult(**completed[D]) for D in cfg._n_by_D]
     return SearchReport(cfg, results, time.monotonic() - t0)
 
 

@@ -87,6 +87,13 @@ class TestSearchCommand:
     def test_non_squarefree_list(self):
         assert main(["search", "--D-list", "4", "--max-norm", "10", "--k", "3"]) == 2
 
+    def test_parses_n_once_per_ring(self, monkeypatch):
+        # building the SearchConfig parses n once in the ring of every D; the campaign reads those parses
+        parsed, parse_elem = [], search.parse_elem
+        monkeypatch.setattr(search, "parse_elem", lambda text, ring: parsed.append(ring.D) or parse_elem(text, ring))
+        assert main(["search", "--D-list", "1,2,3", "--max-norm", "10", "--k", "5"]) == 0
+        assert parsed == [1, 2, 3]
+
     def test_range_filters_squarefree(self, capsys):
         assert main(["search", "--D-range", "8..9", "--max-norm", "5", "--k", "3"]) == 2
         assert "--D-range 8..9 holds no squarefree D" in capsys.readouterr().err
@@ -442,6 +449,14 @@ class TestReproduceCommand:
 
     def test_unknown_target(self):
         assert main(["reproduce", "nonsense"]) == 2
+
+    def test_no_jobs_flag(self, capsys, monkeypatch):
+        # both scans run in one process whatever jobs says, so reproduce has no --jobs
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        assert main(["reproduce", "quadruple-min", "--jobs", "4"]) == 2
+        assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
+        assert ran == []
 
     def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch):
         ran = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -387,7 +388,7 @@ class TestOrbitRoots:
         full = find_cliques(g, k)
         want = search._group_orbits(full, n)
         assert want
-        assert search._run_field(D, max_norm, k, n_text)["cliques"] == want
+        assert search._run_field(D, max_norm, k, n)["cliques"] == want
         # the root listing is an ordered sublist of the full one, and shorter
         roots = search._clique_indices(g.fwd, k, search._orbit_roots(g, k))
         rest = iter(search._clique_indices(g.fwd, k, range(len(g.fwd))))
@@ -436,7 +437,7 @@ class TestQuadrupleProducts:
     def test_no_pair_product_is_square_in_found_quadruples(self):
         # in any D(-1) quadruple, no pairwise product can be a square
         cfg = SearchConfig(D_list=[1], max_norm=576, k=4, n="-1")
-        quads = list(run_campaign(cfg).all_clique_sets()[1])
+        quads = list(clique_sets_of(run_campaign(cfg))[1])
         quads += [frozenset(q) for q in chain_quadruples_zi(R1)]
         assert len(quads) >= 10
         for s in quads:
@@ -457,7 +458,7 @@ class TestCampaign:
     def test_finds_example_quadruple(self, tmp_path):
         cfg = SearchConfig(D_list=[1], max_norm=576, k=4, n="-1")
         report = run_campaign(cfg)
-        sets = report.all_clique_sets()[1]
+        sets = clique_sets_of(report)[1]
         assert frozenset({q1(1), q1(2), q1(5), q1(-24)}) in sets
         assert report.total_cliques > 0
         # every reported clique re-verifies
@@ -476,7 +477,7 @@ class TestCampaign:
         with open(path, "w") as f:
             json.dump(saved, f)
         second = run_campaign(cfg)
-        assert first.all_clique_sets() == second.all_clique_sets()
+        assert clique_sets_of(first) == clique_sets_of(second)
         assert [r.to_json() for r in first.results][0] == [r.to_json() for r in second.results][0]
 
     def test_checkpoint_config_mismatch(self, tmp_path):
@@ -494,7 +495,7 @@ class TestCampaign:
         base = dict(D_list=[1, 2, 5, 13], max_norm=80, k=3, n="-1")
         serial = run_campaign(SearchConfig(**base, jobs=1))
         parallel = run_campaign(SearchConfig(**base, jobs=2))
-        assert serial.all_clique_sets() == parallel.all_clique_sets()
+        assert clique_sets_of(serial) == clique_sets_of(parallel)
         assert [r.D for r in parallel.results] == [1, 2, 5, 13]
         # 38 fields in 8 chunks: several fields per chunk, and the merge is still by D
         many = dict(D_list=SQUAREFREE_60, max_norm=40, k=3, n="-1")
@@ -514,22 +515,39 @@ class TestCampaign:
         assert report.total_cliques == 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            run_campaign(SearchConfig(D_list=[4], max_norm=10, k=3))
-        with pytest.raises(ValueError):
-            SearchConfig(D_list=[1], max_norm=0, k=3).validate()
-        with pytest.raises(ValueError):
-            SearchConfig(D_list=[1], max_norm=10, k=1).validate()
+        # a SearchConfig is checked as it is built, so a bad one never reaches run_campaign
+        bad = [
+            (dict(D_list=[4], max_norm=10, k=3), "D must be squarefree, got 4"),
+            (dict(D_list=[1], max_norm=0, k=3), "max_norm must be >= 1"),
+            (dict(D_list=[1], max_norm=10, k=1), "k must be >= 2"),
+            (dict(D_list=[1], max_norm=10, k=3, jobs=0), "jobs must be >= 1"),
+            (dict(D_list=[], max_norm=10, k=3), "D_list must be nonempty"),
+        ]
+        for kwargs, message in bad:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SearchConfig(**kwargs)
 
-    def test_validate_parses_n_in_every_ring(self, tmp_path):
-        # (1+sqrt(-D))/2 is in O_K for D = 3 but not for D = 5
+    def test_validate_parses_n_in_every_ring(self, tmp_path, monkeypatch):
+        # (1+sqrt(-D))/2 is in O_K for D = 3 but not for D = 5: building the config fails, before any field
+        ran, real = [], search._run_field
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task) or real(*task))
         path = tmp_path / "ck.json"
-        cfg = SearchConfig(D_list=[3, 5], max_norm=10, k=3, n="(1+1*s)/2", checkpoint_path=str(path))
-        with pytest.raises(ValueError, match="D=5"):
-            cfg.validate()
-        with pytest.raises(ValueError):
-            run_campaign(cfg)
-        assert not path.exists()
+        with pytest.raises(ValueError, match=r"^n='\(1\+1\*s\)/2' is not an element of O_K for D=5: "):
+            SearchConfig(D_list=[3, 5], max_norm=10, k=3, n="(1+1*s)/2", checkpoint_path=str(path))
+        assert ran == [] and not path.exists()
+        # each task carries n parsed in its field's ring
+        cfg = SearchConfig(D_list=[5, 3], max_norm=10, k=3, n="1+1*w")
+        run_campaign(cfg)
+        assert [(D, n.ring.D, n.half_coords()) for D, _, _, n in ran] == [(3, 3, (3, 1)), (5, 5, (2, 2))]
+
+    def test_config_is_frozen(self):
+        cfg = SearchConfig(D_list=[1, 2], max_norm=10, k=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 1
+        # a changed copy is built, and so checked, like any other
+        with pytest.raises(ValueError, match="^k must be >= 2$"):
+            dataclasses.replace(cfg, k=1)
+        assert dataclasses.replace(cfg, k=4).k == 4
 
     def test_config_hash_canonical_n(self):
         base = dict(D_list=[1, 2, 3], max_norm=60, k=3)
@@ -542,12 +560,12 @@ class TestCampaign:
         assert SearchConfig(**one_mode, n="1+1*w").config_hash() == SearchConfig(**one_mode, n="(2+2*s)/2").config_hash()
 
     def test_campaign_parses_n_once_per_ring(self, monkeypatch):
-        # the config hash parses n in the ring of every D, which also checks it, so a campaign
-        # parses n twice per field: once there and once as the field runs (_run_field)
+        # building the config parses n once in the ring of every distinct D, which also checks it;
+        # the config hash and the fields (_run_field) read those parses
         parsed, parse_elem = [], search.parse_elem
         monkeypatch.setattr(search, "parse_elem", lambda text, ring: parsed.append(ring.D) or parse_elem(text, ring))
         run_campaign(SearchConfig(D_list=[3, 1, 2, 1], max_norm=10, k=3))
-        assert sorted(parsed) == [1, 1, 2, 2, 3, 3]
+        assert parsed == [1, 2, 3]
 
     def test_schema1_checkpoint_resumes(self, tmp_path):
         # a checkpoint as written before canonical hashing, with a marker result for D = 1
@@ -600,7 +618,7 @@ class TestCampaign:
         monkeypatch.setattr(search, "verify_tuple", lambda t: Failed())
         monkeypatch.setattr(helpers, "verify_tuple", lambda t: Failed())
         with pytest.raises(RuntimeError, match="re-verification"):
-            search._run_field(1, 30, 3, "-1")
+            search._run_field(1, 30, 3, M1)
         with pytest.raises(RuntimeError, match="verify_tuple"):
             brute_force_tuples(enum_elements(R1, 30), 3, M1)
 
@@ -621,7 +639,7 @@ class TestCampaign:
             for rec in payload["results"][0]["cliques"]
             for group in rec["orbit"]
         }
-        assert rebuilt == report.all_clique_sets()[1]
+        assert rebuilt == clique_sets_of(report)[1]
 
 
 class TestClampWorkers:
@@ -657,7 +675,8 @@ class TestClampWorkers:
 
     @pytest.mark.parametrize("max_norm, k", [(224, 5), (143, 4)])
     def test_reproduce_scans_stay_serial(self, max_norm, k):
-        # `reproduce quintuple-scan` and `quadruple-min` over squarefree D < 226, as README's --jobs 4 examples
+        # `reproduce quintuple-scan` and `quadruple-min` over squarefree D < 226: below the floor of a pool
+        # of two, so they have no --jobs and run in one process
         costs = [field_cost(D, max_norm) for D in SQUAREFREE_225]
         assert sum(costs) < 2 * self.W
         assert clamp_workers(4, costs, 4) == 1
@@ -715,7 +734,12 @@ def costs_of(tasks: list[tuple]) -> list[int]:
 
 def tasks_of(cfg: SearchConfig) -> list[tuple]:
     """The _run_field tasks of a campaign with nothing checkpointed, as run_campaign forms them."""
-    return [(D, cfg.max_norm, cfg.k, cfg.n) for D in sorted(set(cfg.D_list))]
+    return [(D, cfg.max_norm, cfg.k, n) for D, n in cfg._n_by_D.items()]
+
+
+def clique_sets_of(report) -> dict[int, set[frozenset[QuadInt]]]:
+    """The orbit-expanded clique sets of each field of a report, by D."""
+    return {r.D: r.clique_sets(make_ring(r.D)) for r in report.results}
 
 
 class Boom(Exception):
@@ -847,8 +871,9 @@ class TestChunkedCampaign:
         monkeypatch.setattr(search, "_run_field", logged)
         if failure == "checkpoint":
             monkeypatch.setattr(search, "_atomic_write_json", bad_write)
+        # the worker case has no progress hook, so only the failing field can raise Boom
         with pytest.raises(OSError if failure == "checkpoint" else Boom):
-            run_campaign(cfg, progress=crash)
+            run_campaign(cfg, progress=None if failure == "worker" else crash)
         # a pool of 2 ran, it is gone when the error leaves run_campaign, and the chunks not yet started never ran
         assert pools == [2]
         assert multiprocessing.active_children() == []
@@ -932,4 +957,4 @@ class TestLayout:
         for D, elems in listed:
             assert list(elems) == sorted(elems, key=elem_key)
         by_field = {D: {frozenset(elems) for d, elems in listed if d == D} for D in (1, 3)}
-        assert by_field == report.all_clique_sets()
+        assert by_field == clique_sets_of(report)
