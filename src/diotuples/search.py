@@ -7,13 +7,18 @@ is a quad_ring.ElementRows, integer rows (norm, x, y, u, v) sorted once, whole
 and sorted by construction (its only constructor takes the ring and the norm
 bound), which build_graph reads as they are; elements are built only for the
 vertices of the cliques found.  build_graph takes such a ball only, as
-enum_elements returns it, and finds the edges from the witnesses: for each
-candidate x it divides x**2 - n by the vertices whose norm lies in a window of
-the sorted vertex norms and divides M = norm(x**2 - n), one division per pair
-{a, -a}, inlined on integers (the quotients b and -b are looked up by integer
-keys), so its cost follows the number of x up to N + isqrt(norm(n)) (N the
-largest vertex norm), not the number of vertex pairs.  When n is rational it
-scans the x up to conjugation too and records each edge with its conjugate.
+enum_elements returns it, and finds the edges from the witnesses in two
+phases.  Phase 1 scans each candidate x up to N + isqrt(norm(n)) (N the
+largest vertex norm) and tests the norms m in a window of the sorted vertex
+norms: m is met when it divides M = norm(x**2 - n) and M/m is a vertex norm,
+and x**2 - n is recorded under m.  Phase 2 gives the vertices of the met norms
+their neighbour sets and visits each met norm once, dividing every x**2 - n
+recorded under m by its vertices, one division per pair {a, -a}, inlined on
+integers (the quotients b and -b are looked up by integer keys).  Its cost
+follows the x scanned, the window tests and the norms met, not the number of
+vertex pairs; the vertices of norms never met share one empty set.  When n is
+rational it scans the x up to conjugation too and records each edge with its
+conjugate.
 The sparse graph is stored as forward-neighbour sets, which one clique DFS
 narrows into candidate sets by set intersection.  find_cliques grows it from
 every vertex; a search field grows it from the orbit roots only, the
@@ -45,9 +50,11 @@ import json
 import os
 import time
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from contextlib import closing, suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from math import isqrt
+from operator import itemgetter
 
 from . import __version__
 from .quad_ring import (
@@ -81,6 +88,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# the forward neighbours of every vertex whose norm build_graph never divides by; shared, so read-only
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
+
 
 def enum_elements(ring: RingParams, max_norm: int) -> ElementRows:
     """All nonzero elements with norm <= max_norm, sorted by (norm, x, y), as integer rows."""
@@ -89,11 +99,15 @@ def enum_elements(ring: RingParams, max_norm: int) -> ElementRows:
 
 @dataclass
 class CompatGraph:
-    """Compatibility graph: fwd[i] is the set of neighbours j > i of vertex i."""
+    """Compatibility graph: fwd[i] is the set of neighbours j > i of vertex i, for reading only.
+
+    build_graph gives the vertices of the norms it never divides by one
+    shared empty frozenset.
+    """
 
     n: QuadInt
     vertices: ElementRows
-    fwd: list[set[int]]
+    fwd: list[set[int] | frozenset[int]]
     # build_graph's vertex keys (S, index), as _vertex_index gives them; _orbit_roots reads them
     keys: tuple[int, dict[int, int]] | None = None
 
@@ -125,8 +139,19 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     sign (x = 0 included), w = x**2 - n must be a product a*b of vertices.
     Taking norm(a) = m <= norm(b), m divides M = norm(w), m*m <= M, and M/m is
     a vertex norm, so M/N <= m: the candidate m form a window of the sorted
-    vertex norms, and each is kept when m | M and M/m is a vertex norm.  Each
-    vertex a = (u + v*s)/2 of such a norm is tested for a | w by an exact
+    vertex norms, and m is met when m | M and M/m is a vertex norm.
+
+    The build runs in two phases.  Phase 1 scans the x, tests each window and
+    records w = x**2 - n under every norm m it meets.  Phase 2 gives the
+    vertices of the met norms their neighbour sets, then visits each met norm
+    once, in the contiguous slice of rows that holds its vertices, and
+    divides every w recorded under m by them.  Every edge found there is
+    recorded at a vertex of norm m: the lower index of an edge lies in the
+    smaller norm, and conjugation keeps norms.  So the vertices of the norms
+    never met need no set; they share one empty frozenset, which readers of
+    fwd only read.
+
+    Each vertex a = (u + v*s)/2 of a met norm is tested for a | w by an exact
     division inlined on integers (quad_ring._div_half without its parity
     test): for w = (WU + WV*s)/2, b = w/a = w*conj(a)/m is (P + Q*s)/2m with
     P = WU*u + WV*D*v, Q = WV*u - WU*v.  When 2m divides P and Q, b has the
@@ -135,9 +160,10 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     key u*S + v, S = 2*isqrt(4*N // D) + 1, one-to-one on the elements of
     norm <= N (they have |v| <= isqrt(4*N // D)): k, -k, k - Q/m and Q/m - k
     for k the key of b, so no lookup misses.  One division serves each pair
-    {a, -a}: -a divides w exactly when a does, with quotient -b.  So each
-    norm keeps the representative a of each pair in _class_rows' half-plane,
-    and {a, b} and {-a, -b} are edges when b = w/a.
+    {a, -a}: -a divides w exactly when a does, with quotient -b.  Negation
+    reverses the (x, y) order of the rows of one norm, so the upper half of a
+    norm's slice holds one a of each pair and -a is its mirror row; {a, b} and
+    {-a, -b} are edges when b = w/a.
 
     When n is rational, conjugation maps the graph onto itself:
     conj(a)*conj(b) + n is the conjugate of a*b + n.  Then only the x with
@@ -146,28 +172,31 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     which is not scanned.  Otherwise every x up to sign is scanned, in the
     same loop.
 
-    Cost follows the number of x, about N + isqrt(norm(n)) elements times the
-    width of each norm window (half of those x on the conjugation path), not
-    the number of vertex pairs.
+    Cost follows the x scanned (about N + isqrt(norm(n)) elements, half of
+    them on the conjugation path), the window tests and the norms met, with
+    their vertices and the w recorded under them; not the number of vertex
+    pairs.  Beyond the vertex keys and the norm slices, each read off the
+    rows in one pass, a vertex of a norm never met costs nothing.
     """
     ring = n.ring
     D = ring.D
     if not (isinstance(elements, ElementRows) and elements.ring == ring):
         raise ValueError("elements must be a norm ball of the ring of n, as enum_elements returns it")
+    rows = elements.rows
     S, index = _vertex_index(elements)
-    fwd: list[set[int]] = [set() for _ in elements.rows]
-
-    Un, Vn = n.half_coords()
-    by_conj = Vn == 0
-    # norm -> [(u, v, D*v, index of a, of -a, of conj(a), of -conj(a))], one representative a of each pair {a, -a}
-    by_norm: dict[int, list[tuple[int, int, int, int, int, int, int]]] = {}
-    for i, (m, _, _, u, v) in enumerate(elements.rows):
-        if u > 0 or (u == 0 and v > 0):
-            by_norm.setdefault(m, []).append((u, v, D * v, i, index[-u * S - v], index[u * S - v], index[v - u * S]))
-    norms = list(by_norm)  # rows ascend by norm
+    # ends: vertex norm -> end of its slice of rows, ascending as the rows are; starts: -> start of
+    # it, but for the first norm.  A slice holds pairs {a, -a}, so it starts at an even index
+    ends = dict(zip(map(itemgetter(0), rows[::2]), range(2, len(rows) + 1, 2)))
+    norms = list(ends)
+    starts = dict(zip(norms[1:], ends.values()))
     N = norms[-1]
     top = N * N
     xmax = N + isqrt(n.norm())
+
+    Un, Vn = n.half_coords()
+    by_conj = Vn == 0
+    # phase 1: met norm m -> [(WU, WV, mirror)], the w = x**2 - n = (WU + WV*s)/2 to divide by its vertices
+    met: defaultdict[int, list[tuple[int, int, bool]]] = defaultdict(list)
     # rows of x = (p + q*s)/2 hold one of each pair {x, -x} (same w); x = 0 is a witness when a*b = -n
     for q, ps in [(0, range(1)), *((q, ps) for q, ps in _class_rows(D, xmax) if q >= 0 or not by_conj)]:
         dqq = D * q * q
@@ -178,40 +207,62 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
             M = (WU * WU + D * WV * WV) >> 2
             if M == 0 or M > top:
                 continue
-            mirror = by_conj and WV != 0  # conj(x) is not scanned, and its w = conj(w) differs from w
+            w = None
             # m = norm(a) in the window ceil(M/N) <= m <= isqrt(M)
             for m in norms[bisect_left(norms, -(-M // N)) : bisect_right(norms, isqrt(M))]:
-                if M % m or M // m not in by_norm:
+                if M % m or M // m not in ends:
                     continue
-                m2 = 2 * m
-                for u, v, Dv, i, ni, ci, nci in by_norm[m]:
-                    P = WU * u + WV * Dv
-                    Q = WV * u - WU * v
-                    if P % m2 or Q % m2:
-                        continue
-                    bv = Q // m2  # b = (P + Q*s)/2m is a vertex
-                    k = P // m2 * S + bv
-                    # rows are sorted by norm first: norm(a) < norm(b) finds the edge only from a,
-                    # the lower index; equal norms (m*m = M) find it from both ends, kept once
-                    j = index[k]
-                    if j > i:
-                        fwd[i].add(j)
-                        if mirror:  # conj(a) * conj(b) = conj(w)
-                            j = index[k - 2 * bv]
-                            # conjugation keeps norms, so only equal norms can swap the two ends
-                            if ci < j:
-                                fwd[ci].add(j)
-                            else:
-                                fwd[j].add(ci)
-                    j = index[-k]  # (-a) * (-b) = w
-                    if j > ni:
-                        fwd[ni].add(j)
-                        if mirror:  # -conj(a) * -conj(b) = conj(w)
-                            j = index[2 * bv - k]
-                            if nci < j:
-                                fwd[nci].add(j)
-                            else:
-                                fwd[j].add(nci)
+                if w is None:
+                    # conj(x) is not scanned, and its w = conj(w) differs from w
+                    w = (WU, WV, by_conj and WV != 0)
+                met[m].append(w)
+
+    # phase 2: every edge is recorded at a vertex of the norm m divided by, so only met norms get sets.
+    # They are all made before any is filled, so the garbage collections that their making sets off
+    # traverse empty sets (made norm by norm between divisions, they cost field-d1 0.4 ms more of it)
+    fwd: list[set[int] | frozenset[int]] = [_NO_NEIGHBOURS] * len(rows)
+    for m in met:
+        for i in range(starts.get(m, 0), ends[m]):
+            fwd[i] = set()
+    for m, ws in met.items():
+        lo, hi = starts.get(m, 0), ends[m]
+        last = lo + hi - 1
+        m2 = 2 * m
+        # negation reverses the (x, y) order of a norm's rows, so the upper half of the slice holds
+        # one a of each pair {a, -a}, and -a of row i is row last - i
+        for i in range((lo + hi) >> 1, hi):
+            _, _, _, u, v = rows[i]
+            ci = index[u * S - v]  # conj(a)
+            ni, nci = last - i, last - ci  # -a, -conj(a)
+            Dv = D * v
+            for WU, WV, mirror in ws:
+                P = WU * u + WV * Dv
+                Q = WV * u - WU * v
+                if P % m2 or Q % m2:
+                    continue
+                bv = Q // m2  # b = (P + Q*s)/2m is a vertex
+                k = P // m2 * S + bv
+                # rows are sorted by norm first: norm(a) < norm(b) finds the edge only from a,
+                # the lower index; equal norms (m*m = M) find it from both ends, kept once
+                j = index[k]
+                if j > i:
+                    fwd[i].add(j)
+                    if mirror:  # conj(a) * conj(b) = conj(w)
+                        j = index[k - 2 * bv]
+                        # conjugation keeps norms, so only equal norms can swap the two ends
+                        if ci < j:
+                            fwd[ci].add(j)
+                        else:
+                            fwd[j].add(ci)
+                j = index[-k]  # (-a) * (-b) = w
+                if j > ni:
+                    fwd[ni].add(j)
+                    if mirror:  # -conj(a) * -conj(b) = conj(w)
+                        j = index[2 * bv - k]
+                        if nci < j:
+                            fwd[nci].add(j)
+                        else:
+                            fwd[j].add(nci)
     return CompatGraph(n, elements, fwd, (S, index))
 
 
@@ -294,10 +345,11 @@ class SearchConfig:
     Construction raises ValueError on a bad setting, a bad D or an n outside
     some O_K, so every SearchConfig is a valid campaign.  n is parsed once in
     the ring of every distinct D and kept, by ascending D, in _n_by_D, which
-    is not a field.
+    is not a field.  D_list is stored as a tuple, whatever sequence is given,
+    so the config cannot change after that check.
     """
 
-    D_list: list[int]
+    D_list: tuple[int, ...]
     max_norm: int
     k: int
     n: str = "-1"
@@ -305,6 +357,7 @@ class SearchConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "D_list", tuple(self.D_list))
         if self.max_norm < 1:
             raise ValueError("max_norm must be >= 1")
         if self.k < 2:
@@ -365,7 +418,14 @@ class FieldResult:
         return {frozenset(elem_from_json(e, ring) for e in g) for rec in self.cliques for g in rec["orbit"]}
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # the fields are JSON values already, so a shallow dict serialises as a deep copy would
+        return {
+            "D": self.D,
+            "vertex_count": self.vertex_count,
+            "edge_count": self.edge_count,
+            "cliques": self.cliques,
+            "wall_time": self.wall_time,
+        }
 
 
 @dataclass

@@ -39,6 +39,7 @@ from helpers import (
     brute_force_tuples,
     chain_quadruples_zi,
     list_graph,
+    reference_cliques,
     reference_sqrt,
     reference_witness,
 )
@@ -294,6 +295,52 @@ class TestDivisorKernel:
         assert {frozenset(e) for e in g.edges()} == {frozenset((q1(0, 1), q1(0, -1)))}
 
 
+class TestUnmetNorms:
+    # build_graph makes forward-neighbour sets only for the norms m it divides by (m*m <= M, m | M and
+    # M/m a vertex norm, for some M = norm(x**2 - n)); the vertices of every other norm share one
+    # empty frozenset.  On these fields most vertices lie in norms never met
+    @pytest.mark.parametrize("D", [7, 163, 219, 221, 223])
+    @pytest.mark.parametrize("max_norm", [143, 224])
+    @pytest.mark.parametrize("n_text", ["-1", "3", "2+1*w"])
+    def test_graph_matches_oracles(self, D, max_norm, n_text):
+        ring = make_ring(D)
+        n = parse_elem(n_text, ring)
+        ball = enum_elements(ring, max_norm)
+        g = build_graph(ball, n)
+        assert 2 * sum(f is search._NO_NEIGHBOURS for f in g.fwd) > len(ball)
+        want = pairwise_edges(ball, n)
+        assert {frozenset(e) for e in g.edges()} == want
+        assert g.edge_count == len(want)
+        for k in (2, 3):
+            cliques = reference_cliques(g.fwd, k)
+            assert find_cliques(g, k) == [tuple(map(ball.__getitem__, c)) for c in cliques]
+            roots = orbit_roots_oracle(g, k)
+            assert list(search._orbit_roots(g, k)) == roots
+            assert search._clique_indices(g.fwd, k, roots) == [c for c in cliques if c[0] in roots]
+
+    def test_campaign_fields(self):
+        # the 139 fields of the quintuple scan (N = 224, n = -1): met norms found from every x with
+        # norm(x) <= N + 1 by element arithmetic; 2,800 of their 17,024 vertices lie in met norms
+        met_vertices = total = 0
+        for D in SQUAREFREE_225:
+            ring = make_ring(D)
+            n = QuadInt(ring, -1, 0)
+            ball = enum_elements(ring, 224)
+            norms = {a.norm() for a in ball}
+            met = set()
+            for x in [QuadInt(ring, 0, 0), *box_elements(ring, max(norms) + 1)]:
+                M = (x * x - n).norm()
+                met.update(m for m in norms if m * m <= M and M % m == 0 and M // m in norms)
+            g = build_graph(ball, n)
+            assert [f is search._NO_NEIGHBOURS for f in g.fwd] == [a.norm() not in met for a in ball], D
+            met_vertices += sum(a.norm() in met for a in ball)
+            total += len(ball)
+            for k in (4, 5):
+                assert find_cliques(g, k) == [tuple(map(ball.__getitem__, c)) for c in reference_cliques(g.fwd, k)]
+        assert search._NO_NEIGHBOURS == frozenset()
+        assert (met_vertices, total) == (2800, 17024)
+
+
 class TestFindCliques:
     def test_k4(self):
         g = list_graph([q1(1), q1(2), q1(5), q1(-24)], M1)
@@ -402,23 +449,28 @@ class TestOrbitRoots:
         # of a, -a, conj(a) and -conj(a) (conjugates only for rational n), found here by element
         # arithmetic and a position lookup, not by build_graph's integer keys
         ring = make_ring(D)
-        n = parse_elem(n_text, ring)
-        ball = enum_elements(ring, 150)
-        g = build_graph(ball, n)
-        pos = {e: i for i, e in enumerate(ball)}
-        rational = n.half_coords()[1] == 0
-
-        def images(a):
-            return [a, -a, a.conj(), -a.conj()] if rational else [a, -a]
-
+        g = build_graph(enum_elements(ring, 150), parse_elem(n_text, ring))
         for k in (2, 3, 4):
-            want = [
-                i
-                for i, a in enumerate(ball)
-                if len(g.fwd[i]) >= k - 1 and i == min(pos[b] for b in images(a))
-            ]
+            want = orbit_roots_oracle(g, k)
             assert want
             assert list(search._orbit_roots(g, k)) == want
+
+
+def orbit_roots_oracle(g, k: int) -> list[int]:
+    """The vertices of degree >= k - 1 whose index is the smallest ball position of their images.
+
+    The images of a are a and -a, and conj(a) and -conj(a) when n is rational;
+    found by element arithmetic and a position lookup, not by build_graph's
+    integer keys.
+    """
+    ball = g.vertices
+    pos = {e: i for i, e in enumerate(ball)}
+    rational = g.n.half_coords()[1] == 0
+
+    def images(a):
+        return [a, -a, a.conj(), -a.conj()] if rational else [a, -a]
+
+    return [i for i, a in enumerate(ball) if len(g.fwd[i]) >= k - 1 and i == min(pos[b] for b in images(a))]
 
 
 class TestBruteForce:
@@ -549,6 +601,15 @@ class TestCampaign:
             dataclasses.replace(cfg, k=1)
         assert dataclasses.replace(cfg, k=4).k == 4
 
+    def test_d_list_cannot_change(self):
+        # D_list is kept as a tuple, so the config's fields always name the fields that run
+        cfg = SearchConfig(D_list=[1, 2], max_norm=10, k=3)
+        assert cfg.D_list == (1, 2)
+        with pytest.raises(AttributeError):
+            cfg.D_list.append(5)
+        report = run_campaign(cfg)
+        assert [r.D for r in report.results] == [1, 2] == report.to_json()["config"]["D_list"]
+
     def test_config_hash_canonical_n(self):
         base = dict(D_list=[1, 2, 3], max_norm=60, k=3)
         hashes = {SearchConfig(**base, n=t).config_hash() for t in ("-1", "-1+0*w", " -1 ")}
@@ -640,6 +701,10 @@ class TestCampaign:
             for group in rec["orbit"]
         }
         assert rebuilt == clique_sets_of(report)[1]
+        # a field's JSON is a shallow dict of its fields, which serialises as their deep copy does
+        assert [json.dumps(r.to_json()) for r in report.results] == [
+            json.dumps(dataclasses.asdict(r)) for r in report.results
+        ]
 
 
 class TestClampWorkers:
