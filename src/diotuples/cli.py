@@ -224,7 +224,8 @@ def _cmd_extend(args) -> int:
                 f"z={format_elem(w.z)}; {{a, b, d}} {dflag})"
             )
         classes = "whole ball" if scan.root_classes is None else f"{scan.root_classes} root classes"
-        print(f"scan: {classes}, {scan.z_scanned} z scanned, {scan.accepted} accepted")
+        counts = f"{scan.z_scanned} z scanned, {scan.sieve_passed} passed the sieve, {scan.accepted} accepted"
+        print(f"scan: {classes}, {counts}")
     return 0
 
 

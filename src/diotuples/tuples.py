@@ -10,11 +10,21 @@ verify_tuple, the D(-1) witnesses, c_plus_minus and the extend_triple
 z-scan run on half-coordinates (see quad_ring): products with _mul_half,
 square roots with _sqrt_half and divisions with _div_half, all on plain
 ints; QuadInt objects are built only for what is returned.
+
+The z-scan puts a quadratic-residue sieve (Cohen, A Course in Computational
+Algebraic Number Theory, sec. 1.7.2) in front of those exact tests.  For a
+few odd primes l that do not divide norm(c), a table indexed by u and v mod
+l rejects each z for which a*d - 1 or b*d - 1, with d = (z^2 + 1)/c, is not a
+square in O_K/l*O_K.  That is a necessary condition only: every z the sieve
+passes takes the unchanged exact path, so the extensions and their order do
+not depend on which primes were used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .quad_ring import (
     QuadInt,
@@ -22,7 +32,6 @@ from .quad_ring import (
     _class_rows,
     _div_half,
     _from_half_unchecked,
-    _half_ball_size,
     _ideal_hnf,
     _mul_half,
     _sqrt_half,
@@ -211,19 +220,125 @@ class ExtendScan:
 
     root_classes is the number of classes z0 of O_K/(c) with z0^2 = -1, or
     None when the whole half-ball was scanned instead; z_scanned counts the z (one
-    of each pair {z, -z}) taken to the filters.
+    of each pair {z, -z}) taken to the filters, and sieve_passed those of them
+    that passed the quadratic-residue sieve to the exact tests (all of them
+    when no prime was sieved by).
     """
 
     extensions: list[tuple[QuadInt, PellWitness]]
     root_classes: int | None
     z_scanned: int
+    sieve_passed: int
 
     @property
     def accepted(self) -> int:
         return len(self.extensions)
 
     def to_json(self) -> dict:
-        return {"root_classes": self.root_classes, "z_scanned": self.z_scanned, "accepted": self.accepted}
+        return {
+            "root_classes": self.root_classes,
+            "z_scanned": self.z_scanned,
+            "sieve_passed": self.sieve_passed,
+            "accepted": self.accepted,
+        }
+
+
+# The odd primes l that extend_scan may sieve by, smallest first.  A table of l*l
+# entries costs about as much as l*l/2 exact tests of z, so a prime is sieved by
+# only when the scan has at least _SIEVE_Z_PER_ENTRY z per entry of its table.
+_SIEVE_PRIMES = (3, 5, 7, 11, 13)
+_SIEVE_Z_PER_ENTRY = 4
+
+
+@lru_cache(maxsize=None)
+def _squares_mod(l: int, D: int) -> bytes:
+    """The squares of O_K/l*O_K for an odd prime l and D reduced mod l, as a flat table.
+
+    Entry x0 + l*x1 is 1 iff x0 + x1*s is a square of F_l[s]/(s^2 + D).  2 is a
+    unit mod l, so (u + v*sqrt(-D))/2 is u/2 + (v/2)*s mod l, and that ring is
+    O_K/l*O_K for either omega convention.  Cached: there are at most l
+    tables per prime.
+    """
+    sq = bytearray(l * l)
+    for b0 in range(l):
+        for b1 in range(l):
+            sq[(b0 * b0 - D * b1 * b1) % l + l * (2 * b0 * b1 % l)] = 1
+    return bytes(sq)
+
+
+def _sieve_lines(D: int, l: int, ha: tuple[int, int], hb: tuple[int, int], hc: tuple[int, int]) -> tuple[bytes, ...]:
+    """lines[v % l][u % l] is 0 when z = (u + v*sqrt(-D))/2 makes a*d - 1 or b*d - 1 a non-square mod l.
+
+    Here d = (z^2 + 1)*c^-1 mod l, and a, b, c are given by half-coordinates.
+    c must be a unit mod l, that is l must not divide norm(c); then
+    d = (z^2 + 1)/c reduces to that residue whenever it lies in O_K, and a
+    square of O_K stays a square mod l, so a 0 rules z out.
+    """
+    h = (l + 1) // 2  # 1/2 mod l
+    D %= l
+    sq = _squares_mod(l, D)
+    c0, c1 = hc[0] * h, hc[1] * h
+    n_inv = pow(c0 * c0 + D * c1 * c1, -1, l)  # 1/norm(c)
+
+    def over_c(hx: tuple[int, int]) -> tuple[int, int]:  # x/c = x*conj(c)/norm(c)
+        x0, x1 = hx[0] * h, hx[1] * h
+        return (x0 * c0 + D * x1 * c1) * n_inv % l, (x1 * c0 - x0 * c1) * n_inv % l
+
+    (a0, a1), (b0, b1) = over_c(ha), over_c(hb)
+    lines = []
+    for v in range(l):
+        z1 = v * h
+        dz = D * z1 * z1 - 1
+        line = bytearray(l)
+        for u in range(l):
+            z0 = u * h
+            w0, w1 = z0 * z0 - dz, u * z1  # z^2 + 1; its s-coordinate 2*z0*z1 is u*z1, as 2*h = 1
+            line[u] = sq[(a0 * w0 - D * a1 * w1 - 1) % l + l * ((a0 * w1 + a1 * w0) % l)] and sq[
+                (b0 * w0 - D * b1 * w1 - 1) % l + l * ((b0 * w1 + b1 * w0) % l)
+            ]
+        lines.append(bytes(line))
+    return tuple(lines)
+
+
+def _sieve(D: int, ha: tuple[int, int], hb: tuple[int, int], hc: tuple[int, int], norm_c: int, z_count: int) -> list:
+    """The tables (l, lines) that extend_scan tests its z_count z by, the strongest first.
+
+    A prime of _SIEVE_PRIMES is used when it does not divide norm(c) and
+    z_count is at least _SIEVE_Z_PER_ENTRY * l*l.  The tables are ordered by
+    pass rate, the share of their entries that are 1, and one that passes
+    every z is dropped.  With no table left, the modulus 1 and its one passing
+    entry stand in, so the scan has one loop.
+    """
+    tables = []
+    for l in _SIEVE_PRIMES:
+        if norm_c % l and z_count >= _SIEVE_Z_PER_ENTRY * l * l:
+            lines = _sieve_lines(D, l, ha, hb, hc)
+            passing = sum(map(sum, lines))
+            if passing < l * l:
+                tables.append((passing / (l * l), l, lines))
+    tables.sort()
+    return [(l, lines) for _, l, lines in tables] or [(1, (b"\x01",))]
+
+
+def _sieve_survivors(rows: list, sieve: list):
+    """The (u, v) of the rows (v, range of u) that pass every table of sieve, row by row.
+
+    A row's u step by a fixed amount, so us[j::l] holds the u of one class mod
+    l: the first table is tested once per class of a row, the others once per
+    z, each with the line of the row's v.
+    """
+    (l1, lines1), *rest = sieve
+    for v, us in rows:
+        line1 = lines1[v % l1]
+        others = [(l, lines[v % l]) for l, lines in rest]
+        for j, u0 in enumerate(us[:l1]):
+            if line1[u0 % l1]:
+                for u in us[j::l1]:
+                    for l, line in others:
+                        if not line[u % l]:
+                            break
+                    else:
+                        yield u, v
 
 
 def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> ExtendScan:
@@ -235,8 +350,9 @@ def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> Extend
     if not verify_tuple(triple).ok:
         raise ValueError("{a, b, c} is not a D(-1) triple")
 
-    D = ring.D
-    if c.norm() <= _half_ball_size(D, z_norm_bound):
+    D, norm_c = ring.D, c.norm()
+    # norm(c) <= the half-ball's z count; the running count stops once it gets there
+    if any(n >= norm_c for n in accumulate(len(us) for _, us in _class_rows(D, z_norm_bound))):
         hnf = _ideal_hnf(c)
         classes = _sqrt_mod(QuadInt(ring, -1, 0), hnf)
         root_classes = len(classes)
@@ -244,27 +360,28 @@ def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> Extend
         hnf, classes, root_classes = (1, 0, 1), [(0, 0)], None
 
     ha, hb, (cu, cv) = a.half_coords(), b.half_coords(), c.half_coords()
+    rows = [row for z0 in classes for row in _class_rows(D, z_norm_bound, hnf, z0)]
+    z_scanned = sum(len(us) for _, us in rows)
     excluded = {(0, 0), ha, hb, (cu, cv)}
     survivors = []
-    z_scanned = 0
-    for z0 in classes:
-        for v, us in _class_rows(D, z_norm_bound, hnf, z0):
-            z_scanned += len(us)
-            for u in us:
-                # z^2 + 1, with 1 = (2 + 0*sqrt(-D))/2
-                d = _div_half(D, (u * u - D * v * v) // 2 + 2, u * v, cu, cv)
-                if d is None or d in excluded:
-                    continue
-                P, Q = _mul_half(D, ha, d)  # ad - 1 = (P - 2 + Q*s)/2
-                if _sqrt_half(D, P - 2, Q) is None:
-                    continue
-                P, Q = _mul_half(D, hb, d)
-                if _sqrt_half(D, P - 2, Q) is None:
-                    continue
-                z = _from_half_unchecked(ring, u, v)
-                survivors.append((min(elem_key(z), elem_key(-z)), _from_half_unchecked(ring, *d)))
+    sieve_passed = 0
+    for u, v in _sieve_survivors(rows, _sieve(D, ha, hb, (cu, cv), norm_c, z_scanned)):
+        sieve_passed += 1
+        # z^2 + 1, with 1 = (2 + 0*sqrt(-D))/2
+        d = _div_half(D, (u * u - D * v * v) // 2 + 2, u * v, cu, cv)
+        if d is None or d in excluded:
+            continue
+        P, Q = _mul_half(D, ha, d)  # ad - 1 = (P - 2 + Q*s)/2
+        if _sqrt_half(D, P - 2, Q) is None:
+            continue
+        P, Q = _mul_half(D, hb, d)
+        if _sqrt_half(D, P - 2, Q) is None:
+            continue
+        z = _from_half_unchecked(ring, u, v)
+        survivors.append((min(elem_key(z), elem_key(-z)), _from_half_unchecked(ring, *d)))
     survivors.sort(key=lambda s: s[0])
-    return ExtendScan([(d, build_pell_witness(a, b, c, d)) for _, d in survivors], root_classes, z_scanned)
+    extensions = [(d, build_pell_witness(a, b, c, d)) for _, d in survivors]
+    return ExtendScan(extensions, root_classes, z_scanned, sieve_passed)
 
 
 def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list[tuple[QuadInt, PellWitness]]:
@@ -288,6 +405,17 @@ def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list
     The scan runs on half-coordinates (see quad_ring): z^2 + 1 is divided by
     c with _div_half and ad - 1, bd - 1 are tested with _sqrt_half, all on
     plain ints; elements and Pell witnesses are built only for the hits.
+
+    In front of those exact tests sits a sieve, a necessary condition only.
+    For an odd prime l that does not divide norm(c), c is a unit mod l, so d
+    reduces to (z^2 + 1)*c^-1 mod l, and ad - 1, bd - 1 must be squares in
+    O_K/l*O_K.  One table per prime, indexed by the half-coordinates of z mod
+    l, holds that verdict, and a z that fails any table is dropped before
+    _div_half.  Every z that passes takes the exact path unchanged, so the
+    extensions, their order and the scan's counts other than sieve_passed do
+    not depend on the primes.  A table of l*l entries is built only when the
+    scan has at least _SIEVE_Z_PER_ENTRY * l*l z; the strongest table is
+    tested first, once per class of u mod l of a row.
     """
     return extend_scan(a, b, c, z_norm_bound).extensions
 

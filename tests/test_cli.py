@@ -358,14 +358,19 @@ class TestExtendCommand:
         [
             (
                 10**4,
-                {"root_classes": 4, "z_scanned": 2500, "accepted": 1},
-                "scan: 4 root classes, 2500 z scanned, 1 accepted",
+                {"root_classes": 4, "z_scanned": 2500, "sieve_passed": 42, "accepted": 1},
+                "scan: 4 root classes, 2500 z scanned, 42 passed the sieve, 1 accepted",
             ),
-            (10, {"root_classes": None, "z_scanned": 18, "accepted": 0}, "scan: whole ball, 18 z scanned, 0 accepted"),
+            (
+                10,
+                {"root_classes": None, "z_scanned": 18, "sieve_passed": 18, "accepted": 0},
+                "scan: whole ball, 18 z scanned, 18 passed the sieve, 0 accepted",
+            ),
         ],
     )
     def test_scan_counts(self, bound, scan, line, capsys):
-        # norm(5) = 25 is above the 18 z of the half-ball at bound 10, so that bound scans the ball
+        # norm(5) = 25 is above the 18 z of the half-ball at bound 10, so that bound scans the ball;
+        # 18 z are too few for even the table of 3, so all of them pass to the exact tests
         argv = ["extend", "--D", "1", "--triple", "1,2,5", "--z-norm-bound", str(bound)]
         assert main(argv + ["--json"]) == 0
         assert json.loads(capsys.readouterr().out)["scan"] == scan

@@ -5,7 +5,7 @@ gap-lemma verdicts."""
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import isqrt
 
 import mpmath
@@ -36,7 +36,11 @@ from diotuples.quad_ring import (
 )
 from diotuples.search import CompatGraph, enum_elements, find_cliques
 from diotuples.tuples import (
+    _SIEVE_PRIMES,
     PellWitness,
+    _sieve,
+    _sieve_lines,
+    _squares_mod,
     build_pell_witness,
     c_plus_minus,
     extend_scan,
@@ -289,6 +293,7 @@ def test_extend_matches_object_scan(D, bound, data):
     half = [z for z in box_elements(c.ring, bound) if z == canonical_sign(z)]
     divisible = sum(reference_div(z * z + 1, c) is not None for z in half)
     assert scan.z_scanned == (len(half) if scan.root_classes is None else divisible)
+    assert scan.accepted <= scan.sieve_passed <= scan.z_scanned
 
 
 @settings(max_examples=8, deadline=None)
@@ -296,6 +301,108 @@ def test_extend_matches_object_scan(D, bound, data):
 def test_extend_matches_object_scan_at_larger_bounds(D, bound, data):
     a, b, c = data.draw(st.permutations(data.draw(st.sampled_from(extend_cases(D)))))
     assert extend_triple(a, b, c, bound) == reference_extend(a, b, c, bound)
+
+
+def brute_squares_mod(ring, l: int) -> set[tuple[int, int]]:
+    """The squares of O_K/l*O_K, l an odd prime, as (x0, x1) meaning x0 + x1*sqrt(-D) mod l.
+
+    x + y*omega with 0 <= x, y < l are one of each class; each is squared by hand on
+    half-coordinates, ((u + v*s)/2)^2 = ((u^2 - D*v^2)/2 + u*v*s)/2, and (U + V*s)/2 is
+    U/2 + (V/2)*s mod l.
+    """
+    D, h = ring.D, pow(2, -1, l)
+    squares = set()
+    for x in range(l):
+        for y in range(l):
+            u, v = QuadInt(ring, x, y).half_coords()
+            squares.add(((u * u - D * v * v) // 2 * h % l, u * v * h % l))
+    return squares
+
+
+def residue(alpha: QuadInt, l: int) -> tuple[int, int]:
+    """alpha mod l in the coordinates of brute_squares_mod."""
+    u, v = alpha.half_coords()
+    h = pow(2, -1, l)
+    return u * h % l, v * h % l
+
+
+@pytest.mark.parametrize("D", EXTEND_DS)
+def test_sieve_squares_match_brute_force(D):
+    ring = make_ring(D)
+    for l in _SIEVE_PRIMES:
+        table = _squares_mod(l, D % l)
+        assert len(table) == l * l
+        assert {(i % l, i // l) for i in range(l * l) if table[i]} == brute_squares_mod(ring, l)
+
+
+@pytest.mark.parametrize("D", EXTEND_DS)
+def test_sieve_tables_match_brute_force(D):
+    # each table entry met by a z with d = (z^2 + 1)/c in O_K says whether a*d - 1 and b*d - 1 are
+    # squares mod l, for every prime that does not divide norm(c); so the z of an extension, where
+    # both are squares in O_K, passes every table.  d comes from the tests' own division
+    ring = make_ring(D)
+    squares = {l: brute_squares_mod(ring, l) for l in _SIEVE_PRIMES}
+    half = [z for z in box_elements(ring, 100) if z == canonical_sign(z)]
+    met = {True: 0, False: 0}
+    for t in extend_cases(D):
+        for a, b, c in ((t[0], t[1], t[2]), (t[1], t[2], t[0]), (t[2], t[0], t[1])):
+            primes = [l for l in _SIEVE_PRIMES if c.norm() % l]
+            tables = {l: _sieve_lines(D, l, a.half_coords(), b.half_coords(), c.half_coords()) for l in primes}
+            for z in half:
+                d = reference_div(z * z + 1, c)
+                if d is None:
+                    continue
+                u, v = z.half_coords()
+                for l in primes:
+                    want = residue(a * d - 1, l) in squares[l] and residue(b * d - 1, l) in squares[l]
+                    assert tables[l][v % l][u % l] == tables[l][-v % l][-u % l] == want
+                    met[want] += 1
+    assert met[True] and met[False]
+
+
+@pytest.mark.parametrize("D", EXTEND_DS)
+def test_sieve_passes_every_extension(D):
+    # the sieve is a necessary condition: the z of every extension of (a, b, c) that the object
+    # scan finds passes the table of every prime that does not divide norm(c), in either order of a
+    # and b, and so does -z.  Only Z[i] has extensions of these triples below norm 100
+    checked = 0
+    for t in extend_cases(D):
+        for a, b, c in ((t[0], t[1], t[2]), (t[1], t[2], t[0]), (t[2], t[0], t[1])):
+            for _, w in reference_extend(a, b, c, 100):
+                u, v = w.z.half_coords()
+                for l in _SIEVE_PRIMES:
+                    if c.norm() % l == 0:
+                        continue
+                    for p, q in ((a, b), (b, a)):
+                        lines = _sieve_lines(D, l, p.half_coords(), q.half_coords(), c.half_coords())
+                        assert lines[v % l][u % l] == lines[-v % l][-u % l] == 1
+                checked += 1
+    assert (checked > 0) == (D == 1)
+
+
+@pytest.mark.parametrize(
+    "D, triple, skip",
+    [
+        (1, ("1", "2", "5"), 5),
+        (1, ("1", "5", "10"), 5),
+        # no D(-1) triple of Z[omega], D = 3, has 3 | norm(c): then sqrt(-3) | c, and a*c - 1 = -1 is
+        # no square mod sqrt(-3) (O_K/(sqrt(-3)) is F_3), so 13 stands in as the prime to skip
+        (3, ("-1", "2", "3-4*w"), 13),
+    ],
+)
+def test_sieve_skips_primes_dividing_norm_c(D, triple, skip):
+    ring = make_ring(D)
+    elems = [parse_elem(t, ring) for t in triple]
+    assert any(e.norm() % skip == 0 for e in elems)
+    for a, b, c in permutations(elems):
+        scan = extend_scan(a, b, c, 1000)
+        assert scan.extensions == reference_extend(a, b, c, 1000)
+        halves = (a.half_coords(), b.half_coords(), c.half_coords())
+        # the scan's own choice of primes, and the choice when there are z enough for every table;
+        # the modulus 1 that stands in for no table divides every norm, so a sieve is in use
+        for z_count in (scan.z_scanned, 10**9):
+            used = [l for l, _ in _sieve(D, *halves, c.norm(), z_count)]
+            assert all(c.norm() % l for l in used)
 
 
 @lru_cache(maxsize=None)

@@ -215,15 +215,30 @@ class TestExtendTriple:
             if (x > 0 or y > 0) and x * x + y * y <= 10**4 and (x * x - y * y + 1) % 5 == 0 == 2 * x * y % 5
         )
         assert (scan.root_classes, scan.z_scanned, scan.accepted) == (len(roots), divisible, 1) == (4, 2500, 1)
-        assert scan.to_json() == {"root_classes": 4, "z_scanned": 2500, "accepted": 1}
+        assert scan.to_json() == {"root_classes": 4, "z_scanned": 2500, "sieve_passed": 42, "accepted": 1}
 
     def test_benchmark_triples_match_object_scan(self):
+        # sieve_passed is pinned too: a change that quietly weakens the sieve fails a count here
         w = q3(0, 1)
         triples = [tuple(q1(v) for v in t) for t in ((1, 2, 5), (2, 5, 13), (2, 13, 25), (5, 13, 34))]
-        for a, b, c in triples + [(w, w.conj(), q3(1)), (-w, -w.conj(), q3(-1))]:
+        counts = [(2500, 42), (373, 14), (94, 54), (111, 18), (18147, 3), (18147, 3)]
+        for (a, b, c), count in zip(triples + [(w, w.conj(), q3(1)), (-w, -w.conj(), q3(-1))], counts, strict=True):
             scan = extend_scan(a, b, c, 10**4)
             assert scan.root_classes is not None
+            assert (scan.z_scanned, scan.sieve_passed) == count
             assert scan.extensions == reference_extend(a, b, c, 10**4)
+
+    def test_counts_beyond_the_object_scan(self):
+        # bound 10^5 is out of the object scan's reach; the counts and answers are those of the
+        # scan before it had a sieve.  The unit c of the D=3 triple scans the whole ball's classes
+        w = q3(0, 1)
+        for (a, b, c), z_scanned, passed, ds in (
+            ((w, w.conj(), q3(1)), 181_398, 47, []),
+            ((q1(1), q1(2), q1(5)), 25_139, 304, [q1(-24)]),
+        ):
+            scan = extend_scan(a, b, c, 10**5)
+            assert (scan.z_scanned, scan.sieve_passed) == (z_scanned, passed)
+            assert [d for d, _ in scan.extensions] == ds
 
     def test_root_classes_and_ball_scan_agree(self):
         # norm(c) against the half-ball's size picks the scan; bounds on both sides of the switch
