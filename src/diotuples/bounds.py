@@ -16,11 +16,15 @@ kept strictly apart:
                               < 27^8 min^15 (norm(T) + M^2 - 2 sqrt(m))^8,
   the last a sign test of an element u + v*sqrt(m) of Z[sqrt(m)].  The
   kernel stays on integers: norm(abc) = norm(a)*norm(b)*norm(c) by
-  multiplicativity, the fifth and eighth powers in Z[sqrt(m)] are taken by
-  squaring, and the sign of u + v*sqrt(m) is read off the bit lengths of
-  u, v and m when one side of u|u| vs -v|v|m is below 2^-54 of the other,
-  where the correctly rounded margin is exactly 1.0; otherwise both sides
-  are formed and compared;
+  multiplicativity.  lambda < 1.8 is first certified from the bit lengths
+  of norm(T), M^2, N and min alone, when |T| is far above M and min^15
+  norm(T)^3 far above N^18 (proof in gap_lemma_checks); then u < 0 and
+  v^2 m < 2^-55 u^2, so the verdict holds with margin exactly 1.0 and no
+  power is formed.  Otherwise the fifth and eighth powers in Z[sqrt(m)] are
+  taken by squaring, and the sign of u + v*sqrt(m) is read off the bit
+  lengths of u, v and m when one side of u|u| vs -v|v|m is below 2^-54 of
+  the other, where the correctly rounded margin is exactly 1.0; otherwise
+  both sides are formed and compared;
 * the chain verifier works purely on big integers and exact fractions,
   with the recurring factor 330/65 stored reduced as 66/13;
 * the displayed values of the constants L, l, p, P, lambda, c1 and the
@@ -337,6 +341,11 @@ def _zsqrt_negative(u: int, v: int, m: int) -> tuple[bool, float]:
     return x < y, _margin(x, y)
 
 
+# The bit-length slacks of conditions (a) and (b) of gap_lemma_checks' lambda certificate.
+_CERT_GAP_BITS = 68
+_CERT_SCALE_BITS = 63
+
+
 def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool, float, int]]:
     """Constant-level consequences of the gap-lemma hypotheses on (a, b, c), decided exactly.
 
@@ -350,10 +359,40 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
 
     Runs on integers: norm(T) = norm(a)*norm(b)*norm(c) by multiplicativity, so
     abc is never formed; the norms and checks of (a1, a2) are taken at (b, a),
-    as they do not change under negation; the powers in Z[sqrt(m)] are taken by
-    squaring; and the lambda sign is read off the bit lengths of u, v and m
-    when one side of X vs Y dominates (see _zsqrt_negative).  A mixed-ring
-    input raises the ValueError that a*b, then (ab)*c, would raise.
+    as they do not change under negation.  A mixed-ring input raises the
+    ValueError that a*b, then (ab)*c, would raise.
+
+    lambda is first tried by a certificate on bit lengths (bl) alone:
+      (a) bl(norm(T)) >= bl(M^2) + 68, and
+      (b) 15*bl(min) + 3*bl(norm(T)) >= 18*bl(N) + 63.
+    When both hold, u < 0 and v^2 m < 2^-55 u^2, so u|u| < -v|v|m and the
+    exact margin (u^2 - v^2 m) / u^2 = 1 - v^2 m / u^2 rounds to exactly 1.0
+    (the doubles next to 1 are 1 - 2^-53 and 1 + 2^-52): the clause is
+    (True, 1.0, 0), what either route of _zsqrt_negative returns for such u
+    and v, and no power is formed.  Proof: write t = |T|, rho = M/t,
+    lhs = 16^18 N^18 and rhs = 27^8 min^15.  As 4 norm(T) + 9 M^2 + 12 sqrt(m)
+    = (2t + 3M)^2 and norm(T) + M^2 - 2 sqrt(m) = (t - M)^2,
+      u + v sqrt(m) = lhs (2t + 3M)^10 - rhs (t - M)^16,
+    and its conjugate (sqrt(m) -> -sqrt(m)) is lhs (2t - 3M)^10 - rhs (t + M)^16.
+    So 2u = lhs S1 - rhs S2 and 2v sqrt(m) = lhs D1 + rhs D2, where S1, D1 =
+    (2t + 3M)^10 +- (2t - 3M)^10 and S2, D2 = (t + M)^16 +- (t - M)^16.  By
+    convexity S1 >= 2 (2t)^10 and S2 >= 2 t^16, and S1 <= 2 (2t + 3M)^10 =
+    2^11 t^10 (1 + 1.5 rho)^10; by the mean value theorem D1 <= 60 M (2t + 3M)^9
+    and D2 <= 32 M (t + M)^15, so D1 <= 15 rho (1 + 1.5 rho)^9 S1 and
+    D2 <= 16 rho (1 + rho)^15 S2.  By (a), rho^2 = M^2 / norm(T) <
+    2^(bl(M^2) + 1 - bl(norm(T))) <= 2^-67, so (1 + 1.5 rho)^10 and
+    (1 + rho)^15 are below 1.02.  By (b), with 27^8 = 3^24 > 1.02 * 2^38,
+    min >= 2^(bl(min) - 1), norm(T) >= 2^(bl(norm(T)) - 1) and N < 2^bl(N),
+      rhs t^6 = 3^24 min^15 norm(T)^3 > 1.02 * 2^(38 - 18 + 18 bl(N) + 63)
+              > 1.02 * 2^83 N^18 = 1.02 * 2^11 lhs,
+    hence rhs S2 >= 2 rhs t^16 > 1.02 * 2^12 lhs t^10 > 2 lhs S1.  Then
+    2u < -rhs S2 / 2 < 0, and 2v sqrt(m) < 1.02 rho (7.5 + 16) rhs S2 <
+    24 rho rhs S2, so |v sqrt(m)| / |u| < 48 rho and v^2 m / u^2 < 2304 rho^2
+    < 2^12 * 2^-67 = 2^-55.
+
+    When the certificate fails, the fifth and eighth powers in Z[sqrt(m)]
+    are taken by squaring and the sign of u + v*sqrt(m) is decided by
+    _zsqrt_negative, from bit lengths when one side of X vs Y dominates.
     """
     ring = a.ring
     for other in (b, c):
@@ -362,12 +401,19 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
     nb, na, nab = _pair_norms(b, a)  # as at (a1, a2) = (-b, -a)
     nT = na * nb * norm(c)
     M_sq, N, min_sq, L_margin = _lemma_norms(nb, na, nab, nT)
-    m = nT * M_sq
-    # P^5 < L^4, squared: 16^18 N^18 (2|T| + 3M)^10 < 27^8 min^15 (|T| - M)^16
-    x1, y1 = _zsqrt_pow(4 * nT + 9 * M_sq, 12, m, 5)
-    x2, y2 = _zsqrt_pow(nT + M_sq, -2, m, 8)
-    lhs, rhs = 16**18 * N**18, 27**8 * min_sq**15
-    lam_holds, lam_margin = _zsqrt_negative(lhs * x1 - rhs * x2, lhs * y1 - rhs * y2, m)
+    bl_T = nT.bit_length()
+    if (
+        bl_T >= M_sq.bit_length() + _CERT_GAP_BITS
+        and 15 * min_sq.bit_length() + 3 * bl_T >= 18 * N.bit_length() + _CERT_SCALE_BITS
+    ):
+        lam_holds, lam_margin = True, 1.0
+    else:
+        m = nT * M_sq
+        # P^5 < L^4, squared: 16^18 N^18 (2|T| + 3M)^10 < 27^8 min^15 (|T| - M)^16
+        x1, y1 = _zsqrt_pow(4 * nT + 9 * M_sq, 12, m, 5)
+        x2, y2 = _zsqrt_pow(nT + M_sq, -2, m, 8)
+        lhs, rhs = 16**18 * N**18, 27**8 * min_sq**15
+        lam_holds, lam_margin = _zsqrt_negative(lhs * x1 - rhs * x2, lhs * y1 - rhs * y2, m)
     return {
         "l < 1/2": (1024 * M_sq < 25 * nT, _margin(1024 * M_sq, 25 * nT), 0),
         "p <= sqrt(47/42)": (484 * M_sq <= nT, _margin(484 * M_sq, nT), 0),

@@ -220,8 +220,9 @@ def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
         if V % u:
             return None
         v = V // u
-    # beta**2 = ((u**2 - D*v**2)/2 + u*v*sqrt(-D))/2 must be alpha
-    if u * u - D * v * v != 2 * U or u * v != V:
+        vsq = v * v
+    # beta**2 = ((u**2 - D*v**2)/2 + u*v*sqrt(-D))/2 must be alpha; u**2 = usq, v**2 = vsq
+    if usq - D * vsq != 2 * U or u * v != V:
         return None
     return u, v
 

@@ -460,7 +460,7 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
     fu, fv = _mul_half(D, _mul_half(D, r, x), y)
     fu, fv = 2 * fu, 2 * fv  # f = 2rxy
     cp, cm = (eu + fu, ev + fv), (eu - fu, ev - fv)
-    if cp[0] * cp[0] + D * cp[1] * cp[1] < cm[0] * cm[0] + D * cm[1] * cm[1]:  # 4 * norm
+    if eu * fu + D * ev * fv < 0:  # = norm(e + f) - norm(e - f), exactly
         cp, cm = cm, cp
     # c_+ c_- = a^2 + b^2 + d^2 - 2ab - 2ad - 2bd + 4 = s^2 - 4(ab + ad + bd) + 4,
     # with 4 = (8 + 0*s)/2

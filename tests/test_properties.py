@@ -716,6 +716,82 @@ def test_gap_lemma_checks_matches_object_kernel_on_fixed_sets():
     assert_matches_reference_kernel(*(QuadInt(make_ring(D), 2, 1) for D in (1, 2, 3)))
 
 
+def powers_taken(mp) -> list:
+    """Record the arguments of each bounds._zsqrt_pow call; none means the lambda certificate decided."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _zsqrt_pow(*args)
+
+    mp.setattr(bounds, "_zsqrt_pow", spy)
+    return calls
+
+
+def test_gap_lambda_certificate_forms_no_power_on_fixed_sets(monkeypatch):
+    calls = powers_taken(monkeypatch)
+    for D, *coords in FIXED_GAP_SETS[-2:]:  # the two gap-lemma shaped sets
+        assert_matches_reference_kernel(*(QuadInt(make_ring(D), x, y) for x, y in coords))
+    assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(D=st.sampled_from(GAP_DS), data=st.data())
+def test_gap_lambda_certificate_covers_the_hypotheses(D, data):
+    # every set meeting the gap-lemma hypotheses exactly meets the certificate
+    ring = make_ring(D)
+    a, b = data.draw(elements(D, 10)), data.draw(elements(D, 60))
+    c = QuadInt(ring, norm(b) ** 8 + data.draw(st.integers(1, 10**6)), data.draw(st.integers(0, 50)))
+    assume(bounds.check_gap_hypotheses(a, b, c).all_hold)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = powers_taken(mp)
+        assert_matches_reference_kernel(a, b, c)
+    assert calls == []
+
+
+def test_gap_lambda_near_cap_reaches_the_powers(monkeypatch):
+    # lambda within a hair of 1.8 (norm(c) = 105676804 and ...805, and the min = 4 pair) is
+    # decided by the powers in Z[sqrt(m)], not by the certificate
+    calls = powers_taken(monkeypatch)
+    for D, *coords in FIXED_GAP_SETS[3:7]:
+        calls.clear()
+        assert_matches_reference_kernel(*(QuadInt(make_ring(D), x, y) for x, y in coords))
+        assert [k for *_, k in calls] == [5, 8], coords
+
+
+def certificate_conditions(a: QuadInt, b: QuadInt, c: QuadInt) -> tuple[bool, bool]:
+    """Conditions (a) and (b) of the lambda certificate, restated from gap_lemma_checks' docstring."""
+    n1, n2, n12 = norm(b), norm(a), norm(b - a)  # at (a1, a2) = (-b, -a)
+    nT, M_sq, N, least = n1 * n2 * norm(c), max(n1, n2), n1 * n2 * n12, min(n1, n2, n12)
+    bl = int.bit_length
+    return bl(nT) >= bl(M_sq) + 68, 15 * bl(least) + 3 * bl(nT) >= 18 * bl(N) + 63
+
+
+def test_gap_lambda_certificate_edges(monkeypatch):
+    # Z[i], c = (1 + i)^e: each step of e adds one bit to norm(T).  At (a, b) = (1, 2) condition
+    # (b) holds from e = 31 and (a) from e = 68, while the exact margin reaches 1.0 at e = 62; at
+    # (1, 10) (a) holds from e = 68 and (b) from e = 87, while lambda < 1.8 holds from e = 86.  So
+    # the route flips one bit either side of each condition, and a certificate without (a) or (b)
+    # would return a margin or verdict the powers do not give
+    calls = powers_taken(monkeypatch)
+    ring = make_ring(1)
+    seen = set()
+    for a, b, edge in ((1, 2, 68), (1, 10, 87)):
+        a, b, c = QuadInt(ring, a, 0), QuadInt(ring, b, 0), QuadInt(ring, 1, 0)
+        for e in range(edge + 2):
+            conditions = certificate_conditions(a, b, c)
+            if e in (edge - 1, edge):
+                assert all(conditions) == (e == edge), (a, b, e, conditions)
+            calls.clear()
+            got = outcome(gap_lemma_checks, a, b, c)
+            assert got == outcome(reference_gap_lemma_checks, a, b, c), (a, b, e)
+            if isinstance(got, dict):  # else |T| <= M or L <= 1 raised before lambda
+                assert (not calls) == all(conditions), (a, b, e)
+            seen.add(conditions)
+            c = c * QuadInt(ring, 1, 1)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def with_bit_length(bits: int):
     """Strategy for the integers of exactly `bits` bits, either sign (0 for bits = 0)."""
     if bits == 0:

@@ -137,7 +137,8 @@ def test_benchmark_calls_resolve():
 def test_oracles_share_no_kernel():
     # the references check the package's kernels, so none may reach them: no reference, nor a helper
     # it calls, may name a private name of the package.  Squares and quotients come from
-    # reference_sqrt and reference_div on QuadInt arithmetic instead
+    # reference_sqrt and reference_div on QuadInt arithmetic instead, and the gap-lemma oracle
+    # forms its Z[sqrt(m)] powers with its own loop
     path = Path(__file__).resolve().parent / "helpers.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     package_names = {
@@ -147,7 +148,13 @@ def test_oracles_share_no_kernel():
         for alias in node.names
     }
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    roots = ["brute_force_tuples", "reference_verify_tuple", "reference_c_plus_minus", "reference_extend"]
+    roots = [
+        "brute_force_tuples",
+        "reference_verify_tuple",
+        "reference_c_plus_minus",
+        "reference_extend",
+        "reference_gap_lemma_checks",
+    ]
     for root in roots:
         found, todo, seen = [], [root], set()
         while todo:
@@ -173,6 +180,11 @@ def test_oracles_share_no_kernel():
         assert not found, f"{root} shares the code it checks: {found}"
         if root == "brute_force_tuples":
             assert "box_elements" in seen, "the clique oracle no longer reaches its root table"
+        elif root == "reference_gap_lemma_checks":
+            body = list(ast.walk(functions[root]))
+            nested = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+            called = {node.func.id for node in body if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert "power" in nested & called, "the gap-lemma oracle no longer forms its powers with its own loop"
         else:
             assert "reference_sqrt" in seen, f"{root} no longer decides squares with reference_sqrt"
 
