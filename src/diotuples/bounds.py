@@ -189,7 +189,9 @@ def _pair_norms(a1: QuadInt, a2: QuadInt) -> tuple[int, int, int]:
     ring = a1.ring
     if a2.ring != ring:
         raise ValueError(f"mixed rings: {ring} vs {a2.ring}")
-    return norm(a1), norm(a2), QuadInt(ring, a1.x - a2.x, a1.y - a2.y).norm()
+    (u1, v1), (u2, v2), D = a1.half_coords(), a2.half_coords(), ring.D
+    u, v = u1 - u2, v1 - v2  # a1 - a2
+    return (u1 * u1 + D * v1 * v1) >> 2, (u2 * u2 + D * v2 * v2) >> 2, (u * u + D * v * v) >> 2
 
 
 def _lemma_norms(n1: int, n2: int, n12: int, nT: int) -> tuple[int, int, int, float]:

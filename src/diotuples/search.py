@@ -18,28 +18,28 @@ integers (the quotients b and -b are looked up by integer keys).  Its cost
 follows the x scanned, the window tests and the norms met, not the number of
 vertex pairs; the vertices of norms never met share one empty set.  When n is
 rational it scans the x up to conjugation too and records each edge with its
-conjugate.
+conjugate.  Phase 2 also records the orbit roots of the met norms, the
+vertices with the lowest index among their images under negation (and
+conjugation, for rational n), from the images it looks up anyway.
 The sparse graph is stored as forward-neighbour sets, which one clique DFS
 narrows into candidate sets by set intersection.  find_cliques grows it from
-every vertex; a search field grows it from the orbit roots only, the
-vertices with the lowest index among their images under negation (and
-conjugation, for rational n), so it finds each symmetry orbit of cliques at
-least once, its smallest clique first.  That listing is an ordered sublist of
-the full one, so the orbit records and their order are those of the full
-listing (isomorph rejection at the root: McKay, J. Algorithms 26, 1998).  A
-campaign's SearchConfig is checked as it is built, which parses n once in
-the ring of every D; each field's task carries that parsed n, so a bad
-configuration fails before any work and nothing parses n again.  A
-campaign predicts each pending field's cost once (field_cost, in witnesses x
-scanned), groups the fields into chunks of balanced predicted cost (scheduled
-longest first), runs one chunk per work unit and rewrites its compact,
-fsync'd JSON checkpoint once per chunk, so a crash loses at most the chunks
-in flight; it resumes from the checkpoint.  It starts a process pool only
-when the predicted total pays for it: a pool of w workers needs
-w * _WORKER_COST of predicted work, since below that the pool's start-up
-eats the gain in wall time and adds CPU, so a cheap campaign (both
-reproduce scans included) runs in the calling process whatever jobs says.
-A report's config.jobs stays the jobs requested.
+every vertex; a search field grows it from the graph's orbit roots only, so
+it finds each symmetry orbit of cliques at least once, its smallest clique
+first.  That listing is an ordered sublist of the full one, so the orbit
+records and their order are those of the full listing (isomorph rejection
+at the root: McKay, J. Algorithms 26, 1998).  A campaign's SearchConfig is
+checked as it is built, which parses n once in the ring of every D; each
+field's task carries that parsed n, so a bad configuration fails before any
+work and nothing parses n again.  A campaign predicts each pending field's
+cost once (field_cost, in witnesses x scanned), groups the fields into
+chunks of balanced predicted cost (scheduled longest first), runs one chunk
+per work unit and rewrites its compact, fsync'd JSON checkpoint once per
+chunk, so a crash loses at most the chunks in flight; it resumes from the
+checkpoint.  It starts a process pool only when the predicted total pays for
+it: a pool of w workers needs w * _WORKER_COST of predicted work, since
+below that the pool's start-up eats the gain in wall time and adds CPU, so a
+cheap campaign (both reproduce scans included) runs in the calling process
+whatever jobs says.  A report's config.jobs stays the jobs requested.
 """
 
 from __future__ import annotations
@@ -102,14 +102,15 @@ class CompatGraph:
     """Compatibility graph: fwd[i] is the set of neighbours j > i of vertex i, for reading only.
 
     build_graph gives the vertices of the norms it never divides by one
-    shared empty frozenset.
+    shared empty frozenset, and records roots; a graph built otherwise has
+    roots None.
     """
 
     n: QuadInt
     vertices: ElementRows
     fwd: list[set[int] | frozenset[int]]
-    # build_graph's vertex keys (S, index), as _vertex_index gives them; _orbit_roots reads them
-    keys: tuple[int, dict[int, int]] | None = None
+    # the orbit roots among the vertices of the norms build_graph divides by, ascending (see build_graph)
+    roots: list[int] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -164,6 +165,17 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     reverses the (x, y) order of the rows of one norm, so the upper half of a
     norm's slice holds one a of each pair and -a is its mirror row; {a, b} and
     {-a, -b} are edges when b = w/a.
+
+    The same loop records the orbit roots, the vertices whose index is the
+    lowest among their images: -a, and for rational n also conj(a) and
+    -conj(a), all of norm m.  For a in the upper half, -a's row last - i is
+    the lower of the pair, so it is the root when n is not rational; for
+    rational n it is the root when it lies below the rows of conj(a) and
+    -conj(a), so each orbit records its root once.  The lexicographically
+    smallest clique of an orbit has a root as its lowest vertex (an image of
+    that vertex with a lower index would give a smaller clique of the orbit),
+    and that vertex has an edge, so its norm is met: growing cliques from the
+    roots, sorted ascending, finds every orbit.
 
     When n is rational, conjugation maps the graph onto itself:
     conj(a)*conj(b) + n is the conjugate of a*b + n.  Then only the x with
@@ -224,6 +236,7 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     for m in met:
         for i in range(starts.get(m, 0), ends[m]):
             fwd[i] = set()
+    roots: list[int] = []
     for m, ws in met.items():
         lo, hi = starts.get(m, 0), ends[m]
         last = lo + hi - 1
@@ -234,6 +247,9 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
             _, _, _, u, v = rows[i]
             ci = index[u * S - v]  # conj(a)
             ni, nci = last - i, last - ci  # -a, -conj(a)
+            # -a is the orbit root, for rational n when it lies below conj(a) and -conj(a) too
+            if not by_conj or (ni <= ci and ni <= nci):
+                roots.append(ni)
             Dv = D * v
             for WU, WV, mirror in ws:
                 P = WU * u + WV * Dv
@@ -263,15 +279,16 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
                             fwd[nci].add(j)
                         else:
                             fwd[j].add(nci)
-    return CompatGraph(n, elements, fwd, (S, index))
+    roots.sort()
+    return CompatGraph(n, elements, fwd, roots)
 
 
 def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
     """All k-cliques, each once, in lexicographic order of their (norm, x, y) vertex indices.
 
     This is _clique_indices grown from every vertex.  A search field
-    (_run_field) grows the same DFS from the orbit roots only, so its listing
-    is an ordered sublist of this one.
+    (_run_field) grows the same DFS from g.roots only, so its listing is an
+    ordered sublist of this one.
     """
     vs = g.vertices
     return [tuple(map(vs.__getitem__, idx)) for idx in _clique_indices(g.fwd, k, range(len(g.fwd)))]
@@ -280,7 +297,9 @@ def find_cliques(g: CompatGraph, k: int) -> list[tuple[QuadInt, ...]]:
 def _clique_indices(fwd: list[set[int]], k: int, roots) -> list[tuple[int, ...]]:
     """The k-cliques whose lowest vertex is in roots (ascending indices), as sorted index tuples.
 
-    Each grows from its lowest vertex i over the sorted fwd[i].  At each step
+    roots is every vertex (find_cliques) or a graph's orbit roots (_run_field);
+    a root with fewer than k - 1 forward neighbours is skipped.  Each clique
+    grows from its lowest vertex i over the sorted fwd[i].  At each step
     the candidates adjacent to a new vertex j are fwd[j] & cand, one C-level
     set intersection (fwd[j] holds only indices > j, so these are exactly the
     later candidates adjacent to j), and the last vertex is emitted straight
@@ -312,30 +331,6 @@ def _clique_indices(fwd: list[set[int]], k: int, roots) -> list[tuple[int, ...]]
         else:
             grow((i,), sorted(f), f)
     return out
-
-
-def _orbit_roots(g: CompatGraph, k: int):
-    """Yield, ascending, the vertices i with at least k - 1 forward neighbours that are orbit roots.
-
-    i is an orbit root when no image of its vertex a under the graph's
-    symmetries has a lower index: i <= index(-a), and when n is rational,
-    which makes conjugation a symmetry too, i <= index(conj(a)) and
-    i <= index(-conj(a)).  The lexicographically smallest clique of an orbit
-    has a root as its lowest vertex (an image of that vertex with a lower
-    index would give a smaller clique of the orbit), so growing cliques from
-    the roots finds every orbit.  The test costs three lookups of
-    build_graph's vertex keys and runs only on the vertices that pass the
-    cheaper degree test.
-    """
-    S, index = g.keys
-    rows = g.vertices.rows
-    by_conj = g.n.half_coords()[1] == 0
-    for i, f in enumerate(g.fwd):
-        if len(f) < k - 1:
-            continue
-        _, _, _, u, v = rows[i]
-        if i <= index[-u * S - v] and (not by_conj or (i <= index[u * S - v] and i <= index[v - u * S])):
-            yield i
 
 
 @dataclass(frozen=True)
@@ -419,13 +414,7 @@ class FieldResult:
 
     def to_json(self) -> dict:
         # the fields are JSON values already, so a shallow dict serialises as a deep copy would
-        return {
-            "D": self.D,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "cliques": self.cliques,
-            "wall_time": self.wall_time,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -463,7 +452,7 @@ def _run_field(D: int, max_norm: int, k: int, n: QuadInt) -> dict:
     t0 = time.monotonic()
     elems = enum_elements(n.ring, max_norm)
     g = build_graph(elems, n)
-    reps = [tuple(map(elems.__getitem__, idx)) for idx in _clique_indices(g.fwd, k, _orbit_roots(g, k))]
+    reps = [tuple(map(elems.__getitem__, idx)) for idx in _clique_indices(g.fwd, k, g.roots)]
     return {
         "D": D,
         "vertex_count": len(elems),
@@ -480,10 +469,10 @@ def _group_orbits(cliques: list[tuple[QuadInt, ...]], n: QuadInt) -> list[dict]:
     and its record is the sorted orbit with its first member as
     representative.  Records follow the first clique of each orbit met.  The
     first met is the orbit's lexicographically smallest, both in find_cliques'
-    full listing and in _run_field's listing from the orbit roots (an ordered
-    sublist holding that clique), so both give the same records in the same
-    order.  Every member is re-verified with verify_tuple, whether it was
-    listed or not; a failure raises RuntimeError.
+    full listing and in _run_field's listing from the graph's roots (an
+    ordered sublist holding that clique), so both give the same records in
+    the same order.  Every member is re-verified with verify_tuple, whether
+    it was listed or not; a failure raises RuntimeError.
     """
     seen: set[tuple] = set()
     records: list[dict] = []

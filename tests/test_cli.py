@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -495,3 +496,31 @@ def test_python_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"diotuples {__version__}"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["reproduce", "quadruple-min"], 0),
+        (["reproduce", "example-quadruple"], 0),
+        (["verify", "--D", "1", "--elems", "1,2,3"], 1),
+    ],
+    ids=["quadruple-min", "example-quadruple", "verify-fail"],
+)
+def test_python_O_gives_the_same_answers(argv, code):
+    # invariant checks raise rather than assert, so `python -O` strips none of them: each run
+    # exits and prints as without -O (wall times, which differ run to run, are masked)
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "diotuples", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        outs.append(re.sub(r"\d+\.\d+s\b", "<t>s", proc.stdout))
+    assert outs[0] == outs[1]
+    assert outs[0]

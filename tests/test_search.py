@@ -308,6 +308,7 @@ class TestUnmetNorms:
         ball = enum_elements(ring, max_norm)
         g = build_graph(ball, n)
         assert 2 * sum(f is search._NO_NEIGHBOURS for f in g.fwd) > len(ball)
+        check_roots(g)
         want = pairwise_edges(ball, n)
         assert {frozenset(e) for e in g.edges()} == want
         assert g.edge_count == len(want)
@@ -315,7 +316,7 @@ class TestUnmetNorms:
             cliques = reference_cliques(g.fwd, k)
             assert find_cliques(g, k) == [tuple(map(ball.__getitem__, c)) for c in cliques]
             roots = orbit_roots_oracle(g, k)
-            assert list(search._orbit_roots(g, k)) == roots
+            assert [i for i in g.roots if len(g.fwd[i]) >= k - 1] == roots
             assert search._clique_indices(g.fwd, k, roots) == [c for c in cliques if c[0] in roots]
 
     def test_campaign_fields(self):
@@ -333,6 +334,7 @@ class TestUnmetNorms:
                 met.update(m for m in norms if m * m <= M and M % m == 0 and M // m in norms)
             g = build_graph(ball, n)
             assert [f is search._NO_NEIGHBOURS for f in g.fwd] == [a.norm() not in met for a in ball], D
+            check_roots(g)
             met_vertices += sum(a.norm() in met for a in ball)
             total += len(ball)
             for k in (4, 5):
@@ -437,7 +439,7 @@ class TestOrbitRoots:
         assert want
         assert search._run_field(D, max_norm, k, n)["cliques"] == want
         # the root listing is an ordered sublist of the full one, and shorter
-        roots = search._clique_indices(g.fwd, k, search._orbit_roots(g, k))
+        roots = search._clique_indices(g.fwd, k, g.roots)
         rest = iter(search._clique_indices(g.fwd, k, range(len(g.fwd))))
         assert all(c in rest for c in roots)
         assert len(roots) < len(full)
@@ -453,11 +455,16 @@ class TestOrbitRoots:
         for k in (2, 3, 4):
             want = orbit_roots_oracle(g, k)
             assert want
-            assert list(search._orbit_roots(g, k)) == want
+            assert [i for i in g.roots if len(g.fwd[i]) >= k - 1] == want
+
+    @pytest.mark.parametrize("D, max_norm, k, n_text", FIELDS)
+    def test_roots_hold_every_orbit_with_an_edge(self, D, max_norm, k, n_text):
+        ring = make_ring(D)
+        check_roots(build_graph(enum_elements(ring, max_norm), parse_elem(n_text, ring)))
 
 
-def orbit_roots_oracle(g, k: int) -> list[int]:
-    """The vertices of degree >= k - 1 whose index is the smallest ball position of their images.
+def orbit_minima(g) -> list[int]:
+    """For each vertex, the smallest ball position of its images.
 
     The images of a are a and -a, and conj(a) and -conj(a) when n is rational;
     found by element arithmetic and a position lookup, not by build_graph's
@@ -470,7 +477,26 @@ def orbit_roots_oracle(g, k: int) -> list[int]:
     def images(a):
         return [a, -a, a.conj(), -a.conj()] if rational else [a, -a]
 
-    return [i for i, a in enumerate(ball) if len(g.fwd[i]) >= k - 1 and i == min(pos[b] for b in images(a))]
+    return [min(pos[b] for b in images(a)) for a in ball]
+
+
+def orbit_roots_oracle(g, k: int) -> list[int]:
+    """The vertices of degree >= k - 1 whose index is the smallest ball position of their images."""
+    return [i for i, low in enumerate(orbit_minima(g)) if len(g.fwd[i]) >= k - 1 and i == low]
+
+
+def check_roots(g) -> None:
+    """build_graph's roots: ascending, in met norms, exactly the orbit minima there; every edge's orbit has one.
+
+    A search field grows cliques from g.roots only, so a vertex with a
+    forward neighbour whose orbit minimum were missing would lose its orbit.
+    """
+    roots, low = g.roots, orbit_minima(g)
+    assert all(i < j for i, j in zip(roots, roots[1:]))
+    assert all(g.fwd[i] is not search._NO_NEIGHBOURS for i in roots)
+    assert roots == [i for i, f in enumerate(g.fwd) if low[i] == i and f is not search._NO_NEIGHBOURS]
+    held = set(roots)
+    assert all(low[i] in held for i, f in enumerate(g.fwd) if f)
 
 
 class TestBruteForce:
