@@ -14,27 +14,23 @@ kept strictly apart:
     L > 1              <=>  A > 0 and A^2 > 2916*m, A = 27*(norm(T) + M^2) - 16*N,
     lambda < 1.8       <=>  16^18 N^18 (4 norm(T) + 9 M^2 + 12 sqrt(m))^5
                               < 27^8 min^15 (norm(T) + M^2 - 2 sqrt(m))^8,
-  the last a sign test of an element u + v*sqrt(m) of Z[sqrt(m)].  The
-  kernel stays on integers: norm(abc) = norm(a)*norm(b)*norm(c) by
-  multiplicativity.  lambda < 1.8 is first certified from the bit lengths
-  of norm(T), M^2, N and min alone, when |T| is far above M and min^15
-  norm(T)^3 far above N^18 (proof in gap_lemma_checks); then u < 0 and
-  v^2 m < 2^-55 u^2, so the verdict holds with margin exactly 1.0 and no
-  power is formed.  Otherwise the fifth and eighth powers in Z[sqrt(m)] are
-  taken by squaring, and the sign of u + v*sqrt(m) is read off the bit
-  lengths of u, v and m when one side of u|u| vs -v|v|m is below 2^-54 of
-  the other, where the correctly rounded margin is exactly 1.0; otherwise
-  both sides are formed and compared;
+  the last a sign test of an element u + v*sqrt(m) of Z[sqrt(m)], decided
+  as u|u| < -v|v|m.  The kernel stays on integers: norm(abc) =
+  norm(a)*norm(b)*norm(c) by multiplicativity.  lambda < 1.8 is first
+  certified from the bit lengths of norm(T), M^2, N and min alone, when |T|
+  is far above M and min^15 norm(T)^3 far above N^18 (proof in
+  gap_lemma_checks); then u < 0 and v^2 m < 2^-55 u^2, so the verdict holds
+  with margin exactly 1.0, what the exact comparison returns, and no power
+  is formed.  Otherwise the fifth and eighth powers in Z[sqrt(m)] are taken
+  by squaring and both sides of u|u| vs -v|v|m are formed and compared;
 * the chain verifier works purely on big integers and exact fractions,
   with the recurring factor 330/65 stored reduced as 66/13;
 * the displayed values of the constants L, l, p, P, lambda, c1 and the
   theta defects are evaluated as PrecReal: an mpmath.iv interval that
   encloses the true value at the requested working precision, with directed
-  rounding done by mpmath.  No verdict is read off these enclosures.
-  PrecReal.compare orders two enclosures exactly when they are disjoint and
-  calls them undecided (sign 0) when they overlap, with no threshold on the
-  gap.  The theta defects are enclosed from exact integer norms by a formula
-  without cancellation.
+  rounding done by mpmath.  No verdict is read off these enclosures.  The
+  theta defects are enclosed from exact integer norms by a formula without
+  cancellation.
 
 Every exact comparison, of a hypothesis clause or a chain step, is one
 Comparison record whose verdict is computed from its operands.
@@ -123,23 +119,6 @@ class PrecReal:
         if 0 in e:
             return float("inf")
         return float(mpmath.mpf((e.delta / 2 / min(abs(e.a), abs(e.b))).b))
-
-    def compare(self, other: "PrecReal") -> tuple[int, float]:
-        """(sign, relative margin) of the gap between the two enclosures.
-
-        The sign is certain: 1 or -1 only when the enclosures are disjoint, and
-        0 with margin 0.0 when they overlap.  The margin is the gap between the
-        facing endpoints over the largest magnitude in either enclosure.
-        """
-        diff = self.enclosure - other.enclosure  # outward rounding keeps the sign certain
-        if diff.a > 0:
-            sign, gap = 1, diff.a
-        elif diff.b < 0:
-            sign, gap = -1, -diff.b
-        else:
-            return 0, 0.0
-        scale = max(abs(self.enclosure).b, abs(other.enclosure).b)
-        return sign, float(mpmath.mpf((gap / scale).a))
 
     def __float__(self) -> float:
         return float(self.value)
@@ -317,32 +296,6 @@ def _zsqrt_pow(a: int, b: int, m: int, k: int) -> tuple[int, int]:
     return x, y
 
 
-# One side of u|u| vs -v|v|m dominates when its bit-length bound clears the
-# other's by this many bits: the smaller is then below 2^-54 of the larger.
-_DOMINANCE_BITS = 57
-
-
-def _zsqrt_negative(u: int, v: int, m: int) -> tuple[bool, float]:
-    """(u + v*sqrt(m) < 0, margin of the exact comparison u|u| vs -v|v|m), for m > 0.
-
-    The verdict is u|u| < -v|v|m, as t -> t|t| is increasing, and the margin is
-    _margin(u|u|, -v|v|m).  With ex = 2*bl(u) and ey = 2*bl(v) + bl(m) (bl the
-    bit length; ey = 0 when v = 0), 2^(ex-2) <= u^2 < 2^ex for u != 0 and
-    2^(ey-3) <= v^2 m < 2^ey for v != 0.  So when ey + 57 <= ex the ratio
-    v^2 m / u^2 is below 2^-55, the sign is that of u, and the exact margin
-    1 +- ratio rounds to 1.0 (the doubles next to 1 are 1 - 2^-53 and
-    1 + 2^-52); the mirror case ex + 57 <= ey bounds u^2 / v^2 m by 2^-54 and
-    takes the sign of v.  Otherwise both squares are formed.
-    """
-    ex, ey = 2 * u.bit_length(), (2 * v.bit_length() + m.bit_length() if v else 0)
-    if ey + _DOMINANCE_BITS <= ex:
-        return u < 0, 1.0
-    if ex + _DOMINANCE_BITS <= ey:
-        return v < 0, 1.0
-    x, y = u * abs(u), -v * abs(v) * m
-    return x < y, _margin(x, y)
-
-
 # The bit-length slacks of conditions (a) and (b) of gap_lemma_checks' lambda certificate.
 _CERT_GAP_BITS = 68
 _CERT_SCALE_BITS = 63
@@ -370,8 +323,8 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
     When both hold, u < 0 and v^2 m < 2^-55 u^2, so u|u| < -v|v|m and the
     exact margin (u^2 - v^2 m) / u^2 = 1 - v^2 m / u^2 rounds to exactly 1.0
     (the doubles next to 1 are 1 - 2^-53 and 1 + 2^-52): the clause is
-    (True, 1.0, 0), what either route of _zsqrt_negative returns for such u
-    and v, and no power is formed.  Proof: write t = |T|, rho = M/t,
+    (True, 1.0, 0), what the exact comparison returns for such u and v, and
+    no power is formed.  Proof: write t = |T|, rho = M/t,
     lhs = 16^18 N^18 and rhs = 27^8 min^15.  As 4 norm(T) + 9 M^2 + 12 sqrt(m)
     = (2t + 3M)^2 and norm(T) + M^2 - 2 sqrt(m) = (t - M)^2,
       u + v sqrt(m) = lhs (2t + 3M)^10 - rhs (t - M)^16,
@@ -393,8 +346,7 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
     < 2^12 * 2^-67 = 2^-55.
 
     When the certificate fails, the fifth and eighth powers in Z[sqrt(m)]
-    are taken by squaring and the sign of u + v*sqrt(m) is decided by
-    _zsqrt_negative, from bit lengths when one side of X vs Y dominates.
+    are taken by squaring and X < Y is decided on the full integers.
     """
     ring = a.ring
     for other in (b, c):
@@ -415,7 +367,10 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
         x1, y1 = _zsqrt_pow(4 * nT + 9 * M_sq, 12, m, 5)
         x2, y2 = _zsqrt_pow(nT + M_sq, -2, m, 8)
         lhs, rhs = 16**18 * N**18, 27**8 * min_sq**15
-        lam_holds, lam_margin = _zsqrt_negative(lhs * x1 - rhs * x2, lhs * y1 - rhs * y2, m)
+        u, v = lhs * x1 - rhs * x2, lhs * y1 - rhs * y2
+        # u + v*sqrt(m) < 0 <=> u|u| < -v|v|m, as t -> t|t| is increasing
+        X, Y = u * abs(u), -v * abs(v) * m
+        lam_holds, lam_margin = X < Y, _margin(X, Y)
     return {
         "l < 1/2": (1024 * M_sq < 25 * nT, _margin(1024 * M_sq, 25 * nT), 0),
         "p <= sqrt(47/42)": (484 * M_sq <= nT, _margin(484 * M_sq, nT), 0),

@@ -398,10 +398,5 @@ class ElementRows(Sequence):
         _, x, y, _, _ = self.rows[i]
         return QuadInt(self.ring, x, y)
 
-    def __iter__(self):
-        ring = self.ring
-        for _, x, y, _, _ in self.rows:
-            yield QuadInt(ring, x, y)
-
     def __repr__(self) -> str:
         return f"ElementRows({self.ring!r}, max_norm={self.max_norm})"

@@ -13,7 +13,6 @@ from diotuples.bounds import (
     GROWTH,
     HypothesisFailure,
     PrecReal,
-    _iv_precision,
     chain_verify,
     check_gap_hypotheses,
     gap_lemma_checks,
@@ -43,14 +42,6 @@ class TestPrecReal:
         a = PrecReal(iv.mpf(7), 128)
         assert a.max_rel_error == 0.0
         assert float(a) == 7.0
-
-    def test_compare_margin(self):
-        with _iv_precision(128):
-            a = PrecReal(iv.mpf(1) / 2, 128)
-            b = PrecReal(iv.mpf(1) / 3, 128)
-        sign, margin = a.compare(b)
-        assert sign == 1
-        assert margin == pytest.approx(1 / 3, rel=1e-20)
 
 
 class TestJZConstants:

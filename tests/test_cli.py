@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -524,3 +525,26 @@ def test_python_O_gives_the_same_answers(argv, code):
         outs.append(re.sub(r"\d+\.\d+s\b", "<t>s", proc.stdout))
     assert outs[0] == outs[1]
     assert outs[0]
+
+
+def readme_cli_commands() -> list[tuple[list[str], int]]:
+    """(argv, documented exit code) of each `diotuples ...` line in the first code block under README's ## CLI."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```", 2)[1]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("diotuples "):
+            argv = shlex.split(line, comments=True)[1:]
+            commands.append((argv, 1 if "# exit 1" in line else 0))
+    return commands
+
+
+def test_readme_cli_examples_exit_as_documented(tmp_path, monkeypatch):
+    # `--out report.json` writes into the working directory, so the commands run in a fresh one
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert len(commands) == 11
+    assert sum(code for _, code in commands) == 1
+    for argv, code in commands:
+        assert main(argv) == code, argv

@@ -12,14 +12,11 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import iv
 
 from diotuples import bounds
 from diotuples.bounds import (
     HypothesisFailure,
     PrecReal,
-    _margin,
-    _zsqrt_negative,
     _zsqrt_pow,
     gap_lemma_checks,
     jz_constants,
@@ -792,59 +789,6 @@ def test_gap_lambda_certificate_edges(monkeypatch):
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def with_bit_length(bits: int):
-    """Strategy for the integers of exactly `bits` bits, either sign (0 for bits = 0)."""
-    if bits == 0:
-        return st.just(0)
-    magnitude = st.integers(1 << (bits - 1), (1 << bits) - 1)
-    return st.tuples(magnitude, st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    m_bits=st.integers(1, 100),
-    v_bits=st.integers(0, 150),
-    gap=st.integers(-64, 64),  # ex - ey, across the +-57 thresholds both ways
-    data=st.data(),
-)
-def test_zsqrt_negative_matches_full_squares(m_bits, v_bits, gap, data):
-    m = data.draw(with_bit_length(m_bits).map(abs))
-    v = data.draw(with_bit_length(v_bits))
-    u = data.draw(with_bit_length(max(0, (2 * v_bits + m_bits + gap) // 2)))
-    x, y = u * abs(u), -v * abs(v) * m
-    assert _zsqrt_negative(u, v, m) == (x < y, _margin(x, y))
-
-
-def test_zsqrt_negative_edges():
-    def full(u, v, m):
-        x, y = u * abs(u), -v * abs(v) * m
-        return x < y, _margin(x, y)
-
-    cases = [(0, 0, 5), (0, 0, 2**80), (0, 3, 5), (0, -(2**40), 7), (3, 0, 5), (-(2**40), 0, 7), (1, 1, 1), (-1, -1, 1)]
-    # worst cases one bit either side of each threshold: the smallest dominant
-    # side against the largest other side of the given bit lengths
-    for bu in range(24, 40):
-        for bv, bm in ((0, 1), (1, 1), (2, 3), (5, 8)):
-            for su, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                cases.append((su << (bu - 1), sv * ((1 << bv) - 1), (1 << bm) - 1))
-                cases.append((su * ((1 << bu) - 1), sv << (bv - 1) if bv else 0, 1 << (bm - 1)))
-                cases.append((su * ((1 << bv) - 1), sv << (bu - 1), (1 << (bm - 1))))
-                cases.append((su << (bv - 1) if bv else 0, sv * ((1 << bu) - 1), (1 << bm) - 1))
-    for u, v, m in cases:
-        assert _zsqrt_negative(u, v, m) == full(u, v, m), (u, v, m)
-
-
-def test_zsqrt_negative_skips_the_squares_when_one_side_dominates(monkeypatch):
-    def no_margin(x, y):
-        raise AssertionError("a dominant side needs no full comparison")
-
-    monkeypatch.setattr(bounds, "_margin", no_margin)
-    assert _zsqrt_negative(-(2**200), 3, 5) == (True, 1.0)
-    assert _zsqrt_negative(2**200, -(2**90), 5) == (False, 1.0)
-    assert _zsqrt_negative(3, -(2**100), 5) == (True, 1.0)
-    assert _zsqrt_negative(0, 2**100, 5) == (False, 1.0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     a=st.integers(-(2**300), 2**300),
@@ -902,11 +846,3 @@ def test_theta_identity_is_exact():
         z = w.z + QuadInt(w.z.ring, 1, 0)
         bumped = PellWitness(w.a, w.b, w.c, w.d, w.r, w.s, w.t, w.x, w.y, z)
         assert theta_defect(bumped).identity_rel_diff > 0
-
-
-def test_overlapping_enclosures_are_undecided():
-    lo, hi = PrecReal(iv.mpf([1, 2]), 128), PrecReal(iv.mpf([1.5, 4]), 128)
-    assert abs(lo.value - hi.value) > 2.0**-64
-    assert lo.compare(hi) == (0, 0.0)
-    apart = PrecReal(iv.mpf([2.5, 4]), 128)
-    assert lo.compare(apart)[0] == -1

@@ -1049,3 +1049,60 @@ class TestLayout:
             assert list(elems) == sorted(elems, key=elem_key)
         by_field = {D: {frozenset(elems) for d, elems in listed if d == D} for D in (1, 3)}
         assert by_field == clique_sets_of(report)
+
+
+SENTINEL_D = 10**6 + 1  # = 101 * 9901, squarefree; every element of norm <= B < D is rational
+
+
+class TestSentinel:
+    # theorems about Z serve as independent oracles: in a field where every vertex is rational, a
+    # clique is a D(n) quadruple of integers
+    def sentinel_cliques(self, n: int, max_norm: int) -> set[frozenset[QuadInt]]:
+        ring = make_ring(SENTINEL_D)
+        ball = enum_elements(ring, max_norm)
+        assert all(a.y == 0 for a in ball)
+        assert len(ball) == 2 * isqrt(max_norm)
+        report = run_campaign(SearchConfig(D_list=[SENTINEL_D], max_norm=max_norm, k=4, n=str(n)))
+        assert report.results[0].vertex_count == len(ball)
+        return clique_sets_of(report)[SENTINEL_D]
+
+    @pytest.mark.parametrize("n", [2, -2, 6])
+    def test_no_quadruple_for_n_2_mod_4(self, n):
+        # Brown (1985): no D(n) quadruple of integers when n = 2 (mod 4)
+        assert self.sentinel_cliques(n, 14400) == set()
+
+    @pytest.mark.parametrize("max_norm", [14400, 10**5])
+    def test_no_d_minus_1_quadruple(self, max_norm):
+        # Bonciocat, Cipu and Mignotte (2022): no D(-1) quadruple of integers
+        assert self.sentinel_cliques(-1, max_norm) == set()
+
+    def test_d1_quadruples_below_120(self):
+        # Fermat's {1, 3, 8, 120} and its negation are the D(1) quadruples of integers with every
+        # |a| <= 120
+        ring = make_ring(SENTINEL_D)
+        want = {frozenset(QuadInt(ring, s * x, 0) for x in (1, 3, 8, 120)) for s in (1, -1)}
+        assert self.sentinel_cliques(1, 14400) == want
+
+
+@pytest.mark.parametrize("max_norm", [60, 143])
+@pytest.mark.parametrize("n", [-1, 3])
+def test_covered_fields_share_the_sentinel_graph(max_norm, n):
+    # the coverage lemma: a field whose ball of norm <= B holds only rational elements, and whose
+    # window elements x (norm(x) <= B + |n|) are rational too, has the sentinel's graph.  That holds
+    # for D > B + |n| when D != 3 (mod 4), and for D > max(4B, B + |n|) in any case
+    def graph(D):
+        ring = make_ring(D)
+        return build_graph(enum_elements(ring, max_norm), QuadInt(ring, n, 0))
+
+    sentinel = graph(SENTINEL_D)
+    covered = [
+        D
+        for D in range(1, 4 * max_norm + 61)
+        if is_squarefree(D)
+        and (D > max_norm + abs(n) and D % 4 != 3 or D > max(4 * max_norm, max_norm + abs(n)))
+    ]
+    assert len(covered) > 100
+    for D in covered:
+        g = graph(D)
+        assert g.vertices.rows == sentinel.vertices.rows, D
+        assert g.fwd == sentinel.fwd, D

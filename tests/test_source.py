@@ -267,7 +267,6 @@ def test_exported_names_have_callers():
 UNCALLED_METHODS = {
     "CompatGraph.edges": "the tests' observable edge set",
     "HypothesisReport.failing": "pinned by tests/test_bounds.py",
-    "PrecReal.compare": "exact theta verdicts (ROADMAP item 7) decide its fate; it goes if nothing then calls it",
 }
 
 
