@@ -575,14 +575,11 @@ def chain_verify() -> ChainTrace:
 
 
 def threshold_a22() -> int:
-    """Smallest positive N with N^8 * 13^31 >= 66^31 * 3956^10 (exact 8th root)."""
-    rhs = 66**31 * 3956**10
-    den = 13**31
-    q = -(-rhs // den)  # ceil(rhs/den)
-    n = isqrt(isqrt(isqrt(q)))  # floor of the integer 8th root
-    while n**8 * den < rhs:
-        n += 1
-    while n > 1 and (n - 1) ** 8 * den >= rhs:
-        n -= 1
-    return n
+    """Smallest positive N with N^8 * 13^31 >= 66^31 * 3956^10, that is N^8 >= q = ceil(66^31 * 3956^10 / 13^31).
+
+    Nested integer square roots give n = floor(q^(1/8)), so n^8 <= q < (n + 1)^8 and N is n or n + 1.
+    """
+    q = -(-(66**31 * 3956**10) // 13**31)
+    n = isqrt(isqrt(isqrt(q)))
+    return n if n**8 >= q else n + 1
 

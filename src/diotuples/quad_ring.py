@@ -177,10 +177,6 @@ def elem_key(a: QuadInt) -> tuple[int, int, int]:
     return (a.norm(), a.x, a.y)
 
 
-# _SQUARE_MOD64[r] is 1 iff r is a square modulo 64 (Cohen, Alg. 1.7.3).
-_SQUARE_MOD64 = bytes(1 if any(k * k % 64 == r for k in range(32)) else 0 for r in range(64))
-
-
 def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
     """Canonical square root of alpha = (U + V*sqrt(-D))/2 in O_K, on integers.
 
@@ -200,8 +196,6 @@ def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
         r = abs(U)
     else:
         n4 = U * U + D * V * V
-        if not _SQUARE_MOD64[n4 & 63]:
-            return None
         r = isqrt(n4)
         if r * r != n4:
             return None

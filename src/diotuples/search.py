@@ -302,8 +302,8 @@ def _clique_indices(fwd: list[set[int]], k: int, roots) -> list[tuple[int, ...]]
     grows from its lowest vertex i over the sorted fwd[i].  At each step
     the candidates adjacent to a new vertex j are fwd[j] & cand, one C-level
     set intersection (fwd[j] holds only indices > j, so these are exactly the
-    later candidates adjacent to j), and the last vertex is emitted straight
-    from that intersection.  Roots ascend and candidates are sorted, so the
+    later candidates adjacent to j), and a prefix of k - 1 vertices emits one
+    clique per candidate.  Roots ascend and candidates are sorted, so the
     order is that of the plain candidate-list DFS: lexicographic.
     """
     if k < 2:
@@ -312,23 +312,18 @@ def _clique_indices(fwd: list[set[int]], k: int, roots) -> list[tuple[int, ...]]
 
     def grow(prefix: tuple[int, ...], cand: list[int], cset: set[int]) -> None:
         # cand: the sorted indices after prefix[-1] adjacent to every vertex of prefix; cset: as a set
+        if len(prefix) == k - 1:
+            out.extend([prefix + (j,) for j in cand])
+            return
         need = k - len(prefix) - 1  # vertices still to add after the next one
         for j in cand:
             nxt = fwd[j] & cset
-            if len(nxt) < need:
-                continue
-            if need == 1:
-                out.extend((*prefix, j, l) for l in sorted(nxt))
-            else:
-                grow((*prefix, j), sorted(nxt), nxt)
+            if len(nxt) >= need:
+                grow(prefix + (j,), sorted(nxt), nxt)
 
     for i in roots:
         f = fwd[i]
-        if len(f) < k - 1:
-            continue
-        if k == 2:
-            out.extend((i, j) for j in sorted(f))
-        else:
+        if len(f) >= k - 1:
             grow((i,), sorted(f), f)
     return out
 
@@ -551,13 +546,13 @@ def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
             data = json.load(f)
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
         raise ValueError(f"checkpoint {path}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict) or not isinstance(data.get("completed", {}), dict):
+    if not isinstance(data, dict) or not isinstance(data.get("completed"), dict):
         raise ValueError(f"checkpoint {path}: expected a JSON object with an object 'completed'")
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported schema {data.get('schema')}")
     if data.get("config_hash") != config_hash:
         raise ValueError(f"checkpoint {path} was written by a different configuration")
-    completed = data.get("completed", {})
+    completed = data["completed"]
     for key, res in completed.items():
         # each entry is a FieldResult's JSON, stored under the text of its own D: int D and
         # counts, clique records down to their elements, and a numeric wall_time

@@ -342,7 +342,38 @@ def _sieve_survivors(rows: list, sieve: list):
 
 
 def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> ExtendScan:
-    """extend_triple's scan, returned with its counts (see ExtendScan)."""
+    """All extensions d = (z^2 + 1)/c of the D(-1) triple {a, b, c} from a z-scan, with its counts.
+
+    Scans nonzero z with norm(z) <= z_norm_bound up to sign; keeps d when
+    c | z^2 + 1, d is not in {0, a, b, c} and ad - 1, bd - 1 are squares.
+    z and -z give the same d, and z^2 = cd - 1 fixes z up to sign, so each d
+    comes from exactly one scanned z.  Results are ordered by the smaller
+    (norm, x, y) of z and -z.
+
+    c | z^2 + 1 exactly when z mod c is a root of z^2 = -1 in O_K/(c).  The
+    roots z0 are found in one pass over the norm(c) representatives that the
+    Hermite normal form of c*O_K gives (_ideal_hnf), and only the z = z0 + c*w
+    with norm(z) <= z_norm_bound are scanned, row by row with integer square
+    root bounds, in the half-plane u > 0, or u = 0 and v > 0 (_class_rows).
+    When norm(c) exceeds the number of z in that half of the ball, the whole
+    half-ball is scanned instead (one class, c*O_K replaced by O_K).  A unit
+    c has a single class, so it scans the same half-ball.
+
+    The scan runs on half-coordinates (see quad_ring): z^2 + 1 is divided by
+    c with _div_half and ad - 1, bd - 1 are tested with _sqrt_half, all on
+    plain ints; elements and Pell witnesses are built only for the hits.
+
+    In front of those exact tests sits a sieve, a necessary condition only.
+    For an odd prime l that does not divide norm(c), c is a unit mod l, so d
+    reduces to (z^2 + 1)*c^-1 mod l, and ad - 1, bd - 1 must be squares in
+    O_K/l*O_K.  One table per prime, indexed by the half-coordinates of z mod
+    l, holds that verdict, and a z that fails any table is dropped before
+    _div_half.  Every z that passes takes the exact path unchanged, so the
+    extensions, their order and the scan's counts other than sieve_passed do
+    not depend on the primes.  A table of l*l entries is built only when the
+    scan has at least _SIEVE_Z_PER_ENTRY * l*l z; the strongest table is
+    tested first, once per class of u mod l of a row.
+    """
     ring = a.ring
     if z_norm_bound < 0:
         raise ValueError("z_norm_bound must be >= 0")
@@ -385,38 +416,7 @@ def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> Extend
 
 
 def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list[tuple[QuadInt, PellWitness]]:
-    """All extensions d = (z^2 + 1)/c of the D(-1) triple {a, b, c} from a z-scan.
-
-    Scans nonzero z with norm(z) <= z_norm_bound up to sign; keeps d when
-    c | z^2 + 1, d is not in {0, a, b, c} and ad - 1, bd - 1 are squares.
-    z and -z give the same d, and z^2 = cd - 1 fixes z up to sign, so each d
-    comes from exactly one scanned z.  Results are ordered by the smaller
-    (norm, x, y) of z and -z.
-
-    c | z^2 + 1 exactly when z mod c is a root of z^2 = -1 in O_K/(c).  The
-    roots z0 are found in one pass over the norm(c) representatives that the
-    Hermite normal form of c*O_K gives (_ideal_hnf), and only the z = z0 + c*w
-    with norm(z) <= z_norm_bound are scanned, row by row with integer square
-    root bounds, in the half-plane u > 0, or u = 0 and v > 0 (_class_rows).
-    When norm(c) exceeds the number of z in that half of the ball, the whole
-    half-ball is scanned instead (one class, c*O_K replaced by O_K).  A unit
-    c has a single class, so it scans the same half-ball.
-
-    The scan runs on half-coordinates (see quad_ring): z^2 + 1 is divided by
-    c with _div_half and ad - 1, bd - 1 are tested with _sqrt_half, all on
-    plain ints; elements and Pell witnesses are built only for the hits.
-
-    In front of those exact tests sits a sieve, a necessary condition only.
-    For an odd prime l that does not divide norm(c), c is a unit mod l, so d
-    reduces to (z^2 + 1)*c^-1 mod l, and ad - 1, bd - 1 must be squares in
-    O_K/l*O_K.  One table per prime, indexed by the half-coordinates of z mod
-    l, holds that verdict, and a z that fails any table is dropped before
-    _div_half.  Every z that passes takes the exact path unchanged, so the
-    extensions, their order and the scan's counts other than sieve_passed do
-    not depend on the primes.  A table of l*l entries is built only when the
-    scan has at least _SIEVE_Z_PER_ENTRY * l*l z; the strongest table is
-    tested first, once per class of u mod l of a row.
-    """
+    """The extensions of extend_scan."""
     return extend_scan(a, b, c, z_norm_bound).extensions
 
 

@@ -139,6 +139,7 @@ class TestSearchCommand:
         [
             "list",
             "completed-list",
+            "completed-missing",
             "entry-list",
             "missing-key",
             "extra-key",
@@ -172,6 +173,8 @@ class TestSearchCommand:
             saved = [1, 2]
         elif shape == "completed-list":
             saved["completed"] = [1]
+        elif shape == "completed-missing":
+            del saved["completed"]
         elif shape == "entry-list":
             saved["completed"]["1"] = [1]
         elif shape == "missing-key":

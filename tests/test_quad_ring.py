@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from math import isqrt
 from random import Random
 
 import pytest
@@ -12,7 +11,6 @@ from diotuples.quad_ring import (
     ParityError,
     QuadInt,
     RingParams,
-    _SQUARE_MOD64,
     _class_rows,
     elem_key,
     elem_from_json,
@@ -308,10 +306,3 @@ class TestParseFormat:
                 a = random_elem(ring, rng, 10**30)
                 assert elem_from_json(elem_to_json(a), ring) == a
 
-
-def test_square_filter_passes_every_square():
-    # _sqrt_half rejects a norm whose residue mod 64 is no square residue before taking isqrt
-    squares = {n * n for n in range(100)}
-    assert {n for n in range(10**4) if isqrt(n) ** 2 == n} == squares
-    assert all(_SQUARE_MOD64[n & 63] for n in squares)
-    assert sum(_SQUARE_MOD64) == len({k * k % 64 for k in range(64)}) == 12

@@ -4,21 +4,26 @@ and its declared dependency and reads no environment variable, every exported
 name exists and, like every public method, has a caller in the package or the
 benchmark, the package names the benchmark uses exist, importing the CLI stays
 cheap, the reference oracles in tests/helpers.py share no kernel with the
-package, the package holds one clique DFS behind find_cliques(g, k), and a
+package, the package holds one clique DFS behind find_cliques(g, k), a
 campaign's settings stay the SearchConfig fields and run_campaign's
-parameters."""
+parameters, and the package's docs and the README name only code that
+exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import io
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "diotuples"
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_has_no_assert_statements():
@@ -326,3 +331,41 @@ def test_campaign_settings_stay_fixed():
         ("cfg", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("progress", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
     ]
+
+
+def test_docs_name_existing_code():
+    # a private name in a package docstring or comment, or in the README, is code that exists: it
+    # occurs in the package's code as a name or as a one-word string literal (such as "_n_by_D"),
+    # and a module attribute the README names resolves.  bench/ is left out
+    private = re.compile(r"(?<![A-Za-z0-9_])_[A-Za-z]\w*")
+    code, named = set(), {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+        docs = [
+            ast.get_docstring(node, clean=False) or ""
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for doc in docs + [tok.string for tok in tokens if tok.type == tokenize.COMMENT]:
+            for name in private.findall(doc):
+                named.setdefault(name, path.name)
+        code |= {tok.string for tok in tokens if tok.type == tokenize.NAME}
+        code |= {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier()
+        }
+    readme = README.read_text()
+    for name in private.findall(readme):
+        named.setdefault(name, README.name)
+    assert "_sqrt_half" in named and "_WORKER_COST" in named
+    missing = sorted(f"{where}: {name}" for name, where in named.items() if name not in code)
+    assert not missing, f"the docs name code that does not exist: {missing}"
+    attrs = re.findall(r"\b(search|tuples|quad_ring|bounds|cli)\.([A-Za-z_]\w*)", readme)
+    assert attrs
+    unresolved = sorted(
+        {f"{module}.{attr}" for module, attr in attrs if not hasattr(importlib.import_module(f"diotuples.{module}"), attr)}
+    )
+    assert not unresolved, f"README.md names module attributes that do not exist: {unresolved}"

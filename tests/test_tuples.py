@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from diotuples.quad_ring import QuadInt, elem_from_json, format_elem, make_ring, parse_elem
+from diotuples.search import build_graph, enum_elements, find_cliques
 from diotuples.tuples import (
     DioTuple,
     PellWitness,
@@ -282,6 +283,31 @@ class TestCPlusMinus:
                 pair = c_plus_minus(a, b, d)
                 want = a * a + b * b + d * d - 2 * (a * b) - 2 * (a * d) - 2 * (b * d) + 4
                 assert pair.c_plus * pair.c_minus == want
+
+    def test_completions_are_the_regular_quadruples_of_searched_triples(self):
+        # an oracle outside Z[i] that shares no code with c_plus_minus: for n = -1, {a, b, c, d} is
+        # regular exactly when n(a + b - c - d)^2 = 4(ab + n)(cd + n), a quadratic in d whose roots
+        # are the completions c_+- of {a, b, c}.  The triples are those the k = 3 search finds
+        def regular(n: QuadInt, a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt) -> bool:
+            s = a + b - c - d
+            return n * s * s == 4 * (a * b + n) * (c * d + n)
+
+        rng = Random(35)
+        outside_zi = 0
+        for D in (2, 3, 5, 6, 7, 11, 15, 19, 23):
+            ring = make_ring(D)
+            n = QuadInt(ring, -1, 0)
+            triples = find_cliques(build_graph(enum_elements(ring, 60), n), 3)
+            outside_zi += len(triples)
+            for a, b, c in (order for triple in triples for order in permutations(triple)):
+                pair = c_plus_minus(a, b, c)
+                roots = {pair.c_plus, pair.c_minus}
+                assert all(regular(n, a, b, c, d) for d in roots), (D, a, b, c)
+                for _ in range(3):
+                    # a completion moved by at most one step in each coordinate, so d hits it one time in nine
+                    d = rng.choice((pair.c_plus, pair.c_minus)) + QuadInt(ring, rng.randint(-1, 1), rng.randint(-1, 1))
+                    assert regular(n, a, b, c, d) == (d in roots), (D, a, b, c, d)
+        assert outside_zi > 150
 
     def test_missing_witness(self):
         with pytest.raises(ValueError):
