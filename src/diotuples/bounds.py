@@ -4,33 +4,15 @@ Magnitudes |alpha| = sqrt(norm(alpha)) are irrational, so three regimes are
 kept strictly apart:
 
 * hypothesis checks are cross-multiplied into exact integer comparisons
-  (e.g. |b| >= (3/2)|a|  <=>  4*norm(b) >= 9*norm(a));
-* the four clauses of the Jadrijevic-Ziegler simultaneous-approximation
-  lemma are decided on integers as well.  With n1 = norm(a1),
-  n2 = norm(a2), n12 = norm(a1 - a2), N = n1*n2*n12, M^2 = max(n1, n2),
-  min = min(n1, n2, n12) and m = norm(T)*M^2:
-    l < 1/2            <=>  1024*M^2 < 25*norm(T),
-    p <= sqrt(47/42)   <=>  484*M^2 <= norm(T),
-    L > 1              <=>  A > 0 and A^2 > 2916*m, A = 27*(norm(T) + M^2) - 16*N,
-    lambda < 1.8       <=>  16^18 N^18 (4 norm(T) + 9 M^2 + 12 sqrt(m))^5
-                              < 27^8 min^15 (norm(T) + M^2 - 2 sqrt(m))^8,
-  the last a sign test of an element u + v*sqrt(m) of Z[sqrt(m)], decided
-  as u|u| < -v|v|m.  The kernel stays on integers: norm(abc) =
-  norm(a)*norm(b)*norm(c) by multiplicativity.  lambda < 1.8 is first
-  certified from the bit lengths of norm(T), M^2, N and min alone, when |T|
-  is far above M and min^15 norm(T)^3 far above N^18 (proof in
-  gap_lemma_checks); then u < 0 and v^2 m < 2^-55 u^2, so the verdict holds
-  with margin exactly 1.0, what the exact comparison returns, and no power
-  is formed.  Otherwise the fifth and eighth powers in Z[sqrt(m)] are taken
-  by squaring and both sides of u|u| vs -v|v|m are formed and compared;
-* the chain verifier works purely on big integers and exact fractions,
-  with the recurring factor 330/65 stored reduced as 66/13;
-* the displayed values of the constants L, l, p, P, lambda, c1 and the
-  theta defects are evaluated as PrecReal: an mpmath.iv interval that
-  encloses the true value at the requested working precision, with directed
-  rounding done by mpmath.  No verdict is read off these enclosures.  The
-  theta defects are enclosed from exact integer norms by a formula without
-  cancellation.
+  (e.g. |b| >= (3/2)|a|  <=>  4*norm(b) >= 9*norm(a)), and gap_lemma_checks
+  decides the four clauses of the Jadrijevic-Ziegler
+  simultaneous-approximation lemma on integers as well;
+* chain_verify works purely on big integers and exact fractions, with the
+  recurring factor 330/65 stored reduced as 66/13;
+* the displayed values of the constants L, l, p, P, lambda, c1
+  (jz_constants) and of the theta defects (theta_defect) are PrecReal
+  enclosures: mpmath.iv intervals at the requested working precision, with
+  directed rounding done by mpmath.  No verdict is read off them.
 
 Every exact comparison, of a hypothesis clause or a chain step, is one
 Comparison record whose verdict is computed from its operands.
@@ -304,9 +286,17 @@ _CERT_SCALE_BITS = 63
 def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool, float, int]]:
     """Constant-level consequences of the gap-lemma hypotheses on (a, b, c), decided exactly.
 
-    Instantiates the lemma at (a1, a2, T) = (-b, -a, abc) and decides
-    l < 1/2, p <= sqrt(47/42), L > 1 and lambda < 1.8 by the integer forms of
-    the module docstring; L <= 1 raises HypothesisFailure, as in jz_constants.
+    Instantiates the lemma at (a1, a2, T) = (-b, -a, abc).  With
+    n1 = norm(a1), n2 = norm(a2), n12 = norm(a1 - a2), N = n1*n2*n12,
+    M^2 = max(n1, n2), min = min(n1, n2, n12) and m = norm(T)*M^2:
+      l < 1/2            <=>  1024*M^2 < 25*norm(T),
+      p <= sqrt(47/42)   <=>  484*M^2 <= norm(T),
+      L > 1              <=>  A > 0 and A^2 > 2916*m, A = 27*(norm(T) + M^2) - 16*N,
+      lambda < 1.8       <=>  16^18 N^18 (4 norm(T) + 9 M^2 + 12 sqrt(m))^5
+                                < 27^8 min^15 (norm(T) + M^2 - 2 sqrt(m))^8,
+    the last the sign of an element u + v*sqrt(m) of Z[sqrt(m)], decided as
+    u|u| < -v|v|m.  L <= 1 raises HypothesisFailure, as in jz_constants.
+
     Each clause maps to (holds, margin, bits): margin is |X - Y| / max(|X|, |Y|)
     of the integer comparison X vs Y that decided it (0.0 on an exact tie; for
     lambda, X = u|u| and Y = -v|v|m with u + v*sqrt(m) the difference of the two

@@ -1,45 +1,15 @@
 """Norm-bounded exhaustive search for D(n)-tuples across imaginary quadratic rings.
 
-Tuples of size k are exactly the k-cliques of the compatibility graph whose
-vertices are the nonzero elements within a norm bound and whose edges join
-pairs {a, b} with a*b + n a square.  A field is one integer pipeline: the ball
-is a quad_ring.ElementRows, integer rows (norm, x, y, u, v) sorted once, whole
-and sorted by construction (its only constructor takes the ring and the norm
-bound), which build_graph reads as they are; elements are built only for the
-vertices of the cliques found.  build_graph takes such a ball only, as
-enum_elements returns it, and finds the edges from the witnesses in two
-phases.  Phase 1 scans each candidate x up to N + isqrt(norm(n)) (N the
-largest vertex norm) and tests the norms m in a window of the sorted vertex
-norms: m is met when it divides M = norm(x**2 - n) and M/m is a vertex norm,
-and x**2 - n is recorded under m.  Phase 2 gives the vertices of the met norms
-their neighbour sets and visits each met norm once, dividing every x**2 - n
-recorded under m by its vertices, one division per pair {a, -a}, inlined on
-integers (the quotients b and -b are looked up by integer keys).  Its cost
-follows the x scanned, the window tests and the norms met, not the number of
-vertex pairs; the vertices of norms never met share one empty set.  When n is
-rational it scans the x up to conjugation too and records each edge with its
-conjugate.  Phase 2 also records the orbit roots of the met norms, the
-vertices with the lowest index among their images under negation (and
-conjugation, for rational n), from the images it looks up anyway.
-The sparse graph is stored as forward-neighbour sets, which one clique DFS
-narrows into candidate sets by set intersection.  find_cliques grows it from
-every vertex; a search field grows it from the graph's orbit roots only, so
-it finds each symmetry orbit of cliques at least once, its smallest clique
-first.  That listing is an ordered sublist of the full one, so the orbit
-records and their order are those of the full listing (isomorph rejection
-at the root: McKay, J. Algorithms 26, 1998).  A campaign's SearchConfig is
-checked as it is built, which parses n once in the ring of every D; each
-field's task carries that parsed n, so a bad configuration fails before any
-work and nothing parses n again.  A campaign predicts each pending field's
-cost once (field_cost, in witnesses x scanned), groups the fields into
-chunks of balanced predicted cost (scheduled longest first), runs one chunk
-per work unit and rewrites its compact, fsync'd JSON checkpoint once per
-chunk, so a crash loses at most the chunks in flight; it resumes from the
-checkpoint.  It starts a process pool only when the predicted total pays for
-it: a pool of w workers needs w * _WORKER_COST of predicted work, since
-below that the pool's start-up eats the gain in wall time and adds CPU, so a
-cheap campaign (both reproduce scans included) runs in the calling process
-whatever jobs says.  A report's config.jobs stays the jobs requested.
+The D(n) k-tuples within a norm bound are the k-cliques of a compatibility
+graph: its vertices are the nonzero elements of the ball (enum_elements, as
+integer rows of a quad_ring.ElementRows), and {a, b} is an edge when a*b + n
+is a square.  build_graph finds the edges from the witnesses x of
+a*b + n = x**2, not from vertex pairs, and records the orbit roots.
+_clique_indices lists the cliques: find_cliques from every vertex, a search
+field (_run_field) from the orbit roots only, whose orbit records
+_group_orbits re-verifies.  run_campaign runs a SearchConfig over many
+fields, with a checkpoint per chunk of fields, in a process pool when
+clamp_workers finds that one pays.
 """
 
 from __future__ import annotations
@@ -175,7 +145,8 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     smallest clique of an orbit has a root as its lowest vertex (an image of
     that vertex with a lower index would give a smaller clique of the orbit),
     and that vertex has an edge, so its norm is met: growing cliques from the
-    roots, sorted ascending, finds every orbit.
+    roots, sorted ascending, finds every orbit (isomorph rejection at the
+    root: McKay, J. Algorithms 26, 1998).
 
     When n is rational, conjugation maps the graph onto itself:
     conj(a)*conj(b) + n is the conjugate of a*b + n.  Then only the x with
@@ -299,7 +270,8 @@ def _clique_indices(fwd: list[set[int]], k: int, roots) -> list[tuple[int, ...]]
 
     roots is every vertex (find_cliques) or a graph's orbit roots (_run_field);
     a root with fewer than k - 1 forward neighbours is skipped.  Each clique
-    grows from its lowest vertex i over the sorted fwd[i].  At each step
+    grows from its lowest vertex i over the sorted fwd[i] (Chiba and
+    Nishizeki, SIAM J. Comput. 14, 1985).  At each step
     the candidates adjacent to a new vertex j are fwd[j] & cand, one C-level
     set intersection (fwd[j] holds only indices > j, so these are exactly the
     later candidates adjacent to j), and a prefix of k - 1 vertices emits one
@@ -513,18 +485,19 @@ def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
 _FIELD_KEYS = {f.name for f in fields(FieldResult)}
 
 
-def _is_elem_list(value) -> bool:
-    """True for a list of {"x": str, "y": str} objects whose texts int() reads, as elem_from_json needs."""
-    if not isinstance(value, list):
+def _is_int_text(t) -> bool:
+    """True for the text str(n) of an int n, the only integer text elem_to_json writes."""
+    try:
+        return type(t) is str and str(int(t)) == t
+    except ValueError:
         return False
-    for e in value:
-        if not (isinstance(e, dict) and e.keys() == {"x", "y"} and type(e["x"]) is str and type(e["y"]) is str):
-            return False
-        try:
-            int(e["x"]), int(e["y"])
-        except ValueError:
-            return False
-    return True
+
+
+def _is_elem_list(value) -> bool:
+    """True for a list of {"x", "y"} objects of integer texts, as elem_to_json writes them."""
+    return isinstance(value, list) and all(
+        isinstance(e, dict) and e.keys() == {"x", "y"} and all(map(_is_int_text, e.values())) for e in value
+    )
 
 
 def _is_clique_record(rec) -> bool:

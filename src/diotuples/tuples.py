@@ -1,23 +1,15 @@
 """D(n)-tuple verification, Pell-system witnesses, extension and the c+- construction.
 
 A set of nonzero, pairwise distinct elements of O_K is a D(n) tuple when
-every pairwise product shifted by n is a square in O_K.  The extension
-machinery (PellWitness, extend_triple, c_plus_minus) is specific to the
-shift n = -1: a quadruple {a, b, c, d} then satisfies the Pellian system
-a*z^2 - c*x^2 = c - a, b*z^2 - c*y^2 = c - b with c*d = z^2 + 1.
+every pairwise product shifted by n is a square in O_K (verify_tuple).  The
+extension machinery (PellWitness, extend_scan, extend_triple, c_plus_minus)
+is specific to the shift n = -1: a quadruple {a, b, c, d} then satisfies the
+Pellian system a*z^2 - c*x^2 = c - a, b*z^2 - c*y^2 = c - b with c*d = z^2 + 1.
 
-verify_tuple, the D(-1) witnesses, c_plus_minus and the extend_triple
-z-scan run on half-coordinates (see quad_ring): products with _mul_half,
-square roots with _sqrt_half and divisions with _div_half, all on plain
-ints; QuadInt objects are built only for what is returned.
-
-The z-scan puts a quadratic-residue sieve (Cohen, A Course in Computational
-Algebraic Number Theory, sec. 1.7.2) in front of those exact tests.  For a
-few odd primes l that do not divide norm(c), a table indexed by u and v mod
-l rejects each z for which a*d - 1 or b*d - 1, with d = (z^2 + 1)/c, is not a
-square in O_K/l*O_K.  That is a necessary condition only: every z the sieve
-passes takes the unchanged exact path, so the extensions and their order do
-not depend on which primes were used.
+verify_tuple, the D(-1) witnesses, c_plus_minus and the extend_scan z-scan
+run on half-coordinates (see quad_ring): products with _mul_half, square
+roots with _sqrt_half and divisions with _div_half, all on plain ints;
+QuadInt objects are built only for what is returned.
 """
 
 from __future__ import annotations
@@ -363,12 +355,13 @@ def extend_scan(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> Extend
     c with _div_half and ad - 1, bd - 1 are tested with _sqrt_half, all on
     plain ints; elements and Pell witnesses are built only for the hits.
 
-    In front of those exact tests sits a sieve, a necessary condition only.
-    For an odd prime l that does not divide norm(c), c is a unit mod l, so d
-    reduces to (z^2 + 1)*c^-1 mod l, and ad - 1, bd - 1 must be squares in
-    O_K/l*O_K.  One table per prime, indexed by the half-coordinates of z mod
-    l, holds that verdict, and a z that fails any table is dropped before
-    _div_half.  Every z that passes takes the exact path unchanged, so the
+    In front of those exact tests sits a quadratic-residue sieve (Cohen, A
+    Course in Computational Algebraic Number Theory, sec. 1.7.2), a necessary
+    condition only.  For an odd prime l that does not divide norm(c), c is a
+    unit mod l, so d reduces to (z^2 + 1)*c^-1 mod l, and ad - 1, bd - 1 must
+    be squares in O_K/l*O_K.  One table per prime, indexed by the
+    half-coordinates of z mod l, holds that verdict, and a z that fails any
+    table is dropped before _div_half.  Every z that passes takes the exact path unchanged, so the
     extensions, their order and the scan's counts other than sieve_passed do
     not depend on the primes.  A table of l*l entries is built only when the
     scan has at least _SIEVE_Z_PER_ENTRY * l*l z; the strongest table is

@@ -6,11 +6,14 @@ roots and exact divisions from reference_sqrt and reference_div, on QuadInt
 arithmetic alone; sqrt_half and div_half only adapt the package's integer
 kernels to elements for the tests of those kernels, and no reference reaches
 them.  list_graph is not an oracle either but the graph of an element list,
-cut out of build_graph's graph of the covering ball.
+cut out of build_graph's graph of the covering ball.  break_checkpoint
+makes the corrupted checkpoints that the CLI and the checkpoint schema must
+both reject.
 """
 
 from __future__ import annotations
 
+import json
 from math import isqrt
 from random import Random
 
@@ -449,3 +452,89 @@ def reference_gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, 
         "L > 1": (True, margin(A_sq, bound), 0),
         "lambda < 1.8": (lam_x < lam_y, margin(lam_x, lam_y), 0),
     }
+
+
+# coordinate texts that elem_to_json never writes, as the x of a checkpoint element; int() reads all but 1.5
+NON_CANONICAL_INT_TEXTS = {
+    "element-x-not-decimal": "1.5",
+    "element-x-underscore": "1_0",
+    "element-x-space": " 7",
+    "element-x-plus": "+3",
+    "element-x-arabic-digit": "٣",
+    "element-x-minus-zero": "-0",
+    "element-x-leading-zero": "007",
+    "element-x-newline": "7\n",
+}
+# checkpoints that json.load cannot read, so no schema sees them
+UNPARSABLE_CHECKPOINTS = {"not-json": b'{"schema": 1,', "not-utf-8": b"\xff\xfe{}"}
+# the corrupted shapes of break_checkpoint; --resume must reject each
+CHECKPOINT_SHAPES = (
+    "list",
+    "completed-list",
+    "completed-missing",
+    "entry-list",
+    "missing-key",
+    "extra-key",
+    "non-integer-key",
+    "D-mismatch",
+    "vertex-count-text",
+    "edge-count-float",
+    "cliques-null",
+    "clique-not-object",
+    "clique-without-elems",
+    "clique-without-orbit",
+    "orbit-not-list",
+    "element-without-y",
+    *NON_CANONICAL_INT_TEXTS,
+    "wall-time-text",
+    *UNPARSABLE_CHECKPOINTS,
+)
+
+
+def break_checkpoint(saved: dict, shape: str) -> bytes:
+    """The bytes of checkpoint saved, parsed, with its entry of D = 1 broken into shape; the rest stays valid.
+
+    saved is a checkpoint of D = 1, 2 whose D = 1 field has a clique record,
+    so the element shapes have an element to break.  It is changed in place.
+    """
+    if shape in UNPARSABLE_CHECKPOINTS:
+        return UNPARSABLE_CHECKPOINTS[shape]
+    entry = saved["completed"].pop("1")  # schema and config hash still match; D=2 stays done
+    if shape == "list":
+        saved = [1, 2]
+    elif shape == "completed-list":
+        saved["completed"] = [1]
+    elif shape == "completed-missing":
+        del saved["completed"]
+    elif shape == "entry-list":
+        saved["completed"]["1"] = [1]
+    elif shape == "missing-key":
+        del entry["wall_time"]
+        saved["completed"]["1"] = entry
+    elif shape == "extra-key":
+        saved["completed"]["1"] = {**entry, "note": 0}
+    elif shape == "non-integer-key":
+        saved["completed"]["one"] = entry
+    elif shape == "D-mismatch":
+        saved["completed"]["1"] = {**entry, "D": 2}
+    elif shape == "element-without-y" or shape in NON_CANONICAL_INT_TEXTS:
+        elem = entry["cliques"][0]["orbit"][-1][0]
+        if shape == "element-without-y":
+            del elem["y"]
+        else:
+            elem["x"] = NON_CANONICAL_INT_TEXTS[shape]
+        saved["completed"]["1"] = entry
+    else:
+        # keys intact, one value of the wrong type
+        bad = {
+            "vertex-count-text": {"vertex_count": str(entry["vertex_count"])},
+            "edge-count-float": {"edge_count": float(entry["edge_count"])},
+            "cliques-null": {"cliques": None},
+            "clique-not-object": {"cliques": [1]},
+            "clique-without-elems": {"cliques": [{"orbit": []}]},
+            "clique-without-orbit": {"cliques": [{"elems": entry["cliques"][0]["elems"]}]},
+            "orbit-not-list": {"cliques": [{**entry["cliques"][0], "orbit": None}]},
+            "wall-time-text": {"wall_time": "1.0"},
+        }[shape]
+        saved["completed"]["1"] = {**entry, **bad}
+    return json.dumps(saved).encode()

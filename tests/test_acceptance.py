@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  Criterion 8 contains one subclaim that is
-mathematically false ({1, 2, 5, 145} is not a D(-1) quadruple in Z[i]
-because 5*145 - 1 = 724 has no Gaussian square root); the assertion is kept
-as-is and the test fails honestly on exactly that subclaim.
+lines as they complete.  Criterion 8 checks the extension golden values:
+extend finds -24 for {1, 2, 5}, c_+-(1, 2, -24) = {5, 145}, {1, 2, -24, 145}
+verifies and the c_+ c_- identity holds on 10^3 random triples.  It also
+checks that {1, 2, 5, 145} is rejected at the pair (5, 145): a Gaussian
+square that is a rational integer is +-t^2, and 5*145 - 1 = 724 is not a
+perfect square.
 """
 
 from __future__ import annotations

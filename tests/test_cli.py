@@ -13,7 +13,7 @@ import pytest
 
 from diotuples import __version__, search
 from diotuples.cli import main
-from helpers import fibonacci
+from helpers import CHECKPOINT_SHAPES, UNPARSABLE_CHECKPOINTS, break_checkpoint, fibonacci
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,86 +134,20 @@ class TestSearchCommand:
         assert main(["search", "--D-list", bad, "--max-norm", "5", "--k", "3"]) == 2
         assert "comma-separated integers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            "list",
-            "completed-list",
-            "completed-missing",
-            "entry-list",
-            "missing-key",
-            "extra-key",
-            "non-integer-key",
-            "D-mismatch",
-            "vertex-count-text",
-            "edge-count-float",
-            "cliques-null",
-            "clique-not-object",
-            "clique-without-elems",
-            "clique-without-orbit",
-            "orbit-not-list",
-            "element-without-y",
-            "element-x-not-decimal",
-            "wall-time-text",
-            "not-json",
-            "not-utf-8",
-        ],
-    )
+    @pytest.mark.parametrize("shape", CHECKPOINT_SHAPES)
     def test_malformed_checkpoint(self, shape, tmp_path, capsys, monkeypatch):
         ck = tmp_path / "ck.json"
         # D=1 at max_norm 30 has a 3-clique, so the element shapes have a record to break
         args = ["search", "--D-list", "1,2", "--max-norm", "30", "--k", "3", "--checkpoint", str(ck)]
         assert main(args) == 1
-        saved = json.loads(ck.read_text())
-        entry = saved["completed"].pop("1")  # schema and config hash still match; D=2 stays done
-        raw = {"not-json": b'{"schema": 1,', "not-utf-8": b"\xff\xfe{}"}  # bytes json.load cannot read
-        if shape in raw:
-            pass
-        elif shape == "list":
-            saved = [1, 2]
-        elif shape == "completed-list":
-            saved["completed"] = [1]
-        elif shape == "completed-missing":
-            del saved["completed"]
-        elif shape == "entry-list":
-            saved["completed"]["1"] = [1]
-        elif shape == "missing-key":
-            del entry["wall_time"]
-            saved["completed"]["1"] = entry
-        elif shape == "extra-key":
-            saved["completed"]["1"] = {**entry, "note": 0}
-        elif shape == "non-integer-key":
-            saved["completed"]["one"] = entry
-        elif shape == "D-mismatch":
-            saved["completed"]["1"] = {**entry, "D": 2}
-        elif shape in ("element-without-y", "element-x-not-decimal"):
-            elem = entry["cliques"][0]["orbit"][-1][0]
-            if shape == "element-without-y":
-                del elem["y"]
-            else:
-                elem["x"] = "1.5"
-            saved["completed"]["1"] = entry
-        else:
-            # keys intact, one value of the wrong type
-            bad = {
-                "vertex-count-text": {"vertex_count": str(entry["vertex_count"])},
-                "edge-count-float": {"edge_count": float(entry["edge_count"])},
-                "cliques-null": {"cliques": None},
-                "clique-not-object": {"cliques": [1]},
-                "clique-without-elems": {"cliques": [{"orbit": []}]},
-                "clique-without-orbit": {"cliques": [{"elems": entry["cliques"][0]["elems"]}]},
-                "orbit-not-list": {"cliques": [{**entry["cliques"][0], "orbit": None}]},
-                "wall-time-text": {"wall_time": "1.0"},
-            }[shape]
-            saved["completed"]["1"] = {**entry, **bad}
-        ck.write_bytes(raw.get(shape) or json.dumps(saved).encode())
+        ck.write_bytes(break_checkpoint(json.loads(ck.read_text()), shape))
         ran = []
         monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
         capsys.readouterr()
         assert main(args + ["--resume"]) == 2
         err = capsys.readouterr().err
         assert str(ck) in err
-        if shape in raw:
+        if shape in UNPARSABLE_CHECKPOINTS:
             assert f"checkpoint {ck}: not valid JSON" in err
         assert ran == []  # rejected before any field ran
 
