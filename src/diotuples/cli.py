@@ -320,6 +320,8 @@ def _reproduce_d3_triples() -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    if args.out and args.target not in ("quintuple-scan", "quadruple-min"):
+        raise ValueError("--out applies only to the scan targets quintuple-scan and quadruple-min")
     if args.target == "example-quadruple":
         return _reproduce_example_quadruple()
     if args.target == "quintuple-scan":

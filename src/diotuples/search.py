@@ -8,8 +8,8 @@ a*b + n = x**2, not from vertex pairs, and records the orbit roots.
 _clique_indices lists the cliques: find_cliques from every vertex, a search
 field (_run_field) from the orbit roots only, whose orbit records
 _group_orbits re-verifies.  run_campaign runs a SearchConfig over many
-fields, with a checkpoint per chunk of fields, in a process pool when
-clamp_workers finds that one pays.
+fields, with a checkpoint per chunk of fields that is read back through
+_group_orbits, in a process pool when clamp_workers finds that one pays.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from contextlib import closing, suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import isqrt
 from operator import itemgetter
 
@@ -482,36 +482,17 @@ def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
     _atomic_write(path, lambda f: f.write(json.dumps(payload, **dump_kw)))
 
 
-_FIELD_KEYS = {f.name for f in fields(FieldResult)}
+def _load_checkpoint(cfg: SearchConfig, config_hash: str) -> dict[int, dict]:
+    """The fields stored in cfg's checkpoint, each accepted only when rebuilding it gives it back.
 
-
-def _is_int_text(t) -> bool:
-    """True for the text str(n) of an int n, the only integer text elem_to_json writes."""
-    try:
-        return type(t) is str and str(int(t)) == t
-    except ValueError:
-        return False
-
-
-def _is_elem_list(value) -> bool:
-    """True for a list of {"x", "y"} objects of integer texts, as elem_to_json writes them."""
-    return isinstance(value, list) and all(
-        isinstance(e, dict) and e.keys() == {"x", "y"} and all(map(_is_int_text, e.values())) for e in value
-    )
-
-
-def _is_clique_record(rec) -> bool:
-    """True for {"elems": elements, "orbit": [elements, ...]}, as _group_orbits writes it."""
-    return (
-        isinstance(rec, dict)
-        and rec.keys() == {"elems", "orbit"}
-        and _is_elem_list(rec["elems"])
-        and isinstance(rec["orbit"], list)
-        and all(_is_elem_list(f) for f in rec["orbit"])
-    )
-
-
-def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
+    The top level must hold the keys _save_checkpoint writes.  An entry is a
+    FieldResult's JSON under the text of its D, one of cfg's fields, with int
+    counts and a numeric wall_time.  Its representatives, decoded in the
+    field's ring, must be k-subsets of the norm ball, and _group_orbits must
+    rebuild, re-verifying every member, exactly the stored records.  Vertex
+    and edge counts are taken as stored: checking them needs a rerun.
+    """
+    path = cfg.checkpoint_path
     if not path or not os.path.exists(path):
         return {}
     try:
@@ -519,27 +500,32 @@ def _load_checkpoint(path: str | None, config_hash: str) -> dict[int, dict]:
             data = json.load(f)
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
         raise ValueError(f"checkpoint {path}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict) or not isinstance(data.get("completed"), dict):
-        raise ValueError(f"checkpoint {path}: expected a JSON object with an object 'completed'")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"checkpoint {path}: unsupported schema {data.get('schema')}")
-    if data.get("config_hash") != config_hash:
+    top = ("schema", "version", "config_hash", "config", "completed")  # as _save_checkpoint writes them
+    if not (isinstance(data, dict) and data.keys() == set(top) and isinstance(data["completed"], dict)):
+        raise ValueError(f"checkpoint {path}: expected a JSON object of exactly the keys {', '.join(top)}")
+    if data["schema"] != SCHEMA_VERSION:
+        raise ValueError(f"checkpoint {path}: unsupported schema {data['schema']}")
+    if data["config_hash"] != config_hash:
         raise ValueError(f"checkpoint {path} was written by a different configuration")
-    completed = data["completed"]
-    for key, res in completed.items():
-        # each entry is a FieldResult's JSON, stored under the text of its own D: int D and
-        # counts, clique records down to their elements, and a numeric wall_time
-        well_formed = (
-            isinstance(res, dict)
-            and res.keys() == _FIELD_KEYS
-            and all(type(res[f]) is int for f in ("D", "vertex_count", "edge_count"))
-            and type(res["wall_time"]) in (int, float)
-            and isinstance(res["cliques"], list)
-            and all(_is_clique_record(rec) for rec in res["cliques"])
-        )
-        if not (well_formed and key == str(res["D"])):
-            raise ValueError(f"checkpoint {path}: malformed 'completed' entry {key!r}")
-    return {res["D"]: res for res in completed.values()}
+    completed = {}
+    for key, res in data["completed"].items():
+        try:
+            r = FieldResult(**res)
+            n = cfg._n_by_D[r.D]
+            reps = [[elem_from_json(e, n.ring) for e in rec["elems"]] for rec in r.cliques]
+            rebuilt = (
+                key == str(r.D)
+                and all(type(c) is int for c in (r.D, r.vertex_count, r.edge_count))
+                and type(r.wall_time) in (int, float)
+                and all(len(c) == cfg.k and all(e.norm() <= cfg.max_norm for e in c) for c in reps)
+                and _group_orbits(reps, n) == r.cliques
+            )
+        except (KeyError, TypeError, ValueError, RuntimeError):
+            rebuilt = False
+        if not rebuilt:
+            raise ValueError(f"checkpoint {path}: malformed 'completed' entry {key!r}: it does not rebuild as stored")
+        completed[r.D] = res
+    return completed
 
 
 def _save_checkpoint(cfg: SearchConfig, config_hash: str, completed: dict[int, dict]) -> None:
@@ -670,7 +656,7 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     """
     t0 = time.monotonic()
     config_hash = cfg.config_hash()
-    completed = _load_checkpoint(cfg.checkpoint_path, config_hash)
+    completed = _load_checkpoint(cfg, config_hash)
     tasks = [(D, cfg.max_norm, cfg.k, n) for D, n in cfg._n_by_D.items() if D not in completed]
     costs = [field_cost(D, cfg.max_norm) for D, *_ in tasks]
     workers = clamp_workers(cfg.jobs, costs, _usable_cpus())

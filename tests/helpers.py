@@ -19,7 +19,7 @@ from random import Random
 
 from diotuples.bounds import HypothesisFailure
 from diotuples.quad_ring import QuadInt, RingParams, _div_half, _sqrt_half, elem_key, format_elem, from_half, norm
-from diotuples.search import CompatGraph, build_graph, enum_elements
+from diotuples.search import CompatGraph, SearchConfig, build_graph, enum_elements, run_campaign
 from diotuples.tuples import (
     DioTuple,
     ExtensionPair,
@@ -488,6 +488,13 @@ CHECKPOINT_SHAPES = (
     *NON_CANONICAL_INT_TEXTS,
     "wall-time-text",
     *UNPARSABLE_CHECKPOINTS,
+    "version-missing",
+    "config-missing",
+    "extra-top-key",
+    # a record that reads well but does not rebuild: only redoing _group_orbits' work sees these
+    "tampered-element",
+    "orbit-member-dropped",
+    "D-outside-config",
 )
 
 
@@ -500,7 +507,28 @@ def break_checkpoint(saved: dict, shape: str) -> bytes:
     if shape in UNPARSABLE_CHECKPOINTS:
         return UNPARSABLE_CHECKPOINTS[shape]
     entry = saved["completed"].pop("1")  # schema and config hash still match; D=2 stays done
-    if shape == "list":
+    if shape in ("version-missing", "config-missing", "extra-top-key"):
+        saved["completed"]["1"] = entry
+        if shape == "extra-top-key":
+            saved["note"] = 0
+        else:
+            del saved[shape.removesuffix("-missing")]
+    elif shape in ("tampered-element", "orbit-member-dropped"):
+        record = entry["cliques"][0]
+        if shape == "tampered-element":
+            # the representative and its copy as the orbit's first member, in canonical text
+            for elem in (record["elems"][0], record["orbit"][0][0]):
+                elem["x"] = str(int(elem["x"]) + 7)
+        else:
+            record["orbit"].pop()
+        saved["completed"]["1"] = entry
+    elif shape == "D-outside-config":
+        # the entry a campaign of D = 3 writes, under the same settings
+        config = saved["config"]
+        other = SearchConfig(D_list=[3], max_norm=config["max_norm"], k=config["k"], n=config["n"])
+        saved["completed"]["3"] = run_campaign(other).results[0].to_json()
+        saved["completed"]["1"] = entry
+    elif shape == "list":
         saved = [1, 2]
     elif shape == "completed-list":
         saved["completed"] = [1]

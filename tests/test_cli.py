@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from diotuples import __version__, search
+from diotuples import __version__, cli, search
 from diotuples.cli import main
 from helpers import CHECKPOINT_SHAPES, UNPARSABLE_CHECKPOINTS, break_checkpoint, fibonacci
 
@@ -416,6 +416,16 @@ class TestReproduceCommand:
         assert main(["reproduce", "quadruple-min", "--out", str(tmp_path)]) == 2
         assert f"--out {tmp_path}: is a directory" in capsys.readouterr().err
         assert ran == []  # rejected before any field ran
+
+    @pytest.mark.parametrize("target", ["example-quadruple", "d3-triples"])
+    def test_out_needs_a_scan_target(self, target, tmp_path, capsys, monkeypatch):
+        # these targets write no report, so --out is a usage error, raised before any tuple is verified
+        ran = []
+        monkeypatch.setattr(cli, "verify_tuple", lambda t: ran.append(t))
+        path = tmp_path / "r.json"
+        assert main(["reproduce", target, "--out", str(path)]) == 2
+        assert "quintuple-scan and quadruple-min" in capsys.readouterr().err
+        assert ran == [] and not path.exists()
 
 
 def test_version_flag():

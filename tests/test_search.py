@@ -16,6 +16,7 @@ from diotuples import search
 from diotuples.quad_ring import (
     ElementRows,
     QuadInt,
+    elem_from_json,
     elem_key,
     format_elem,
     from_half,
@@ -32,7 +33,7 @@ from diotuples.search import (
     find_cliques,
     run_campaign,
 )
-from diotuples.tuples import make_tuple, verify_tuple
+from diotuples.tuples import extend_triple, make_tuple, verify_tuple
 from helpers import (
     adjacency_masks,
     box_elements,
@@ -975,6 +976,41 @@ class TestChunkedCampaign:
             assert sorted(map(int, json.loads(path.read_text())["completed"])) == sorted(t[0] for t in done)
         if failure == "checkpoint":
             assert not path.exists()
+
+
+class TestCheckpointReadBack:
+    # a checkpoint is read back through _group_orbits, which must give every stored record back
+    @pytest.mark.parametrize(
+        ("D_list", "max_norm", "k"), [([1], 576, 4), (SQUAREFREE_225, 224, 5)], ids=["field-d1", "quintuple-scan"]
+    )
+    def test_resume_reports_the_same(self, D_list, max_norm, k, tmp_path, monkeypatch):
+        cfg = SearchConfig(D_list=D_list, max_norm=max_norm, k=k, checkpoint_path=str(tmp_path / "ck.json"))
+        first = run_campaign(cfg).to_json()
+
+        def no_field(*task):
+            raise AssertionError("every field is checkpointed")
+
+        monkeypatch.setattr(search, "_run_field", no_field)
+        again = run_campaign(cfg).to_json()
+        assert {**again, "wall_time": None} == {**first, "wall_time": None}
+
+
+def test_search_and_extend_agree_on_quadruples():
+    # each element d of a D = 1 quadruple extends the other three (a, b, c by (norm, x, y)) with
+    # z**2 = c*d - 1, and every extension of that triple within the ball completes a listed quadruple
+    report = run_campaign(SearchConfig(D_list=[1], max_norm=576, k=4))
+    listed = clique_sets_of(report)[1]
+    calls = 0
+    for rec in report.results[0].cliques:
+        rep = [elem_from_json(e, R1) for e in rec["elems"]]
+        for d in rep:
+            a, b, c = sorted((e for e in rep if e != d), key=elem_key)
+            z = reference_sqrt(c * d - 1)
+            extensions = [e for e, _ in extend_triple(a, b, c, z.norm())]
+            calls += 1
+            assert d in extensions
+            assert all(frozenset({a, b, c, e}) in listed for e in extensions if e.norm() <= 576)
+    assert calls == 4 * len(report.results[0].cliques) > 0
 
 
 def parse_many(group, ring):
