@@ -11,8 +11,11 @@ kept strictly apart:
   recurring factor 330/65 stored reduced as 66/13;
 * the displayed values of the constants L, l, p, P, lambda, c1
   (jz_constants) and of the theta defects (theta_defect) are PrecReal
-  enclosures: mpmath.iv intervals at the requested working precision, with
-  directed rounding done by mpmath.  No verdict is read off them.
+  enclosures: mpmath's intervals (mpmath.libmp), each operation given the
+  requested precision explicitly, with directed rounding done by mpmath;
+  square roots take their integer roots from math.isqrt and round outward
+  exactly as mpmath does, and no global precision is read or set.  No
+  verdict is read off them.
 
 Every exact comparison, of a hypothesis clause or a chain step, is one
 Comparison record whose verdict is computed from its operands.
@@ -21,13 +24,35 @@ Comparison record whose verdict is computed from its operands.
 from __future__ import annotations
 
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_div,
+    mpf_le,
+    mpf_neg,
+    mpf_pos,
+    mpf_shift,
+    mpf_sign,
+    mpf_sub,
+    mpi_add,
+    mpi_div,
+    mpi_log,
+    mpi_mid,
+    mpi_mul,
+    mpi_pow,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    to_float,
+)
 
 from .quad_ring import QuadInt, norm
 from .tuples import PellWitness
@@ -58,24 +83,50 @@ class HypothesisFailure(ValueError):
     """A lemma hypothesis (e.g. L > 1 or |T| > M) does not hold."""
 
 
-@contextmanager
-def _iv_precision(bits: int):
-    """Run the block at mpmath.iv precision `bits`; iv.prec is global, so restore it."""
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = saved
+def _iv_int(n: int, prec: int) -> tuple:
+    """The integer n as an interval of prec-bit endpoints, converted as mpmath.iv converts it."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def _iv_sqrt(x: tuple, prec: int) -> tuple:
+    """mpi_sqrt(x, prec) of an interval x >= 0, its integer square roots taken by math.isqrt.
+
+    An endpoint m*2^e, made e even by doubling m when e is odd, is sqrt(K)*2^((e - s)/2)
+    with K = m*2^s and s >= 0 even, so large that K >= 2^(2*prec - 2).  Then
+    r = isqrt(K) >= 2^(prec - 1), and every prec-bit float at or above 2^(prec - 1)
+    is an integer, so rounding sqrt(K) down to prec bits is rounding r down, and
+    rounding it up is rounding up r, or r + 1 when r*r < K.  A power of two scales
+    out of the rounding, and a directed, correctly rounded square root is unique,
+    so each endpoint equals mpmath's mpf_sqrt in the same direction.  A zero
+    endpoint gives 0.
+    """
+    out = []
+    for (sign, man, exp, bc), rnd in zip(x, (round_floor, round_ceiling)):
+        if sign:
+            raise ValueError("square root of a negative endpoint")
+        if not man:
+            out.append(fzero)
+            continue
+        if exp & 1:
+            man, exp, bc = man << 1, exp - 1, bc + 1
+        s = max(0, 2 * prec - bc)
+        s += s & 1
+        K = man << s
+        r = isqrt(K)
+        if rnd == round_ceiling and r * r < K:
+            r += 1
+        out.append(from_man_exp(r, (exp - s) // 2, prec, rnd))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class PrecReal:
     """A rigorous enclosure (an mpmath.iv interval) evaluated at a working precision.
 
-    The caller must compute the enclosure at precision_bits, for example under
-    _iv_precision(precision_bits), as jz_constants and theta_defect do; the
-    label is not checked against the interval's width.
+    The caller must compute the enclosure at precision_bits, passing it to every
+    interval operation, as jz_constants and theta_defect do; the label is not
+    checked against the interval's width.  value and max_rel_error read no
+    global precision either.
     """
 
     enclosure: iv.mpf
@@ -87,20 +138,23 @@ class PrecReal:
 
     @property
     def value(self) -> mpmath.mpf:
-        """Midpoint of the enclosure."""
-        e = self.enclosure
-        with mpmath.workprec(self.precision_bits):
-            return (mpmath.mpf(e.a) + mpmath.mpf(e.b)) / 2
+        """Midpoint of the enclosure: the endpoints' sum rounded to nearest at precision_bits, halved."""
+        return mpmath.mp.make_mpf(mpi_mid(self.enclosure._mpi_, self.precision_bits))
 
     @property
     def max_rel_error(self) -> float:
-        """Bound on |x - value| / |x| over the enclosure: 0.0 for a point, inf across 0."""
-        e = self.enclosure
-        if e.a == e.b:
+        """Bound on |x - value| / |x| over the enclosure: 0.0 for a point, inf across 0.
+
+        Half the width over the endpoint nearest 0, at 53 bits, rounded up.
+        """
+        a, b = self.enclosure._mpi_
+        if a == b:
             return 0.0
-        if 0 in e:
+        if mpf_sign(a) <= 0 <= mpf_sign(b):
             return float("inf")
-        return float(mpmath.mpf((e.delta / 2 / min(abs(e.a), abs(e.b))).b))
+        near = a if mpf_sign(a) > 0 else mpf_neg(b)  # |endpoint nearest 0|
+        half = mpf_shift(mpf_sub(b, a, 53, round_ceiling), -1)
+        return to_float(mpf_div(half, mpf_pos(near, 53, round_floor), 53, round_ceiling))
 
     def __float__(self) -> float:
         return float(self.value)
@@ -188,21 +242,30 @@ def jz_constants(
         raise ValueError("precision_bits must be >= 64")
     nT = norm(T)
     M_sq, N, min_sq, _ = _lemma_norms(*_pair_norms(a1, a2), nT)
-    with _iv_precision(precision_bits):
-        rT = iv.sqrt(nT)
-        rM = iv.sqrt(M_sq)
-        gap = rT - rM  # |T| - M > 0, decided exactly by _lemma_norms
-        L = gap * gap * 27 / (16 * N)
-        l = rT * 27 / (64 * gap)
-        num = 2 * rT + 3 * rM
-        p = iv.sqrt(num / (2 * gap))
-        P = 16 * N * num / (min_sq * iv.sqrt(min_sq))
-        lam = 1 + iv.log(P) / iv.log(L)
-        two_l = 2 * l
-        # max(1, 2l), taken on the endpoints: the hull [1, 2l.b] when 2l straddles 1
-        base = iv.mpf([max(1, two_l.a), max(1, two_l.b)])
-        c1 = 1 / (4 * p * P * base ** (lam - 1))
-    consts = (PrecReal(x, precision_bits) for x in (L, l, p, P, lam, c1))
+    prec = precision_bits
+    rT = _iv_sqrt(_iv_int(nT, prec), prec)
+    rM = _iv_sqrt(_iv_int(M_sq, prec), prec)
+    gap = mpi_sub(rT, rM, prec)  # |T| - M > 0, decided exactly by _lemma_norms
+    # L = gap * gap * 27 / (16 * N)
+    L = mpi_div(mpi_mul(mpi_mul(gap, gap, prec), _iv_int(27, prec), prec), _iv_int(16 * N, prec), prec)
+    # l = rT * 27 / (64 * gap)
+    l = mpi_div(mpi_mul(rT, _iv_int(27, prec), prec), mpi_mul(_iv_int(64, prec), gap, prec), prec)
+    # num = 2 * rT + 3 * rM
+    num = mpi_add(mpi_mul(_iv_int(2, prec), rT, prec), mpi_mul(_iv_int(3, prec), rM, prec), prec)
+    # p = sqrt(num / (2 * gap))
+    p = _iv_sqrt(mpi_div(num, mpi_mul(_iv_int(2, prec), gap, prec), prec), prec)
+    # P = 16 * N * num / (min * sqrt(min))
+    min_iv = _iv_int(min_sq, prec)
+    P = mpi_div(mpi_mul(_iv_int(16 * N, prec), num, prec), mpi_mul(min_iv, _iv_sqrt(min_iv, prec), prec), prec)
+    # lam = 1 + log(P) / log(L)
+    lam = mpi_add(_iv_int(1, prec), mpi_div(mpi_log(P, prec), mpi_log(L, prec), prec), prec)
+    # max(1, 2l), taken on the endpoints: the hull [1, 2l.b] when 2l straddles 1
+    base = tuple(fone if mpf_le(e, fone) else e for e in mpi_mul(_iv_int(2, prec), l, prec))
+    # c1 = 1 / (4 * p * P * base ** (lam - 1))
+    power = mpi_pow(base, mpi_sub(lam, _iv_int(1, prec), prec), prec)
+    den = mpi_mul(mpi_mul(mpi_mul(_iv_int(4, prec), p, prec), P, prec), power, prec)
+    c1 = mpi_div(_iv_int(1, prec), den, prec)
+    consts = (PrecReal(iv.make_mpf(x), prec) for x in (L, l, p, P, lam, c1))
     return JZConstants(a1, a2, T, M_sq, *consts, precision_bits)
 
 
@@ -407,23 +470,31 @@ class ThetaCheck:
     precision_bits: int
 
 
-def _defect(ns: int, na: int, nc: int, nx: int, nz: int, n_res: int) -> iv.mpf:
-    """Enclosure of min |theta -+ s*x/(a*z)| for theta = (s/a)sqrt(a/c), from exact norms.
+def _defect(ns: int, na: int, nc: int, nx: int, nz: int, n_res: int, prec: int) -> tuple:
+    """Enclosure of min |theta -+ s*x/(a*z)| for theta = (s/a)sqrt(a/c), from exact norms, at prec bits.
 
     n_res = norm(a*z^2 - c*x^2).  With N = |theta^2 - approx^2| and
     S = |theta + approx|^2 + |theta - approx|^2, the two distances u, w obey
     u*w = N and u^2 + w^2 = S, so the smaller is sqrt(2)*N / sqrt(S + sqrt(S^2 - 4N^2)).
     The one subtraction is added to S, which dominates it whenever it cancels,
-    so the enclosure stays tight.  Runs at the caller's iv precision.
+    so the enclosure stays tight.
     """
     if ns == 0:  # theta = approx = 0
-        return iv.mpf(0)
-    r = iv.mpf(ns) / na
-    N = r * iv.sqrt(iv.mpf(n_res) / nc) / nz
-    S = 2 * (r * iv.sqrt(iv.mpf(na) / nc) + r * nx / nz)
-    disc = S * S - 4 * N * N
-    disc = iv.mpf([max(0, disc.a), disc.b])  # S^2 - 4N^2 = (u^2 - w^2)^2 >= 0
-    return iv.sqrt(2) * N / iv.sqrt(S + iv.sqrt(disc))
+        return _iv_int(0, prec)
+    nc_iv, nz_iv = _iv_int(nc, prec), _iv_int(nz, prec)
+    r = mpi_div(_iv_int(ns, prec), _iv_int(na, prec), prec)
+    # N = r * sqrt(n_res / nc) / nz
+    N = mpi_div(mpi_mul(r, _iv_sqrt(mpi_div(_iv_int(n_res, prec), nc_iv, prec), prec), prec), nz_iv, prec)
+    # S = 2 * (r * sqrt(na / nc) + r * nx / nz)
+    theta = mpi_mul(r, _iv_sqrt(mpi_div(_iv_int(na, prec), nc_iv, prec), prec), prec)
+    approx = mpi_div(mpi_mul(r, _iv_int(nx, prec), prec), nz_iv, prec)
+    S = mpi_mul(_iv_int(2, prec), mpi_add(theta, approx, prec), prec)
+    # S^2 - 4N^2 = (u^2 - w^2)^2 >= 0: its lower endpoint is raised to 0
+    lo, hi = mpi_sub(mpi_mul(S, S, prec), mpi_mul(mpi_mul(_iv_int(4, prec), N, prec), N, prec), prec)
+    disc = (fzero if mpf_le(lo, fzero) else lo, hi)
+    # sqrt(2) * N / sqrt(S + sqrt(disc))
+    root = _iv_sqrt(mpi_add(S, _iv_sqrt(disc, prec), prec), prec)
+    return mpi_div(mpi_mul(_iv_sqrt(_iv_int(2, prec), prec), N, prec), root, prec)
 
 
 def theta_defect(w: PellWitness) -> ThetaCheck:
@@ -441,13 +512,28 @@ def theta_defect(w: PellWitness) -> ThetaCheck:
     ns, nt = norm(w.s), norm(w.t)
     n_res1 = norm(a * z * z - c * w.x * w.x)
 
+    def sqrt(n: int) -> tuple:
+        return _iv_sqrt(_iv_int(n, bits), bits)
+
+    def enclose(x: tuple) -> PrecReal:
+        return PrecReal(iv.make_mpf(x), bits)
+
+    def middle(n_num: int, n_side: int) -> tuple:
+        # sqrt(n_num) / (sqrt(n_side) * sqrt(sqrt(n_side * nc)) * nz)
+        den = mpi_mul(sqrt(n_side), _iv_sqrt(sqrt(n_side * nc), bits), bits)
+        return mpi_div(sqrt(n_num), mpi_mul(den, _iv_int(nz, bits), bits), bits)
+
     # |z|^2 = norm(z) exactly; all other magnitudes are square roots of exact norms
-    with _iv_precision(bits):
-        defect1 = _defect(ns, na, nc, norm(w.x), nz, n_res1)
-        defect2 = _defect(nt, nb, nc, norm(w.y), nz, norm(b * z * z - c * w.y * w.y))
-        middle1 = iv.sqrt(ns * norm(a - c)) / (iv.sqrt(na) * iv.sqrt(iv.sqrt(na * nc)) * nz)
-        middle2_sym = iv.sqrt(nt * norm(b - c)) / (iv.sqrt(nb) * iv.sqrt(iv.sqrt(nb * nc)) * nz)
-        outer = 21 * iv.sqrt(nc) / (16 * iv.sqrt(na) * nz)
+    defect1 = _defect(ns, na, nc, norm(w.x), nz, n_res1, bits)
+    defect2 = _defect(nt, nb, nc, norm(w.y), nz, norm(b * z * z - c * w.y * w.y), bits)
+    middle1 = middle(ns * norm(a - c), na)
+    middle2_sym = middle(nt * norm(b - c), nb)
+    # outer = 21 * sqrt(nc) / (16 * sqrt(na) * nz)
+    outer = mpi_div(
+        mpi_mul(_iv_int(21, bits), sqrt(nc), bits),
+        mpi_mul(mpi_mul(_iv_int(16, bits), sqrt(na), bits), _iv_int(nz, bits), bits),
+        bits,
+    )
 
     hyp = HypothesisReport(
         (
@@ -458,11 +544,11 @@ def theta_defect(w: PellWitness) -> ThetaCheck:
     )
     return ThetaCheck(
         witness=w,
-        defect1=PrecReal(defect1, bits),
-        defect2=PrecReal(defect2, bits),
-        middle1=PrecReal(middle1, bits),
-        middle2_symmetric=PrecReal(middle2_sym, bits),
-        outer=PrecReal(outer, bits),
+        defect1=enclose(defect1),
+        defect2=enclose(defect2),
+        middle1=enclose(middle1),
+        middle2_symmetric=enclose(middle2_sym),
+        outer=enclose(outer),
         identity_rel_diff=_margin(ns * n_res1, ns * norm(c - a)),
         hypotheses=hyp,
         z_unit_flag=nz <= 1,

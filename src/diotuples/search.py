@@ -485,7 +485,8 @@ def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
 def _load_checkpoint(cfg: SearchConfig, config_hash: str) -> dict[int, dict]:
     """The fields stored in cfg's checkpoint, each accepted only when rebuilding it gives it back.
 
-    The top level must hold the keys _save_checkpoint writes.  An entry is a
+    The top level must hold the keys _save_checkpoint writes, a string version
+    and a config equal to cfg.semantic_json() but for the text of n.  An entry is a
     FieldResult's JSON under the text of its D, one of cfg's fields, with int
     counts and a numeric wall_time.  Its representatives, decoded in the
     field's ring, must be k-subsets of the norm ball, and _group_orbits must
@@ -501,11 +502,25 @@ def _load_checkpoint(cfg: SearchConfig, config_hash: str) -> dict[int, dict]:
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
         raise ValueError(f"checkpoint {path}: not valid JSON ({exc})") from None
     top = ("schema", "version", "config_hash", "config", "completed")  # as _save_checkpoint writes them
-    if not (isinstance(data, dict) and data.keys() == set(top) and isinstance(data["completed"], dict)):
-        raise ValueError(f"checkpoint {path}: expected a JSON object of exactly the keys {', '.join(top)}")
+    if not (
+        isinstance(data, dict)
+        and data.keys() == set(top)
+        and isinstance(data["version"], str)
+        and isinstance(data["completed"], dict)
+    ):
+        raise ValueError(
+            f"checkpoint {path}: expected a JSON object of exactly the keys {', '.join(top)}, with a string version"
+        )
     if data["schema"] != SCHEMA_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported schema {data['schema']}")
-    if data["config_hash"] != config_hash:
+    config = data["config"]
+    # config_hash ties n in canonical form, so the stored text of n may be another spelling of cfg.n
+    if not (
+        data["config_hash"] == config_hash
+        and isinstance(config, dict)
+        and isinstance(config.get("n"), str)
+        and json.dumps({**config, "n": cfg.n}, sort_keys=True) == json.dumps(cfg.semantic_json(), sort_keys=True)
+    ):
         raise ValueError(f"checkpoint {path} was written by a different configuration")
     completed = {}
     for key, res in data["completed"].items():

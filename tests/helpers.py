@@ -8,14 +8,18 @@ kernels to elements for the tests of those kernels, and no reference reaches
 them.  list_graph is not an oracle either but the graph of an element list,
 cut out of build_graph's graph of the covering ball.  break_checkpoint
 makes the corrupted checkpoints that the CLI and the checkpoint schema must
-both reject.
+both reject.  iv_jz_reference and iv_theta_reference evaluate the bounds'
+enclosures with mpmath.iv's operators under a test-side iv.prec.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from math import isqrt
 from random import Random
+
+from mpmath import iv
 
 from diotuples.bounds import HypothesisFailure
 from diotuples.quad_ring import QuadInt, RingParams, _div_half, _sqrt_half, elem_key, format_elem, from_half, norm
@@ -454,6 +458,67 @@ def reference_gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, 
     }
 
 
+@contextmanager
+def iv_precision(bits: int):
+    """Run the block at mpmath.iv precision bits, restoring the global iv.prec afterwards."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def iv_jz_reference(a1: QuadInt, a2: QuadInt, T: QuadInt, bits: int) -> tuple:
+    """(L, l, p, P, lambda, c1) as mpmath.iv intervals at bits, for inputs where the lemma applies.
+
+    The norms are taken on the elements; every interval step is an mpmath.iv
+    operator or function, at the iv precision set for the call.
+    """
+    n1, n2, n12, nT = norm(a1), norm(a2), norm(a1 - a2), norm(T)
+    M_sq, N, min_sq = max(n1, n2), n1 * n2 * n12, min(n1, n2, n12)
+    with iv_precision(bits):
+        rT = iv.sqrt(nT)
+        rM = iv.sqrt(M_sq)
+        gap = rT - rM
+        L = gap * gap * 27 / (16 * N)
+        l = rT * 27 / (64 * gap)
+        num = 2 * rT + 3 * rM
+        p = iv.sqrt(num / (2 * gap))
+        P = 16 * N * num / (min_sq * iv.sqrt(min_sq))
+        lam = 1 + iv.log(P) / iv.log(L)
+        two_l = 2 * l
+        base = iv.mpf([max(1, two_l.a), max(1, two_l.b)])
+        c1 = 1 / (4 * p * P * base ** (lam - 1))
+    return L, l, p, P, lam, c1
+
+
+def iv_theta_reference(w: PellWitness, bits: int = 128) -> tuple:
+    """(defect1, defect2, middle1, middle2_symmetric, outer) of a witness as mpmath.iv intervals at bits."""
+
+    def defect(ns, na, nc, nx, nz, n_res):
+        if ns == 0:
+            return iv.mpf(0)
+        r = iv.mpf(ns) / na
+        N = r * iv.sqrt(iv.mpf(n_res) / nc) / nz
+        S = 2 * (r * iv.sqrt(iv.mpf(na) / nc) + r * nx / nz)
+        disc = S * S - 4 * N * N
+        disc = iv.mpf([max(0, disc.a), disc.b])
+        return iv.sqrt(2) * N / iv.sqrt(S + iv.sqrt(disc))
+
+    a, b, c, z = w.a, w.b, w.c, w.z
+    na, nb, nc, nz = norm(a), norm(b), norm(c), norm(z)
+    ns, nt = norm(w.s), norm(w.t)
+    with iv_precision(bits):
+        return (
+            defect(ns, na, nc, norm(w.x), nz, norm(a * z * z - c * w.x * w.x)),
+            defect(nt, nb, nc, norm(w.y), nz, norm(b * z * z - c * w.y * w.y)),
+            iv.sqrt(ns * norm(a - c)) / (iv.sqrt(na) * iv.sqrt(iv.sqrt(na * nc)) * nz),
+            iv.sqrt(nt * norm(b - c)) / (iv.sqrt(nb) * iv.sqrt(iv.sqrt(nb * nc)) * nz),
+            21 * iv.sqrt(nc) / (16 * iv.sqrt(na) * nz),
+        )
+
+
 # coordinate texts that elem_to_json never writes, as the x of a checkpoint element; int() reads all but 1.5
 NON_CANONICAL_INT_TEXTS = {
     "element-x-not-decimal": "1.5",
@@ -467,6 +532,16 @@ NON_CANONICAL_INT_TEXTS = {
 }
 # checkpoints that json.load cannot read, so no schema sees them
 UNPARSABLE_CHECKPOINTS = {"not-json": b'{"schema": 1,', "not-utf-8": b"\xff\xfe{}"}
+# shapes that break the top level and leave every entry intact; the last is a config that reads well
+# but is not the one resumed under, which only comparing it with the resuming config sees
+TOP_LEVEL_SHAPES = (
+    "version-missing",
+    "config-missing",
+    "extra-top-key",
+    "config-null",
+    "version-not-string",
+    "config-other-max-norm",
+)
 # the corrupted shapes of break_checkpoint; --resume must reject each
 CHECKPOINT_SHAPES = (
     "list",
@@ -488,9 +563,7 @@ CHECKPOINT_SHAPES = (
     *NON_CANONICAL_INT_TEXTS,
     "wall-time-text",
     *UNPARSABLE_CHECKPOINTS,
-    "version-missing",
-    "config-missing",
-    "extra-top-key",
+    *TOP_LEVEL_SHAPES,
     # a record that reads well but does not rebuild: only redoing _group_orbits' work sees these
     "tampered-element",
     "orbit-member-dropped",
@@ -507,10 +580,16 @@ def break_checkpoint(saved: dict, shape: str) -> bytes:
     if shape in UNPARSABLE_CHECKPOINTS:
         return UNPARSABLE_CHECKPOINTS[shape]
     entry = saved["completed"].pop("1")  # schema and config hash still match; D=2 stays done
-    if shape in ("version-missing", "config-missing", "extra-top-key"):
+    if shape in TOP_LEVEL_SHAPES:
         saved["completed"]["1"] = entry
         if shape == "extra-top-key":
             saved["note"] = 0
+        elif shape == "config-null":
+            saved["config"] = None
+        elif shape == "version-not-string":
+            saved["version"] = 5
+        elif shape == "config-other-max-norm":
+            saved["config"]["max_norm"] += 1
         else:
             del saved[shape.removesuffix("-missing")]
     elif shape in ("tampered-element", "orbit-member-dropped"):

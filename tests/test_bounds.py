@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 from random import Random
 
@@ -99,6 +101,59 @@ class TestJZConstants:
             consts = jz_constants(-b, -a, a * b * c)
             assert float(consts.l) < 0.5
             assert float(consts.p) <= float(mpmath.sqrt(mpmath.mpf(47) / 42)) + 1e-18
+
+
+JZ_NAMES = ("L", "l", "p", "P", "lam", "c1")
+# (a1, a2, T) = (-b, -a, abc) for a few (a, b, c) of the gap-lemma shape
+JZ_INPUTS = [(q1(-b), q1(-a), q1(a * b * c)) for a, b, c in ((2, 22, 10**30 + 1), (3, 25, 10**31), (2, 40, 10**40))]
+
+
+class TestNoGlobalPrecision:
+    @staticmethod
+    def outputs() -> list:
+        consts = [getattr(jz_constants(*x, 256), name) for x in JZ_INPUTS for name in JZ_NAMES]
+        tc = theta_defect(build_pell_witness(q1(2), q1(5), q1(-24), q1(925)))
+        values = consts + [tc.defect1, tc.defect2, tc.middle1, tc.middle2_symmetric, tc.outer]
+        return [(v.enclosure._mpi_, str(v), v.max_rel_error) for v in values]
+
+    def test_outputs_ignore_global_precision(self):
+        saved = iv.prec, mpmath.mp.prec
+        assert saved == (53, 53)
+        expected = self.outputs()
+        try:
+            iv.prec, mpmath.mp.prec = 30, 300
+            got = self.outputs()
+            assert (iv.prec, mpmath.mp.prec) == (30, 300)
+        finally:
+            iv.prec, mpmath.mp.prec = saved
+        assert got == expected
+
+    def test_threads_at_two_precisions_match_serial(self):
+        # threads at 128 and at 1024 bits, more than the cores, switching often: none sees another's precision
+        def run(bits: int) -> list:
+            consts = [jz_constants(*x, bits) for x in JZ_INPUTS]
+            return [tuple(getattr(c, name).enclosure._mpi_ for name in JZ_NAMES) for c in consts]
+
+        precisions = (128, 1024, 128, 1024)
+        serial = {bits: run(bits) for bits in set(precisions)}
+        threaded = [[] for _ in precisions]
+
+        def loop(i: int) -> None:
+            for _ in range(10):
+                threaded[i].append(run(precisions[i]))
+
+        threads = [threading.Thread(target=loop, args=(i,)) for i in range(len(precisions))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert threaded == [[serial[bits]] * 10 for bits in precisions]
 
 
 class TestGapHypotheses:

@@ -14,9 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diotuples import bounds
+from mpmath.libmp import from_int, from_man_exp, mpi_sqrt, round_ceiling, round_floor
+
 from diotuples.bounds import (
     HypothesisFailure,
     PrecReal,
+    _iv_sqrt,
     _zsqrt_pow,
     gap_lemma_checks,
     jz_constants,
@@ -54,12 +57,15 @@ from helpers import (
     chain_quadruples_zi,
     div_half,
     fibonacci,
+    iv_jz_reference,
+    iv_theta_reference,
     list_graph,
     reference_c_plus_minus,
     reference_cliques,
     reference_div,
     reference_extend,
     reference_gap_lemma_checks,
+    reference_sqrt,
     reference_verify_tuple,
     reference_witness,
     sqrt_half,
@@ -846,3 +852,94 @@ def test_theta_identity_is_exact():
         z = w.z + QuadInt(w.z.ring, 1, 0)
         bumped = PellWitness(w.a, w.b, w.c, w.d, w.r, w.s, w.t, w.x, w.y, z)
         assert theta_defect(bumped).identity_rel_diff > 0
+
+
+@st.composite
+def sqrt_radicands(draw) -> int:
+    """n in [0, 2^4000]: any bit length, a perfect square, or 4^k - 1, 4^k, 4^k + 1."""
+    kind = draw(st.sampled_from(["any", "square", "power of 4"]))
+    if kind == "any":
+        return draw(st.integers(0, 2 ** draw(st.integers(0, 4000))))
+    if kind == "square":
+        return draw(st.integers(0, 2 ** draw(st.integers(0, 2000)))) ** 2
+    return 4 ** draw(st.integers(0, 1999)) + draw(st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(n=sqrt_radicands(), prec=st.integers(53, 2048))
+def test_iv_sqrt_matches_mpi_sqrt_on_integers(n, prec):
+    # n shorter than prec converts exactly; longer, its endpoints are rounded, with either exponent parity
+    x = from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+    assert _iv_sqrt(x, prec) == mpi_sqrt(x, prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.tuples(st.integers(0, 2**2100), st.integers(-3000, 3000)),
+    hi=st.tuples(st.integers(0, 2**2100), st.integers(-3000, 3000)),
+    prec=st.integers(53, 2048),
+)
+def test_iv_sqrt_matches_mpi_sqrt_on_dyadics(lo, hi, prec):
+    # p and the theta defects take roots of interval results: non-negative prec-bit endpoints m*2^e.
+    # Each endpoint is rounded on its own, so the pair need not be ordered
+    x = from_man_exp(*lo, prec, round_floor), from_man_exp(*hi, prec, round_ceiling)
+    assert _iv_sqrt(x, prec) == mpi_sqrt(x, prec)
+
+
+JZ_NAMES = ("L", "l", "p", "P", "lam", "c1")
+
+
+def jz_endpoints(consts) -> tuple:
+    return tuple(getattr(consts, name).enclosure._mpi_ for name in JZ_NAMES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    D=st.sampled_from([1, 2, 3, 5, 7, 11, 19, 163]),
+    a=st.tuples(*[st.integers(-60, 60)] * 4),
+    T_bits=st.integers(8, 140),
+    data=st.data(),
+    bits=st.sampled_from([64, 65, 128, 256, 1024]),
+)
+def test_jz_constants_match_iv_reference(D, a, T_bits, data, bits):
+    # every endpoint, bit for bit, equals mpmath.iv's evaluation of the same expressions
+    ring = make_ring(D)
+    a1, a2 = QuadInt(ring, *a[:2]), QuadInt(ring, *a[2:])
+    T = QuadInt(ring, *data.draw(st.tuples(*[st.integers(-(2**T_bits), 2**T_bits)] * 2)))
+    try:
+        consts = jz_constants(a1, a2, T, bits)
+    except (HypothesisFailure, ValueError):
+        assume(False)
+    assert jz_endpoints(consts) == tuple(x._mpi_ for x in iv_jz_reference(a1, a2, T, bits))
+
+
+@pytest.mark.parametrize("bits", [64, 65, 128, 256, 1024])
+@pytest.mark.parametrize("T", [3, 4, 5])
+def test_jz_constants_match_iv_reference_where_2l_exceeds_1(T, bits):
+    # 2l > 1 here, so max(1, 2l)^(lambda - 1) has a base above 1
+    a1, a2, t = QuadInt(make_ring(1), 1, 0), QuadInt(make_ring(1), -1, 0), QuadInt(make_ring(1), T, 0)
+    consts = jz_constants(a1, a2, t, bits)
+    assert float(consts.l) > 0.5
+    assert jz_endpoints(consts) == tuple(x._mpi_ for x in iv_jz_reference(a1, a2, t, bits))
+
+
+def extension_witnesses() -> list:
+    """Pell witnesses of {1, 2, 5, -24} and {2, 5, 13, -480} in Z[i], negated and with conjugated roots."""
+    ring = make_ring(1)
+    out = []
+    for quad in ((1, 2, 5, -24), (2, 5, 13, -480)):
+        a, b, c, d = quad
+        pairs = ((a, b), (a, c), (b, c), (a, d), (b, d), (c, d))  # r, s, t, x, y, z
+        roots = [reference_sqrt(QuadInt(ring, p * q - 1, 0)) for p, q in pairs]
+        for sign in (1, -1):
+            for conj in (False, True):
+                elems = [QuadInt(ring, sign * v, 0) for v in quad]
+                out.append(PellWitness(*elems, *(r.conj() if conj else r for r in roots)))
+    return out
+
+
+@pytest.mark.parametrize("w", extension_witnesses() + chain_witnesses())
+def test_theta_defect_matches_iv_reference(w):
+    tc = theta_defect(w)
+    got = (tc.defect1, tc.defect2, tc.middle1, tc.middle2_symmetric, tc.outer)
+    assert tuple(x.enclosure._mpi_ for x in got) == tuple(x._mpi_ for x in iv_theta_reference(w))

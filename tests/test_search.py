@@ -566,6 +566,14 @@ class TestCampaign:
         with pytest.raises(ValueError, match="different configuration"):
             run_campaign(other)
 
+    def test_checkpoint_resumes_under_another_spelling_of_n(self, tmp_path, monkeypatch):
+        # the stored config holds n as first given; config_hash ties n in canonical form
+        path = str(tmp_path / "ck.json")
+        first = run_campaign(SearchConfig(D_list=[1, 2], max_norm=30, k=3, n="-1", checkpoint_path=path))
+        monkeypatch.setattr(search, "_run_field", lambda *task: pytest.fail(f"field rerun: {task}"))
+        second = run_campaign(SearchConfig(D_list=[1, 2], max_norm=30, k=3, n="-1+0*w", checkpoint_path=path))
+        assert [r.to_json() for r in second.results] == [r.to_json() for r in first.results]
+
     def test_parallel_matches_serial(self, monkeypatch):
         # run the pool even on one CPU, and for campaigns below the cost floor
         monkeypatch.setattr(search, "_usable_cpus", lambda: 2)

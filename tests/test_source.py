@@ -1,13 +1,13 @@
 """Source checks: invariant checks in the package must survive `python -O`, the
 omega rule is stated once, in quad_ring, the package imports only the stdlib
-and its declared dependency and reads no environment variable, every exported
-name exists and, like every public method, has a caller in the package or the
-benchmark, the package names the benchmark uses exist, importing the CLI stays
-cheap, the reference oracles in tests/helpers.py share no kernel with the
-package, the package holds one clique DFS behind find_cliques(g, k), a
-campaign's settings stay the SearchConfig fields and run_campaign's
-parameters, and the package's docs and the README name only code that
-exists."""
+and its declared dependency, reads no environment variable and sets no global
+mpmath precision, every exported name exists and, like every public method,
+has a caller in the package or the benchmark, the package names the benchmark
+uses exist, importing the CLI stays cheap, the reference oracles in
+tests/helpers.py share no kernel with the package, the package holds one
+clique DFS behind find_cliques(g, k), a campaign's settings stay the
+SearchConfig fields and run_campaign's parameters, and the package's docs and
+the README name only code that exists."""
 
 from __future__ import annotations
 
@@ -91,6 +91,29 @@ def test_package_reads_no_environment():
     assert not found, f"the package reads the process environment: {found}"
 
 
+def test_package_sets_no_global_precision():
+    # every interval operation is given its precision, so no module writes mpmath's process-wide
+    # precision (iv.prec, mp.prec, mp.dps) or scopes it with workprec, workdps or extraprec
+    scoped = {"workprec", "workdps", "extraprec"}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [
+                    f"{path.name}:{node.lineno} {ast.unparse(t)}"
+                    for t in targets
+                    if isinstance(t, ast.Attribute) and t.attr in ("prec", "dps")
+                ]
+            elif isinstance(node, ast.Attribute) and node.attr in scoped:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Name) and node.id in scoped:
+                found.append(f"{path.name}:{node.lineno} {node.id}")
+            elif isinstance(node, ast.alias) and node.name in scoped:
+                found.append(f"{path.name} imports {node.name}")
+    assert not found, f"the package sets mpmath's global precision: {found}"
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
     # mpmath (through bounds) and the process pool load only when a command needs them
     heavy = ("mpmath", "diotuples.bounds", "concurrent.futures.process")
@@ -163,7 +186,8 @@ def test_oracles_share_no_kernel():
     # the references check the package's kernels, so none may reach them: no reference, nor a helper
     # it calls, may name a private name of the package.  Squares and quotients come from
     # reference_sqrt and reference_div on QuadInt arithmetic instead, and the gap-lemma oracle
-    # forms its Z[sqrt(m)] powers with its own loop
+    # forms its Z[sqrt(m)] powers with its own loop.  The interval references use mpmath.iv's
+    # operators, never the raw interval kernel (mpmath.libmp) that the package calls
     path = Path(__file__).resolve().parent / "helpers.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     package_names = {
@@ -179,7 +203,10 @@ def test_oracles_share_no_kernel():
         "reference_c_plus_minus",
         "reference_extend",
         "reference_gap_lemma_checks",
+        "iv_jz_reference",
+        "iv_theta_reference",
     ]
+    assert "libmp" not in path.read_text(), "helpers.py reaches mpmath's raw interval kernel"
     for root in roots:
         found, todo, seen = [], [root], set()
         while todo:
@@ -210,6 +237,8 @@ def test_oracles_share_no_kernel():
             nested = {node.name for node in body if isinstance(node, ast.FunctionDef)}
             called = {node.func.id for node in body if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
             assert "power" in nested & called, "the gap-lemma oracle no longer forms its powers with its own loop"
+        elif root.startswith("iv_"):
+            assert "iv_precision" in seen, f"{root} no longer runs at a test-side iv.prec"
         else:
             assert "reference_sqrt" in seen, f"{root} no longer decides squares with reference_sqrt"
 
