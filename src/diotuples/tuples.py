@@ -6,10 +6,17 @@ extension machinery (PellWitness, extend_scan, extend_triple, c_plus_minus)
 is specific to the shift n = -1: a quadruple {a, b, c, d} then satisfies the
 Pellian system a*z^2 - c*x^2 = c - a, b*z^2 - c*y^2 = c - b with c*d = z^2 + 1.
 
-verify_tuple, the D(-1) witnesses, c_plus_minus and the extend_scan z-scan
-run on half-coordinates (see quad_ring): products with _mul_half, square
-roots with _sqrt_half and divisions with _div_half, all on plain ints;
+verify_tuple, the D(-1) witnesses, is_regular, c_plus_minus and the
+extend_scan z-scan run on half-coordinates (see quad_ring): products formed
+on plain ints (inline in verify_tuple and c_plus_minus, with _mul_half
+elsewhere), square roots with _sqrt_half and divisions with _div_half;
 QuadInt objects are built only for what is returned.
+
+The output records PairCheck, VerifyReport and ExtensionPair are plain
+slots dataclasses: they are built per check and never hashed, and a frozen
+dataclass pays an object.__setattr__ call per field.  DioTuple and QuadInt
+stay frozen because they are hashed: tuple_orbit returns a set of DioTuples,
+and search's clique_sets makes frozensets of QuadInts.
 """
 
 from __future__ import annotations
@@ -83,14 +90,14 @@ def make_tuple(ring: RingParams, n: QuadInt, elems) -> DioTuple:
     return DioTuple(ring, n, tuple(sorted(elems, key=elem_key)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairCheck:
     a: QuadInt
     b: QuadInt
     witness: QuadInt | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerifyReport:
     tup: DioTuple
     ok: bool
@@ -127,22 +134,24 @@ def _halves(ring: RingParams, *elems: QuadInt) -> list[tuple[int, int]]:
 def verify_tuple(t: DioTuple) -> VerifyReport:
     """Check every unordered pair; stops at the first pair without a witness.
 
-    Each a*b + n is formed with _mul_half and tested with _sqrt_half on
-    half-coordinates; a QuadInt is built only for a witness.
+    Each a*b + n is formed inline on half-coordinates, as _mul_half forms a
+    product, and tested with _sqrt_half; a QuadInt is built only for a witness.
     """
     ring = t.ring
     D = ring.D
     es = t.elems
     (Un, Vn), *hs = _halves(ring, t.n, *es)
     checks: list[PairCheck] = []
-    for i in range(len(es)):
+    for i, (u1, v1) in enumerate(hs):
+        a = es[i]
         for j in range(i + 1, len(es)):
-            P, Q = _mul_half(D, hs[i], hs[j])
-            root = _sqrt_half(D, P + Un, Q + Vn)
-            w = None if root is None else _from_half_unchecked(ring, *root)
-            checks.append(PairCheck(es[i], es[j], w))
-            if w is None:
-                return VerifyReport(t, False, tuple(checks), (es[i], es[j]))
+            b = es[j]
+            u2, v2 = hs[j]
+            root = _sqrt_half(D, (u1 * u2 - D * v1 * v2) // 2 + Un, (u1 * v2 + v1 * u2) // 2 + Vn)
+            if root is None:
+                checks.append(PairCheck(a, b, None))
+                return VerifyReport(t, False, tuple(checks), (a, b))
+            checks.append(PairCheck(a, b, _from_half_unchecked(ring, *root)))
     return VerifyReport(t, True, tuple(checks), None)
 
 
@@ -167,10 +176,16 @@ def _witness_half(D: int, pq: tuple[int, int], p: QuadInt, q: QuadInt, name: str
 
 
 def is_regular(a: QuadInt, b: QuadInt, c: QuadInt) -> bool:
-    """True iff c = a + b + 2r or a + b - 2r for the canonical r = sqrt(ab - 1)."""
-    r = _from_half_unchecked(a.ring, *_witnesses(r=(a, b))["r"])
-    s = a + b
-    return c == s + 2 * r or c == s - 2 * r
+    """True iff c = a + b + 2r or a + b - 2r for the canonical r = sqrt(ab - 1).
+
+    Raises on elements from two rings, c included, before r is looked for;
+    then as _witnesses does for r.
+    """
+    ring = a.ring
+    ha, hb, (cu, cv) = _halves(ring, a, b, c)
+    ru, rv = _witness_half(ring.D, _mul_half(ring.D, ha, hb), a, b, "r")
+    du, dv = cu - ha[0] - hb[0], cv - ha[1] - hb[1]  # c - (a + b) = +-2r
+    return (du, dv) == (2 * ru, 2 * rv) or (du, dv) == (-2 * ru, -2 * rv)
 
 
 @dataclass(frozen=True)
@@ -413,7 +428,7 @@ def extend_triple(a: QuadInt, b: QuadInt, c: QuadInt, z_norm_bound: int) -> list
     return extend_scan(a, b, c, z_norm_bound).extensions
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExtensionPair:
     """The two completions c_+- = a + b + d - 2abd +- 2rxy of a D(-1) triple {a, b, d}."""
 
@@ -432,37 +447,47 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
 
     Flipping the sign of any witness only swaps c_+ and c_-, so the canonical
     witnesses from _sqrt_half lose no generality.  Everything up to the
-    returned ExtensionPair runs on half-coordinates with _mul_half; ab, ad
-    and bd are formed once, for the witnesses and for the identity check.
-    The pairs are taken in the order (a, b), (a, d), (b, d), and a pair from
-    two rings or without a witness raises as _witnesses does.
+    returned ExtensionPair runs on half-coordinates, each product formed
+    inline as _mul_half forms it; a doubled product 2pq is left unhalved,
+    since the halving is exact in O_K.  ab, ad and bd are formed once, for
+    the witnesses and for the identity check.  The pairs are taken in the
+    order (a, b), (a, d), (b, d), and a pair from two rings or without a
+    witness raises as _witnesses does.
     """
     ring = a.ring
     D = ring.D
-    ha, hb = _halves(ring, a, b)
-    ab = _mul_half(D, ha, hb)
-    r = _witness_half(D, ab, a, b, "r")
-    (hd,) = _halves(ring, d)
-    ad = _mul_half(D, ha, hd)
-    x = _witness_half(D, ad, a, d, "x")
-    bd = _mul_half(D, hb, hd)
-    y = _witness_half(D, bd, b, d, "y")
-    su, sv = ha[0] + hb[0] + hd[0], ha[1] + hb[1] + hd[1]  # s = a + b + d
-    abd = _mul_half(D, ab, hd)
-    eu, ev = su - 2 * abd[0], sv - 2 * abd[1]  # e = s - 2abd
-    fu, fv = _mul_half(D, _mul_half(D, r, x), y)
-    fu, fv = 2 * fu, 2 * fv  # f = 2rxy
-    cp, cm = (eu + fu, ev + fv), (eu - fu, ev - fv)
+    (au, av), (bu, bv) = _halves(ring, a, b)
+    ab = (au * bu - D * av * bv) // 2, (au * bv + av * bu) // 2
+    ru, rv = _witness_half(D, ab, a, b, "r")
+    ((du, dv),) = _halves(ring, d)
+    ad = (au * du - D * av * dv) // 2, (au * dv + av * du) // 2
+    xu, xv = _witness_half(D, ad, a, d, "x")
+    bd = (bu * du - D * bv * dv) // 2, (bu * dv + bv * du) // 2
+    yu, yv = _witness_half(D, bd, b, d, "y")
+    su, sv = au + bu + du, av + bv + dv  # s = a + b + d
+    eu, ev = su - (ab[0] * du - D * ab[1] * dv), sv - (ab[0] * dv + ab[1] * du)  # e = s - 2abd
+    rxu, rxv = (ru * xu - D * rv * xv) // 2, (ru * xv + rv * xu) // 2
+    fu, fv = rxu * yu - D * rxv * yv, rxu * yv + rxv * yu  # f = 2rxy
     if eu * fu + D * ev * fv < 0:  # = norm(e + f) - norm(e - f), exactly
-        cp, cm = cm, cp
+        fu, fv = -fu, -fv  # swaps c_+ and c_-
+    cpu, cpv, cmu, cmv = eu + fu, ev + fv, eu - fu, ev - fv
     # c_+ c_- = a^2 + b^2 + d^2 - 2ab - 2ad - 2bd + 4 = s^2 - 4(ab + ad + bd) + 4,
     # with 4 = (8 + 0*s)/2
-    s2u, s2v = _mul_half(D, (su, sv), (su, sv))
-    prod = (s2u - 4 * (ab[0] + ad[0] + bd[0]) + 8, s2v - 4 * (ab[1] + ad[1] + bd[1]))
-    if _mul_half(D, cp, cm) != prod:
+    if ((cpu * cmu - D * cpv * cmv) // 2, (cpu * cmv + cpv * cmu) // 2) != (
+        (su * su - D * sv * sv) // 2 - 4 * (ab[0] + ad[0] + bd[0]) + 8,
+        su * sv - 4 * (ab[1] + ad[1] + bd[1]),
+    ):
         raise AssertionError("c_plus * c_minus identity violated")
-    cp_e, cm_e, r_e, x_e, y_e = (_from_half_unchecked(ring, *h) for h in (cp, cm, r, x, y))
-    return ExtensionPair(cp_e, cm_e, a, b, d, r_e, x_e, y_e)
+    return ExtensionPair(
+        _from_half_unchecked(ring, cpu, cpv),
+        _from_half_unchecked(ring, cmu, cmv),
+        a,
+        b,
+        d,
+        _from_half_unchecked(ring, ru, rv),
+        _from_half_unchecked(ring, xu, xv),
+        _from_half_unchecked(ring, yu, yv),
+    )
 
 
 def tuple_orbit(t: DioTuple) -> set[DioTuple]:

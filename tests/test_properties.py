@@ -436,6 +436,9 @@ def test_c_plus_minus_big_fibonacci_triples(k, sign, data):
     assert got == reference_c_plus_minus(a, b, d)
     fourth = QuadInt(ring, 0, sign * 4 * FIB[2 * k + 1] * FIB[2 * k + 2] * FIB[2 * k + 3])
     assert (got.c_plus, got.c_minus) == (fourth, QuadInt(ring, 0, 0))
+    quad = make_tuple(ring, QuadInt(ring, -1, 0), [a, b, d, fourth])  # the benchmark's big quadruples
+    report = verify_tuple(quad)
+    assert report.ok and report == reference_verify_tuple(quad)
 
 
 VERIFY_COORD = 6  # element coordinates in verify_tuple's oracle test

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from random import Random
 
 import pytest
@@ -108,6 +111,30 @@ class TestRingOps:
         assert q1(2) + 3 == q1(5)
         assert 2 * q1(3, 1) == q1(6, 2)
         assert 1 - q1(0, 1) == q1(1, -1)
+
+
+class TestValueContract:
+    # QuadInt's __init__ sets its slots directly; it must stay the same frozen, hashable value
+    @staticmethod
+    def field_by_field(ring, x, y):
+        q = object.__new__(QuadInt)
+        for name, value in (("ring", ring), ("x", x), ("y", y)):
+            object.__setattr__(q, name, value)
+        return q
+
+    @pytest.mark.parametrize("ring", [R1, R3])
+    def test_frozen_hashable_value(self, ring):
+        q = QuadInt(ring, 3, -2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.x = 4
+        assert (q.ring, q.x, q.y) == (ring, 3, -2)
+        assert dataclasses.replace(q, y=5) == QuadInt(ring, 3, 5)
+        for back in (pickle.loads(pickle.dumps(q)), copy.copy(q)):
+            assert back == q and hash(back) == hash(q) and back.ring == ring
+        ref = self.field_by_field(ring, 3, -2)
+        assert q == ref and hash(q) == hash(ref) and repr(q) == repr(ref)
+        assert QuadInt(ring=ring, x=3, y=-2) == q
+        assert q != QuadInt(ring, 3, -1) and q != self.field_by_field(R2, 3, -2)
 
 
 class TestForeignOperands:

@@ -351,9 +351,11 @@ class TestMixedRings:
         with pytest.raises(ValueError) as exc:
             build_pell_witness(q1(1), q1(2), q1(5), QuadInt(R2, -24, 0))
         assert str(exc.value) == MIXED
-        with pytest.raises(ValueError) as exc:
-            is_regular(q1(1), QuadInt(R2, 2, 0), q1(5))
-        assert str(exc.value) == MIXED
+        # c = 5 = 1 + 2 + 2*sqrt(1*2 - 1) in Z[i]; from Z[sqrt(-2)] it is not a verdict but an error
+        for a, b, c in ((q1(1), QuadInt(R2, 2, 0), q1(5)), (q1(1), q1(2), QuadInt(R2, 5, 0))):
+            with pytest.raises(ValueError) as exc:
+                is_regular(a, b, c)
+            assert str(exc.value) == MIXED
 
     def test_verify_tuple(self):
         with pytest.raises(ValueError) as exc:
