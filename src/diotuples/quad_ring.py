@@ -2,11 +2,12 @@
 
 The ring is its squarefree D >= 1, checked as RingParams(D) is built: Z[omega]
 with omega = (1 + sqrt(-D))/2 when -D = 1 (mod 4), else sqrt(-D), a rule stated
-once, in _omega_p.  Elements carry basis coordinates (x, y), meaning
-x + y*omega.  All arithmetic runs through half-coordinates (u, v) with
-alpha = (u + v*sqrt(-D))/2, which gives a single multiplication kernel for
-both omega conventions and keeps every magnitude comparison on exact integer
-norms (no floating point anywhere in this module).
+once, in _omega_p, with omega**2 = p*omega + q in _omega_q.  Elements carry
+basis coordinates (x, y), meaning x + y*omega, and their norm is read off
+them.  Products, square roots and quotients run through half-coordinates
+(u, v) with alpha = (u + v*sqrt(-D))/2, which gives a single multiplication
+kernel for both omega conventions.  Every magnitude comparison is on exact
+integer norms (no floating point anywhere in this module).
 
 Integrality rule (Cohen, A Course in Computational Algebraic Number Theory,
 sec. 5.1): (u + v*sqrt(-D))/2 with integers u, v lies in O_K exactly when its
@@ -54,6 +55,10 @@ def is_squarefree(n: int) -> bool:
 
 def _omega_p(D: int) -> int:
     return 1 if D % 4 == 3 else 0  # x + y*omega = (2x + p*y + (2 - p)*y*sqrt(-D))/2, the one omega rule
+
+
+def _omega_q(D: int, p: int) -> int:
+    return -(D + 1) // 4 if p else -D  # omega**2 = p*omega + q for p = _omega_p(D); q = -norm(omega)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,8 +152,9 @@ class QuadInt:
         return _from_half_unchecked(self.ring, u, -v)
 
     def norm(self) -> int:
-        u, v = self.half_coords()
-        return (u * u + self.ring.D * v * v) // 4
+        x, y, ring = self.x, self.y, self.ring  # x**2 + p*x*y - q*y**2 for omega**2 = p*omega + q
+        p = ring.omega_p
+        return x * (x + p * y) - _omega_q(ring.D, p) * y * y
 
     def __str__(self) -> str:
         return format_elem(self)
@@ -193,42 +199,40 @@ def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
     """Canonical square root of alpha = (U + V*sqrt(-D))/2 in O_K, on integers.
 
     Returns the half-coordinates (u, v) of the root beta = (u + v*sqrt(-D))/2
-    with u > 0, or u = 0 and v >= 0; None if alpha is not a square.  The
-    candidate is reconstructed from the norm: 4*norm(alpha) = U**2 + D*V**2
-    must be a perfect square r**2 (so r = 2*norm(beta)), then u**2 = U + r and
-    u*v = V.  (U, V) must be the half-coordinates of an element of O_K, so r is
-    even and the candidate has u**2 + D*v**2 = 2*r = 0 (mod 4): it lies in O_K
-    by the integrality rule, with no parity test.
+    with u > 0, or u = 0 and v >= 0; None if alpha is not a square.  (U, V)
+    must be the half-coordinates of an element of O_K, and beta**2 has
+    half-coordinates ((u**2 - D*v**2)/2, u*v).
 
-    A rational alpha (V = 0) has 4*norm(alpha) = U**2 exactly, so r = |U| is
-    taken without the square test; the steps after it and the closing
-    beta**2 = alpha check are the same for every alpha.
+    A rational alpha (V = 0) forces u*v = 0.  With v = 0 the root is (u, 0)
+    where u**2 = 2*U, so U >= 0; with u = 0 it is (0, v) where D*v**2 = -2*U,
+    so U < 0 and D divides -2*U.  There is no other root, and both are
+    canonical.  U is even (U**2 = 0 mod 4), so u**2 + D*v**2 = 2*|U| = 0
+    (mod 4) and the root lies in O_K by the integrality rule.
+
+    Otherwise the candidate is reconstructed from the norm: 4*norm(alpha) =
+    U**2 + D*V**2 must be a perfect square r**2 (so r = 2*norm(beta)), then
+    u**2 = U + r and u*v = V, where r > |U| as V != 0, so u > 0.  r is even
+    and the candidate has u**2 + D*v**2 = 2*r = 0 (mod 4): it lies in O_K by
+    the integrality rule, with no parity test.
     """
     if V == 0:
-        r = abs(U)
-    else:
-        n4 = U * U + D * V * V
-        r = isqrt(n4)
-        if r * r != n4:
-            return None
-    usq = U + r  # >= 0 since |U| <= r
-    u = isqrt(usq)
-    if u * u != usq:
-        return None
-    if u == 0:
-        if V != 0 or (2 * r) % D:
-            return None
-        vsq = 2 * r // D
+        if U >= 0:
+            u = isqrt(2 * U)
+            return (u, 0) if u * u == 2 * U else None
+        vsq, rem = divmod(-2 * U, D)
         v = isqrt(vsq)
-        if v * v != vsq:
-            return None
-    else:
-        if V % u:
-            return None
-        v = V // u
-        vsq = v * v
-    # beta**2 = ((u**2 - D*v**2)/2 + u*v*sqrt(-D))/2 must be alpha; u**2 = usq, v**2 = vsq
-    if usq - D * vsq != 2 * U or u * v != V:
+        return (0, v) if rem == 0 and v * v == vsq else None
+    n4 = U * U + D * V * V
+    r = isqrt(n4)
+    if r * r != n4:
+        return None
+    usq = U + r  # > 0 since |U| < r
+    u = isqrt(usq)
+    if u * u != usq or V % u:
+        return None
+    v = V // u
+    # beta**2 = ((u**2 - D*v**2)/2 + u*v*sqrt(-D))/2 must be alpha; u**2 = usq and u*v = V
+    if usq - D * v * v != 2 * U:
         return None
     return u, v
 
@@ -322,9 +326,9 @@ def _sqrt_mod(n: QuadInt, hnf: tuple[int, int, int]) -> list[tuple[int, int]]:
     c*O_K when its omega coordinate is a multiple k of n2 and its rational
     coordinate minus k*t a multiple of n1.
     """
-    D, p = n.ring.D, n.ring.omega_p
+    p = n.ring.omega_p
+    q = _omega_q(n.ring.D, p)  # omega^2 = p*omega + q
     n1, t, n2 = hnf
-    q = -(D + 1) // 4 if p else -D  # omega^2 = p*omega + q
     roots = []
     for y in range(n2):
         wy0, wx0 = p * y * y - n.y, q * y * y - n.x  # z^2 - n = (x^2 + wx0) + (2xy + wy0)*omega

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+from math import isqrt
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from diotuples.quad_ring import (
     QuadInt,
     RingParams,
     _class_rows,
+    _omega_q,
     elem_key,
     elem_from_json,
     elem_to_json,
@@ -53,7 +55,7 @@ class TestMakeRing:
     def test_omega_rule(self, D, omega_sq, half):
         # omega**2 in basis coordinates, and omega = (half[0] + half[1]*sqrt(-D))/2
         w = QuadInt(make_ring(D), 0, 1)
-        assert ((w * w).x, (w * w).y) == omega_sq
+        assert ((w * w).x, (w * w).y) == omega_sq == (_omega_q(D, w.ring.omega_p), w.ring.omega_p)
         assert w.half_coords() == half and from_half(w.ring, *half) == w
 
     @pytest.mark.parametrize("bad", [4, 8, 9, 12, 18, 0, -3, 50])
@@ -180,6 +182,21 @@ class TestNorm:
         assert norm(q1(3)) > norm(q1(2, 2))  # 9 > 8
         assert norm(q1(4, -7)) == norm(q1(-7, 4)) == norm(q1(4, 7))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        D=st.sampled_from([1, 2, 3, 7, 163]),
+        x=st.integers(-(2**700), 2**700),
+        y=st.integers(-(2**700), 2**700),
+    )
+    @example(D=3, x=-(2**700), y=2**700)
+    @example(D=2, x=0, y=-(2**700))
+    def test_matches_half_coordinates(self, D, x, y):
+        # norm on basis coordinates against (u**2 + D*v**2)/4, in both omega conventions
+        a = QuadInt(make_ring(D), x, y)
+        u, v = a.half_coords()
+        assert (u * u + D * v * v) % 4 == 0
+        assert a.norm() == norm(a) == (u * u + D * v * v) // 4
+
     def test_zero_iff_zero(self):
         for D in (1, 3):
             ring = make_ring(D)
@@ -231,7 +248,7 @@ class TestSqrtExact:
                 got = sqrt_half(b * b)
                 assert got == canonical_sign(b)
 
-    @pytest.mark.parametrize("D", [1, 3])
+    @pytest.mark.parametrize("D", [1, 2, 3, 7])
     def test_against_brute_table_small(self, D):
         ring = make_ring(D)
         table = brute_root_table(ring, 20)
@@ -239,6 +256,41 @@ class TestSqrtExact:
             got = sqrt_half(a)
             want = table.get((a.x, a.y))
             assert got == want, f"D={D}, alpha={a}"
+
+    @staticmethod
+    def rational_root(ring, a):
+        # a rational a >= 0 is a square of O_K exactly as an integer; a < 0 has the roots +-k*sqrt(-D)
+        # with D*k**2 = -a, and no root of O_K squares to a rational unless it is rational or such
+        if a >= 0:
+            k = isqrt(a)
+            return QuadInt(ring, k, 0) if k * k == a else None
+        k = isqrt(-a // ring.D)
+        return k * from_half(ring, 0, 2) if ring.D * k * k == -a else None
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7, 163])
+    def test_rational_radicands(self, D):
+        ring = make_ring(D)
+        s = from_half(ring, 0, 2)
+        assert s * s == QuadInt(ring, -D, 0)
+        rng = Random(D)
+        ks = [1, 2, 3, 5, 12, D, D + 1, 2**64 + 1, 2**419 + 3, 2**420 - 1, 2**420]
+        ks += [rng.getrandbits(bits) | 1 for bits in (30, 200, 420)]
+        radicands = {0, 1, -1, 2, -2}
+        for k in ks:
+            for base in (k * k, D * k * k):
+                radicands |= {sign * base + delta for sign in (1, -1) for delta in (0, 1, -1, 2, -2)}
+        coprime = [k for k in ks if k % D]  # -k**2 = -D*v**2/4 has no root v when D > 1 does not divide k
+        assert D == 1 or coprime
+        radicands |= {-k * k for k in coprime}
+        for a in sorted(radicands):
+            alpha = QuadInt(ring, a, 0)
+            want = self.rational_root(ring, a)
+            assert sqrt_half(alpha) == want, f"D={D}, alpha={a}"
+            assert want is None or want * want == alpha
+        for k in ks:
+            assert sqrt_half(QuadInt(ring, k * k, 0)) == QuadInt(ring, k, 0)
+            assert sqrt_half(QuadInt(ring, -D * k * k, 0)) == k * s
+        assert all(sqrt_half(QuadInt(ring, -k * k, 0)) is None for k in coprime)
 
 
 class TestExactDiv:
