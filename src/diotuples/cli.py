@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .quad_ring import QuadInt, format_elem, is_squarefree, make_ring, parse_elem
+from .quad_ring import QuadInt, elem_to_json, format_elem, is_squarefree, make_ring, parse_elem
 from .tuples import extend_scan, extend_triple, is_regular, make_tuple, verify_tuple
 from .search import SearchConfig, run_campaign, write_clique_csv, write_report, _WORKER_COST
 
@@ -191,23 +191,24 @@ def _cmd_extend(args) -> int:
         print("not extendable: {a, b, c} is not a D(-1) triple", file=sys.stderr)
         return 1
     scan = extend_scan(a, b, c, args.z_norm_bound)
-    found = scan.extensions
+    # one record (d, Pell witness, {a, b, d} regular) per extension, for both views
+    records = [(d, w, is_regular(a, b, d)) for d, w in scan.extensions]
     base_regular = is_regular(a, b, c)
     if args.json:
         payload = {
-            "schema": 1,
+            "schema": 2,
             "D": args.D,
-            "triple": [format_elem(e) for e in (a, b, c)],
+            "triple": [elem_to_json(e) for e in (a, b, c)],
             "triple_regular": base_regular,
             "extensions": [
                 {
-                    "d": format_elem(d),
-                    "x": format_elem(w.x),
-                    "y": format_elem(w.y),
-                    "z": format_elem(w.z),
-                    "abd_regular": is_regular(a, b, d),
+                    "d": elem_to_json(d),
+                    "x": elem_to_json(w.x),
+                    "y": elem_to_json(w.y),
+                    "z": elem_to_json(w.z),
+                    "abd_regular": regular,
                 }
-                for d, w in found
+                for d, w, regular in records
             ],
             "scan": scan.to_json(),
         }
@@ -215,10 +216,10 @@ def _cmd_extend(args) -> int:
     else:
         flag = "regular" if base_regular else "not regular"
         print(f"triple {{{format_elem(a)}, {format_elem(b)}, {format_elem(c)}}} ({flag})")
-        if not found:
+        if not records:
             print(f"no extension with norm(z) <= {args.z_norm_bound}")
-        for d, w in found:
-            dflag = "regular" if is_regular(a, b, d) else "not regular"
+        for d, w, regular in records:
+            dflag = "regular" if regular else "not regular"
             print(
                 f"  d = {format_elem(d)}  (x={format_elem(w.x)}, y={format_elem(w.y)}, "
                 f"z={format_elem(w.z)}; {{a, b, d}} {dflag})"

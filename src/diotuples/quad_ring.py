@@ -211,9 +211,13 @@ def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
 
     Otherwise the candidate is reconstructed from the norm: 4*norm(alpha) =
     U**2 + D*V**2 must be a perfect square r**2 (so r = 2*norm(beta)), then
-    u**2 = U + r and u*v = V, where r > |U| as V != 0, so u > 0.  r is even
-    and the candidate has u**2 + D*v**2 = 2*r = 0 (mod 4): it lies in O_K by
-    the integrality rule, with no parity test.
+    u**2 = U + r and u*v = V, where r > |U| as V != 0, so u > 0.  Once u**2 =
+    U + r holds, the rest is proved, not tested.  u divides V: u**2*(r - U)
+    = r**2 - U**2 = D*V**2, and D is squarefree, so each prime's exponent in
+    u is at most its exponent in V.  The square is alpha: u*v = V, and
+    u**2*(u**2 - D*v**2) = (U + r)**2 - D*V**2 = 2*U*(U + r) = 2*U*u**2, so
+    u**2 - D*v**2 = 2*U.  r is even and u**2 + D*v**2 = 2*r = 0 (mod 4): the
+    root lies in O_K by the integrality rule, with no parity test.
     """
     if V == 0:
         if U >= 0:
@@ -228,13 +232,7 @@ def _sqrt_half(D: int, U: int, V: int) -> tuple[int, int] | None:
         return None
     usq = U + r  # > 0 since |U| < r
     u = isqrt(usq)
-    if u * u != usq or V % u:
-        return None
-    v = V // u
-    # beta**2 = ((u**2 - D*v**2)/2 + u*v*sqrt(-D))/2 must be alpha; u**2 = usq and u*v = V
-    if usq - D * v * v != 2 * U:
-        return None
-    return u, v
+    return (u, V // u) if u * u == usq else None
 
 
 def _div_half(D: int, U1: int, V1: int, U2: int, V2: int) -> tuple[int, int] | None:

@@ -155,18 +155,6 @@ def verify_tuple(t: DioTuple) -> VerifyReport:
     return VerifyReport(t, True, tuple(checks), None)
 
 
-def _witnesses(**pairs: tuple[QuadInt, QuadInt]) -> dict[str, tuple[int, int]]:
-    """Half-coordinates of the canonical D(-1) witnesses sqrt(p*q - 1), by name.
-
-    Raises naming the first missing square, or on a pair from two rings.
-    """
-    out = {}
-    for name, (p, q) in pairs.items():
-        ring = p.ring
-        out[name] = _witness_half(ring.D, _mul_half(ring.D, *_halves(ring, p, q)), p, q, name)
-    return out
-
-
 def _witness_half(D: int, pq: tuple[int, int], p: QuadInt, q: QuadInt, name: str) -> tuple[int, int]:
     """Half-coordinates of the canonical sqrt(p*q - 1), from those of p*q; raises naming the missing square."""
     root = _sqrt_half(D, pq[0] - 2, pq[1])  # p*q - 1, with 1 = (2 + 0*s)/2
@@ -179,7 +167,7 @@ def is_regular(a: QuadInt, b: QuadInt, c: QuadInt) -> bool:
     """True iff c = a + b + 2r or a + b - 2r for the canonical r = sqrt(ab - 1).
 
     Raises on elements from two rings, c included, before r is looked for;
-    then as _witnesses does for r.
+    then as build_pell_witness does for r.
     """
     ring = a.ring
     ha, hb, (cu, cv) = _halves(ring, a, b, c)
@@ -208,9 +196,13 @@ class PellWitness:
 
 
 def build_pell_witness(a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt) -> PellWitness:
-    """Extract all six canonical witnesses; raises naming the first missing square."""
-    w = _witnesses(r=(a, b), s=(a, c), t=(b, c), x=(a, d), y=(b, d), z=(c, d))
-    return PellWitness(a, b, c, d, **{k: _from_half_unchecked(a.ring, *h) for k, h in w.items()})
+    """Extract all six canonical witnesses; raises naming the first missing square, or on a pair from two rings."""
+    ring = a.ring
+    D = ring.D
+    w = {}
+    for name, p, q in (("r", a, b), ("s", a, c), ("t", b, c), ("x", a, d), ("y", b, d), ("z", c, d)):
+        w[name] = _from_half_unchecked(ring, *_witness_half(D, _mul_half(D, *_halves(ring, p, q)), p, q, name))
+    return PellWitness(a, b, c, d, **w)
 
 
 def pell_residuals(w: PellWitness) -> tuple[QuadInt, QuadInt]:
@@ -452,7 +444,7 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
     since the halving is exact in O_K.  ab, ad and bd are formed once, for
     the witnesses and for the identity check.  The pairs are taken in the
     order (a, b), (a, d), (b, d), and a pair from two rings or without a
-    witness raises as _witnesses does.
+    witness raises as build_pell_witness does.
     """
     ring = a.ring
     D = ring.D

@@ -540,6 +540,7 @@ TOP_LEVEL_SHAPES = (
     "extra-top-key",
     "config-null",
     "version-not-string",
+    "schema-next",
     "config-other-max-norm",
 )
 # the corrupted shapes of break_checkpoint; --resume must reject each
@@ -588,6 +589,8 @@ def break_checkpoint(saved: dict, shape: str) -> bytes:
             saved["config"] = None
         elif shape == "version-not-string":
             saved["version"] = 5
+        elif shape == "schema-next":
+            saved["schema"] += 1  # a version this loader does not read
         elif shape == "config-other-max-norm":
             saved["config"]["max_norm"] += 1
         else:

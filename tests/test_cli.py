@@ -129,6 +129,10 @@ class TestSearchCommand:
         assert main(["search", "--D-range", bad, "--max-norm", "5", "--k", "3"]) == 2
         assert "a..b" in capsys.readouterr().err
 
+    def test_empty_range(self, capsys):
+        assert main(["search", "--D-range", "5..3", "--max-norm", "5", "--k", "3"]) == 2
+        assert "empty D range 5..3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["1,,2", "1,x", "x", "1,2,"])
     def test_malformed_list(self, bad, capsys):
         assert main(["search", "--D-list", bad, "--max-norm", "5", "--k", "3"]) == 2
@@ -149,6 +153,8 @@ class TestSearchCommand:
         assert str(ck) in err
         if shape in UNPARSABLE_CHECKPOINTS:
             assert f"checkpoint {ck}: not valid JSON" in err
+        if shape == "schema-next":
+            assert f"checkpoint {ck}: unsupported schema {search.SCHEMA_VERSION + 1}" in err
         assert ran == []  # rejected before any field ran
 
     def test_csv_export(self, tmp_path):
@@ -263,10 +269,17 @@ class TestExtendCommand:
         assert "not extendable" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "triple, message", [("1,2,0", "must be nonzero"), ("1,1,2", "must be pairwise distinct")]
+        "triple, message",
+        [
+            ("1,2,0", "must be nonzero"),
+            ("1,1,2", "must be pairwise distinct"),
+            ("1,2", "exactly three"),
+            ("1,2,5,13", "exactly three"),
+        ],
     )
     def test_malformed_triple_is_usage_error(self, triple, message, capsys):
-        # as for verify: a zero or repeated element is not a tuple at all, so it is no "not extendable"
+        # as for verify: a zero or repeated element, or a count other than three, is not a triple at all,
+        # so it is no "not extendable"
         code = main(["extend", "--D", "1", "--triple", triple, "--z-norm-bound", "10"])
         assert code == 2
         err = capsys.readouterr().err
@@ -289,8 +302,11 @@ class TestExtendCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["triple_regular"] is True
-        assert any(e["d"] == "-24" for e in payload["extensions"])
-        assert all(e["abd_regular"] is False for e in payload["extensions"] if e["d"] == "-24")
+        minus_24 = {"x": "-24", "y": "0"}  # elements are written as elem_to_json writes them
+        assert payload["schema"] == 2
+        assert payload["triple"] == [{"x": "1", "y": "0"}, {"x": "2", "y": "0"}, {"x": "5", "y": "0"}]
+        assert any(e["d"] == minus_24 for e in payload["extensions"])
+        assert all(e["abd_regular"] is False for e in payload["extensions"] if e["d"] == minus_24)
 
     @pytest.mark.parametrize(
         "bound, scan, line",
@@ -452,8 +468,11 @@ def test_python_m_runs_the_cli():
         (["reproduce", "quadruple-min"], 0),
         (["reproduce", "example-quadruple"], 0),
         (["verify", "--D", "1", "--elems", "1,2,3"], 1),
+        (["extend", "--D", "1", "--triple", "1,2,5", "--z-norm-bound", "10000"], 0),
+        (["extend", "--D", "1", "--triple", "1,2,5", "--z-norm-bound", "10000", "--json"], 0),
+        (["bounds", "chain", "--json"], 0),
     ],
-    ids=["quadruple-min", "example-quadruple", "verify-fail"],
+    ids=["quadruple-min", "example-quadruple", "verify-fail", "extend", "extend-json", "bounds-chain-json"],
 )
 def test_python_O_gives_the_same_answers(argv, code):
     # invariant checks raise rather than assert, so `python -O` strips none of them: each run

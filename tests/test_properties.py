@@ -272,6 +272,43 @@ def test_sqrt_half_rational_edges():
             assert _sqrt_half(D, U, 0) == general_sqrt_half(D, U, 0)
 
 
+def half_in_ok(D: int, u: int, v: int) -> tuple[int, int]:
+    """(u, v), or (2u, 2v) when (u + v*sqrt(-D))/2 is not in O_K (its norm (u^2 + D*v^2)/4 is no integer)."""
+    return (u, v) if (u * u + D * v * v) % 4 == 0 else (2 * u, 2 * v)
+
+
+def half_square(D: int, u: int, v: int) -> tuple[int, int]:
+    """Half-coordinates of beta^2 for beta = (u + v*sqrt(-D))/2 in O_K, on the test's own integers."""
+    return (u * u - D * v * v) // 2, u * v
+
+
+def canonical_half(u: int, v: int) -> tuple[int, int]:
+    """The one of +-(u, v) with u > 0, or u = 0 and v >= 0."""
+    return (u, v) if u > 0 or (u == 0 and v >= 0) else (-u, -v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.sampled_from([1, 2, 3, 7, 163]),
+    u=st.integers(-(2**300), 2**300).filter(bool),
+    v=st.integers(-(2**300), 2**300).filter(bool),
+    du=st.integers(-8, 8),
+    dv=st.integers(-8, 8),
+)
+def test_sqrt_half_non_rational(D, u, v, du, dv):
+    # V = u*v != 0, radicands of up to about 600 bits: the route whose result rests on the docstring's
+    # proof, u**2*(u**2 - D*v**2) = 2*U*u**2, with no closing test of beta**2 = alpha
+    assume((du, dv) != (0, 0))
+    u, v = half_in_ok(D, u, v)
+    U, V = half_square(D, u, v)
+    assert _sqrt_half(D, U, V) == canonical_half(u, v)
+    # -beta^2 is a square only where -1 is one, in Z[i], with the roots +-i*beta = +-(-v, u)
+    assert _sqrt_half(D, -U, -V) == (canonical_half(-v, u) if D == 1 else None)
+    du, dv = half_in_ok(D, du, dv)  # delta = (du + dv*sqrt(-D))/2, small and nonzero
+    root = _sqrt_half(D, U + du, V + dv)
+    assert root is None or (canonical_half(*root) == root and half_square(D, *root) == (U + du, V + dv))
+
+
 @lru_cache(maxsize=None)
 def extend_cases(D: int) -> list:
     """Benchmark and chain triples, the `reproduce d3-triples` pair, and witness_triples."""
@@ -514,6 +551,10 @@ def test_parse_format_roundtrip(D, data):
     assert parse_elem(format_elem(a), a.ring) == a
     u, v = a.half_coords()
     assert parse_elem(f"({u}{v:+d}*s)/2", a.ring) == a
+
+
+def test_max_rel_error_across_zero_is_inf():
+    assert PrecReal(mpmath.iv.mpf([-1, 1]), 128).max_rel_error == float("inf")
 
 
 def contains(enc: PrecReal, ref: mpmath.mpf) -> bool:

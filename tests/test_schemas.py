@@ -62,9 +62,11 @@ def cli_json(argv: list[str], code: int):
 def outputs(tmp_path_factory) -> dict[str, list]:
     """Schema file -> the outputs of its producer, from the README's CLI examples and a few more."""
     tmp = tmp_path_factory.mktemp("outputs")
-    report, ck = tmp / "report.json", tmp / "ck.json"
+    report, ck, reproduced = tmp / "report.json", tmp / "ck.json", tmp / "reproduced.json"
     search_args = ["search", "--D-list", "1", "--max-norm", "576", "--k", "4", "--n", "-1"]
     printed = cli_json([*search_args, "--out", str(report), "--checkpoint", str(ck), "--json"], 1)
+    with redirect_stdout(io.StringIO()):
+        assert main(["reproduce", "quadruple-min", "--out", str(reproduced)]) == 0
     verify = ["verify", "--D", "1", "--n", "-1", "--json", "--elems"]
     extend = ["extend", "--D", "1", "--triple", "1,2,5", "--json", "--z-norm-bound"]
     return {
@@ -74,7 +76,7 @@ def outputs(tmp_path_factory) -> dict[str, list]:
             cli_json([*verify, "1,2,5,145"], 1),
             json.loads((DATA / "verify_fib150.json").read_text()),
         ],
-        "search-report.schema.json": [printed, json.loads(report.read_text())],
+        "search-report.schema.json": [printed, json.loads(report.read_text()), json.loads(reproduced.read_text())],
         "checkpoint.schema.json": [json.loads(ck.read_text())],
         # at bound 10 the half-ball holds fewer z than norm(5) = 25 classes: the whole ball is scanned
         "extend.schema.json": [cli_json([*extend, "200"], 0), cli_json([*extend, "10"], 0)],
@@ -100,6 +102,11 @@ def test_outputs_match_schema(name, outputs):
 def test_outputs_cover_both_verdicts_and_both_scans(outputs):
     assert [doc["pass"] for doc in outputs["verify.schema.json"]] == [True, False, True]
     assert [doc["scan"]["root_classes"] for doc in outputs["extend.schema.json"]] == [4, None]
+    assert [(doc["config"]["max_norm"], doc["config"]["k"]) for doc in outputs["search-report.schema.json"]] == [
+        (576, 4),
+        (576, 4),
+        (143, 4),  # reproduce quadruple-min --out
+    ]
 
 
 DELETE = object()
@@ -128,7 +135,8 @@ CORRUPTIONS = {
     "extend.schema.json": {
         "missing-key": (("scan", "z_scanned"), DELETE),
         "wrong-type": (("scan", "root_classes"), "4"),
-        "non-canonical-text": (("extensions", 0, "d"), "-24+0*w"),
+        "non-canonical-text": (("extensions", 0, "d", "y"), "+0"),
+        "format-elem-text": (("extensions", 0, "d"), "-24"),  # the element format of schema 1
     },
     "chain.schema.json": {
         "missing-key": (("steps", 0, "margin"), DELETE),
