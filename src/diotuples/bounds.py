@@ -18,7 +18,14 @@ kept strictly apart:
   verdict is read off them.
 
 Every exact comparison, of a hypothesis clause or a chain step, is one
-Comparison record whose verdict is computed from its operands.
+Comparison record whose verdict is computed from its operands.  The margin
+of a gap-lemma clause, |X - Y| / max(|X|, |Y|), is the correctly rounded
+quotient.  When the bit lengths of X and Y differ by 55 or more, as the gap
+hypotheses make them for l, p and L, it is 1.0 without a division: the
+smaller over the larger is then below 2^-54, and 1 -+ r with r < 2^-54
+rounds to exactly 1.0 (the proof is at _margin).  The exact small integers
+the interval kernels use are the module constants _IV_1, _IV_2, ..., built
+once.
 """
 
 from __future__ import annotations
@@ -86,6 +93,13 @@ class HypothesisFailure(ValueError):
 def _iv_int(n: int, prec: int) -> tuple:
     """The integer n as an interval of prec-bit endpoints, converted as mpmath.iv converts it."""
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+# The exact intervals [k, k] of the small integers the kernels use, built once: from_int(k) is exact
+# and normalised, so each equals _iv_int(k, prec) at every precision prec >= 64.
+_IV_0, _IV_1, _IV_2, _IV_3, _IV_4, _IV_16, _IV_21, _IV_27, _IV_64 = (
+    (from_int(k), from_int(k)) for k in (0, 1, 2, 3, 4, 16, 21, 27, 64)
+)
 
 
 def _iv_sqrt(x: tuple, prec: int) -> tuple:
@@ -185,8 +199,26 @@ class JZConstants:
     precision_bits: int
 
 
+# A bit-length gap at which _margin is 1.0 without a division (see its proof).
+_MARGIN_GAP_BITS = 55
+
+
 def _margin(x: int, y: int) -> float:
-    """Relative gap |x - y| / max(|x|, |y|) of the exact comparison x vs y; 0.0 on a tie."""
+    """Relative gap |x - y| / max(|x|, |y|) of the exact comparison x vs y, correctly rounded; 0.0 on a tie.
+
+    When the bit lengths (bl) of x and y differ by at least 55, the result is
+    1.0 and no division is done.  Proof: let g and s be the larger and the
+    smaller of |x|, |y|, so bl(g) >= bl(s) + 55.  As s < 2^bl(s) and
+    g >= 2^(bl(g) - 1), r = s/g < 2^-54, and |x - y| is g - s or g + s, so the
+    exact quotient is 1 - r or 1 + r.  The doubles next to 1 are 1 - 2^-53 and
+    1 + 2^-52, so every real strictly between 1 - 2^-54 and 1 + 2^-53 rounds
+    to nearest to exactly 1.0, and both quotients lie there.  Python's int
+    true division is correctly rounded, so it returns the same 1.0.  Otherwise
+    the quotient is that division; both operands 0 give 0.0.
+    """
+    gap = x.bit_length() - y.bit_length()
+    if gap >= _MARGIN_GAP_BITS or gap <= -_MARGIN_GAP_BITS:
+        return 1.0
     scale = max(abs(x), abs(y))
     return abs(x - y) / scale if scale else 0.0
 
@@ -202,7 +234,7 @@ def _pair_norms(a1: QuadInt, a2: QuadInt) -> tuple[int, int, int]:
     if a1.is_zero() or a2.is_zero():
         raise ValueError("a1 and a2 must be nonzero")
     ring = a1.ring
-    if a2.ring != ring:
+    if a2.ring is not ring and a2.ring != ring:
         raise ValueError(f"mixed rings: {ring} vs {a2.ring}")
     (u1, v1), (u2, v2), D = a1.half_coords(), a2.half_coords(), ring.D
     u, v = u1 - u2, v1 - v2  # a1 - a2
@@ -246,25 +278,26 @@ def jz_constants(
     rT = _iv_sqrt(_iv_int(nT, prec), prec)
     rM = _iv_sqrt(_iv_int(M_sq, prec), prec)
     gap = mpi_sub(rT, rM, prec)  # |T| - M > 0, decided exactly by _lemma_norms
+    N16 = _iv_int(16 * N, prec)
     # L = gap * gap * 27 / (16 * N)
-    L = mpi_div(mpi_mul(mpi_mul(gap, gap, prec), _iv_int(27, prec), prec), _iv_int(16 * N, prec), prec)
+    L = mpi_div(mpi_mul(mpi_mul(gap, gap, prec), _IV_27, prec), N16, prec)
     # l = rT * 27 / (64 * gap)
-    l = mpi_div(mpi_mul(rT, _iv_int(27, prec), prec), mpi_mul(_iv_int(64, prec), gap, prec), prec)
+    l = mpi_div(mpi_mul(rT, _IV_27, prec), mpi_mul(_IV_64, gap, prec), prec)
     # num = 2 * rT + 3 * rM
-    num = mpi_add(mpi_mul(_iv_int(2, prec), rT, prec), mpi_mul(_iv_int(3, prec), rM, prec), prec)
+    num = mpi_add(mpi_mul(_IV_2, rT, prec), mpi_mul(_IV_3, rM, prec), prec)
     # p = sqrt(num / (2 * gap))
-    p = _iv_sqrt(mpi_div(num, mpi_mul(_iv_int(2, prec), gap, prec), prec), prec)
+    p = _iv_sqrt(mpi_div(num, mpi_mul(_IV_2, gap, prec), prec), prec)
     # P = 16 * N * num / (min * sqrt(min))
     min_iv = _iv_int(min_sq, prec)
-    P = mpi_div(mpi_mul(_iv_int(16 * N, prec), num, prec), mpi_mul(min_iv, _iv_sqrt(min_iv, prec), prec), prec)
+    P = mpi_div(mpi_mul(N16, num, prec), mpi_mul(min_iv, _iv_sqrt(min_iv, prec), prec), prec)
     # lam = 1 + log(P) / log(L)
-    lam = mpi_add(_iv_int(1, prec), mpi_div(mpi_log(P, prec), mpi_log(L, prec), prec), prec)
+    lam = mpi_add(_IV_1, mpi_div(mpi_log(P, prec), mpi_log(L, prec), prec), prec)
     # max(1, 2l), taken on the endpoints: the hull [1, 2l.b] when 2l straddles 1
-    base = tuple(fone if mpf_le(e, fone) else e for e in mpi_mul(_iv_int(2, prec), l, prec))
+    base = tuple(fone if mpf_le(e, fone) else e for e in mpi_mul(_IV_2, l, prec))
     # c1 = 1 / (4 * p * P * base ** (lam - 1))
-    power = mpi_pow(base, mpi_sub(lam, _iv_int(1, prec), prec), prec)
-    den = mpi_mul(mpi_mul(mpi_mul(_iv_int(4, prec), p, prec), P, prec), power, prec)
-    c1 = mpi_div(_iv_int(1, prec), den, prec)
+    power = mpi_pow(base, mpi_sub(lam, _IV_1, prec), prec)
+    den = mpi_mul(mpi_mul(mpi_mul(_IV_4, p, prec), P, prec), power, prec)
+    c1 = mpi_div(_IV_1, den, prec)
     consts = (PrecReal(iv.make_mpf(x), prec) for x in (L, l, p, P, lam, c1))
     return JZConstants(a1, a2, T, M_sq, *consts, precision_bits)
 
@@ -403,7 +436,7 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
     """
     ring = a.ring
     for other in (b, c):
-        if other.ring != ring:
+        if other.ring is not ring and other.ring != ring:
             raise ValueError(f"mixed rings: {ring} vs {other.ring}")
     nb, na, nab = _pair_norms(b, a)  # as at (a1, a2) = (-b, -a)
     nT = na * nb * norm(c)
@@ -470,31 +503,31 @@ class ThetaCheck:
     precision_bits: int
 
 
-def _defect(ns: int, na: int, nc: int, nx: int, nz: int, n_res: int, prec: int) -> tuple:
+def _defect(ns: int, na: int, nc: int, nx: int, nz: int, n_res: int, sqrt2: tuple, prec: int) -> tuple:
     """Enclosure of min |theta -+ s*x/(a*z)| for theta = (s/a)sqrt(a/c), from exact norms, at prec bits.
 
-    n_res = norm(a*z^2 - c*x^2).  With N = |theta^2 - approx^2| and
-    S = |theta + approx|^2 + |theta - approx|^2, the two distances u, w obey
+    n_res = norm(a*z^2 - c*x^2), and sqrt2 encloses sqrt(2) at prec bits.  With
+    N = |theta^2 - approx^2| and S = |theta + approx|^2 + |theta - approx|^2, the two distances u, w obey
     u*w = N and u^2 + w^2 = S, so the smaller is sqrt(2)*N / sqrt(S + sqrt(S^2 - 4N^2)).
     The one subtraction is added to S, which dominates it whenever it cancels,
     so the enclosure stays tight.
     """
     if ns == 0:  # theta = approx = 0
-        return _iv_int(0, prec)
-    nc_iv, nz_iv = _iv_int(nc, prec), _iv_int(nz, prec)
-    r = mpi_div(_iv_int(ns, prec), _iv_int(na, prec), prec)
+        return _IV_0
+    na_iv, nc_iv, nz_iv = _iv_int(na, prec), _iv_int(nc, prec), _iv_int(nz, prec)
+    r = mpi_div(_iv_int(ns, prec), na_iv, prec)
     # N = r * sqrt(n_res / nc) / nz
     N = mpi_div(mpi_mul(r, _iv_sqrt(mpi_div(_iv_int(n_res, prec), nc_iv, prec), prec), prec), nz_iv, prec)
     # S = 2 * (r * sqrt(na / nc) + r * nx / nz)
-    theta = mpi_mul(r, _iv_sqrt(mpi_div(_iv_int(na, prec), nc_iv, prec), prec), prec)
+    theta = mpi_mul(r, _iv_sqrt(mpi_div(na_iv, nc_iv, prec), prec), prec)
     approx = mpi_div(mpi_mul(r, _iv_int(nx, prec), prec), nz_iv, prec)
-    S = mpi_mul(_iv_int(2, prec), mpi_add(theta, approx, prec), prec)
+    S = mpi_mul(_IV_2, mpi_add(theta, approx, prec), prec)
     # S^2 - 4N^2 = (u^2 - w^2)^2 >= 0: its lower endpoint is raised to 0
-    lo, hi = mpi_sub(mpi_mul(S, S, prec), mpi_mul(mpi_mul(_iv_int(4, prec), N, prec), N, prec), prec)
+    lo, hi = mpi_sub(mpi_mul(S, S, prec), mpi_mul(mpi_mul(_IV_4, N, prec), N, prec), prec)
     disc = (fzero if mpf_le(lo, fzero) else lo, hi)
     # sqrt(2) * N / sqrt(S + sqrt(disc))
     root = _iv_sqrt(mpi_add(S, _iv_sqrt(disc, prec), prec), prec)
-    return mpi_div(mpi_mul(_iv_sqrt(_iv_int(2, prec), prec), N, prec), root, prec)
+    return mpi_div(mpi_mul(sqrt2, N, prec), root, prec)
 
 
 def theta_defect(w: PellWitness) -> ThetaCheck:
@@ -524,14 +557,15 @@ def theta_defect(w: PellWitness) -> ThetaCheck:
         return mpi_div(sqrt(n_num), mpi_mul(den, _iv_int(nz, bits), bits), bits)
 
     # |z|^2 = norm(z) exactly; all other magnitudes are square roots of exact norms
-    defect1 = _defect(ns, na, nc, norm(w.x), nz, n_res1, bits)
-    defect2 = _defect(nt, nb, nc, norm(w.y), nz, norm(b * z * z - c * w.y * w.y), bits)
+    sqrt2 = _iv_sqrt(_IV_2, bits)
+    defect1 = _defect(ns, na, nc, norm(w.x), nz, n_res1, sqrt2, bits)
+    defect2 = _defect(nt, nb, nc, norm(w.y), nz, norm(b * z * z - c * w.y * w.y), sqrt2, bits)
     middle1 = middle(ns * norm(a - c), na)
     middle2_sym = middle(nt * norm(b - c), nb)
     # outer = 21 * sqrt(nc) / (16 * sqrt(na) * nz)
     outer = mpi_div(
-        mpi_mul(_iv_int(21, bits), sqrt(nc), bits),
-        mpi_mul(mpi_mul(_iv_int(16, bits), sqrt(na), bits), _iv_int(nz, bits), bits),
+        mpi_mul(_IV_21, sqrt(nc), bits),
+        mpi_mul(mpi_mul(_IV_16, sqrt(na), bits), _iv_int(nz, bits), bits),
         bits,
     )
 

@@ -571,7 +571,7 @@ def _usable_cpus() -> int:
 _FIELD_BASE_COST = 2
 # predicted cost (x scanned) that each worker of a pool needs for the pool to pay (see clamp_workers)
 _WORKER_COST = 10_000
-# chunks per worker: enough to even out the tail, few enough that checkpoint writes stay cheap
+# chunks per worker at most: enough to even out the tail, few enough that checkpoint writes stay cheap
 _CHUNKS_PER_WORKER = 4
 
 
@@ -603,15 +603,20 @@ def field_cost(D: int, max_norm: int) -> int:
 
 
 def _chunks(tasks: list[tuple], costs: list[int], workers: int) -> list[list[tuple]]:
-    """Group the _run_field tasks into min(len(tasks), 4 * workers) chunks of balanced cost.
+    """Group the _run_field tasks into chunks of balanced cost, one checkpoint write each.
 
-    costs[i] is the field_cost of tasks[i].  Longest processing time first
-    (Graham, SIAM J. Appl. Math. 1969): tasks in order of falling cost, ties
-    by D, each to the chunk with the least load so far, ties by chunk index.
-    The largest load then exceeds the smallest by at most the largest single
-    cost, and the costliest fields start first, so they do not set the tail.
+    costs[i] is the field_cost of tasks[i].  There are
+    max(1, min(len(tasks), 4 * workers, sum(costs) // _WORKER_COST)) chunks,
+    none for no task, so several chunks carry on average at least the
+    _WORKER_COST of predicted work that clamp_workers asks of a worker, and a
+    campaign predicted below 2 * _WORKER_COST is one chunk.  Longest
+    processing time first (Graham, SIAM J. Appl. Math. 1969): tasks in order
+    of falling cost, ties by D, each to the chunk with the least load so far,
+    ties by chunk index.  The largest load then exceeds the smallest by at
+    most the largest single cost, and the costliest fields start first, so
+    they do not set the tail.
     """
-    count = min(len(tasks), _CHUNKS_PER_WORKER * workers)
+    count = min(len(tasks), max(1, min(_CHUNKS_PER_WORKER * workers, sum(costs) // _WORKER_COST)))
     chunks: list[list[tuple]] = [[] for _ in range(count)]
     loads = [(0, c) for c in range(count)]  # a heap of (load, chunk index)
     for cost, task in sorted(zip(costs, tasks), key=lambda ct: (-ct[0], ct[1][0])):
@@ -659,7 +664,10 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     pending fields are grouped by _chunks into cost-balanced chunks; each
     chunk's results pass through one loop, in completion order: every result
     is stored, the checkpoint is rewritten once, then each result is handed
-    to progress.  A crash therefore loses at most the chunks in flight.  Each
+    to progress.  A crash therefore loses at most the chunks in flight, one
+    per worker, each about sum(costs) / chunks of predicted work, which is at
+    least _WORKER_COST: the whole campaign when it is predicted below
+    2 * _WORKER_COST.  Each
     pending field's field_cost is computed once and serves both the chunks
     and clamp_workers, which caps cfg.jobs by the pending fields, the usable
     CPUs and the predicted total cost (each worker needs _WORKER_COST of it).

@@ -4,6 +4,7 @@ gap-lemma verdicts."""
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import isqrt
@@ -965,6 +966,75 @@ def test_jz_constants_match_iv_reference_where_2l_exceeds_1(T, bits):
     consts = jz_constants(a1, a2, t, bits)
     assert float(consts.l) > 0.5
     assert jz_endpoints(consts) == tuple(x._mpi_ for x in iv_jz_reference(a1, a2, t, bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    D=st.sampled_from(GAP_DS),
+    a=st.tuples(*[st.integers(-10, 10)] * 2),
+    b=st.tuples(*[st.integers(-60, 60)] * 2),
+    extra=st.integers(1, 10**6),
+    cy=st.integers(0, 49),
+)
+def test_jz_constants_match_iv_reference_at_64_bits_on_gap_sets(D, a, b, extra, cy):
+    # the smallest precision accepted, at the lemma's instantiation (-b, -a, abc) under |c| > |b|^16,
+    # where the small-integer intervals (bounds._IV_2, ...) meet the widest relative rounding
+    ring = make_ring(D)
+    a, b = QuadInt(ring, *a), QuadInt(ring, *b)
+    assume(norm(a) >= 4 and norm(b) >= 484 and 4 * norm(b) >= 9 * norm(a))
+    c = QuadInt(ring, norm(b) ** 8 + extra, cy)
+    assume(norm(c) > norm(b) ** 16)
+    a1, a2, T = -b, -a, a * b * c
+    assert jz_endpoints(jz_constants(a1, a2, T, 64)) == tuple(x._mpi_ for x in iv_jz_reference(a1, a2, T, 64))
+
+
+@pytest.mark.parametrize("prec", [64, 65, 128, 1024, 4096])
+def test_small_integer_intervals_are_exact_at_every_precision(prec):
+    # each module constant _IV_k is the interval _iv_int(k, prec) that the kernels would otherwise build per call
+    names = [name for name in vars(bounds) if re.fullmatch(r"_IV_\d+", name)]
+    assert len(names) == 9
+    for name in names:
+        k = int(name.removeprefix("_IV_"))
+        assert getattr(bounds, name) == bounds._iv_int(k, prec), name
+
+
+def plain_margin(x: int, y: int) -> float:
+    """|x - y| / max(|x|, |y|) by one int true division, 0.0 for x = y = 0."""
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if scale else 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    small=st.integers(0, 2**300),
+    gap=st.integers(53, 57),
+    edge=st.sampled_from(["low", "high", "any"]),
+    signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+    swap=st.booleans(),
+    data=st.data(),
+)
+def test_margin_matches_plain_quotient_across_the_bit_gap(small, gap, edge, signs, swap, data):
+    # around the 55-bit gap at which _margin returns 1.0 without dividing; the larger operand at the
+    # bottom or top of its bit length, small = 0 included
+    bits = small.bit_length() + gap
+    lo, hi = 2 ** (bits - 1), 2**bits - 1
+    big = {"low": lo, "high": hi, "any": data.draw(st.integers(lo, hi))}[edge]
+    x, y = signs[0] * big, signs[1] * small
+    if swap:
+        x, y = y, x
+    assert bounds._margin(x, y) == plain_margin(x, y)
+    if gap >= 55:
+        assert plain_margin(x, y) == 1.0
+
+
+@pytest.mark.parametrize("k", [55, 56, 64, 200, 1000])
+def test_margin_edges(k):
+    cases = [(0, 0), (7, 7), (-7, -7), (2**k, 2**k), (0, 2**k), (-(2**k), 0)]
+    for s in (2 ** (k - 55), 2 ** (k - 55) - 1, 2 ** (k - 54), 2 ** (k - 54) - 1, 2 ** (k - 53) - 1):
+        cases += [(2**k, s), (2**k, -s), (-s, 2**k), (2**k - 1, s), (s, 1 - 2**k)]
+    for x, y in cases:
+        assert bounds._margin(x, y) == plain_margin(x, y), (x, y)
+    assert bounds._margin(0, 0) == 0.0 and bounds._margin(2**k, 2**k) == 0.0
 
 
 def extension_witnesses() -> list:

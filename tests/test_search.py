@@ -832,6 +832,11 @@ def costs_of(tasks: list[tuple]) -> list[int]:
     return [field_cost(D, max_norm) for D, max_norm, *_ in tasks]
 
 
+def lpt_order(tasks: list[tuple]) -> list[tuple]:
+    """The tasks as _chunks hands them out: by falling field_cost, ties by D."""
+    return sorted(tasks, key=lambda t: (-field_cost(t[0], t[1]), t[0]))
+
+
 def tasks_of(cfg: SearchConfig) -> list[tuple]:
     """The _run_field tasks of a campaign with nothing checkpointed, as run_campaign forms them."""
     return [(D, cfg.max_norm, cfg.k, n) for D, n in cfg._n_by_D.items()]
@@ -860,19 +865,25 @@ class TestChunks:
         assert sorted(SQUAREFREE_225, key=lambda D: -field_cost(D, 224))[:2] == [3, 1]
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 40])
-    def test_invariants(self, workers):
-        chunks = search._chunks(self.TASKS, costs_of(self.TASKS), workers)
-        assert len(chunks) == min(len(self.TASKS), 4 * workers)
-        flat = [t for c in chunks for t in c]
-        assert len(flat) == len(set(flat)) == len(self.TASKS) and set(flat) == set(self.TASKS)
-        # deterministic, whatever the order of the tasks
-        assert search._chunks(self.TASKS[::-1], costs_of(self.TASKS[::-1]), workers) == chunks
+    def test_invariants(self, workers, monkeypatch):
+        # at the real _WORKER_COST the scan (8,929 predicted x) is one chunk; lower costs give several
         costs = costs_of(self.TASKS)
-        loads = [sum(field_cost(D, max_norm) for D, max_norm, *_ in c) for c in chunks]
-        assert min(loads) > 0 and max(loads) - min(loads) <= max(costs)
+        assert search._chunks(self.TASKS, costs, workers) == [lpt_order(self.TASKS)]
+        for worker_cost in (search._WORKER_COST, 500, 1):
+            monkeypatch.setattr(search, "_WORKER_COST", worker_cost)
+            chunks = search._chunks(self.TASKS, costs, workers)
+            assert len(chunks) == max(1, min(len(self.TASKS), 4 * workers, sum(costs) // worker_cost))
+            flat = [t for c in chunks for t in c]
+            assert len(flat) == len(set(flat)) == len(self.TASKS) and set(flat) == set(self.TASKS)
+            # deterministic, whatever the order of the tasks
+            assert search._chunks(self.TASKS[::-1], costs_of(self.TASKS[::-1]), workers) == chunks
+            loads = [sum(field_cost(D, max_norm) for D, max_norm, *_ in c) for c in chunks]
+            assert min(loads) > 0 and max(loads) - min(loads) <= max(costs)
 
-    def test_fewer_tasks_than_chunks(self):
+    def test_fewer_tasks_than_chunks(self, monkeypatch):
         tasks = self.TASKS[:3]
+        assert search._chunks(tasks, costs_of(tasks), 2) == [lpt_order(tasks)]
+        monkeypatch.setattr(search, "_WORKER_COST", 1)
         assert sorted(search._chunks(tasks, costs_of(tasks), 2)) == sorted([t] for t in tasks)
         assert search._chunks([], [], 2) == []
 
@@ -893,12 +904,14 @@ class TestChunkedCampaign:
         cfg = self.cfg(str(tmp_path / "ck.json"))
         report = run_campaign(cfg)
         assert len(report.results) == 20
-        assert 1 <= len(writes) <= 4  # 4 chunks for one worker, not one write per field
+        # a campaign predicted below 2 * _WORKER_COST is one chunk: one write, not one per field
+        assert sum(costs_of(tasks_of(cfg))) < 2 * search._WORKER_COST and len(writes) == 1
         assert sorted(json.loads((tmp_path / "ck.json").read_text())["completed"], key=int) == [
             str(D) for D in SQUAREFREE_60[:20]
         ]
 
-    def test_crash_between_chunks_resumes(self, tmp_path):
+    def test_crash_between_chunks_resumes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(search, "_WORKER_COST", 1)  # 4 chunks, not 1
         path = tmp_path / "ck.json"
         cfg = self.cfg(str(path))
         seen = []
@@ -911,6 +924,7 @@ class TestChunkedCampaign:
             run_campaign(cfg, progress=crash)
         tasks = tasks_of(cfg)
         first = search._chunks(tasks, costs_of(tasks), 1)[0]
+        assert len(first) < len(tasks)
         assert seen == [first[0][0]]
         assert sorted(map(int, json.loads(path.read_text())["completed"])) == sorted(t[0] for t in first)
         resumed = run_campaign(cfg)
@@ -943,8 +957,13 @@ class TestChunkedCampaign:
         log = tmp_path / "ran.txt"
         path = tmp_path / "ck.json"
         cfg = self.cfg(str(path), jobs=2)
+        # run the pool even on one CPU, and for a campaign below the cost floor; _chunks reads the
+        # patched _WORKER_COST, as run_campaign does
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(search, "_WORKER_COST", 1)
         tasks = tasks_of(cfg)
         chunks = search._chunks(tasks, costs_of(tasks), 2)
+        assert len(chunks) == 8
         real = search._run_field
 
         def logged(*task):
@@ -964,9 +983,6 @@ class TestChunkedCampaign:
             seen.append(res["D"])
             raise Boom
 
-        # run the pool even on one CPU, and for a campaign below the cost floor
-        monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(search, "_WORKER_COST", 1)
         pools = spy_pools(monkeypatch)
         monkeypatch.setattr(search, "_run_field", logged)
         if failure == "checkpoint":

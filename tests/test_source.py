@@ -6,8 +6,9 @@ has a caller in the package or the benchmark, the package names the benchmark
 uses exist, importing the CLI stays cheap, the reference oracles in
 tests/helpers.py share no kernel with the package, the package holds one
 clique DFS behind find_cliques(g, k), a campaign's settings stay the
-SearchConfig fields and run_campaign's parameters, and the package's docs and
-the README name only code that exists."""
+SearchConfig fields and run_campaign's parameters, the bounds kernels convert
+no integer literal to an interval per call, and the package's docs and the
+README name only code that exists."""
 
 from __future__ import annotations
 
@@ -380,6 +381,25 @@ def test_campaign_settings_stay_fixed():
         ("cfg", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
         ("progress", inspect.Parameter.POSITIONAL_OR_KEYWORD, None),
     ]
+
+
+def test_bounds_converts_no_literal_per_call():
+    # an exact small-integer interval is a module constant of bounds (_IV_2, ...), built once; a
+    # call _iv_int(2, prec) would build the same pair again on every call of a kernel
+    def is_int_literal(node) -> bool:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and isinstance(node.value, int)
+
+    tree = ast.parse((PACKAGE_DIR / "bounds.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_iv_int"
+    ]
+    assert calls
+    found = [node.lineno for node in calls if node.args and is_int_literal(node.args[0])]
+    assert not found, f"bounds.py converts an integer literal per call at lines {found}"
 
 
 def test_docs_name_existing_code():
