@@ -90,10 +90,27 @@ class CompatGraph:
         return [(self.vertices[i], self.vertices[j]) for i, f in enumerate(self.fwd) for j in sorted(f)]
 
 
-def _vertex_index(elements: ElementRows) -> tuple[int, dict[int, int]]:
-    """(S, index) with index[u*S + v] the row of the vertex of half-coordinates (u, v); S as in build_graph."""
-    S = 2 * isqrt(4 * elements.rows[-1][0] // elements.ring.D) + 1
-    return S, {u * S + v: i for i, (_, _, _, u, v) in enumerate(elements.rows)}
+def _vertex_index(elements: ElementRows) -> tuple[int, int, list[int | None]]:
+    """(S, off, slots): slots[u*S + v + off] is the row of the vertex of half-coordinates (u, v).
+
+    With N the largest vertex norm, every element of norm <= N has
+    u**2 + D*v**2 <= 4*N, so it lies in the box |u| <= U = isqrt(4*N),
+    |v| <= V = isqrt(4*N // D); so do build_graph's quotients b, whose norm
+    is M/m <= N.  S = 2*V + 1 makes the key u*S + v one-to-one on the box,
+    from -off to off, and the offset off = U*S + V moves the keys onto
+    0 .. 2*off, the indices of slots: no lookup is negative, so none wraps
+    to the end of the list.  The box points outside the ball hold None, not
+    a row, so a lookup that missed would raise a TypeError where
+    build_graph compares or subtracts the row, instead of dropping an edge.
+    """
+    N = elements.rows[-1][0]
+    U, V = isqrt(4 * N), isqrt(4 * N // elements.ring.D)
+    S = 2 * V + 1
+    off = U * S + V
+    slots: list[int | None] = [None] * (2 * off + 1)
+    for i, (_, _, _, u, v) in enumerate(elements.rows):
+        slots[u * S + v + off] = i
+    return S, off, slots
 
 
 def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
@@ -127,13 +144,16 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     test): for w = (WU + WV*s)/2, b = w/a = w*conj(a)/m is (P + Q*s)/2m with
     P = WU*u + WV*D*v, Q = WV*u - WU*v.  When 2m divides P and Q, b has the
     integer norm M/m, so b, -b, conj(b) and -conj(b) lie in O_K (the
-    integrality rule) and in the ball.  They are looked up by one integer
-    key u*S + v, S = 2*isqrt(4*N // D) + 1, one-to-one on the elements of
-    norm <= N (they have |v| <= isqrt(4*N // D)): k, -k, k - Q/m and Q/m - k
-    for k the key of b, so no lookup misses.  One division serves each pair
-    {a, -a}: -a divides w exactly when a does, with quotient -b.  Negation
-    reverses the (x, y) order of the rows of one norm, so the upper half of a
-    norm's slice holds one a of each pair and -a is its mirror row; {a, b} and
+    integrality rule) and in the ball, since M/m <= N.  They are read from
+    _vertex_index's slot list over the half-coordinate box of the ball: for
+    k the slot of b, the slots of b, conj(b), -b and -conj(b) are k,
+    k - Q/m, 2*off - k and 2*off - k + Q/m.  The bound M/m <= N puts each in
+    the box, so each read lies in the list and holds a row; a miss would
+    raise where the row is compared or subtracted, never drop an edge or
+    wrap to the end of the list.  One division serves each pair {a, -a}: -a
+    divides w exactly when a does, with quotient -b.  Negation reverses the
+    (x, y) order of the rows of one norm, so the upper half of a norm's
+    slice holds one a of each pair and -a is its mirror row; {a, b} and
     {-a, -b} are edges when b = w/a.
 
     The same loop records the orbit roots, the vertices whose index is the
@@ -158,7 +178,7 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     Cost follows the x scanned (about N + isqrt(norm(n)) elements, half of
     them on the conjugation path), the window tests and the norms met, with
     their vertices and the w recorded under them; not the number of vertex
-    pairs.  Beyond the vertex keys and the norm slices, each read off the
+    pairs.  Beyond the vertex slots and the norm slices, each read off the
     rows in one pass, a vertex of a norm never met costs nothing.
     """
     ring = n.ring
@@ -166,7 +186,8 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     if not (isinstance(elements, ElementRows) and elements.ring == ring):
         raise ValueError("elements must be a norm ball of the ring of n, as enum_elements returns it")
     rows = elements.rows
-    S, index = _vertex_index(elements)
+    S, off, slots = _vertex_index(elements)
+    off2 = 2 * off
     # ends: vertex norm -> end of its slice of rows, ascending as the rows are; starts: -> start of
     # it, but for the first norm.  A slice holds pairs {a, -a}, so it starts at an even index
     ends = dict(zip(map(itemgetter(0), rows[::2]), range(2, len(rows) + 1, 2)))
@@ -216,7 +237,7 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
         # one a of each pair {a, -a}, and -a of row i is row last - i
         for i in range((lo + hi) >> 1, hi):
             _, _, _, u, v = rows[i]
-            ci = index[u * S - v]  # conj(a)
+            ci = slots[u * S - v + off]  # conj(a)
             ni, nci = last - i, last - ci  # -a, -conj(a)
             # -a is the orbit root, for rational n when it lies below conj(a) and -conj(a) too
             if not by_conj or (ni <= ci and ni <= nci):
@@ -228,24 +249,24 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
                 if P % m2 or Q % m2:
                     continue
                 bv = Q // m2  # b = (P + Q*s)/2m is a vertex
-                k = P // m2 * S + bv
+                k = P // m2 * S + bv + off  # the slot of b
                 # rows are sorted by norm first: norm(a) < norm(b) finds the edge only from a,
                 # the lower index; equal norms (m*m = M) find it from both ends, kept once
-                j = index[k]
+                j = slots[k]
                 if j > i:
                     fwd[i].add(j)
                     if mirror:  # conj(a) * conj(b) = conj(w)
-                        j = index[k - 2 * bv]
+                        j = slots[k - 2 * bv]
                         # conjugation keeps norms, so only equal norms can swap the two ends
                         if ci < j:
                             fwd[ci].add(j)
                         else:
                             fwd[j].add(ci)
-                j = index[-k]  # (-a) * (-b) = w
+                j = slots[off2 - k]  # (-a) * (-b) = w
                 if j > ni:
                     fwd[ni].add(j)
                     if mirror:  # -conj(a) * -conj(b) = conj(w)
-                        j = index[2 * bv - k]
+                        j = slots[off2 - k + 2 * bv]
                         if nci < j:
                             fwd[nci].add(j)
                         else:

@@ -278,17 +278,24 @@ class TestDivisorKernel:
     @pytest.mark.parametrize("D", [1, 2, 3, 7, 163, 895])
     @pytest.mark.parametrize("max_norm", [1, 2, 5, 224])
     def test_vertex_key(self, D, max_norm):
-        # u*S + v is one-to-one on the half-coordinates of every element of norm <= N (u**2 + D*v**2
-        # <= 4*N, so |u| <= isqrt(4*N) and |v| <= isqrt(4*N // D)), quotients included, and the key of
-        # each ball row gives that row's index
+        # every element of norm <= N lies in the box |u| <= isqrt(4*N), |v| <= isqrt(4*N // D)
+        # (u**2 + D*v**2 <= 4*N), quotients included; slots lays the box out from its corners at 0
+        # and 2*off, holds each ball row's index at that row's slot and None at every other point
         ball = enum_elements(make_ring(D), max_norm)
-        S, index = search._vertex_index(ball)
+        S, off, slots = search._vertex_index(ball)
         N = ball.rows[-1][0]
         us, vs = isqrt(4 * N), isqrt(4 * N // D)
-        keys = {u * S + v for u in range(-us, us + 1) for v in range(-vs, vs + 1)}
-        assert len(keys) == (2 * us + 1) * (2 * vs + 1)
-        assert len(index) == len(ball)
-        assert all(index[u * S + v] == i for i, (_, _, _, u, v) in enumerate(ball.rows))
+        assert S == 2 * vs + 1
+        assert len(slots) == 2 * off + 1 == (2 * us + 1) * S
+        assert all(slots[u * S + v + off] == i for i, (_, _, _, u, v) in enumerate(ball.rows))
+        assert sum(j is not None for j in slots) == len(ball)
+        corners = sorted(u * S + v + off for u in (-us, us) for v in (-vs, vs))
+        assert corners[0] == 0 and corners[-1] == 2 * off
+        # the box points outside the ball: 0, those of norm > N, and those that are not integral
+        ball_points = {(u, v) for _, _, _, u, v in ball.rows}
+        outside = [(u, v) for u in range(-us, us + 1) for v in range(-vs, vs + 1) if (u, v) not in ball_points]
+        assert (0, 0) in outside
+        assert all(slots[u * S + v + off] is None for u, v in outside)
 
     def test_witness_zero(self):
         # x = 0 is a witness: i*(-i) - 1 = 0
