@@ -18,9 +18,11 @@ the omega convention matters only for basis coordinates.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import isqrt
+from operator import itemgetter
 
 __all__ = [
     "ParityError",
@@ -369,42 +371,63 @@ def _half_ball_size(D: int, max_norm: int) -> int:
 
 
 class ElementRows(Sequence):
-    """Every nonzero element of norm <= max_norm, sorted by elem_key (norm, x, y), held as integer rows.
+    """Every nonzero element of norm <= max_norm, sorted by elem_key (norm, x, y), held as half rows.
 
     The only constructor builds the whole ball, so a value of this type is
-    whole and sorted by construction.  rows[i] = (norm, x, y, u, v): the sort
-    key of element i and its half-coordinates (u, v), formed on integers from
-    the rows of _class_rows for z and -z at once (their coordinates are
-    (x, y, u, v) and (-x, -y, -u, -v)) and sorted once.  A QuadInt is built
-    only when the sequence is indexed or iterated.
+    whole and sorted by construction.  half holds one row (norm, x, y, u, v)
+    per pair {a, -a}: the sort key of the member with (x, y) > (0, 0) and its
+    half-coordinates (u, v), formed on integers from the rows of _class_rows
+    and sorted by (norm, x, y) once.  ends[m] is the end of the half rows of
+    norm m, and lo = bisect_left(half, (m,)) their start.
+
+    The whole ball is implied.  Negation reverses the (x, y) order, so the
+    slice of norm m in the sorted ball holds its half rows negated and
+    reversed, followed by its half rows: it is 2*lo .. 2*hi - 1 for
+    hi = ends[m], half row h is element h + hi, and element i is the
+    negation of element last - i, last = 2*(lo + hi) - 1.  len, indexing and
+    iteration give that sequence; a QuadInt is built only when it is indexed
+    or iterated.
     """
 
-    __slots__ = ("ring", "max_norm", "rows")
+    __slots__ = ("ring", "max_norm", "half", "ends")
 
     def __init__(self, ring: RingParams, max_norm: int):
         if max_norm < 1:
             raise ValueError("max_norm must be >= 1")
         D, p = ring.D, ring.omega_p
-        rows = []
+        half = []
         for v, us in _class_rows(D, max_norm):
             dvv = D * v * v
-            y, sh = (v, v) if p else (v >> 1, 0)  # v = (2 - p)*y and x = (u - p*y)/2
-            for u in us:
-                m = (u * u + dvv) >> 2
-                x = (u - sh) >> 1
-                rows.append((m, x, y, u, v))
-                rows.append((m, -x, -y, -u, -v))
-        rows.sort()
+            if p:
+                # x = (u - v)/2 and y = v: the u < v of a row have x < 0, so their negations are kept
+                k = max(0, (v - us.start) >> 1)  # the number of u < v, as u = v (mod 2)
+                half += [((u * u + dvv) >> 2, (v - u) >> 1, -v, -u, -v) for u in us[:k]]
+                half += [((u * u + dvv) >> 2, (u - v) >> 1, v, u, v) for u in us[k:]]
+            else:
+                y = v >> 1  # x = u/2 and y = v/2, and _class_rows keeps u > 0, or u = 0 and v > 0
+                half += [((u * u + dvv) >> 2, u >> 1, y, u, v) for u in us]
+        half.sort()
         self.ring = ring
         self.max_norm = max_norm
-        self.rows = rows
+        self.half = half
+        self.ends = dict(zip(map(itemgetter(0), half), range(1, len(half) + 1)))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return 2 * len(self.half)
 
     def __getitem__(self, i: int) -> QuadInt:
-        _, x, y, _, _ = self.rows[i]
-        return QuadInt(self.ring, x, y)
+        half = self.half
+        if i < 0:
+            i += 2 * len(half)
+        if not 0 <= i < 2 * len(half):
+            raise IndexError("ElementRows index out of range")
+        m = half[i >> 1][0]  # i is in the slice 2*lo .. 2*hi - 1 of norm m, so i >> 1 is in lo .. hi - 1
+        lo, hi = bisect_left(half, (m,)), self.ends[m]
+        if i >= lo + hi:
+            _, x, y, _, _ = half[i - hi]
+            return QuadInt(self.ring, x, y)
+        _, x, y, _, _ = half[2 * lo + hi - 1 - i]  # the half row of element last - i
+        return QuadInt(self.ring, -x, -y)
 
     def __repr__(self) -> str:
         return f"ElementRows({self.ring!r}, max_norm={self.max_norm})"

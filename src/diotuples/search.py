@@ -1,12 +1,12 @@
 """Norm-bounded exhaustive search for D(n)-tuples across imaginary quadratic rings.
 
 The D(n) k-tuples within a norm bound are the k-cliques of a compatibility
-graph: its vertices are the nonzero elements of the ball (enum_elements, as
-integer rows of a quad_ring.ElementRows), and {a, b} is an edge when a*b + n
-is a square.  build_graph finds the edges from the witnesses x of
-a*b + n = x**2, not from vertex pairs, and records the orbit roots.
-_clique_indices lists the cliques: find_cliques from every vertex, a search
-field (_run_field) from the orbit roots only, whose orbit records
+graph: its vertices are the nonzero elements of the ball (enum_elements, a
+quad_ring.ElementRows holding one integer row per pair {a, -a}), and {a, b}
+is an edge when a*b + n is a square.  build_graph finds the edges from the
+witnesses x of a*b + n = x**2, not from vertex pairs, and records the orbit
+roots.  _clique_indices lists the cliques: find_cliques from every vertex, a
+search field (_run_field) from the orbit roots only, whose orbit records
 _group_orbits re-verifies.  run_campaign runs a SearchConfig over many
 fields, with a checkpoint per chunk of fields that is read back through
 _group_orbits, in a process pool when clamp_workers finds that one pays.
@@ -24,7 +24,6 @@ from collections import defaultdict
 from contextlib import closing, suppress
 from dataclasses import dataclass
 from math import isqrt
-from operator import itemgetter
 
 from . import __version__
 from .quad_ring import (
@@ -63,7 +62,7 @@ _NO_NEIGHBOURS: frozenset[int] = frozenset()
 
 
 def enum_elements(ring: RingParams, max_norm: int) -> ElementRows:
-    """All nonzero elements with norm <= max_norm, sorted by (norm, x, y), as integer rows."""
+    """All nonzero elements with norm <= max_norm, sorted by (norm, x, y), as one integer row per pair {a, -a}."""
     return ElementRows(ring, max_norm)
 
 
@@ -91,7 +90,7 @@ class CompatGraph:
 
 
 def _vertex_index(elements: ElementRows) -> tuple[int, int, list[int | None]]:
-    """(S, off, slots): slots[u*S + v + off] is the row of the vertex of half-coordinates (u, v).
+    """(S, off, slots): slots[u*S + v + off] is the index of the vertex of half-coordinates (u, v).
 
     With N the largest vertex norm, every element of norm <= N has
     u**2 + D*v**2 <= 4*N, so it lies in the box |u| <= U = isqrt(4*N),
@@ -102,14 +101,27 @@ def _vertex_index(elements: ElementRows) -> tuple[int, int, list[int | None]]:
     to the end of the list.  The box points outside the ball hold None, not
     a row, so a lookup that missed would raise a TypeError where
     build_graph compares or subtracts the row, instead of dropping an edge.
+
+    One half row a fills both slots of its pair {a, -a}, with the two
+    vertex indices ElementRows gives them; the slot of -a is 2*off minus
+    that of a.  The start lo of a norm's half rows is the h at which the
+    norm changes.
     """
-    N = elements.rows[-1][0]
+    half, ends = elements.half, elements.ends
+    N = half[-1][0]
     U, V = isqrt(4 * N), isqrt(4 * N // elements.ring.D)
     S = 2 * V + 1
     off = U * S + V
-    slots: list[int | None] = [None] * (2 * off + 1)
-    for i, (_, _, _, u, v) in enumerate(elements.rows):
-        slots[u * S + v + off] = i
+    off2 = 2 * off
+    slots: list[int | None] = [None] * (off2 + 1)
+    norm = 0
+    for h, (m, _, _, u, v) in enumerate(half):
+        if m != norm:  # h is the first half row of norm m
+            norm, hi = m, ends[m]
+            mirror = 2 * h + hi - 1
+        k = u * S + v + off
+        slots[k] = h + hi
+        slots[off2 - k] = mirror - h
     return S, off, slots
 
 
@@ -117,9 +129,9 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     """Edge {a, b} iff a*b + n is a square in O_K; enumerates witnesses x, not pairs.
 
     The vertices are an ElementRows of the ring of n, as enum_elements
-    returns it: a whole norm ball by construction, as integer rows
-    (norm, x, y, u, v) sorted by elem_key, read as they are, so elements are
-    built only where they are read.  Anything else (a list, a ball of another
+    returns it: a whole norm ball by construction, sorted by elem_key, whose
+    half rows (norm, x, y, u, v) are read as they are, so elements are built
+    only where they are read.  Anything else (a list, a ball of another
     ring) raises ValueError.
 
     If a*b + n = x**2 then |x|**2 <= |a||b| + |n|, so norm(x) is at most
@@ -132,12 +144,11 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     The build runs in two phases.  Phase 1 scans the x, tests each window and
     records w = x**2 - n under every norm m it meets.  Phase 2 gives the
     vertices of the met norms their neighbour sets, then visits each met norm
-    once, in the contiguous slice of rows that holds its vertices, and
-    divides every w recorded under m by them.  Every edge found there is
-    recorded at a vertex of norm m: the lower index of an edge lies in the
-    smaller norm, and conjugation keeps norms.  So the vertices of the norms
-    never met need no set; they share one empty frozenset, which readers of
-    fwd only read.
+    once, in its half rows, and divides every w recorded under m by them.
+    Every edge found there is recorded at a vertex of norm m: the lower index
+    of an edge lies in the smaller norm, and conjugation keeps norms.  So the
+    vertices of the norms never met need no set; they share one empty
+    frozenset, which readers of fwd only read.
 
     Each vertex a = (u + v*s)/2 of a met norm is tested for a | w by an exact
     division inlined on integers (quad_ring._div_half without its parity
@@ -151,22 +162,21 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     the box, so each read lies in the list and holds a row; a miss would
     raise where the row is compared or subtracted, never drop an edge or
     wrap to the end of the list.  One division serves each pair {a, -a}: -a
-    divides w exactly when a does, with quotient -b.  Negation reverses the
-    (x, y) order of the rows of one norm, so the upper half of a norm's
-    slice holds one a of each pair and -a is its mirror row; {a, b} and
+    divides w exactly when a does, with quotient -b.  A half row is the a of
+    its pair, vertex i, and -a is vertex last - i (ElementRows); {a, b} and
     {-a, -b} are edges when b = w/a.
 
     The same loop records the orbit roots, the vertices whose index is the
     lowest among their images: -a, and for rational n also conj(a) and
-    -conj(a), all of norm m.  For a in the upper half, -a's row last - i is
-    the lower of the pair, so it is the root when n is not rational; for
-    rational n it is the root when it lies below the rows of conj(a) and
-    -conj(a), so each orbit records its root once.  The lexicographically
-    smallest clique of an orbit has a root as its lowest vertex (an image of
-    that vertex with a lower index would give a smaller clique of the orbit),
-    and that vertex has an edge, so its norm is met: growing cliques from the
-    roots, sorted ascending, finds every orbit (isomorph rejection at the
-    root: McKay, J. Algorithms 26, 1998).
+    -conj(a), all of norm m.  For a half row a, -a is the lower index of
+    the pair, so it is the root when n is not rational; for rational n it is
+    the root when it lies below conj(a) and -conj(a), so each orbit records
+    its root once.  The lexicographically smallest clique of an orbit has a
+    root as its lowest vertex (an image of that vertex with a lower index
+    would give a smaller clique of the orbit), and that vertex has an edge,
+    so its norm is met: growing cliques from the roots, sorted ascending,
+    finds every orbit (isomorph rejection at the root: McKay, J. Algorithms
+    26, 1998).
 
     When n is rational, conjugation maps the graph onto itself:
     conj(a)*conj(b) + n is the conjugate of a*b + n.  Then only the x with
@@ -178,21 +188,17 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
     Cost follows the x scanned (about N + isqrt(norm(n)) elements, half of
     them on the conjugation path), the window tests and the norms met, with
     their vertices and the w recorded under them; not the number of vertex
-    pairs.  Beyond the vertex slots and the norm slices, each read off the
-    rows in one pass, a vertex of a norm never met costs nothing.
+    pairs.  Beyond the vertex slots, filled from the half rows in one pass,
+    a vertex of a norm never met costs nothing.
     """
     ring = n.ring
     D = ring.D
     if not (isinstance(elements, ElementRows) and elements.ring == ring):
         raise ValueError("elements must be a norm ball of the ring of n, as enum_elements returns it")
-    rows = elements.rows
+    half, ends = elements.half, elements.ends
     S, off, slots = _vertex_index(elements)
     off2 = 2 * off
-    # ends: vertex norm -> end of its slice of rows, ascending as the rows are; starts: -> start of
-    # it, but for the first norm.  A slice holds pairs {a, -a}, so it starts at an even index
-    ends = dict(zip(map(itemgetter(0), rows[::2]), range(2, len(rows) + 1, 2)))
-    norms = list(ends)
-    starts = dict(zip(norms[1:], ends.values()))
+    norms = list(ends)  # the vertex norms, ascending
     N = norms[-1]
     top = N * N
     xmax = N + isqrt(n.norm())
@@ -223,20 +229,19 @@ def build_graph(elements: ElementRows, n: QuadInt) -> CompatGraph:
 
     # phase 2: every edge is recorded at a vertex of the norm m divided by, so only met norms get sets.
     # They are all made before any is filled, so the garbage collections that their making sets off
-    # traverse empty sets (made norm by norm between divisions, they cost field-d1 0.4 ms more of it)
-    fwd: list[set[int] | frozenset[int]] = [_NO_NEIGHBOURS] * len(rows)
-    for m in met:
-        for i in range(starts.get(m, 0), ends[m]):
+    # traverse empty sets (made norm by norm between divisions, they cost field-d1 about 0.5 ms more)
+    # lo .. hi - 1: the half rows of a met norm, whose vertices are 2*lo .. 2*hi - 1
+    spans = [(bisect_left(half, (m,)), ends[m]) for m in met]
+    fwd: list[set[int] | frozenset[int]] = [_NO_NEIGHBOURS] * len(elements)
+    for lo, hi in spans:
+        for i in range(2 * lo, 2 * hi):
             fwd[i] = set()
     roots: list[int] = []
-    for m, ws in met.items():
-        lo, hi = starts.get(m, 0), ends[m]
-        last = lo + hi - 1
+    for (lo, hi), (m, ws) in zip(spans, met.items()):
+        last = 2 * (lo + hi) - 1
         m2 = 2 * m
-        # negation reverses the (x, y) order of a norm's rows, so the upper half of the slice holds
-        # one a of each pair {a, -a}, and -a of row i is row last - i
-        for i in range((lo + hi) >> 1, hi):
-            _, _, _, u, v = rows[i]
+        # half row h is vertex i = h + hi, one a of each pair {a, -a}, and -a is vertex last - i
+        for i, (_, _, _, u, v) in enumerate(half[lo:hi], lo + hi):
             ci = slots[u * S - v + off]  # conj(a)
             ni, nci = last - i, last - ci  # -a, -conj(a)
             # -a is the orbit root, for rational n when it lies below conj(a) and -conj(a) too
@@ -719,7 +724,8 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
 
 
 def write_report(report: SearchReport, path: str) -> None:
-    _atomic_write_json(path, report.to_json(), indent=1)
+    """Write the report as compact JSON, as the checkpoint is written; `search --json` prints it indented."""
+    _atomic_write_json(path, report.to_json(), separators=(",", ":"))
 
 
 def write_clique_csv(report: SearchReport, path: str) -> None:

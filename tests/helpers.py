@@ -349,7 +349,7 @@ def list_graph(elements, n: QuadInt) -> CompatGraph:
     if not keep:
         return CompatGraph(n, [], [])
     g = build_graph(enum_elements(ring, max(e.norm() for e in elements)), n)
-    kept = [i for i, (_, x, y, _, _) in enumerate(g.vertices.rows) if (x, y) in keep]
+    kept = [i for i, e in enumerate(g.vertices) if (e.x, e.y) in keep]
     new = {i: pos for pos, i in enumerate(kept)}
     fwd = [{new[j] for j in g.fwd[i] if j in new} for i in kept]
     return CompatGraph(n, [g.vertices[i] for i in kept], fwd)

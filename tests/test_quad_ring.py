@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+from itertools import groupby
 from math import isqrt
 from random import Random
 
@@ -16,6 +17,7 @@ from diotuples.quad_ring import (
     QuadInt,
     RingParams,
     _class_rows,
+    _half_ball_size,
     _omega_q,
     elem_key,
     elem_from_json,
@@ -312,7 +314,7 @@ ENUM_DS = [1, 2, 3, 5, 7, 11, 163]
 
 class TestEnumeration:
     @settings(max_examples=80, deadline=None)
-    @given(D=st.sampled_from([1, 2, 3, 7, 163]), max_norm=st.integers(1, 400))
+    @given(D=st.sampled_from([1, 2, 3, 7, 163, 895]), max_norm=st.integers(1, 400))
     @example(D=1, max_norm=1)
     @example(D=3, max_norm=1)
     @example(D=163, max_norm=1)
@@ -323,8 +325,36 @@ class TestEnumeration:
         keys = [elem_key(a) for a in ball]
         assert keys == sorted(elem_key(a) for a in box_elements(ring, max_norm))
         assert len(set(keys)) == len(keys)
-        # each row is (norm, x, y, u, v) of its element
-        assert ball.rows == [(*elem_key(a), *a.half_coords()) for a in ball]
+        # each half row is (norm, x, y, u, v) of its element, one per pair {a, -a}: the one with (x, y) > (0, 0)
+        assert ball.half == [(*elem_key(a), *a.half_coords()) for a in ball if (a.x, a.y) > (0, 0)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(D=st.sampled_from([1, 2, 3, 7, 163, 895]), max_norm=st.integers(1, 400))
+    @example(D=895, max_norm=1)
+    def test_half_rows_are_the_cost_model_pairs(self, D, max_norm):
+        # search.field_cost counts the pairs {z, -z} with _half_ball_size; the ball keeps one row per pair
+        ball = ElementRows(make_ring(D), max_norm)
+        assert _half_ball_size(D, max_norm) == len(ball.half)
+        assert len(ball) == 2 * len(ball.half)
+
+    @pytest.mark.parametrize("D", ENUM_DS + [895])
+    @pytest.mark.parametrize("max_norm", [1, 2, 3, 41, 300])
+    def test_implied_sequence(self, D, max_norm):
+        # the sequence is implied by the half rows: each norm's slice is its half rows negated and
+        # reversed, then its half rows, so element last - i is -element i within the slice
+        ring = make_ring(D)
+        ball = ElementRows(ring, max_norm)
+        elems = list(ball)
+        assert elems == sorted(box_elements(ring, max_norm), key=elem_key)
+        assert [ball[i] for i in range(-len(ball), 0)] == elems
+        for i in [*range(len(ball), len(ball) + 9), *range(-len(ball) - 9, -len(ball))]:
+            with pytest.raises(IndexError):
+                ball[i]
+        lo = 0
+        for _, same_norm in groupby(elems, key=norm):
+            hi = lo + len(list(same_norm))
+            assert all(ball[lo + hi - 1 - i] == -ball[i] for i in range(lo, hi))
+            lo = hi
 
     @pytest.mark.parametrize("D", ENUM_DS)
     @pytest.mark.parametrize("max_norm", [0, 1, 2, 3, 4, 41, 300])

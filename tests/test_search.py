@@ -256,16 +256,17 @@ class TestDivisorKernel:
         # dividing M = norm(w), which build_graph tests first, so it never looks such a quotient up
         ring = make_ring(D)
         ball = enum_elements(ring, 30)
+        vertices = [(a.norm(), *a.half_coords()) for a in ball]  # both members of each pair {a, -a}
         for n in (QuadInt(ring, -1, 0), QuadInt(ring, 0, 1)):  # -1, and omega or sqrt(-D)
             Un, Vn = n.half_coords()
-            r = 4 * (ball.rows[-1][0] + isqrt(n.norm()))  # the witnesses: norm(x) <= N + isqrt(norm(n))
+            r = 4 * (ball.half[-1][0] + isqrt(n.norm()))  # the witnesses: norm(x) <= N + isqrt(norm(n))
             box = range(-isqrt(r), isqrt(r) + 1)
             xs = [(p, q) for p in box for q in box if p * p + D * q * q <= r and (p * p + D * q * q) % 4 == 0]
             outside = []
             for p, q in xs:
                 WU, WV = (p * p - D * q * q) // 2 - Un, p * q - Vn
                 M = (WU * WU + D * WV * WV) // 4
-                for m, _, _, u, v in ball.rows:
+                for m, u, v in vertices:
                     P, Q = WU * u + WV * D * v, WV * u - WU * v
                     if P % (2 * m) == 0 and Q % (2 * m) == 0:
                         bu, bv = P // (2 * m), Q // (2 * m)
@@ -280,19 +281,19 @@ class TestDivisorKernel:
     def test_vertex_key(self, D, max_norm):
         # every element of norm <= N lies in the box |u| <= isqrt(4*N), |v| <= isqrt(4*N // D)
         # (u**2 + D*v**2 <= 4*N), quotients included; slots lays the box out from its corners at 0
-        # and 2*off, holds each ball row's index at that row's slot and None at every other point
+        # and 2*off, holds each vertex's index at its slot and None at every other point
         ball = enum_elements(make_ring(D), max_norm)
         S, off, slots = search._vertex_index(ball)
-        N = ball.rows[-1][0]
+        N = ball.half[-1][0]
         us, vs = isqrt(4 * N), isqrt(4 * N // D)
         assert S == 2 * vs + 1
         assert len(slots) == 2 * off + 1 == (2 * us + 1) * S
-        assert all(slots[u * S + v + off] == i for i, (_, _, _, u, v) in enumerate(ball.rows))
+        assert all(slots[u * S + v + off] == i for i, (u, v) in enumerate(a.half_coords() for a in ball))
         assert sum(j is not None for j in slots) == len(ball)
         corners = sorted(u * S + v + off for u in (-us, us) for v in (-vs, vs))
         assert corners[0] == 0 and corners[-1] == 2 * off
         # the box points outside the ball: 0, those of norm > N, and those that are not integral
-        ball_points = {(u, v) for _, _, _, u, v in ball.rows}
+        ball_points = {a.half_coords() for a in ball}
         outside = [(u, v) for u in range(-us, us + 1) for v in range(-vs, vs + 1) if (u, v) not in ball_points]
         assert (0, 0) in outside
         assert all(slots[u * S + v + off] is None for u, v in outside)
@@ -1106,6 +1107,13 @@ class TestLayout:
         assert saved["schema"] == 1
         assert [list(r) for r in saved["completed"].values()] == [self.FIELD_KEYS] * 2
 
+    def test_report_is_compact_json(self, tmp_path):
+        # the report file is written as the checkpoint is, without whitespace; `search --json` indents it
+        report = run_campaign(SearchConfig(D_list=[1, 3], max_norm=60, k=3, n="-1"))
+        out = tmp_path / "report.json"
+        search.write_report(report, str(out))
+        assert out.read_bytes() == json.dumps(report.to_json(), separators=(",", ":")).encode()
+
     def test_sorted_cliques(self):
         report = run_campaign(SearchConfig(D_list=[3, 1], max_norm=60, k=3, n="-1"))
         listed = report.sorted_cliques()
@@ -1171,5 +1179,5 @@ def test_covered_fields_share_the_sentinel_graph(max_norm, n):
     assert len(covered) > 100
     for D in covered:
         g = graph(D)
-        assert g.vertices.rows == sentinel.vertices.rows, D
+        assert g.vertices.half == sentinel.vertices.half, D
         assert g.fwd == sentinel.fwd, D
