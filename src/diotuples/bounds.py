@@ -223,20 +223,25 @@ def _margin(x: int, y: int) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
-def _pair_norms(a1: QuadInt, a2: QuadInt) -> tuple[int, int, int]:
-    """(norm(a1), norm(a2), norm(a1 - a2)), once a1 != a2, both are nonzero and share a ring.
+def _one_ring(first: QuadInt, *others: QuadInt) -> None:
+    """Raise the ValueError of a product when an element of others lies outside the ring of first."""
+    ring = first.ring
+    for other in others:
+        if other.ring is not ring and other.ring != ring:
+            raise ValueError(f"mixed rings: {ring} vs {other.ring}")
 
-    Raises ValueError otherwise, in that order; the mixed-ring message is that of
-    a1 - a2.  The checks and norms are unchanged by (a1, a2) -> (-a1, -a2).
+
+def _pair_norms(a1: QuadInt, a2: QuadInt) -> tuple[int, int, int]:
+    """(norm(a1), norm(a2), norm(a1 - a2)) of a1, a2 in one ring (_one_ring), once a1 != a2 and both are nonzero.
+
+    Raises ValueError otherwise, in that order.  The checks and norms are
+    unchanged by (a1, a2) -> (-a1, -a2).
     """
     if a1 == a2:
         raise ValueError("a1 and a2 must be distinct")
     if a1.is_zero() or a2.is_zero():
         raise ValueError("a1 and a2 must be nonzero")
-    ring = a1.ring
-    if a2.ring is not ring and a2.ring != ring:
-        raise ValueError(f"mixed rings: {ring} vs {a2.ring}")
-    (u1, v1), (u2, v2), D = a1.half_coords(), a2.half_coords(), ring.D
+    (u1, v1), (u2, v2), D = a1.half_coords(), a2.half_coords(), a1.ring.D
     u, v = u1 - u2, v1 - v2  # a1 - a2
     return (u1 * u1 + D * v1 * v1) >> 2, (u2 * u2 + D * v2 * v2) >> 2, (u * u + D * v * v) >> 2
 
@@ -268,8 +273,10 @@ def jz_constants(
 
     Exact preconditions: a1 != a2, both nonzero, and |T| > M (checked on norms).
     Raises HypothesisFailure when |T| <= M or L <= 1, both decided on integers,
-    and ValueError when precision_bits < 64.
+    and ValueError when precision_bits < 64.  Before any of that, an a2 or T
+    outside the ring of a1 raises the ValueError of a product.
     """
+    _one_ring(a1, a2, T)
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     nT = norm(T)
@@ -349,8 +356,10 @@ def check_gap_hypotheses(a: QuadInt, b: QuadInt, c: QuadInt) -> HypothesisReport
     """Exact per-clause report for the gap-lemma hypotheses on (a, b, c).
 
     Each magnitude inequality is squared and cross-multiplied so the check
-    runs entirely on integer norms.
+    runs entirely on integer norms.  A mixed-ring input first raises the
+    ValueError that a*b, then (ab)*c, would raise.
     """
+    _one_ring(a, b, c)
     na, nb, nc = norm(a), norm(b), norm(c)
     clauses = (
         Comparison("|b| >= (3/2)|a|", ">=", 4 * nb, 9 * na),
@@ -434,10 +443,7 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
     When the certificate fails, the fifth and eighth powers in Z[sqrt(m)]
     are taken by squaring and X < Y is decided on the full integers.
     """
-    ring = a.ring
-    for other in (b, c):
-        if other.ring is not ring and other.ring != ring:
-            raise ValueError(f"mixed rings: {ring} vs {other.ring}")
+    _one_ring(a, b, c)
     nb, na, nab = _pair_norms(b, a)  # as at (a1, a2) = (-b, -a)
     nT = na * nb * norm(c)
     M_sq, N, min_sq, L_margin = _lemma_norms(nb, na, nab, nT)
@@ -471,7 +477,11 @@ def upper_bound_d(c: QuadInt) -> int:
 
 
 def lower_bound_d(a: QuadInt, b: QuadInt) -> Fraction:
-    """Exact squared form of the lower bound |ab| * 13/66 on |d|: norm(a) norm(b) 169/4356."""
+    """Exact squared form of the lower bound |ab| * 13/66 on |d|: norm(a) norm(b) 169/4356.
+
+    a and b in two rings raise the ValueError that a*b would raise.
+    """
+    _one_ring(a, b)
     return Fraction(norm(a) * norm(b) * 169, 4356)
 
 

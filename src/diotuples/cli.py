@@ -14,9 +14,10 @@ import sys
 from . import __version__
 from .quad_ring import QuadInt, elem_to_json, format_elem, is_squarefree, make_ring, parse_elem
 from .tuples import extend_scan, extend_triple, is_regular, make_tuple, verify_tuple
-from .search import SearchConfig, run_campaign, write_clique_csv, write_report, _WORKER_COST
+from .search import SearchConfig, SearchReport, run_campaign, write_clique_csv, write_report, _WORKER_COST
 
 REPRODUCE_TARGETS = ("quintuple-scan", "quadruple-min", "example-quadruple", "d3-triples")
+SCAN_TARGETS = {"quintuple-scan": (224, 5), "quadruple-min": (143, 4)}  # target -> (max_norm, k)
 JOBS_HELP = (
     "worker processes at most (default 1); fewer when fewer fields are pending, fewer CPUs are "
     f"usable or the predicted work is under {_WORKER_COST:,} witnesses per worker, below which a "
@@ -128,10 +129,7 @@ def _print_progress(res: dict) -> None:
 
 
 def _check_output_dirs(*flag_paths: tuple[str, str | None]) -> None:
-    """Reject an output path that is a directory, lies in a missing one or is named by two flags.
-
-    Runs before a campaign rather than after it.
-    """
+    """Reject an output path that is a directory, lies in a missing one or is named by two flags."""
     flag_of: dict[str, str] = {}  # real path -> the first flag naming it
     for flag, path in flag_paths:
         if not path:
@@ -146,6 +144,24 @@ def _check_output_dirs(*flag_paths: tuple[str, str | None]) -> None:
         flag_of[real] = flag
 
 
+def _run_search(cfg: SearchConfig, out: str | None, csv: str | None = None, resume: bool = False) -> SearchReport:
+    """Run the campaign of `search` or a `reproduce` scan, a progress line per field, then write its files.
+
+    First, in order: --resume needs a checkpoint, the output paths, an existing checkpoint needs --resume.
+    """
+    if resume and not cfg.checkpoint_path:
+        raise ValueError("--resume needs --checkpoint")
+    _check_output_dirs(("--out", out), ("--csv", csv), ("--checkpoint", cfg.checkpoint_path))
+    if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path) and not resume:
+        raise ValueError(f"checkpoint {cfg.checkpoint_path} exists; pass --resume to reuse it")
+    report = run_campaign(cfg, progress=_print_progress)
+    if out:
+        write_report(report, out)
+    if csv:
+        write_clique_csv(report, csv)
+    return report
+
+
 def _cmd_search(args) -> int:
     cfg = SearchConfig(
         D_list=_parse_d_selection(args),
@@ -155,17 +171,7 @@ def _cmd_search(args) -> int:
         jobs=args.jobs,
         checkpoint_path=args.checkpoint,
     )
-    if args.resume and not cfg.checkpoint_path:
-        raise ValueError("--resume needs --checkpoint")
-    _check_output_dirs(("--out", args.out), ("--csv", args.csv), ("--checkpoint", args.checkpoint))
-    if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path) and not args.resume:
-        raise ValueError(f"checkpoint {cfg.checkpoint_path} exists; pass --resume to reuse it")
-
-    report = run_campaign(cfg, progress=_print_progress)
-    if args.out:
-        write_report(report, args.out)
-    if args.csv:
-        write_clique_csv(report, args.csv)
+    report = _run_search(cfg, args.out, args.csv, args.resume)
     if args.json:
         print(json.dumps(report.to_json(), indent=1))
     else:
@@ -287,11 +293,7 @@ def _reproduce_example_quadruple() -> int:
 def _reproduce_scan(max_norm: int, k: int, out: str | None) -> int:
     # both scans predict less work than a pool of two needs (search._WORKER_COST), so they run serially
     cfg = SearchConfig(D_list=[D for D in range(1, 226) if is_squarefree(D)], max_norm=max_norm, k=k, n="-1")
-    _check_output_dirs(("--out", out))
-
-    report = run_campaign(cfg, progress=_print_progress)
-    if out:
-        write_report(report, out)
+    report = _run_search(cfg, out)
     print(
         f"squarefree D < 226, max_norm={max_norm}, k={k}: "
         f"{report.total_cliques} clique(s) in {report.wall_time:.1f}s (expected 0)"
@@ -321,14 +323,12 @@ def _reproduce_d3_triples() -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.out and args.target not in ("quintuple-scan", "quadruple-min"):
+    if args.target in SCAN_TARGETS:
+        return _reproduce_scan(*SCAN_TARGETS[args.target], args.out)
+    if args.out:
         raise ValueError("--out applies only to the scan targets quintuple-scan and quadruple-min")
     if args.target == "example-quadruple":
         return _reproduce_example_quadruple()
-    if args.target == "quintuple-scan":
-        return _reproduce_scan(224, 5, args.out)
-    if args.target == "quadruple-min":
-        return _reproduce_scan(143, 4, args.out)
     return _reproduce_d3_triples()
 
 

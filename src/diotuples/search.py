@@ -396,6 +396,11 @@ class SearchConfig:
 
 @dataclass
 class FieldResult:
+    """One searched field, as _run_field returns it and a campaign, its checkpoint and its report hold it.
+
+    to_json, keyed in field order, is its one serialisation: checkpoint entry, report result, progress record.
+    """
+
     D: int
     vertex_count: int
     edge_count: int
@@ -425,7 +430,7 @@ class SearchReport:
         out = []
         for r in sorted(self.results, key=lambda r: r.D):
             cliques = [tuple(sorted(s, key=elem_key)) for s in r.clique_sets(make_ring(r.D))]
-            cliques.sort(key=lambda c: [elem_key(e) for e in c])
+            cliques.sort(key=_clique_key)
             out += [(r.D, c) for c in cliques]
         return out
 
@@ -440,19 +445,18 @@ class SearchReport:
         }
 
 
-def _run_field(D: int, max_norm: int, k: int, n: QuadInt) -> dict:
-    """Field D, n in its ring: the graph, one clique per orbit from its orbit roots, and the orbit records."""
+def _run_field(D: int, max_norm: int, k: int, n: QuadInt) -> FieldResult:
+    """The FieldResult of field D, n in its ring: the graph, one clique per orbit from its roots, the orbit records."""
     t0 = time.monotonic()
     elems = enum_elements(n.ring, max_norm)
     g = build_graph(elems, n)
     reps = [tuple(map(elems.__getitem__, idx)) for idx in _clique_indices(g.fwd, k, g.roots)]
-    return {
-        "D": D,
-        "vertex_count": len(elems),
-        "edge_count": g.edge_count,
-        "cliques": _group_orbits(reps, n),
-        "wall_time": time.monotonic() - t0,
-    }
+    return FieldResult(D, len(elems), g.edge_count, _group_orbits(reps, n), time.monotonic() - t0)
+
+
+def _clique_key(c) -> tuple:
+    """The order of cliques: by the elem_key of each element in turn."""
+    return tuple(map(elem_key, c))
 
 
 def _group_orbits(cliques: list[tuple[QuadInt, ...]], n: QuadInt) -> list[dict]:
@@ -470,21 +474,16 @@ def _group_orbits(cliques: list[tuple[QuadInt, ...]], n: QuadInt) -> list[dict]:
     seen: set[tuple] = set()
     records: list[dict] = []
     for c in cliques:
-        key = tuple(elem_key(e) for e in c)
-        if key in seen:
+        if _clique_key(c) in seen:
             continue
-        orbit = sorted(tuple_orbit(make_tuple(n.ring, n, c)), key=lambda t: [elem_key(e) for e in t.elems])
+        orbit = sorted(tuple_orbit(make_tuple(n.ring, n, c)), key=lambda t: _clique_key(t.elems))
         for t in orbit:
             # report invariant: every recorded clique re-verifies
             if not verify_tuple(t).ok:
                 raise RuntimeError(f"clique {t.elems} failed re-verification")
-            seen.add(tuple(elem_key(e) for e in t.elems))
-        records.append(
-            {
-                "elems": [elem_to_json(e) for e in orbit[0].elems],
-                "orbit": [[elem_to_json(e) for e in t.elems] for t in orbit],
-            }
-        )
+            seen.add(_clique_key(t.elems))
+        members = [[elem_to_json(e) for e in t.elems] for t in orbit]
+        records.append({"elems": members[0], "orbit": members})
     return records
 
 
@@ -503,17 +502,18 @@ def _atomic_write(path: str, write) -> None:
         raise
 
 
-def _atomic_write_json(path: str, payload: dict, **dump_kw) -> None:
+def _atomic_write_json(path: str, payload: dict) -> None:
+    """Write payload atomically as compact JSON, without whitespace: the one file format of checkpoint and report."""
     # json.dumps, unlike json.dump, uses the C encoder when there is no indent
-    _atomic_write(path, lambda f: f.write(json.dumps(payload, **dump_kw)))
+    _atomic_write(path, lambda f: f.write(json.dumps(payload, separators=(",", ":"))))
 
 
-def _load_checkpoint(cfg: SearchConfig, config_hash: str) -> dict[int, dict]:
-    """The fields stored in cfg's checkpoint, each accepted only when rebuilding it gives it back.
+def _load_checkpoint(cfg: SearchConfig, config_hash: str) -> dict[int, FieldResult]:
+    """The FieldResults stored in cfg's checkpoint, by D, each accepted only when rebuilding it gives it back.
 
     The top level must hold the keys _save_checkpoint writes, a string version
     and a config equal to cfg.semantic_json() but for the text of n.  An entry is a
-    FieldResult's JSON under the text of its D, one of cfg's fields, with int
+    FieldResult's to_json under the text of its D, one of cfg's fields, with int
     counts and a numeric wall_time.  Its representatives, decoded in the
     field's ring, must be k-subsets of the norm ball, and _group_orbits must
     rebuild, re-verifying every member, exactly the stored records.  Vertex
@@ -565,12 +565,12 @@ def _load_checkpoint(cfg: SearchConfig, config_hash: str) -> dict[int, dict]:
             rebuilt = False
         if not rebuilt:
             raise ValueError(f"checkpoint {path}: malformed 'completed' entry {key!r}: it does not rebuild as stored")
-        completed[r.D] = res
+        completed[r.D] = r
     return completed
 
 
-def _save_checkpoint(cfg: SearchConfig, config_hash: str, completed: dict[int, dict]) -> None:
-    """Rewrite the checkpoint as compact JSON; config_hash is computed once per campaign."""
+def _save_checkpoint(cfg: SearchConfig, config_hash: str, completed: dict[int, FieldResult]) -> None:
+    """Rewrite the checkpoint, each FieldResult's to_json under the text of its D; config_hash is computed once."""
     if not cfg.checkpoint_path:
         return
     _atomic_write_json(
@@ -580,9 +580,8 @@ def _save_checkpoint(cfg: SearchConfig, config_hash: str, completed: dict[int, d
             "version": __version__,
             "config_hash": config_hash,
             "config": cfg.semantic_json(),
-            "completed": {str(D): res for D, res in sorted(completed.items())},
+            "completed": {str(D): r.to_json() for D, r in sorted(completed.items())},
         },
-        separators=(",", ":"),
     )
 
 
@@ -652,13 +651,13 @@ def _chunks(tasks: list[tuple], costs: list[int], workers: int) -> list[list[tup
     return chunks
 
 
-def _run_chunk(chunk: list[tuple]) -> list[dict]:
+def _run_chunk(chunk: list[tuple]) -> list[FieldResult]:
     """_run_field(*task) for each task of a chunk; the unit of work of a campaign."""
     return [_run_field(*task) for task in chunk]
 
 
 def _field_results(chunks: list[list[tuple]], workers: int):
-    """Yield one list of _run_field results per chunk, as each chunk completes.
+    """Yield one list of FieldResults per chunk, as each chunk completes.
 
     One worker runs the chunks in this process, in order; more run them in a
     process pool, in completion order.  A worker failure propagates.  Closing
@@ -688,20 +687,21 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     parsed then in the field's ring, so nothing here checks or parses again.
     Fields already present in a compatible checkpoint are skipped.  The
     pending fields are grouped by _chunks into cost-balanced chunks; each
-    chunk's results pass through one loop, in completion order: every result
-    is stored, the checkpoint is rewritten once, then each result is handed
-    to progress.  A crash therefore loses at most the chunks in flight, one
-    per worker, each about sum(costs) / chunks of predicted work, which is at
-    least _WORKER_COST: the whole campaign when it is predicted below
-    2 * _WORKER_COST.  Each
-    pending field's field_cost is computed once and serves both the chunks
-    and clamp_workers, which caps cfg.jobs by the pending fields, the usable
-    CPUs and the predicted total cost (each worker needs _WORKER_COST of it).
-    With one worker the chunks run in this process, else in a process pool
-    with one chunk per task; the merge is by ascending D and independent of
-    completion order.  Leaving the loop early cancels the chunks not yet
-    started.  The report's config records cfg.jobs as requested, not the
-    workers used.
+    chunk's FieldResults pass through one loop, in completion order: every
+    result is stored, the checkpoint is rewritten once, then each result's
+    to_json, the dict of its checkpoint entry, is handed to progress.  A
+    crash therefore loses at most the chunks in flight, one per worker, each
+    about sum(costs) / chunks of predicted work, which is at least
+    _WORKER_COST: the whole campaign when it is predicted below
+    2 * _WORKER_COST.  Each pending field's field_cost is computed once and
+    serves both the chunks and clamp_workers, which caps cfg.jobs by the
+    pending fields, the usable CPUs and the predicted total cost (each
+    worker needs _WORKER_COST of it).  With one worker the chunks run in
+    this process, else in a process pool with one chunk per task; the merge
+    is by ascending D and independent of completion order.  Leaving the
+    loop early cancels the chunks not yet started.  The report holds the
+    stored FieldResults by ascending D, and its config records cfg.jobs as
+    requested, not the workers used.
     """
     t0 = time.monotonic()
     config_hash = cfg.config_hash()
@@ -712,20 +712,19 @@ def run_campaign(cfg: SearchConfig, progress=None) -> SearchReport:
     # closing() shuts the pool down as soon as the loop is left, not when the generator is freed
     with closing(_field_results(_chunks(tasks, costs, workers), workers)) as chunk_results:
         for results in chunk_results:
-            for res in results:
-                completed[res["D"]] = res
+            for r in results:
+                completed[r.D] = r
             _save_checkpoint(cfg, config_hash, completed)
             if progress:
-                for res in results:
-                    progress(res)
+                for r in results:
+                    progress(r.to_json())
 
-    results = [FieldResult(**completed[D]) for D in cfg._n_by_D]
-    return SearchReport(cfg, results, time.monotonic() - t0)
+    return SearchReport(cfg, [completed[D] for D in cfg._n_by_D], time.monotonic() - t0)
 
 
 def write_report(report: SearchReport, path: str) -> None:
-    """Write the report as compact JSON, as the checkpoint is written; `search --json` prints it indented."""
-    _atomic_write_json(path, report.to_json(), separators=(",", ":"))
+    """Write the report as the checkpoint is written (_atomic_write_json); `search --json` prints it indented."""
+    _atomic_write_json(path, report.to_json())
 
 
 def write_clique_csv(report: SearchReport, path: str) -> None:

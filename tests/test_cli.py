@@ -433,6 +433,24 @@ class TestReproduceCommand:
         assert f"--out {tmp_path}: is a directory" in capsys.readouterr().err
         assert ran == []  # rejected before any field ran
 
+    def test_scan_reports_as_search_does(self, tmp_path, monkeypatch):
+        # a reproduce scan is the search campaign of its fields, run by the same runner
+        runs, real = [], cli._run_search
+        monkeypatch.setattr(cli, "_run_search", lambda cfg, *rest: runs.append(cfg) or real(cfg, *rest))
+        reports = []
+        for argv in (
+            ["reproduce", "quadruple-min"],
+            ["search", "--D-range", "1..225", "--max-norm", "143", "--k", "4", "--n", "-1"],
+        ):
+            out = tmp_path / f"{argv[0]}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            for rec in (report, *report["results"]):
+                rec["wall_time"] = None
+            reports.append(report)
+        assert reports[0] == reports[1] and len(reports[0]["results"]) == 139
+        assert len(runs) == 2 and runs[0] == runs[1]
+
     @pytest.mark.parametrize("target", ["example-quadruple", "d3-triples"])
     def test_out_needs_a_scan_target(self, target, tmp_path, capsys, monkeypatch):
         # these targets write no report, so --out is a usage error, raised before any tuple is verified

@@ -764,6 +764,23 @@ def test_gap_lemma_checks_matches_object_kernel_on_fixed_sets():
     assert_matches_reference_kernel(*(QuadInt(make_ring(D), 2, 1) for D in (1, 2, 3)))
 
 
+@pytest.mark.parametrize(
+    "f, args",
+    [
+        (jz_constants, ((1, 1, 0), (1, -1, 0), (2, 100, 0))),
+        (jz_constants, ((1, 1, 0), (2, 0, 0), (1, 100, 0), 1)),  # before the zero and precision checks
+        (bounds.check_gap_hypotheses, ((1, 2, 0), (2, 25, 0), (1, 41, 0))),
+        (bounds.lower_bound_d, ((1, 2, 0), (2, 25, 0))),
+    ],
+    ids=["jz-T", "jz-first", "hypotheses", "lower-bound"],
+)
+def test_mixed_rings_raise_before_any_work(f, args):
+    # as gap_lemma_checks does: the ValueError a product of the two rings would raise
+    elems = [a if isinstance(a, int) else QuadInt(make_ring(a[0]), *a[1:]) for a in args]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'mixed rings: {make_ring(1)} vs {make_ring(2)}')}$"):
+        f(*elems)
+
+
 def powers_taken(mp) -> list:
     """Record the arguments of each bounds._zsqrt_pow call; none means the lambda certificate decided."""
     calls = []

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import pickle
 import time
 from itertools import combinations
 from math import isqrt
@@ -446,7 +447,10 @@ class TestOrbitRoots:
         full = find_cliques(g, k)
         want = search._group_orbits(full, n)
         assert want
-        assert search._run_field(D, max_norm, k, n)["cliques"] == want
+        res = search._run_field(D, max_norm, k, n)
+        assert res.cliques == want
+        # a pool worker hands the FieldResult back pickled
+        assert type(res) is search.FieldResult and pickle.loads(pickle.dumps(res)) == res
         # the root listing is an ordered sublist of the full one, and shorter
         roots = search._clique_indices(g.fwd, k, g.roots)
         rest = iter(search._clique_indices(g.fwd, k, range(len(g.fwd))))
@@ -1095,7 +1099,14 @@ class TestLayout:
 
         ck = tmp_path / "ck.json"
         cfg = SearchConfig(D_list=[1, 3], max_norm=60, k=3, n="-1", checkpoint_path=str(ck))
-        report = run_campaign(cfg)
+        seen = []
+        report = run_campaign(cfg, progress=seen.append)
+        # one record: the progress dict, the checkpoint entry and the report result of a field agree
+        entries = json.loads(ck.read_text())["completed"]
+        results = {r.D: r.to_json() for r in report.results}
+        assert sorted(res["D"] for res in seen) == sorted(results) == [1, 3]
+        for res in seen:
+            assert res == entries[str(res["D"])] == results[res["D"]] and list(res) == self.FIELD_KEYS
         out = tmp_path / "report.json"
         write_report(report, str(out))
         payload = json.loads(out.read_text())
