@@ -61,7 +61,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .quad_ring import QuadInt, norm
+from .quad_ring import QuadInt, _one_ring, norm
 from .tuples import PellWitness
 
 __all__ = [
@@ -223,14 +223,6 @@ def _margin(x: int, y: int) -> float:
     return abs(x - y) / scale if scale else 0.0
 
 
-def _one_ring(first: QuadInt, *others: QuadInt) -> None:
-    """Raise the ValueError of a product when an element of others lies outside the ring of first."""
-    ring = first.ring
-    for other in others:
-        if other.ring is not ring and other.ring != ring:
-            raise ValueError(f"mixed rings: {ring} vs {other.ring}")
-
-
 def _pair_norms(a1: QuadInt, a2: QuadInt) -> tuple[int, int, int]:
     """(norm(a1), norm(a2), norm(a1 - a2)) of a1, a2 in one ring (_one_ring), once a1 != a2 and both are nonzero.
 
@@ -276,7 +268,7 @@ def jz_constants(
     and ValueError when precision_bits < 64.  Before any of that, an a2 or T
     outside the ring of a1 raises the ValueError of a product.
     """
-    _one_ring(a1, a2, T)
+    _one_ring(a1.ring, a2, T)
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     nT = norm(T)
@@ -359,7 +351,7 @@ def check_gap_hypotheses(a: QuadInt, b: QuadInt, c: QuadInt) -> HypothesisReport
     runs entirely on integer norms.  A mixed-ring input first raises the
     ValueError that a*b, then (ab)*c, would raise.
     """
-    _one_ring(a, b, c)
+    _one_ring(a.ring, b, c)
     na, nb, nc = norm(a), norm(b), norm(c)
     clauses = (
         Comparison("|b| >= (3/2)|a|", ">=", 4 * nb, 9 * na),
@@ -443,7 +435,7 @@ def gap_lemma_checks(a: QuadInt, b: QuadInt, c: QuadInt) -> dict[str, tuple[bool
     When the certificate fails, the fifth and eighth powers in Z[sqrt(m)]
     are taken by squaring and X < Y is decided on the full integers.
     """
-    _one_ring(a, b, c)
+    _one_ring(a.ring, b, c)
     nb, na, nab = _pair_norms(b, a)  # as at (a1, a2) = (-b, -a)
     nT = na * nb * norm(c)
     M_sq, N, min_sq, L_margin = _lemma_norms(nb, na, nab, nT)
@@ -481,7 +473,7 @@ def lower_bound_d(a: QuadInt, b: QuadInt) -> Fraction:
 
     a and b in two rings raise the ValueError that a*b would raise.
     """
-    _one_ring(a, b)
+    _one_ring(a.ring, b)
     return Fraction(norm(a) * norm(b) * 169, 4356)
 
 

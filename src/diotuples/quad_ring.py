@@ -2,12 +2,13 @@
 
 The ring is its squarefree D >= 1, checked as RingParams(D) is built: Z[omega]
 with omega = (1 + sqrt(-D))/2 when -D = 1 (mod 4), else sqrt(-D), a rule stated
-once, in _omega_p, with omega**2 = p*omega + q in _omega_q.  Elements carry
-basis coordinates (x, y), meaning x + y*omega, and their norm is read off
-them.  Products, square roots and quotients run through half-coordinates
-(u, v) with alpha = (u + v*sqrt(-D))/2, which gives a single multiplication
-kernel for both omega conventions.  Every magnitude comparison is on exact
-integer norms (no floating point anywhere in this module).
+once, in _omega_p, with omega**2 = p*omega + q in _omega_q.  The one ring rule,
+that elements of two rings never mix, is stated once too, in _one_ring, which
+every module calls.  Elements carry basis coordinates (x, y), meaning x + y*omega,
+and their norm is read off them.  Products, square roots and quotients run
+through half-coordinates (u, v) with alpha = (u + v*sqrt(-D))/2, which gives a
+single multiplication kernel for both omega conventions.  Every magnitude
+comparison is on exact integer norms (no floating point anywhere in this module).
 
 Integrality rule (Cohen, A Course in Computational Algebraic Number Theory,
 sec. 5.1): (u + v*sqrt(-D))/2 with integers u, v lies in O_K exactly when its
@@ -82,6 +83,13 @@ class RingParams:
 make_ring = RingParams  # the public constructor, as the CLI and the benchmark call it
 
 
+def _one_ring(ring: RingParams, *elems: QuadInt) -> None:
+    """The one same-ring rule: raise "mixed rings: <ring> vs <other>" for the first element outside ring."""
+    for e in elems:
+        if e.ring is not ring and e.ring != ring:
+            raise ValueError(f"mixed rings: {ring} vs {e.ring}")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class QuadInt:
     """Element x + y*omega of O_K, with exact integer coordinates."""
@@ -104,8 +112,7 @@ class QuadInt:
             return QuadInt(self.ring, other, 0)
         if not isinstance(other, QuadInt):
             return NotImplemented
-        if other.ring != self.ring:
-            raise ValueError(f"mixed rings: {self.ring} vs {other.ring}")
+        _one_ring(self.ring, other)
         return other
 
     def half_coords(self) -> tuple[int, int]:

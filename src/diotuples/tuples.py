@@ -1,7 +1,9 @@
 """D(n)-tuple verification, Pell-system witnesses, extension and the c+- construction.
 
 A set of nonzero, pairwise distinct elements of O_K is a D(n) tuple when
-every pairwise product shifted by n is a square in O_K (verify_tuple).  The
+every pairwise product shifted by n is a square in O_K (verify_tuple).  A
+DioTuple (make_tuple) is checked as it is built, so it holds such a set; every
+function here applies the one ring rule of quad_ring, _one_ring.  The
 extension machinery (PellWitness, extend_scan, extend_triple, c_plus_minus)
 is specific to the shift n = -1: a quadruple {a, b, c, d} then satisfies the
 Pellian system a*z^2 - c*x^2 = c - a, b*z^2 - c*y^2 = c - b with c*d = z^2 + 1.
@@ -33,6 +35,7 @@ from .quad_ring import (
     _from_half_unchecked,
     _ideal_hnf,
     _mul_half,
+    _one_ring,
     _sqrt_half,
     _sqrt_mod,
     elem_key,
@@ -61,11 +64,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DioTuple:
-    """Candidate D(n) tuple: ring, shift n and elements sorted by (norm, x, y)."""
+    """Candidate D(n) tuple, checked as it is built: n and elements in ring (_one_ring), the elements
+    nonzero and pairwise distinct, and stored as a tuple sorted by elem_key (norm, x, y)."""
 
     ring: RingParams
     n: QuadInt
     elems: tuple[QuadInt, ...]
+
+    def __post_init__(self) -> None:
+        elems = sorted(self.elems, key=elem_key)
+        _one_ring(self.ring, self.n, *elems)
+        for e in elems:
+            if e.is_zero():
+                raise ValueError("tuple elements must be nonzero")
+        if len({(e.x, e.y) for e in elems}) != len(elems):  # one ring, so coordinates decide equality
+            raise ValueError("tuple elements must be pairwise distinct")
+        object.__setattr__(self, "elems", tuple(elems))
 
     def to_json(self) -> dict:
         return {
@@ -75,19 +89,7 @@ class DioTuple:
         }
 
 
-def make_tuple(ring: RingParams, n: QuadInt, elems) -> DioTuple:
-    """Validate and normalize: same ring, nonzero, pairwise distinct, sorted."""
-    if n.ring is not ring and n.ring != ring:
-        raise ValueError("shift n lives in a different ring")
-    elems = list(elems)
-    for e in elems:
-        if e.ring is not ring and e.ring != ring:
-            raise ValueError(f"element {e} lives in a different ring")
-        if e.is_zero():
-            raise ValueError("tuple elements must be nonzero")
-    if len({(e.x, e.y) for e in elems}) != len(elems):  # one ring, so coordinates decide equality
-        raise ValueError("tuple elements must be pairwise distinct")
-    return DioTuple(ring, n, tuple(sorted(elems, key=elem_key)))
+make_tuple = DioTuple  # the public constructor, as search, the CLI and the benchmark call it
 
 
 @dataclass(slots=True)
@@ -123,14 +125,6 @@ class VerifyReport:
         }
 
 
-def _halves(ring: RingParams, *elems: QuadInt) -> list[tuple[int, int]]:
-    """Half-coordinates of elems, which must all live in ring."""
-    for e in elems:
-        if e.ring is not ring and e.ring != ring:
-            raise ValueError(f"mixed rings: {ring} vs {e.ring}")
-    return [e.half_coords() for e in elems]
-
-
 def verify_tuple(t: DioTuple) -> VerifyReport:
     """Check every unordered pair; stops at the first pair without a witness.
 
@@ -140,7 +134,7 @@ def verify_tuple(t: DioTuple) -> VerifyReport:
     ring = t.ring
     D = ring.D
     es = t.elems
-    (Un, Vn), *hs = _halves(ring, t.n, *es)
+    (Un, Vn), *hs = [e.half_coords() for e in (t.n, *es)]  # one ring, as DioTuple is built
     checks: list[PairCheck] = []
     for i, (u1, v1) in enumerate(hs):
         a = es[i]
@@ -170,7 +164,8 @@ def is_regular(a: QuadInt, b: QuadInt, c: QuadInt) -> bool:
     then as build_pell_witness does for r.
     """
     ring = a.ring
-    ha, hb, (cu, cv) = _halves(ring, a, b, c)
+    _one_ring(ring, b, c)
+    ha, hb, (cu, cv) = a.half_coords(), b.half_coords(), c.half_coords()
     ru, rv = _witness_half(ring.D, _mul_half(ring.D, ha, hb), a, b, "r")
     du, dv = cu - ha[0] - hb[0], cv - ha[1] - hb[1]  # c - (a + b) = +-2r
     return (du, dv) == (2 * ru, 2 * rv) or (du, dv) == (-2 * ru, -2 * rv)
@@ -201,7 +196,9 @@ def build_pell_witness(a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt) -> PellWi
     D = ring.D
     w = {}
     for name, p, q in (("r", a, b), ("s", a, c), ("t", b, c), ("x", a, d), ("y", b, d), ("z", c, d)):
-        w[name] = _from_half_unchecked(ring, *_witness_half(D, _mul_half(D, *_halves(ring, p, q)), p, q, name))
+        _one_ring(ring, p, q)
+        pq = _mul_half(D, p.half_coords(), q.half_coords())
+        w[name] = _from_half_unchecked(ring, *_witness_half(D, pq, p, q, name))
     return PellWitness(a, b, c, d, **w)
 
 
@@ -448,10 +445,12 @@ def c_plus_minus(a: QuadInt, b: QuadInt, d: QuadInt) -> ExtensionPair:
     """
     ring = a.ring
     D = ring.D
-    (au, av), (bu, bv) = _halves(ring, a, b)
+    _one_ring(ring, b)
+    (au, av), (bu, bv) = a.half_coords(), b.half_coords()
     ab = (au * bu - D * av * bv) // 2, (au * bv + av * bu) // 2
     ru, rv = _witness_half(D, ab, a, b, "r")
-    ((du, dv),) = _halves(ring, d)
+    _one_ring(ring, d)
+    du, dv = d.half_coords()
     ad = (au * du - D * av * dv) // 2, (au * dv + av * du) // 2
     xu, xv = _witness_half(D, ad, a, d, "x")
     bd = (bu * du - D * bv * dv) // 2, (bu * dv + bv * du) // 2

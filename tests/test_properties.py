@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diotuples import bounds
-from mpmath.libmp import from_int, from_man_exp, mpi_sqrt, round_ceiling, round_floor
+from mpmath.libmp import from_int, from_man_exp, fzero, mpi_sqrt, round_ceiling, round_floor
 
 from diotuples.bounds import (
     HypothesisFailure,
@@ -916,6 +916,16 @@ def test_theta_identity_is_exact():
         assert theta_defect(bumped).identity_rel_diff > 0
 
 
+def test_theta_defect_of_a_zero_s_is_the_point_zero():
+    # a*c = 1 (a = i, c = -i in Z[i]) makes s = sqrt(a*c - 1) = 0, so theta_1 and its approximant are 0;
+    # the other fields are nonzero and need not form a genuine witness
+    coords = ((0, 1), (2, 0), (0, -1), (5, 0), (1, 0), (0, 0), (3, 0), (2, 0), (3, 0), (7, 0))  # a, b, c, d, r, s, ...
+    w = PellWitness(*(QuadInt(make_ring(1), x, y) for x, y in coords))
+    tc = theta_defect(w)
+    assert tc.defect1.enclosure._mpi_ == (fzero, fzero)
+    assert tc.defect2.enclosure._mpi_ == iv_theta_reference(w)[1]._mpi_
+
+
 @st.composite
 def sqrt_radicands(draw) -> int:
     """n in [0, 2^4000]: any bit length, a perfect square, or 4^k - 1, 4^k, 4^k + 1."""
@@ -933,6 +943,12 @@ def test_iv_sqrt_matches_mpi_sqrt_on_integers(n, prec):
     # n shorter than prec converts exactly; longer, its endpoints are rounded, with either exponent parity
     x = from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
     assert _iv_sqrt(x, prec) == mpi_sqrt(x, prec)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 4), (-4, -1)])
+def test_iv_sqrt_rejects_a_negative_endpoint(lo, hi):
+    with pytest.raises(ValueError, match="^square root of a negative endpoint$"):
+        _iv_sqrt((from_int(lo), from_int(hi)), 64)
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
 import pickle
 import time
 from itertools import combinations
@@ -792,6 +793,13 @@ class TestClampWorkers:
         costs = [field_cost(D, max_norm) for D in SQUAREFREE_225]
         assert sum(costs) < 2 * self.W
         assert clamp_workers(4, costs, 4) == 1
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        # where the OS has no affinity mask (macOS, Windows) the CPU count serves, and 1 when it is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert search._usable_cpus() == (os.cpu_count() or 1) >= 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert search._usable_cpus() == 1
 
     def test_campaign_runs_serially_when_clamped(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -1,5 +1,5 @@
 """Source checks: invariant checks in the package must survive `python -O`, the
-omega rule is stated once, in quad_ring, the package imports only the stdlib
+omega rule and the same-ring rule are each stated once, in quad_ring, the package imports only the stdlib
 and its declared dependency, reads no environment variable and sets no global
 mpmath precision, every exported name exists and, like every public method,
 has a caller in the package or the benchmark, the package names the benchmark
@@ -58,6 +58,25 @@ def test_omega_convention_stays_in_quad_ring():
         if isinstance(node, ast.Attribute) and node.attr == "omega_p"
     ]
     assert not readers, f"the omega convention is read outside quad_ring.py: {readers}"
+
+
+def test_same_ring_rule_stays_in_quad_ring():
+    # elements of two rings never mix: quad_ring._one_ring states that rule and its one message, and every
+    # other module calls it, so none holds the message or compares a .ring by != or is not
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "quad_ring.py":
+            continue
+        text = path.read_text()
+        found += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1) if "mixed rings" in line]
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(text, filename=str(path)))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.NotEq, ast.IsNot)) for op in node.ops)
+            and any(isinstance(e, ast.Attribute) and e.attr == "ring" for e in (node.left, *node.comparators))
+        ]
+    assert not found, f"the same-ring rule is stated outside quad_ring.py: {found}"
 
 
 def test_package_imports_only_declared_dependencies():

@@ -102,15 +102,24 @@ class TestVerifyTuple:
         assert rep.failing_pair == (None if failing is None else tuple(parse_elem(e, ring) for e in failing))
 
     def test_structural_rejection(self):
-        with pytest.raises(ValueError):
-            make_tuple(R1, M1, [q1(1), q1(1), q1(2)])
-        with pytest.raises(ValueError):
-            make_tuple(R1, M1, [q1(1), q1(0)])
+        # make_tuple is DioTuple, and a DioTuple built directly checks itself as it is built
+        assert make_tuple is DioTuple
+        for n, elems, message in (
+            (QuadInt(R2, -1, 0), [q1(1), q1(2)], MIXED),
+            (M1, [q1(1), QuadInt(R2, 2, 0)], MIXED),
+            (M1, [q1(1), q1(0)], "tuple elements must be nonzero"),
+            (M1, [q1(1), q1(1), q1(2)], "tuple elements must be pairwise distinct"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                DioTuple(R1, n, elems)
+            assert str(exc.value) == message
         with pytest.raises(ValueError):
             make_tuple(R1, M1, [q1(1), q3(2)])
 
     def test_sorted_storage(self):
-        t = make_tuple(R1, M1, [q1(-24), q1(5), q1(1), q1(2)])
+        # any iterable of elements is stored as a tuple sorted by (norm, x, y)
+        t = DioTuple(R1, M1, (e for e in [q1(-24), q1(5), q1(1), q1(2)]))
+        assert type(t.elems) is tuple
         assert [format_elem(e) for e in t.elems] == ["1", "2", "5", "-24"]
 
     def test_report_json_roundtrip(self):
