@@ -16,16 +16,15 @@ from .quad_ring import QuadInt, elem_to_json, format_elem, is_squarefree, make_r
 from .tuples import extend_scan, extend_triple, is_regular, make_tuple, verify_tuple
 from .search import SearchConfig, SearchReport, run_campaign, write_clique_csv, write_report, _WORKER_COST
 
-REPRODUCE_TARGETS = ("quintuple-scan", "quadruple-min", "example-quadruple", "d3-triples")
-SCAN_TARGETS = {"quintuple-scan": (224, 5), "quadruple-min": (143, 4)}  # target -> (max_norm, k)
 JOBS_HELP = (
     "worker processes at most (default 1); fewer when fewer fields are pending, fewer CPUs are "
-    f"usable or the predicted work is under {_WORKER_COST:,} witnesses per worker, below which a "
-    "pool costs more than it saves; one worker runs in this process; the report records the value given"
+    f"usable or the fields' norm balls hold under {_WORKER_COST:,} pairs {{z, -z}} per worker, below "
+    "which a pool costs more than it saves; one worker runs in this process; the report records the value given"
 )
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole command line; each command, bounds subcommand and reproduce target binds its handler as run."""
     ap = argparse.ArgumentParser(prog="diotuples", description=__doc__)
     ap.add_argument("--version", action="version", version=f"diotuples {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -35,6 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="-1")
     p.add_argument("--elems", required=True, help="comma-separated element texts")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive k-tuple search over fields")
     g = p.add_mutually_exclusive_group(required=True)
@@ -53,12 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--resume", action="store_true", help="reuse an existing checkpoint (needs --checkpoint)")
     p.add_argument("--json", action="store_true", help="print the report JSON to stdout")
+    p.set_defaults(run=_cmd_search)
 
     p = sub.add_parser("extend", help="extend a D(-1) triple by a z-scan")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--triple", required=True, help="comma-separated a,b,c")
     p.add_argument("--z-norm-bound", dest="z_norm_bound", type=int, required=True)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_extend)
 
     p = sub.add_parser("bounds", help="approximation constants and the inequality chain")
     bsub = p.add_subparsers(dest="bounds_command", required=True)
@@ -68,13 +70,21 @@ def _build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--T", required=True)
     pj.add_argument("--D", type=int, default=1)
     pj.add_argument("--precision-bits", type=int, default=None)
+    pj.set_defaults(run=_cmd_bounds_jz)
     pc = bsub.add_parser("chain", help="verify the exact magnitude chain")
     pc.add_argument("--json", action="store_true")
-    bsub.add_parser("threshold", help="exact minimal N with N^8*13^31 >= 66^31*3956^10")
+    pc.set_defaults(run=_cmd_bounds_chain)
+    pt = bsub.add_parser("threshold", help="exact minimal N with N^8*13^31 >= 66^31*3956^10")
+    pt.set_defaults(run=_cmd_bounds_threshold)
 
     p = sub.add_parser("reproduce", help="run a canned computation and compare outcomes")
-    p.add_argument("target", choices=REPRODUCE_TARGETS)
-    p.add_argument("--out", help="write the search report here (scan targets)")
+    rsub = p.add_subparsers(dest="target", required=True)
+    for target, max_norm, k in (("quintuple-scan", 224, 5), ("quadruple-min", 143, 4)):
+        pr = rsub.add_parser(target)
+        pr.add_argument("--out", help="write the search report here")
+        pr.set_defaults(run=_reproduce_scan, max_norm=max_norm, k=k)
+    rsub.add_parser("example-quadruple").set_defaults(run=_reproduce_example_quadruple)
+    rsub.add_parser("d3-triples").set_defaults(run=_reproduce_d3_triples)
     return ap
 
 
@@ -236,22 +246,29 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    from . import bounds as bnd  # bounds pulls in mpmath; the other commands never need it
+def _cmd_bounds_chain(args) -> int:
+    from .bounds import chain_verify  # each bounds handler imports it here: no other command needs mpmath
 
-    if args.bounds_command == "chain":
-        trace = bnd.chain_verify()
-        if args.json:
-            print(json.dumps(trace.to_json(), indent=1))
-        else:
-            print(trace.format_table())
-        return 0 if trace.confirmed else 1
-    if args.bounds_command == "threshold":
-        n = bnd.threshold_a22()
-        print(f"minimal N with N^8*13^31 >= 66^31*3956^10: {n}")
-        print(f"N <= 1.8e7: {n <= 18 * 10**6}")
-        return 0
-    # jz
+    trace = chain_verify()
+    if args.json:
+        print(json.dumps(trace.to_json(), indent=1))
+    else:
+        print(trace.format_table())
+    return 0 if trace.confirmed else 1
+
+
+def _cmd_bounds_threshold(args) -> int:
+    from .bounds import threshold_a22
+
+    n = threshold_a22()
+    print(f"minimal N with N^8*13^31 >= 66^31*3956^10: {n}")
+    print(f"N <= 1.8e7: {n <= 18 * 10**6}")
+    return 0
+
+
+def _cmd_bounds_jz(args) -> int:
+    from . import bounds as bnd
+
     bits = bnd.DEFAULT_PRECISION_BITS if args.precision_bits is None else args.precision_bits
     ring = make_ring(args.D)
     a1 = parse_elem(args.a1, ring)
@@ -270,7 +287,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _reproduce_example_quadruple() -> int:
+def _reproduce_example_quadruple(args) -> int:
     ring = make_ring(1)
     n = parse_elem("-1", ring)
     t = make_tuple(ring, n, [parse_elem(s, ring) for s in ("1", "2", "5", "-24")])
@@ -290,18 +307,18 @@ def _reproduce_example_quadruple() -> int:
     return 0 if ok else 1
 
 
-def _reproduce_scan(max_norm: int, k: int, out: str | None) -> int:
+def _reproduce_scan(args) -> int:
     # both scans predict less work than a pool of two needs (search._WORKER_COST), so they run serially
-    cfg = SearchConfig(D_list=[D for D in range(1, 226) if is_squarefree(D)], max_norm=max_norm, k=k, n="-1")
-    report = _run_search(cfg, out)
+    cfg = SearchConfig(D_list=[D for D in range(1, 226) if is_squarefree(D)], max_norm=args.max_norm, k=args.k, n="-1")
+    report = _run_search(cfg, args.out)
     print(
-        f"squarefree D < 226, max_norm={max_norm}, k={k}: "
+        f"squarefree D < 226, max_norm={cfg.max_norm}, k={cfg.k}: "
         f"{report.total_cliques} clique(s) in {report.wall_time:.1f}s (expected 0)"
     )
     return 0 if report.total_cliques == 0 else 1
 
 
-def _reproduce_d3_triples() -> int:
+def _reproduce_d3_triples(args) -> int:
     ring = make_ring(3)
     n = parse_elem("-1", ring)
     w = parse_elem("(1+1*s)/2", ring)
@@ -320,16 +337,6 @@ def _reproduce_d3_triples() -> int:
         )
         ok = ok and rep.ok and not exts
     return 0 if ok else 1
-
-
-def _cmd_reproduce(args) -> int:
-    if args.target in SCAN_TARGETS:
-        return _reproduce_scan(*SCAN_TARGETS[args.target], args.out)
-    if args.out:
-        raise ValueError("--out applies only to the scan targets quintuple-scan and quadruple-min")
-    if args.target == "example-quadruple":
-        return _reproduce_example_quadruple()
-    return _reproduce_d3_triples()
 
 
 def _join_d_range(argv: list[str]) -> list[str]:
@@ -354,15 +361,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "extend":
-            return _cmd_extend(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        return _cmd_reproduce(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

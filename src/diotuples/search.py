@@ -592,9 +592,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# the fixed work of a field (ring, n, orbit records) costs about as much as scanning two x
+# the fixed work of a field (ring, n, orbit records), in field_cost's unit: about two pairs {z, -z} of its ball
 _FIELD_BASE_COST = 2
-# predicted cost (x scanned) that each worker of a pool needs for the pool to pay (see clamp_workers)
+# predicted cost (field_cost's unit) that each worker of a pool needs for the pool to pay (see clamp_workers)
 _WORKER_COST = 10_000
 # chunks per worker at most: enough to even out the tail, few enough that checkpoint writes stay cheap
 _CHUNKS_PER_WORKER = 4
@@ -608,8 +608,8 @@ def clamp_workers(jobs: int, costs: list[int], cpus: int) -> int:
     w * _WORKER_COST.  A pool of 2 pays once it saves about as much wall
     time as the CPU time its workers add: over the 139 fields D <= 225 at
     k=5, on a shared 2-vCPU machine, that break-even fell, noisily, between
-    predicted totals of 12,000 and 22,000 x (N = 300-576), and 2 * 10,000
-    lies inside it.  At N = 224 (8,929 x) the pool saved a few milliseconds
+    predicted totals of 12,000 and 22,000 (N = 300-576), and 2 * 10,000
+    lies inside it.  At N = 224 (8,929) the pool saved a few milliseconds
     of wall time at best and took 40-50% more CPU.  The floor is a constant,
     not an option, and changes no answer.
     """
@@ -617,12 +617,16 @@ def clamp_workers(jobs: int, costs: list[int], cpus: int) -> int:
 
 
 def field_cost(D: int, max_norm: int) -> int:
-    """Predicted cost of one field, in witnesses x that build_graph scans; builds no element.
+    """Predicted cost of one field, in pairs {z, -z} of its norm ball; builds no element.
 
-    Counts the x up to sign with norm(x) <= max_norm (x = 0 included) from the
-    integer-square-root row bounds of _class_rows, plus a constant per field.
-    build_graph's own bound, N + isqrt(norm(n)) with N the largest vertex
-    norm, differs by a few x, which does not matter for ranking fields.
+    Counts the pairs {z, -z} with norm(z) <= max_norm (z = 0 included) from
+    the integer-square-root row bounds of _class_rows, plus _FIELD_BASE_COST;
+    _WORKER_COST is calibrated in this unit.  It is not the number of
+    witnesses x that build_graph scans: for rational n that scan keeps only
+    the rows with v >= 0, about half the pairs (5,497 x against a predicted
+    8,929 over the 139 fields D <= 225 at max_norm 224), and its bound
+    N + isqrt(norm(n)) differs from max_norm by a few.  Neither matters for
+    ranking fields or for the worker floor, which were set in this unit.
     """
     return _FIELD_BASE_COST + 1 + _half_ball_size(D, max_norm)
 

@@ -453,17 +453,50 @@ class TestReproduceCommand:
 
     @pytest.mark.parametrize("target", ["example-quadruple", "d3-triples"])
     def test_out_needs_a_scan_target(self, target, tmp_path, capsys, monkeypatch):
-        # these targets write no report, so --out is a usage error, raised before any tuple is verified
+        # only the scan targets declare --out, so argparse rejects it here before any tuple is verified
         ran = []
         monkeypatch.setattr(cli, "verify_tuple", lambda t: ran.append(t))
         path = tmp_path / "r.json"
         assert main(["reproduce", target, "--out", str(path)]) == 2
-        assert "quintuple-scan and quadruple-min" in capsys.readouterr().err
+        assert f"unrecognized arguments: --out {path}" in capsys.readouterr().err
         assert ran == [] and not path.exists()
+
+    def test_out_follows_the_target(self, tmp_path, capsys, monkeypatch):
+        # --out belongs to the scan target's parser, so before the target name it is a usage error
+        ran = []
+        monkeypatch.setattr(search, "_run_field", lambda *task: ran.append(task))
+        path = tmp_path / "r.json"
+        assert main(["reproduce", "--out", str(path), "quadruple-min"]) == 2
+        assert "error: argument target: invalid choice" in capsys.readouterr().err
+        assert ran == [] and not path.exists()
+
+    def test_example_quadruple_mismatch(self, capsys, monkeypatch):
+        # a witness negated still verifies the pair, but the list differs from the expected one
+        real = cli.verify_tuple
+
+        def one_negated(t):
+            report = real(t)
+            report.pairs[0].witness = -report.pairs[0].witness
+            return report
+
+        monkeypatch.setattr(cli, "verify_tuple", one_negated)
+        assert main(["reproduce", "example-quadruple"]) == 1
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        assert "witnesses: -1, 2, 0+5*w" in out
+        assert out.endswith("MISMATCH against the expected witness list\n")
 
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_version_is_single_sourced():
+    # pyproject.toml writes no version of its own: setuptools reads diotuples.__version__
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert "version" not in meta["project"] and meta["project"]["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "diotuples.__version__"}
 
 
 def test_python_m_runs_the_cli():

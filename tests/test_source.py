@@ -5,7 +5,8 @@ mpmath precision, every exported name exists and, like every public method,
 has a caller in the package or the benchmark, the package names the benchmark
 uses exist, importing the CLI stays cheap, the reference oracles in
 tests/helpers.py share no kernel with the package, the package holds one
-clique DFS behind find_cliques(g, k), a campaign's settings stay the
+clique DFS behind find_cliques(g, k), the command line is one parser that
+binds each command to its handler, a campaign's settings stay the
 SearchConfig fields and run_campaign's parameters, the bounds kernels convert
 no integer literal to an interval per call, and the package's docs and the
 README name only code that exists."""
@@ -385,6 +386,38 @@ def test_one_clique_dfs():
         and node.left.value.id == "fwd"
     ]
     assert len(found) == 1 and found[0].startswith("search.py:"), f"not one clique DFS: {found}"
+
+
+def test_one_command_parser():
+    # each command, bounds subcommand and reproduce target is a parser that binds its handler as run, and
+    # cli.py names it once, there: no dispatch chain compares the parsed name or falls through to a default
+    import argparse
+    from collections import Counter
+
+    from diotuples.cli import _build_parser
+
+    def leaves(parser, path=()):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, (*path, name))
+
+    found = dict(leaves(_build_parser()))
+    targets = ("quintuple-scan", "quadruple-min", "example-quadruple", "d3-triples")
+    assert {("reproduce", t) for t in targets} <= found.keys(), sorted(found)
+    assert [path for path, p in found.items() if not callable(p.get_default("run"))] == []
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    literals = Counter(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    names = {name for path in found for name in path}
+    assert {name: literals[name] for name in names if literals[name] != 1} == {}
+    reads = [
+        f"cli.py:{n.lineno}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("command", "bounds_command", "target")
+    ]
+    assert reads == [], f"the parsed command name is read: {reads}"
 
 
 def test_campaign_settings_stay_fixed():

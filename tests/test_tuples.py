@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from diotuples import tuples
 from diotuples.quad_ring import QuadInt, elem_from_json, format_elem, make_ring, parse_elem
 from diotuples.search import build_graph, enum_elements, find_cliques
 from diotuples.tuples import (
@@ -334,6 +335,18 @@ class TestCPlusMinus:
         with pytest.raises(ValueError) as exc:
             c_plus_minus(q1(1), q1(2), q1(10))
         assert str(exc.value) == "2*10 - 1 is not a square (y missing)"
+
+    def test_identity_check_raises_on_a_wrong_root(self, monkeypatch):
+        # y = (u + 2 + v*s)/2 is no root of bd - 1, so c_+ c_- = e^2 - f^2 misses the identity and raises
+        real = tuples._witness_half
+
+        def wrong_y(D, pq, p, q, name):
+            u, v = real(D, pq, p, q, name)
+            return (u + 2, v) if name == "y" else (u, v)
+
+        monkeypatch.setattr(tuples, "_witness_half", wrong_y)
+        with pytest.raises(AssertionError, match="c_plus \\* c_minus identity violated"):
+            c_plus_minus(q1(1), q1(2), q1(-24))
 
 
 MIXED = "mixed rings: RingParams(D=1, omega=sqrt) vs RingParams(D=2, omega=sqrt)"
